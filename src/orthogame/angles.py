@@ -2,7 +2,7 @@
 
 A direction vector (cos t, sin t) and its negation describe the same ray,
 so every strategy angle in this package lives on a circle of period 180
-degrees.  All helpers work in degrees.
+degrees.  All helpers work in degrees and accept floats or NumPy arrays.
 """
 
 from __future__ import annotations
@@ -14,17 +14,12 @@ def wrap_half_turn(angle_deg: float) -> float:
     """Reduce an angle to the canonical interval [0, 180)."""
     wrapped = angle_deg % HALF_TURN
     # x % 180.0 can round up to exactly 180.0 for tiny negative x
-    if wrapped >= HALF_TURN:
-        wrapped -= HALF_TURN
-    return wrapped
+    return wrapped - HALF_TURN * (wrapped >= HALF_TURN)
 
 
 def signed_delta(a_deg: float, b_deg: float) -> float:
     """Signed difference a - b wrapped to [-90, 90)."""
-    wrapped = (a_deg - b_deg + 90.0) % HALF_TURN
-    if wrapped >= HALF_TURN:
-        wrapped -= HALF_TURN
-    return wrapped - 90.0
+    return wrap_half_turn(a_deg - b_deg + 90.0) - 90.0
 
 
 def wrapped_distance(a_deg: float, b_deg: float) -> float:

@@ -24,7 +24,7 @@ from .classical import (PayoffMatrix, decompose_conditional, solve_closed_form,
                         verify_nash)
 from .equilibrium import GameParams, find_equilibria, reaction_curves
 from .lattice import audit_laws
-from .quantum import LogicRepresentation, QuantumStrategy, amplitudes
+from .quantum import LogicRepresentation, QuantumStrategy, amplitudes, payoff_terms
 
 CSV_HEADER = "input_deg,best_response_deg,payoff"
 
@@ -127,7 +127,7 @@ def quantum_group():
 @click.option("--step", "scan_step", type=float, default=0.25, show_default=True,
               help="fixed-point scan step in degrees")
 @click.option("--refine-tol", type=float, default=0.005, show_default=True,
-              help="bisection refinement tolerance in degrees")
+              help="fixed-point residual tolerance and deduplication radius in degrees")
 def quantum_solve(stakes, theta_a, theta_b, scan_step, refine_tol):
     """Find and verify equilibria of the two-angle payoff surface."""
     a, b, c, d = stakes
@@ -177,8 +177,6 @@ def quantum_payoff(stakes, theta_a, theta_b, alpha, beta):
     strat_b = QuantumStrategy(beta)
     p = amplitudes(strat_a, params.rep_a)
     q = amplitudes(strat_b, params.rep_b)
-    t13 = a * p.p1 * q.p3 + c * p.p3 * q.p1
-    t24 = b * p.p2 * q.p4 + d * p.p4 * q.p2
     _emit({
         "stakes": list(stakes),
         "theta_a_deg": theta_a,
@@ -186,7 +184,7 @@ def quantum_payoff(stakes, theta_a, theta_b, alpha, beta):
         "alpha_deg": strat_a.angle_deg,
         "beta_deg": strat_b.angle_deg,
         "value": float(params.payoff(strat_a.angle_deg, strat_b.angle_deg)),
-        "terms": [t13, t24],
+        "terms": list(payoff_terms(strat_a, strat_b, params.rep_a, params.rep_b, *stakes)),
         "p": list(p.as_tuple()),
         "q": list(q.as_tuple()),
     })

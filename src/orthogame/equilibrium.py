@@ -1,27 +1,37 @@
 """Equilibrium search on the two-angle payoff surface.
 
-For a fixed opponent angle the payoff F is a single harmonic in twice
-the player's own angle, K0 + K1 cos 2t + K2 sin 2t, so each best
-response has a closed form.  Equilibria are fixed points of the composed
-best-response map on the half-turn circle; the solver scans the wrapped
-fixed-point residual, brackets its sign changes, refines by bisection,
-and then verifies every candidate against dense two-sided deviation
-probes.  Verification is mandatory: candidates that fail it are
-reported with verified=False rather than dropped, and inputs where a
-best response is non-unique are reported as degeneracy regions.
+For a fixed opponent angle x the payoff F is a single harmonic in twice
+the player's own angle, K0 + K1 cos 2t + K2 sin 2t, and (K1, K2) is an
+affine function of (cos 2x, sin 2x); each best response has a closed
+form.  Equilibria are fixed points of the composed best-response map on
+the half-turn circle, and they are enumerated exactly: they are roots of
+a degree-8 polynomial (see `fixedpoint`), polished by Newton steps on
+the unsquared fixed-point residual and kept where that residual
+vanishes, steep crossings and tangencies included.
+
+The residual is also scanned on a fixed grid.  The scan yields the
+degeneracy regions, where a best response is non-unique, and serves as
+a cross-check: a sign change of the scanned residual that no enumerated
+root explains becomes a candidate of its own.  Verification is
+mandatory: every candidate is probed with dense two-sided deviations,
+and those that fail are reported with verified=False rather than
+dropped.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .angles import signed_delta, wrap_half_turn, wrapped_distance
+from . import fixedpoint
+from .angles import wrapped_distance
+from .fixedpoint import ALICE, BOB, DEGENERACY_SQ, best_responses, compose, stake_scale
 from .quantum import (AmplitudeSquares, LogicRepresentation, QuantumStrategy,
-                      amplitudes, payoff_grid)
+                      amplitudes, payoff_grid, payoff_terms)
 
 __all__ = [
     "DEGENERACY_SQ",
@@ -38,9 +48,6 @@ __all__ = [
     "SearchResult",
     "find_equilibria",
 ]
-
-# a harmonic with squared amplitude below this is treated as flat
-DEGENERACY_SQ = 1e-18
 
 
 @dataclass(frozen=True)
@@ -62,15 +69,14 @@ class GameParams:
         for name in ("a", "b", "c", "d"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"stake {name} must be finite")
-        # reuse the representation's angle validation
-        LogicRepresentation(self.theta_a_deg)
-        LogicRepresentation(self.theta_b_deg)
+        # building the representations validates the angles
+        self.rep_a, self.rep_b
 
-    @property
+    @cached_property
     def rep_a(self) -> LogicRepresentation:
         return LogicRepresentation(self.theta_a_deg)
 
-    @property
+    @cached_property
     def rep_b(self) -> LogicRepresentation:
         return LogicRepresentation(self.theta_b_deg)
 
@@ -89,51 +95,32 @@ class BestResponse(NamedTuple):
     degenerate: bool
 
 
-def _alice_harmonic(beta_deg: float, p: GameParams) -> tuple[float, float]:
-    """Coefficients (K1, K2) of F(., beta) = K0 + K1 cos 2a + K2 sin 2a."""
-    be = math.radians(beta_deg)
-    u = be - math.radians(p.theta_b_deg)
-    ta2 = math.radians(2.0 * p.theta_a_deg)
-    g = p.b * math.sin(u) ** 2 - p.d * math.cos(u) ** 2
-    k1 = (p.a * math.sin(be) ** 2 - p.c * math.cos(be) ** 2) / 2.0 + g * math.cos(ta2) / 2.0
-    k2 = g * math.sin(ta2) / 2.0
-    return k1, k2
-
-
-def _bob_harmonic(alpha_deg: float, p: GameParams) -> tuple[float, float]:
-    """Coefficients (K1, K2) of F(alpha, .) = K0 + K1 cos 2b + K2 sin 2b."""
-    al = math.radians(alpha_deg)
-    u = al - math.radians(p.theta_a_deg)
-    tb2 = math.radians(2.0 * p.theta_b_deg)
-    g = p.d * math.sin(u) ** 2 - p.b * math.cos(u) ** 2
-    k1 = (p.c * math.sin(al) ** 2 - p.a * math.cos(al) ** 2) / 2.0 + g * math.cos(tb2) / 2.0
-    k2 = g * math.sin(tb2) / 2.0
-    return k1, k2
+def _response(angle) -> BestResponse:
+    if np.ndim(angle) == 0:
+        angle = float(angle)
+        return BestResponse(angle, math.isnan(angle))
+    return BestResponse(angle, np.isnan(angle))
 
 
 def best_response_alice(beta_deg: float, params: GameParams) -> BestResponse:
     """Alice's payoff-maximizing angle against beta.
 
     The harmonic K1 cos 2a + K2 sin 2a peaks at 2a = atan2(K2, K1).
-    When both coefficients vanish every angle is optimal and the
-    response is reported degenerate instead of picking one arbitrarily.
+    When it is flat relative to the stakes every angle is optimal and
+    the response is reported degenerate (angle NaN) instead of picking
+    one arbitrarily.  An array of betas gives arrays of angles and
+    flags.
     """
-    k1, k2 = _alice_harmonic(beta_deg, params)
-    if k1 * k1 + k2 * k2 < DEGENERACY_SQ:
-        return BestResponse(math.nan, True)
-    return BestResponse(wrap_half_turn(0.5 * math.degrees(math.atan2(k2, k1))), False)
+    return _response(best_responses(beta_deg, params, ALICE))
 
 
 def best_response_bob(alpha_deg: float, params: GameParams) -> BestResponse:
     """Bob's payoff-minimizing angle against alpha.
 
     Same harmonic reduction as for Alice, with the minimum a quarter
-    turn away from the peak of the 2b harmonic.
+    turn away from the peak of the 2b harmonic; broadcasts likewise.
     """
-    k1, k2 = _bob_harmonic(alpha_deg, params)
-    if k1 * k1 + k2 * k2 < DEGENERACY_SQ:
-        return BestResponse(math.nan, True)
-    return BestResponse(wrap_half_turn(0.5 * math.degrees(math.atan2(k2, k1)) + 90.0), False)
+    return _response(best_responses(alpha_deg, params, BOB))
 
 
 class CurveSample(NamedTuple):
@@ -161,22 +148,15 @@ def reaction_curves(params: GameParams, step_deg: float) -> tuple[ReactionCurve,
     inputs = np.arange(0.0, 180.0, step_deg)
 
     curves = []
-    for owner, respond in (("alice", best_response_alice), ("bob", best_response_bob)):
-        samples = []
-        degenerate = []
-        for t in inputs:
-            t = float(t)
-            br = respond(t, params)
-            if br.degenerate:
-                degenerate.append(t)
-                samples.append(CurveSample(t, math.nan, math.nan))
-                continue
-            if owner == "alice":
-                pay = float(params.payoff(br.angle_deg, t))
-            else:
-                pay = float(params.payoff(t, br.angle_deg))
-            samples.append(CurveSample(t, br.angle_deg, pay))
-        curves.append(ReactionCurve(owner, tuple(samples), tuple(degenerate)))
+    for owner in (ALICE, BOB):
+        responses = best_responses(inputs, params, owner)
+        if owner == ALICE:
+            pay = params.payoff(responses, inputs)
+        else:
+            pay = params.payoff(inputs, responses)
+        samples = tuple(map(CurveSample, inputs.tolist(), responses.tolist(), pay.tolist()))
+        degenerate = tuple(inputs[np.isnan(responses)].tolist())
+        curves.append(ReactionCurve(owner, samples, degenerate))
     return curves[0], curves[1]
 
 
@@ -197,7 +177,7 @@ def verify_equilibrium(alpha_star_deg: float, beta_star_deg: float, params: Game
     if n_probe < 360:
         raise ValueError(f"n_probe must be at least 360, got {n_probe!r}")
     if tol is None:
-        tol = 1e-6 * max(abs(s) for s in params.stakes)
+        tol = 1e-6 * stake_scale(params)
     value = float(params.payoff(alpha_star_deg, beta_star_deg))
     grid = np.arange(n_probe) * (180.0 / n_probe)
 
@@ -253,64 +233,14 @@ class SearchResult:
         return tuple(e for e in self.equilibria if e.verified)
 
 
-def _residual(alpha_deg: float, params: GameParams) -> Optional[float]:
-    """Signed angular defect of alpha under the composed best-response map.
-
-    Returns None when either response along the composition is
-    degenerate.
-    """
-    bb = best_response_bob(alpha_deg, params)
-    if bb.degenerate:
-        return None
-    ba = best_response_alice(bb.angle_deg, params)
-    if ba.degenerate:
-        return None
-    return signed_delta(ba.angle_deg, alpha_deg)
-
-
-def _bisect(lo: float, hi: float, r_lo: float, r_hi: float, params: GameParams,
-            tol_deg: float) -> Optional[float]:
-    """Refine one sign-change bracket of the residual.
-
-    Returns the crossing, or None when the bracket turns out to hold a
-    wrap jump or a degeneracy instead of a true zero.
-    """
-    if abs(r_hi - r_lo) > 90.0:
-        return None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        r_mid = _residual(mid, params)
-        if r_mid is None:
-            return None
-        if abs(r_mid - r_lo) > 90.0 or abs(r_hi - r_mid) > 90.0:
-            return None
-        # both the bracket and the residual must come under tolerance:
-        # the residual scales with the slope of the composed map
-        if hi - lo <= tol_deg and abs(r_mid) <= tol_deg:
-            return wrap_half_turn(mid)
-        if r_lo * r_mid <= 0.0:
-            hi, r_hi = mid, r_mid
-        else:
-            lo, r_lo = mid, r_mid
-    return None
-
-
 def _degeneracy_regions(alphas: np.ndarray,
-                        degenerate: list[bool]) -> tuple[tuple[float, float], ...]:
+                        degenerate: np.ndarray) -> tuple[tuple[float, float], ...]:
     """Group consecutive degenerate scan samples into intervals."""
-    regions = []
-    start = None
-    for alpha, flag in zip(alphas, degenerate):
-        if flag and start is None:
-            start = float(alpha)
-        elif not flag and start is not None:
-            regions.append((start, float(alpha)))
-            start = None
-    if start is not None:
-        regions.append((start, 180.0))
-    return tuple(regions)
+    if not degenerate.any():
+        return ()
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], degenerate, [False]))))
+    bounds = np.append(alphas, 180.0)[edges].tolist()
+    return tuple(zip(bounds[::2], bounds[1::2]))
 
 
 def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
@@ -318,12 +248,15 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
                     tol: Optional[float] = None) -> SearchResult:
     """Locate and verify all fixed points of the composed best-response map.
 
-    Scans the wrapped residual over [0, 180), brackets its sign changes
-    (discarding brackets whose residual jumps by more than 90 degrees,
-    which are wrap crossings of the discontinuous composed map rather
-    than zeros), refines by bisection to refine_tol_deg, deduplicates
-    modulo 180, and verifies each survivor with two-sided deviation
-    probes.  Unverified candidates stay in the result with
+    Enumerates the fixed points as the unit-circle roots of the degree-8
+    fixed-point polynomial, polished by Newton steps and kept where the
+    residual is within refine_tol_deg of zero.  The residual is also
+    scanned over [0, 180) at scan_step_deg: the scan gives the
+    degeneracy regions, and each of its sign-change brackets (residual
+    moving by less than 90 degrees) that holds no enumerated root adds
+    its crossing as a candidate.  Candidates are deduplicated modulo 180
+    within refine_tol_deg and each is verified with two-sided deviation
+    probes (n_probe, tol); unverified candidates stay in the result with
     verified=False.
     """
     if not (0.0 < scan_step_deg <= 1.0):
@@ -332,60 +265,38 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
         raise ValueError(f"refine tolerance must be in (0, 0.01] degrees, got {refine_tol_deg!r}")
 
     alphas = np.arange(0.0, 180.0, scan_step_deg)
-    n = len(alphas)
-    residuals = [_residual(float(al), params) for al in alphas]
-    degenerate = [r is None for r in residuals]
-    regions = _degeneracy_regions(alphas, degenerate)
-
-    candidates = []
-    for i in range(n):
-        r_i = residuals[i]
-        if r_i is None:
-            continue
-        if r_i == 0.0:
-            candidates.append(float(alphas[i]))
-            continue
-        r_j = residuals[(i + 1) % n]
-        if r_j is None or r_j == 0.0:
-            continue
-        if r_i * r_j < 0.0:
-            root = _bisect(float(alphas[i]), float(alphas[i]) + scan_step_deg,
-                           r_i, r_j, params, refine_tol_deg)
-            if root is not None:
-                candidates.append(root)
+    _, residuals = compose(alphas, params)
+    regions = _degeneracy_regions(alphas, np.isnan(residuals))
+    roots = fixedpoint.fixed_points(params, refine_tol_deg)
+    candidates = np.concatenate(
+        (roots, fixedpoint.unexplained_crossings(alphas, residuals, roots, params, refine_tol_deg)))
 
     # deduplicate modulo 180
-    candidates.sort()
     unique: list[float] = []
-    for cand in candidates:
+    for cand in sorted(candidates.tolist()):
         if any(wrapped_distance(cand, u) <= refine_tol_deg for u in unique):
             continue
         unique.append(cand)
 
+    if not unique:
+        return SearchResult(equilibria=(), degeneracy_regions=regions)
+    betas, defects = compose(np.array(unique), params)
     reports = []
-    for alpha_star in unique:
-        bb = best_response_bob(alpha_star, params)
-        if bb.degenerate:
-            continue
-        beta_star = bb.angle_deg
-        residual = _residual(alpha_star, params)
-        if residual is None:
+    for alpha_star, beta_star, residual in zip(unique, betas.tolist(), defects.tolist()):
+        if math.isnan(beta_star) or math.isnan(residual):
             continue
         strat_a = QuantumStrategy(alpha_star)
         strat_b = QuantumStrategy(beta_star)
-        amps_a = amplitudes(strat_a, params.rep_a)
-        amps_b = amplitudes(strat_b, params.rep_b)
-        t13 = params.a * amps_a.p1 * amps_b.p3 + params.c * amps_a.p3 * amps_b.p1
-        t24 = params.b * amps_a.p2 * amps_b.p4 + params.d * amps_a.p4 * amps_b.p2
         verdict = verify_equilibrium(alpha_star, beta_star, params,
                                      n_probe=n_probe, tol=tol)
         reports.append(EquilibriumReport(
             alpha_star_deg=alpha_star,
             beta_star_deg=beta_star,
             value=float(params.payoff(alpha_star, beta_star)),
-            terms=(t13, t24),
-            amplitudes_a=amps_a,
-            amplitudes_b=amps_b,
+            terms=payoff_terms(strat_a, strat_b, params.rep_a, params.rep_b,
+                               *params.stakes),
+            amplitudes_a=amplitudes(strat_a, params.rep_a),
+            amplitudes_b=amplitudes(strat_b, params.rep_b),
             verified=verdict.verified,
             max_violation=verdict.max_violation,
             residual_deg=abs(residual),

@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogicRepresentation:
     """Mixing angle of one player's projector pair, in degrees.
 

@@ -1,0 +1,179 @@
+"""Exact fixed-point enumeration checked against independent oracles.
+
+The enumerator's polynomial is compared with a symbolic expansion built
+from the payoff formula alone, its unit-circle roots with the eigenvalues
+of the companion matrix (numpy.roots), its equilibria with a fine
+residual scan built from the public best responses, and the scan
+cross-check inside the search is shown to recover a root the enumerator
+drops.
+"""
+
+import math
+
+import numpy as np
+import pytest
+import sympy as sp
+
+from orthogame import fixedpoint
+from orthogame.angles import signed_delta, wrapped_distance
+from orthogame.equilibrium import (GameParams, best_response_alice,
+                                   best_response_bob, find_equilibria,
+                                   verify_equilibrium)
+
+EX1 = GameParams(3, 3, 5, 1, 10.0, 70.0)
+EX3 = GameParams(3, 3, 5, 1, 30.0, 20.0)
+FIG7 = GameParams(3, 3, 5, 1, 15.0, 35.0)
+STEEP = GameParams(4.0215, 9.0215, 0.2523, 3.0968, 134.8434, 29.7447)
+
+
+def _random_game(rng):
+    return GameParams(*rng.uniform(0.1, 10.0, 4), *rng.uniform(1.0, 179.0, 2))
+
+
+def _symbolic_polynomial(p: GameParams) -> list[complex]:
+    """Coefficients of z^4 ... z^-4 of the squared fixed-point condition,
+    expanded by sympy from the payoff formula of `payoff_grid`, up to a
+    positive factor."""
+    al, be, n, z = sp.symbols("alpha beta N z")
+    ta, tb = sp.Float(math.radians(p.theta_a_deg), 30), sp.Float(math.radians(p.theta_b_deg), 30)
+    a, b, c, d = (sp.Float(x, 30) for x in p.stakes)
+    f = (a * sp.cos(al) ** 2 * sp.sin(be) ** 2 + c * sp.sin(al) ** 2 * sp.cos(be) ** 2
+         + b * sp.cos(al - ta) ** 2 * sp.sin(be - tb) ** 2
+         + d * sp.sin(al - ta) ** 2 * sp.cos(be - tb) ** 2)
+    deg45, deg90 = sp.pi / 4, sp.pi / 2
+
+    def harmonic(own):
+        # F is K0 + K1 cos 2t + K2 sin 2t in the player's own angle t
+        at = lambda t: f.subs(own, t)
+        return sp.Matrix([(at(0) - at(deg90)) / 2, at(deg45) - (at(0) + at(deg90)) / 2])
+
+    def affine(k, other):
+        # (K1, K2) = k0 + m (cos 2x, sin 2x) in the opponent angle x
+        at = lambda x: k.subs(other, x).evalf(30)
+        k0 = (at(0) + at(deg90)) / 2
+        m = sp.Matrix.hstack((at(0) - at(deg90)) / 2, at(deg45) - k0)
+        probe = {other: sp.Float(0.3717, 30)}
+        e = sp.Matrix([sp.cos(2 * probe[other]), sp.sin(2 * probe[other])])
+        assert max(abs(v) for v in (k.subs(probe) - k0 - m * e).evalf(30)) < 1e-20
+        return k0, m
+
+    a0, am = affine(harmonic(al), be)
+    b0, bm = affine(harmonic(be), al)
+    cos, sin = (z + 1 / z) / 2, (z - 1 / z) / (2 * sp.I)
+    e = sp.Matrix([cos, sin])
+    k_b = b0 + bm * e
+    k_a = a0 + am * (-k_b / n)           # Bob answers with w = -K_B / |K_B|
+    cross = sp.expand(n * (k_a[0] * sin - k_a[1] * cos))
+    lhs, rhs = cross.coeff(n, 1), cross.coeff(n, 0)
+    squared = lhs ** 2 * (k_b[0] ** 2 + k_b[1] ** 2) - rhs ** 2
+    return [complex(co) for co in sp.Poly(sp.expand(squared * z ** 4), z).all_coeffs()]
+
+
+@pytest.mark.parametrize("params", [EX1, EX3, STEEP, GameParams(2.5, 0.7, 9.1, 4.4, 163.0, 3.5)])
+def test_polynomial_matches_symbolic_expansion(params):
+    expected = np.array(_symbolic_polynomial(params))
+    actual = np.array(fixedpoint.polynomial(fixedpoint.harmonic_map(params, fixedpoint.ALICE),
+                                            fixedpoint.harmonic_map(params, fixedpoint.BOB)))[::-1]
+    assert len(actual) == len(expected) == 9
+    # compare up to the positive scale each side chose
+    expected, actual = (v / np.max(np.abs(v)) for v in (expected, actual))
+    np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-12)
+
+
+def _companion_angles(coeffs):
+    z = np.roots(coeffs[::-1])
+    return np.angle(z[np.abs(np.abs(z) - 1.0) <= 1e-6])
+
+
+def _circular_gap(x, y):
+    return np.abs((x - y + np.pi) % (2 * np.pi) - np.pi)
+
+
+def test_circle_angles_match_companion_matrix():
+    rng = np.random.default_rng(808)
+    matched = 0
+    for _ in range(300):
+        params = _random_game(rng)
+        coeffs = fixedpoint.polynomial(fixedpoint.harmonic_map(params, fixedpoint.ALICE),
+                                       fixedpoint.harmonic_map(params, fixedpoint.BOB))
+        found = fixedpoint.circle_angles(coeffs)
+        expected = _companion_angles(coeffs)
+        for phi in expected:
+            assert np.min(_circular_gap(found, phi)) <= 1e-6, (params, phi, found)
+            matched += 1
+        for phi in found:
+            assert np.min(_circular_gap(expected, phi)) <= 1e-6, (params, phi, expected)
+    assert matched >= 600
+
+
+def _laurent_product(*factors):
+    product = [1.0]
+    for factor in factors:
+        product = np.convolve(product, factor)
+    return list(product.astype(complex))
+
+
+@pytest.mark.parametrize("split", [0.0, 1e-9, 1e-3])
+def test_circle_angles_double_and_close_roots(split):
+    # (cos phi - c)(cos phi - c')(2 + cos 2 phi) has the roots +-acos c and
+    # +-acos c' and no others; c' = c is a pair of tangencies
+    c, c2 = math.cos(1.1), math.cos(1.1) + split
+    coeffs = _laurent_product([0.5, -c, 0.5], [0.5, -c2, 0.5], [0.5, 0, 2.0, 0, 0.5])
+    found = fixedpoint.circle_angles(coeffs)
+    roots = np.array([1.1, -1.1, math.acos(c2), -math.acos(c2)])
+    tol = 1e-9 if split > 1e-6 else 1e-5
+    assert all(np.min(_circular_gap(found, r)) <= tol for r in roots)
+    assert all(np.min(_circular_gap(roots, phi)) <= tol for phi in found)
+
+
+def test_circle_angles_of_vanishing_polynomial():
+    assert len(fixedpoint.circle_angles([0j] * 9)) == 0
+
+
+def _scan_equilibria(params, step=0.01):
+    """Verified fixed points of a fine residual scan of the public best responses."""
+    alphas = np.arange(0.0, 180.0, step)
+    beta = best_response_bob(alphas, params).angle_deg
+    residual = signed_delta(best_response_alice(beta, params).angle_deg, alphas)
+    following = np.roll(residual, -1)
+    crossing = (residual * following < 0.0) & (np.abs(following - residual) < 90.0)
+    found = []
+    for i in np.flatnonzero(crossing):
+        alpha = float(alphas[i] + step * residual[i] / (residual[i] - following[i]))
+        response = best_response_bob(alpha, params)
+        if (not response.degenerate
+                and verify_equilibrium(alpha, response.angle_deg, params).verified):
+            found.append(alpha)
+    return found
+
+
+def test_fine_scan_equilibria_are_all_reported():
+    rng = np.random.default_rng(20260)
+    scanned = 0
+    for _ in range(300):
+        params = _random_game(rng)
+        reported = [e.alpha_star_deg for e in find_equilibria(params).verified]
+        for alpha in _scan_equilibria(params):
+            scanned += 1
+            assert any(wrapped_distance(alpha, r) <= 0.01 for r in reported), (params, alpha)
+    assert scanned >= 100
+
+
+def test_steep_crossing_found_by_fine_scan():
+    assert len(_scan_equilibria(STEEP)) == 1
+
+
+def test_scan_cross_check_recovers_dropped_root(monkeypatch):
+    expected = {params: [(e.alpha_star_deg, e.beta_star_deg) for e in find_equilibria(params)]
+                for params in (EX1, EX3, FIG7)}
+    enumerate_roots = fixedpoint.fixed_points
+    monkeypatch.setattr(fixedpoint, "fixed_points",
+                        lambda params, tol_deg: enumerate_roots(params, tol_deg)[1:])
+    for params, points in expected.items():
+        assert len(points) == 1
+        result = find_equilibria(params)
+        assert len(result) == 1 and len(result.verified) == 1
+        eq = result.verified[0]
+        assert wrapped_distance(eq.alpha_star_deg, points[0][0]) <= 1e-6
+        assert wrapped_distance(eq.beta_star_deg, points[0][1]) <= 1e-6
+        assert eq.residual_deg <= 1e-6

@@ -254,3 +254,46 @@ def test_search_result_container_protocol():
     result = find_equilibria(EX1)
     assert len(result) == len(list(result))
     assert result[0] is result.equilibria[0]
+
+
+def test_find_equilibria_keeps_steep_crossing():
+    # the composed residual jumps from +64.3 at 75.0 to -25.7 at 75.25: a
+    # true crossing steeper than a quarter turn per scan step
+    steep = GameParams(4.0215, 9.0215, 0.2523, 3.0968, 134.8434, 29.7447)
+    for step in (0.25, 0.125):
+        result = find_equilibria(steep, scan_step_deg=step)
+        assert len(result.verified) == 1
+        assert wrapped_distance(result.verified[0].alpha_star_deg, 75.21) <= 0.01
+
+
+def test_find_equilibria_tiny_stakes_not_degenerate():
+    # degeneracy is judged relative to the largest stake, so EX1 in
+    # nano-units has the same single equilibrium and no flat regions
+    for factor in (1e-9, 1e-12):
+        tiny = GameParams(3 * factor, 3 * factor, 5 * factor, 1 * factor, 10.0, 70.0)
+        for step in (0.25, 0.125):
+            result = find_equilibria(tiny, scan_step_deg=step)
+            assert len(result) == 1 and len(result.verified) == 1
+            assert result.verified[0].alpha_star_deg == pytest.approx(145.442, abs=0.005)
+            assert not result.degeneracy_regions
+            assert not best_response_alice(59.5, tiny).degenerate
+
+
+def test_reaction_curves_match_scalar_loop():
+    # the per-sample loop over the public scalar best responses is the reference
+    for params in (EX1, GameParams(1, 0, 1, 0, 45.0, 45.0)):
+        for owner, curve in zip(("alice", "bob"), reaction_curves(params, 0.5)):
+            respond = best_response_alice if owner == "alice" else best_response_bob
+            degenerate = []
+            for s in curve.samples:
+                br = respond(s.input_deg, params)
+                if br.degenerate:
+                    degenerate.append(s.input_deg)
+                    assert math.isnan(s.best_response_deg) and math.isnan(s.payoff)
+                    continue
+                pay = (params.payoff(br.angle_deg, s.input_deg) if owner == "alice"
+                       else params.payoff(s.input_deg, br.angle_deg))
+                assert s.best_response_deg == pytest.approx(br.angle_deg, abs=1e-12)
+                assert s.payoff == pytest.approx(float(pay), abs=1e-12)
+            assert curve.degenerate_inputs == tuple(degenerate)
+            assert len(curve.samples) == 360

@@ -1,0 +1,65 @@
+"""Invariances of the quantized game, checked as properties.
+
+Derandomized and without an example database, so every run draws the
+same examples.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orthogame.angles import wrapped_distance
+from orthogame.classical import PayoffMatrix
+from orthogame.equilibrium import GameParams, find_equilibria
+from orthogame.quantum import (LogicRepresentation, QuantumStrategy,
+                               expectation, payoff_closed_form, payoff_operator)
+
+deterministic = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+
+stakes = st.tuples(*[st.floats(0.1, 10.0)] * 4)
+mixing_angle = st.floats(1.0, 179.0).filter(lambda t: t != 90.0)
+# decades of a stake scale, the extremes included
+decades = st.sampled_from(range(-12, 13))
+
+
+def _points(result):
+    return [(e.alpha_star_deg, e.beta_star_deg, e.verified) for e in result]
+
+
+def _same_points(first, second, tol_deg=1e-6):
+    assert len(first) == len(second)
+    for alpha, beta, verified in first:
+        assert any(wrapped_distance(alpha, a) <= tol_deg and wrapped_distance(beta, b) <= tol_deg
+                   and verified == v for a, b, v in second)
+
+
+@deterministic
+@given(stakes, mixing_angle, mixing_angle, decades)
+def test_stake_scaling_keeps_equilibrium_angles(s, theta_a, theta_b, exponent):
+    factor = 10.0 ** exponent
+    base = find_equilibria(GameParams(*s, theta_a, theta_b))
+    scaled = find_equilibria(GameParams(*(x * factor for x in s), theta_a, theta_b))
+    _same_points(_points(base), _points(scaled))
+    assert base.degeneracy_regions == scaled.degeneracy_regions
+
+
+@deterministic
+@given(stakes, mixing_angle, mixing_angle, st.sampled_from([(180.0, 0.0), (-180.0, 0.0),
+                                                            (0.0, 180.0), (0.0, -180.0)]))
+def test_half_turn_shift_of_mixing_angle(s, theta_a, theta_b, shift):
+    base = find_equilibria(GameParams(*s, theta_a, theta_b))
+    shifted = find_equilibria(GameParams(*s, theta_a + shift[0], theta_b + shift[1]))
+    _same_points(_points(base), _points(shifted))
+
+
+@deterministic
+@given(stakes, decades, mixing_angle, mixing_angle,
+       st.floats(-360.0, 360.0), st.floats(-360.0, 360.0))
+def test_payoff_paths_agree(s, exponent, theta_a, theta_b, alpha, beta):
+    s = tuple(x * 10.0 ** exponent for x in s)
+    rep_a, rep_b = LogicRepresentation(theta_a), LogicRepresentation(theta_b)
+    sa, sb = QuantumStrategy(alpha), QuantumStrategy(beta)
+    closed = payoff_closed_form(sa, sb, rep_a, rep_b, *s)
+    operator = expectation(sa, sb, payoff_operator(rep_a, rep_b, PayoffMatrix.diagonal_game(*s)))
+    assert abs(closed - operator) <= 1e-12 * max(s)
+    assert np.isfinite(closed)
