@@ -42,22 +42,25 @@ def _parse_stakes(ctx, param, value):
     return stakes
 
 
-def _validate_theta(ctx, param, value):
-    try:
-        LogicRepresentation(value)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
-    return value
+def _checked_by(cls):
+    """An option callback that accepts a value only if cls accepts it."""
+    def check(ctx, param, value):
+        try:
+            cls(value)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc))
+        return value
+    return check
 
 
 _stakes_option = click.option(
     "-p", "--payoff", "stakes", required=True, callback=_parse_stakes,
     help="the four positive stakes a,b,c,d as a comma-separated list")
 _theta_a_option = click.option(
-    "--theta-a", type=float, required=True, callback=_validate_theta,
+    "--theta-a", type=float, required=True, callback=_checked_by(LogicRepresentation),
     help="Alice's mixing angle in degrees (not a multiple of 90)")
 _theta_b_option = click.option(
-    "--theta-b", type=float, required=True, callback=_validate_theta,
+    "--theta-b", type=float, required=True, callback=_checked_by(LogicRepresentation),
     help="Bob's mixing angle in degrees (not a multiple of 90)")
 
 
@@ -167,8 +170,10 @@ def quantum_solve(stakes, theta_a, theta_b, scan_step, refine_tol):
 @_stakes_option
 @_theta_a_option
 @_theta_b_option
-@click.option("--alpha", type=float, required=True, help="Alice's angle in degrees")
-@click.option("--beta", type=float, required=True, help="Bob's angle in degrees")
+@click.option("--alpha", type=float, required=True, callback=_checked_by(QuantumStrategy),
+              help="Alice's angle in degrees")
+@click.option("--beta", type=float, required=True, callback=_checked_by(QuantumStrategy),
+              help="Bob's angle in degrees")
 def quantum_payoff(stakes, theta_a, theta_b, alpha, beta):
     """Payoff, term split, and squared amplitudes at one strategy pair."""
     a, b, c, d = stakes

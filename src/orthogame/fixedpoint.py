@@ -14,7 +14,11 @@ the cross condition reads (a0 x e) |K_B| = (A K_B) x e.  Squared, it is
 a trigonometric polynomial of degree at most 4 in phi, that is z^-4
 times a degree-8 polynomial in z = exp(i phi) (spectral rootfinding for
 Fourier series: J. P. Boyd, J. Eng. Math. 56 (2006) 203-219).  Its
-unit-circle roots hold every fixed point, and also the roots of the
+unit-circle roots are found by one subdivision loop whose only
+certificate is Taylor exclusion: cells that may hold a root are split
+down to a fixed width, then Newton steps finish the root next to each
+cell on which the polynomial is monotone, and the others are multiple
+roots.  The roots hold every fixed point, and also the roots of the
 other square-root branch, where Alice answers -w, and the zeros of K_B;
 Newton steps on the unsquared residual and a residual test tell them
 apart.
@@ -37,18 +41,18 @@ ALICE, BOB = "alice", "bob"
 _COS = (0.5, 0.0, 0.5)
 _SIN = (0.5j, 0.0, -0.5j)
 # the unit-circle roots are searched on this many cells of [0, 2 pi) at
-# first; a cell that neither excludes nor isolates a root is split this
-# many ways, down to a half-width of _MULTIPLE_ROOT_RAD
+# first; a cell that does not exclude a root is split this many ways,
+# down to a half-width of _MULTIPLE_ROOT_RAD
 _ROOT_CELLS = 512
 _ROOT_SPLIT = 8
 _MULTIPLE_ROOT_RAD = 1e-6
 # child cell centres, as fractions of the parent's half-width
 _CHILDREN = (2.0 * np.arange(_ROOT_SPLIT) + 1.0 - _ROOT_SPLIT) / _ROOT_SPLIT
 _HARMONICS = np.arange(1.0, 5.0)
-# Newton converges quadratically, so a final step this small leaves an
-# error of order its square; bisections bound the number of steps
-_ROOT_STEPS = 40
-_ROOT_TOL_RAD = 1e-7
+# a monotone surviving cell's centre lies within about its half-width
+# (under _MULTIPLE_ROOT_RAD) of a root, so quadratically convergent
+# Newton steps on the polynomial finish that root in this many
+_ROOT_NEWTON_STEPS = 2
 # relative size below which the polynomial counts as identically zero
 _ZERO_POLYNOMIAL = 1e-12
 # a root's unpolished residual is orders of magnitude below this on the
@@ -104,11 +108,13 @@ def best_responses(opponent_deg, params, player: str):
 
     The harmonic K1 cos 2t + K2 sin 2t peaks at 2t = atan2(K2, K1); Bob
     minimises, so his answer lies a quarter turn from the peak.  A
-    harmonic is flat when K1^2 + K2^2 <= DEGENERACY_SQ * max|stake|^2.
+    harmonic is flat when K1^2 + K2^2 <= DEGENERACY_SQ * max|stake|^2,
+    tested as hypot(K1, K2) <= sqrt(DEGENERACY_SQ) * max|stake| so that
+    no square overflows or underflows at extreme stakes.
     """
     k1, k2 = harmonic(opponent_deg, params, player)
     peak = np.arctan2(k2, k1) * (90.0 / math.pi) + (0.0 if player == ALICE else 90.0)
-    flat = k1 * k1 + k2 * k2 <= DEGENERACY_SQ * stake_scale(params) ** 2
+    flat = np.hypot(k1, k2) <= math.sqrt(DEGENERACY_SQ) * stake_scale(params)
     return np.where(flat, np.nan, wrap_half_turn(peak))
 
 
@@ -192,51 +198,21 @@ def _values(tables, a0: float, a: np.ndarray, b: np.ndarray):
     return a0 + cos @ a + sin @ b, cos @ (_HARMONICS * b) - sin @ (_HARMONICS * a)
 
 
-def _bracketed_newton(mid: np.ndarray, half: np.ndarray, a0: float, a: np.ndarray,
-                      b: np.ndarray) -> np.ndarray:
-    """The root of T in each cell [mid - half, mid + half] on which T is
-    monotone and changes sign: Newton steps from the secant point, with a
-    bisection wherever a step would leave the shrinking bracket."""
-    n = len(mid)
-    if not n:
-        return mid
-    ends, _ = _values(_tables(np.concatenate((mid - half, mid + half))), a0, a, b)
-    change = ends[:n] * ends[n:] <= 0.0
-    lo, hi = (mid - half)[change], (mid + half)[change]
-    t_lo, t_hi = ends[:n][change], ends[n:][change]
-    low_negative = t_lo < 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.where(t_lo == t_hi, lo, (lo * t_hi - hi * t_lo) / (t_hi - t_lo))
-    for _ in range(_ROOT_STEPS):
-        t, dt = _values(_tables(x), a0, a, b)
-        above = (t < 0.0) == low_negative          # the root lies above x
-        lo, hi = np.where(above, x, lo), np.where(above, hi, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = x - t / dt
-        step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
-        converged = not np.any(np.abs(step - x) > _ROOT_TOL_RAD)
-        x = step
-        if converged:
-            break
-    return x
-
-
 def circle_angles(coeffs) -> np.ndarray:
     """Angle phi of each root on the unit circle of z^4 sum coeffs[k] z^(k-4).
 
     On the circle the polynomial is the real trigonometric polynomial
     T(phi) = a0 + sum_k (a_k cos k phi + b_k sin k phi), k = 1 ... 4, and
-    its real roots are found by certified subdivision of [0, 2 pi) rather
-    than with a companion-matrix eigensolver, whose LAPACK code adds about
-    a megabyte to the resident set of every process that solves a game.
-    The first cell centres lie within h0 = pi / _ROOT_CELLS of every
-    angle, so by Bernstein's inequality (a degree-4 trigonometric
-    polynomial's derivative is at most 4 times its maximum)
-    M = max |T''(centre)| / (1 - 4 h0) bounds |T''|.  Taylor's theorem
-    then excludes a root from the cell of half-width h around phi when
-    |T(phi)| > |T'(phi)| h + M h^2 / 2, and admits at most one when
-    |T'(phi)| > M h, T being monotone there.  Other cells are split until
-    h < _MULTIPLE_ROOT_RAD; a cell still not excluded holds a multiple
+    its real roots are found by subdividing [0, 2 pi) rather than with a
+    companion-matrix eigensolver, whose LAPACK code adds about a megabyte
+    to the resident set of every process that solves a game.  The one
+    certificate is Taylor exclusion: with M = sum_k k^2 hypot(a_k, b_k),
+    a bound on |T''|, the cell of half-width h around phi holds no root
+    when |T(phi)| > |T'(phi)| h + M h^2 / 2.  Every cell not excluded is
+    split until h < _MULTIPLE_ROOT_RAD.  A surviving cell on which
+    |T'(phi)| > M h is monotone, and Newton steps on T from its centre
+    finish the root it lies next to; several neighbouring cells may
+    finish on the same root.  Any other surviving cell holds a multiple
     (tangent) root, reported at its centre.  A polynomial that vanishes
     identically (K_A parallel to e for every phi) has no isolated roots
     and yields none.
@@ -246,26 +222,23 @@ def circle_angles(coeffs) -> np.ndarray:
     a0 = coeffs[4].real
     a = np.array([2.0 * c.real for c in coeffs[5:]])
     b = np.array([-2.0 * c.imag for c in coeffs[5:]])
+    bound = float(_HARMONICS ** 2 @ np.hypot(a, b))
     half = math.pi / _ROOT_CELLS
     mid = (2.0 * np.arange(_ROOT_CELLS) + 1.0) * half
-    cos, sin = tables = _tables(mid)
-    second = cos @ (_HARMONICS ** 2 * a) + sin @ (_HARMONICS ** 2 * b)
-    bound = float(np.max(np.abs(second))) / (1.0 - 4.0 * half)
-    isolated, widths, multiple = [], [], []
-    while len(mid):
-        t, dt = _values(tables, a0, a, b)
-        maybe = np.abs(t) <= np.abs(dt) * half + 0.5 * bound * half * half
+    while True:
+        t, dt = _values(_tables(mid), a0, a, b)
+        kept = np.abs(t) <= np.abs(dt) * half + 0.5 * bound * half * half
+        mid, dt = mid[kept], dt[kept]
         if half < _MULTIPLE_ROOT_RAD:
-            multiple.append(mid[maybe])
             break
-        single = maybe & (np.abs(dt) > bound * half)
-        isolated.append(mid[single])
-        widths.append(np.full(len(isolated[-1]), half))
-        mid = (mid[maybe & ~single, None] + _CHILDREN * half).ravel()
+        mid = (mid[:, None] + _CHILDREN * half).ravel()
         half /= _ROOT_SPLIT
-        tables = _tables(mid)
-    roots = _bracketed_newton(np.concatenate(isolated), np.concatenate(widths), a0, a, b)
-    return np.concatenate([roots] + multiple)
+    monotone = np.abs(dt) > bound * half
+    roots = mid[monotone]
+    for _ in range(_ROOT_NEWTON_STEPS):
+        t, dt = _values(_tables(roots), a0, a, b)
+        roots = roots - t / dt
+    return np.concatenate((roots, mid[~monotone]))
 
 
 def fixed_points(params, tol_deg: float) -> np.ndarray:

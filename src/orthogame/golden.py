@@ -177,14 +177,13 @@ RECORDS: dict[str, GoldenRecord] = {
 
 def record_for_config(a: float, b: float, c: float, d: float,
                       theta_a_deg: float, theta_b_deg: float) -> Optional[GoldenRecord]:
-    """The quantized reference record matching these parameters, if any."""
+    """The quantized reference record matching these parameters, if any:
+    every stake and angle within 1e-9."""
+    config = (a, b, c, d, theta_a_deg, theta_b_deg)
     for record in RECORDS.values():
-        if record.theta_a_deg is None:
-            continue
-        if (abs(record.stakes[0] - a) < 1e-9 and abs(record.stakes[1] - b) < 1e-9
-                and abs(record.stakes[2] - c) < 1e-9 and abs(record.stakes[3] - d) < 1e-9
-                and abs(record.theta_a_deg - theta_a_deg) < 1e-9
-                and abs(record.theta_b_deg - theta_b_deg) < 1e-9):
+        key = (*record.stakes, record.theta_a_deg, record.theta_b_deg)
+        if (record.theta_a_deg is not None
+                and max(abs(x - y) for x, y in zip(key, config)) < 1e-9):
             return record
     return None
 

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 from orthogame.cli import main
@@ -204,3 +206,62 @@ def test_reproduce_deterministic(runner):
     first = runner.invoke(main, ["reproduce", "1", "--json"]).output
     second = runner.invoke(main, ["reproduce", "1", "--json"]).output
     assert first == second
+
+
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+_VALID = {
+    "classical solve": {"--payoff": "3,3,5,1"},
+    "quantum solve": {"--payoff": "3,3,5,1", "--theta-a": "10", "--theta-b": "70",
+                      "--step": "0.25", "--refine-tol": "0.005"},
+    "quantum payoff": {"--payoff": "3,3,5,1", "--theta-a": "10", "--theta-b": "70",
+                       "--alpha": "145.5", "--beta": "59.5"},
+    "quantum curves": {"--payoff": "3,3,5,1", "--theta-a": "10", "--theta-b": "70", "--step": "1"},
+}
+# a float option, with the stake list's entries as four options of their own
+_FLOAT_OPTIONS = [(command, option, index) for command, options in _VALID.items()
+                  for option in options
+                  for index in (range(4) if option == "--payoff" else [None])]
+_THETA_OPTIONS = [(command, option, None) for command, options in _VALID.items()
+                  for option in options if option.startswith("--theta")]
+_not_finite = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "-Infinity", "1e999"])
+_not_a_number = st.text(min_size=1).filter(lambda t: not _is_number(t) and "\x00" not in t)
+_multiple_of_90 = st.builds(lambda k, fmt: fmt.format(90 * k), st.integers(-8, 8),
+                            st.sampled_from(["{}", "{}.0", "{:e}"]))
+
+
+def _args(command, options, out_dir):
+    args = command.split() + [f"{name}={value}" for name, value in options.items()]
+    return args + [f"--out={out_dir}"] if command == "quantum curves" else args
+
+
+@pytest.mark.parametrize("command", sorted(_VALID))
+def test_valid_float_input_exits_0(runner, tmp_path, command):
+    result = runner.invoke(main, _args(command, _VALID[command], tmp_path))
+    assert result.exit_code == 0, result.output
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(st.one_of(st.tuples(st.sampled_from(_FLOAT_OPTIONS), st.one_of(_not_finite, _not_a_number)),
+                 st.tuples(st.sampled_from(_THETA_OPTIONS), _multiple_of_90)))
+def test_bad_float_input_exits_2_without_traceback(tmp_path_factory, case):
+    (command, option, index), bad = case
+    options = dict(_VALID[command])
+    if index is None:
+        options[option] = bad
+    else:
+        stakes = options[option].split(",")
+        stakes[index] = bad
+        options[option] = ",".join(stakes)
+    args = _args(command, options, tmp_path_factory.mktemp("curves"))
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, (args, result.output)
+    assert isinstance(result.exception, SystemExit), (args, result.exception)
+    assert "Traceback" not in result.output
+    assert "Usage:" in result.output and "Error:" in result.output, (args, result.output)

@@ -268,8 +268,9 @@ def test_find_equilibria_keeps_steep_crossing():
 
 def test_find_equilibria_tiny_stakes_not_degenerate():
     # degeneracy is judged relative to the largest stake, so EX1 in
-    # nano-units has the same single equilibrium and no flat regions
-    for factor in (1e-9, 1e-12):
+    # nano-units, or at the ends of the float range, has the same single
+    # equilibrium and no flat regions
+    for factor in (1e-9, 1e-12, 1e-200, 1e200):
         tiny = GameParams(3 * factor, 3 * factor, 5 * factor, 1 * factor, 10.0, 70.0)
         for step in (0.25, 0.125):
             result = find_equilibria(tiny, scan_step_deg=step)

@@ -4,13 +4,18 @@ Derandomized and without an example database, so every run draws the
 same examples.
 """
 
+import math
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orthogame.angles import wrapped_distance
 from orthogame.classical import PayoffMatrix
-from orthogame.equilibrium import GameParams, find_equilibria
+from orthogame.equilibrium import (GameParams, best_response_alice, best_response_bob,
+                                   find_equilibria, verify_equilibrium)
+from orthogame.fixedpoint import ALICE, BOB, harmonic
 from orthogame.quantum import (LogicRepresentation, QuantumStrategy,
                                expectation, payoff_closed_form, payoff_operator)
 
@@ -20,6 +25,9 @@ stakes = st.tuples(*[st.floats(0.1, 10.0)] * 4)
 mixing_angle = st.floats(1.0, 179.0).filter(lambda t: t != 90.0)
 # decades of a stake scale, the extremes included
 decades = st.sampled_from(range(-12, 13))
+# the same, or a decade near the ends of the float range
+wide_decades = st.one_of(decades, st.sampled_from([-300, -200, 200, 300]))
+angle = st.floats(0.0, 180.0, exclude_max=True)
 
 
 def _points(result):
@@ -34,7 +42,7 @@ def _same_points(first, second, tol_deg=1e-6):
 
 
 @deterministic
-@given(stakes, mixing_angle, mixing_angle, decades)
+@given(stakes, mixing_angle, mixing_angle, wide_decades)
 def test_stake_scaling_keeps_equilibrium_angles(s, theta_a, theta_b, exponent):
     factor = 10.0 ** exponent
     base = find_equilibria(GameParams(*s, theta_a, theta_b))
@@ -63,3 +71,32 @@ def test_payoff_paths_agree(s, exponent, theta_a, theta_b, alpha, beta):
     operator = expectation(sa, sb, payoff_operator(rep_a, rep_b, PayoffMatrix.diagonal_game(*s)))
     assert abs(closed - operator) <= 1e-12 * max(s)
     assert np.isfinite(closed)
+
+
+@deterministic
+@given(stakes, decades, mixing_angle, mixing_angle, angle, angle,
+       st.sampled_from([360, 720, 2880]))
+def test_grid_gain_within_discretisation_of_analytic_gain(s, exponent, theta_a, theta_b,
+                                                          alpha, beta, n_probe):
+    # a player's payoff is K0 + |K| cos(2t - 2t*) in their own angle t; the
+    # grid's nearest point is at most pi / n_probe away in 2t, so the grid
+    # reaches the analytic best response's gain up to |K| (pi / n_probe)^2 / 2
+    params = GameParams(*(x * 10.0 ** exponent for x in s), theta_a, theta_b)
+    rounding = 1e-12 * max(params.stakes)
+    response_a, response_b = best_response_alice(beta, params), best_response_bob(alpha, params)
+    assume(not (response_a.degenerate or response_b.degenerate))
+    value = float(params.payoff(alpha, beta))
+    grid = np.arange(n_probe) * (180.0 / n_probe)
+    gains = [
+        (float(np.max(params.payoff(grid, beta))) - value,
+         float(params.payoff(response_a.angle_deg, beta)) - value,
+         math.hypot(*harmonic(beta, params, ALICE))),
+        (value - float(np.min(params.payoff(alpha, grid))),
+         value - float(params.payoff(alpha, response_b.angle_deg)),
+         math.hypot(*harmonic(alpha, params, BOB))),
+    ]
+    for grid_gain, analytic_gain, amplitude in gains:
+        assert grid_gain <= analytic_gain + rounding
+        assert analytic_gain - grid_gain <= amplitude * (math.pi / n_probe) ** 2 / 2 + rounding
+    verdict = verify_equilibrium(alpha, beta, params, n_probe=n_probe)
+    assert verdict.max_violation == pytest.approx(max(g[1] for g in gains), abs=rounding)
