@@ -165,6 +165,11 @@ class VerificationResult(NamedTuple):
     max_violation: float
 
 
+def _check_probe_count(n_probe: int) -> None:
+    if n_probe < 360:
+        raise ValueError(f"n_probe must be at least 360, got {n_probe!r}")
+
+
 def verify_equilibrium(alpha_star_deg: float, beta_star_deg: float, params: GameParams,
                        n_probe: int = 720, tol: Optional[float] = None) -> VerificationResult:
     """Two-sided deviation check of a candidate profile.
@@ -174,8 +179,7 @@ def verify_equilibrium(alpha_star_deg: float, beta_star_deg: float, params: Game
     largest payoff improvement any deviation achieves.  The default
     tolerance scales with the largest stake.
     """
-    if n_probe < 360:
-        raise ValueError(f"n_probe must be at least 360, got {n_probe!r}")
+    _check_probe_count(n_probe)
     if tol is None:
         tol = 1e-6 * stake_scale(params)
     value = float(params.payoff(alpha_star_deg, beta_star_deg))
@@ -263,6 +267,7 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
         raise ValueError(f"scan step must be in (0, 1] degrees, got {scan_step_deg!r}")
     if not (0.0 < refine_tol_deg <= 0.01):
         raise ValueError(f"refine tolerance must be in (0, 0.01] degrees, got {refine_tol_deg!r}")
+    _check_probe_count(n_probe)
 
     alphas = np.arange(0.0, 180.0, scan_step_deg)
     _, residuals = compose(alphas, params)

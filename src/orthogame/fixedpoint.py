@@ -129,9 +129,11 @@ def compose(alpha_deg, params):
 def polish(alphas: np.ndarray, params) -> tuple[np.ndarray, np.ndarray]:
     """Newton steps on the residual, with a forward-difference slope.
 
-    Stops once no step exceeds _NEWTON_TOL_DEG, and returns the angles
-    with their residuals.  A candidate whose residual or slope is
-    undefined stays where it is.
+    Stops after applying a step in which no angle moves by more than
+    _NEWTON_TOL_DEG, and returns the angles with their residuals
+    recomputed there; a step left unapplied stays as an error in alpha,
+    which a steep best response of Bob multiplies into beta.  A
+    candidate whose residual or slope is undefined stays where it is.
     """
     n = len(alphas)
     for _ in range(_NEWTON_STEPS):
@@ -139,9 +141,9 @@ def polish(alphas: np.ndarray, params) -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(divide="ignore", invalid="ignore"):
             step = r[:n] * _NEWTON_H_DEG / (r[n:] - r[:n])
         step = np.where(np.isfinite(step), step, 0.0)
-        if not np.any(np.abs(step) > _NEWTON_TOL_DEG):
-            return alphas, r[:n]
         alphas = wrap_half_turn(alphas - step)
+        if not np.any(np.abs(step) > _NEWTON_TOL_DEG):
+            break
     return alphas, compose(alphas, params)[1]
 
 

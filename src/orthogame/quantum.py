@@ -190,15 +190,28 @@ def payoff_grid(alpha_deg, beta_deg, a, b, c, d, theta_a_deg, theta_b_deg):
     F = a cos^2(al) sin^2(be) + c sin^2(al) cos^2(be)
       + b cos^2(al - tA) sin^2(be - tB) + d sin^2(al - tA) cos^2(be - tB),
     the stake-weighted sum over the four winning call/vertex pairs.
+
+    So F = u(al) . v(be) with u = (a cos^2 al, c sin^2 al,
+    b cos^2(al - tA), d sin^2(al - tA)) and v = (sin^2 be, cos^2 be,
+    sin^2(be - tB), cos^2(be - tB)), and F on a mesh has rank at most 4.
+    A 2-D column (n, 1) against a 2-D row (1, m), either way round, is
+    one (n, 4) @ (4, m) matrix product: no mesh-sized temporary, and
+    last-bit differences from the sum.  Every other shape takes the sum
+    above, term by term in that order.
     """
     al = np.radians(alpha_deg)
     be = np.radians(beta_deg)
     ta = math.radians(theta_a_deg)
     tb = math.radians(theta_b_deg)
-    return (a * np.cos(al) ** 2 * np.sin(be) ** 2
-            + c * np.sin(al) ** 2 * np.cos(be) ** 2
-            + b * np.cos(al - ta) ** 2 * np.sin(be - tb) ** 2
-            + d * np.sin(al - ta) ** 2 * np.cos(be - tb) ** 2)
+    u = (a * np.cos(al) ** 2, c * np.sin(al) ** 2,
+         b * np.cos(al - ta) ** 2, d * np.sin(al - ta) ** 2)
+    v = (np.sin(be) ** 2, np.cos(be) ** 2, np.sin(be - tb) ** 2, np.cos(be - tb) ** 2)
+    if al.ndim == be.ndim == 2:
+        if al.shape[1] == 1 and be.shape[0] == 1:
+            return np.hstack(u) @ np.vstack(v)
+        if al.shape[0] == 1 and be.shape[1] == 1:
+            return np.hstack(v) @ np.vstack(u)
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
 
 
 def payoff_closed_form(alpha: QuantumStrategy, beta: QuantumStrategy,

@@ -24,6 +24,18 @@ EX1 = GameParams(3, 3, 5, 1, 10.0, 70.0)
 EX3 = GameParams(3, 3, 5, 1, 30.0, 20.0)
 FIG7 = GameParams(3, 3, 5, 1, 15.0, 35.0)
 STEEP = GameParams(4.0215, 9.0215, 0.2523, 3.0968, 134.8434, 29.7447)
+# Game 590 of the benchmark's sweep reference set.  Bob's best response
+# falls steeply through its fixed point (d beta / d alpha is about -6,409
+# there), so an error left in alpha* is multiplied into beta*.  The fixed
+# point was computed with mpmath at 50 digits from the stakes and angles
+# as exact binary doubles: each best response is the peak of the harmonic
+# read off the payoff formula of `payoff_grid` at the player's angles 0,
+# 45 and 90 degrees (Bob taking the peak of -F), and mpmath.findroot
+# solves BR_A(BR_B(alpha)) = alpha.
+STEEP_BOB = GameParams(9.96619230971892, 4.147195379985186, 3.7964574020539477,
+                       0.895754578130782, 6.726662415119358, 17.471849482076767)
+STEEP_BOB_ALPHA = 121.678252408444470
+STEEP_BOB_BETA = 33.658557969366914
 
 
 def _random_game(rng):
@@ -161,6 +173,13 @@ def test_fine_scan_equilibria_are_all_reported():
 
 def test_steep_crossing_found_by_fine_scan():
     assert len(_scan_equilibria(STEEP)) == 1
+
+
+def test_polished_root_accurate_where_bob_is_steep():
+    (report,) = find_equilibria(STEEP_BOB).equilibria
+    assert report.verified
+    assert abs(report.alpha_star_deg - STEEP_BOB_ALPHA) <= 1e-11
+    assert abs(report.beta_star_deg - STEEP_BOB_BETA) <= 1e-9
 
 
 def test_scan_cross_check_recovers_dropped_root(monkeypatch):

@@ -178,6 +178,8 @@ def test_find_equilibria_parameter_validation():
         find_equilibria(EX1, scan_step_deg=2.0)
     with pytest.raises(ValueError):
         find_equilibria(EX1, refine_tol_deg=0.02)
+    with pytest.raises(ValueError, match="n_probe must be at least 360"):
+        find_equilibria(GameParams(1, 1, 1, 1, 45.0, 45.0), n_probe=10)
 
 
 def test_find_equilibria_ex1():

@@ -172,6 +172,75 @@ def test_payoff_periodicity():
         assert payoff_grid(al, be + 180.0, a, b, c, d, ta, tb) == pytest.approx(base, abs=1e-9)
 
 
+def _elementwise(al, be, a, b, c, d, ta, tb):
+    """The payoff formula as one broadcast expression, term by term; the
+    bit-exact reference for every shape but a column against a row."""
+    al, be = np.radians(al), np.radians(be)
+    ta, tb = math.radians(ta), math.radians(tb)
+    return (a * np.cos(al) ** 2 * np.sin(be) ** 2
+            + c * np.sin(al) ** 2 * np.cos(be) ** 2
+            + b * np.cos(al - ta) ** 2 * np.sin(be - tb) ** 2
+            + d * np.sin(al - ta) ** 2 * np.cos(be - tb) ** 2)
+
+
+def _mesh(alphas, betas, game, alpha_is_column):
+    """payoff_grid on a column against a row, indexed [alpha, beta]."""
+    if alpha_is_column:
+        return payoff_grid(alphas[:, None], betas[None, :], *game)
+    return payoff_grid(alphas[None, :], betas[:, None], *game).T
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300])
+@pytest.mark.parametrize("alpha_is_column", [True, False])
+def test_payoff_mesh_matches_elementwise_formula_and_operator(scale, alpha_is_column):
+    rng = np.random.default_rng(61)
+    alphas, betas = rng.uniform(0.0, 180.0, 23), rng.uniform(0.0, 180.0, 29)
+    for _ in range(4):
+        a, b, c, d = rng.uniform(0.1, 10.0, size=4) * scale
+        game = (a, b, c, d, _random_theta(rng), _random_theta(rng))
+        tol = 1e-12 * max(a, b, c, d)
+        mesh = _mesh(alphas, betas, game, alpha_is_column)
+        assert mesh.shape == (23, 29)
+        elementwise = _elementwise(alphas[:, None], betas[None, :], *game)
+        assert np.max(np.abs(mesh - elementwise)) <= tol
+        op = payoff_operator(LogicRepresentation(game[4]), LogicRepresentation(game[5]),
+                             PayoffMatrix.diagonal_game(a, b, c, d))
+        for i, j in zip(rng.integers(0, 23, 12), rng.integers(0, 29, 12)):
+            via_operator = expectation(QuantumStrategy(alphas[i]), QuantumStrategy(betas[j]), op)
+            assert abs(mesh[i, j] - via_operator) <= tol
+
+
+@pytest.mark.parametrize("alpha_is_column", [True, False])
+def test_payoff_mesh_nan_cells(alpha_is_column):
+    game = (3.0, 1.5, 2.0, 0.7, 33.0, 71.0)
+    alphas, betas = np.linspace(0.0, 180.0, 13), np.linspace(0.0, 180.0, 17)
+    alphas[[2, 9]] = np.nan
+    betas[4] = np.nan
+    mesh = _mesh(alphas, betas, game, alpha_is_column)
+    expected = np.isnan(_elementwise(alphas[:, None], betas[None, :], *game))
+    np.testing.assert_array_equal(np.isnan(mesh), expected)
+    assert expected.sum() == 2 * 17 + 13 - 2
+
+
+def test_payoff_grid_other_shapes_bit_identical_to_formula():
+    rng = np.random.default_rng(67)
+    game = (3.0, 1.5, 2.0, 0.7, 33.0, 71.0)
+    cases = [
+        (12.0, 155.0),
+        (rng.uniform(0.0, 180.0, 40), rng.uniform(0.0, 180.0, 40)),
+        (rng.uniform(0.0, 180.0, 40), 17.0),
+        (31.0, rng.uniform(0.0, 180.0, 40)),
+        (rng.uniform(0.0, 180.0, (3, 1, 4)), rng.uniform(0.0, 180.0, (1, 5, 1))),
+        (rng.uniform(0.0, 180.0, (6, 1)), rng.uniform(0.0, 180.0, 7)),
+        (rng.uniform(0.0, 180.0, (4, 5)), rng.uniform(0.0, 180.0, (4, 5))),
+    ]
+    for al, be in cases:
+        got, want = payoff_grid(al, be, *game), _elementwise(al, be, *game)
+        assert type(got) is type(want)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 def test_payoff_terms_sum_to_value():
     rng = np.random.default_rng(47)
     for _ in range(50):
