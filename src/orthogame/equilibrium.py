@@ -7,7 +7,9 @@ form.  Equilibria are fixed points of the composed best-response map on
 the half-turn circle, and they are enumerated exactly: they are roots of
 a degree-8 polynomial (see `fixedpoint`), polished by Newton steps on
 the unsquared fixed-point residual and kept where that residual
-vanishes, steep crossings and tangencies included.
+vanishes, steep crossings and tangencies included.  Where one player is
+indifferent the composed map is undefined, and the equilibria there
+come from closed forms instead.
 
 The residual is also scanned on a fixed grid.  The scan yields the
 degeneracy regions, where a best response is non-unique, and serves as
@@ -258,10 +260,20 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
     scanned over [0, 180) at scan_step_deg: the scan gives the
     degeneracy regions, and each of its sign-change brackets (residual
     moving by less than 90 degrees) that holds no enumerated root adds
-    its crossing as a candidate.  Candidates are deduplicated modulo 180
-    within refine_tol_deg and each is verified with two-sided deviation
-    probes (n_probe, tol); unverified candidates stay in the result with
-    verified=False.
+    its crossing as a candidate.  So is each profile, from closed forms,
+    at which one player is indifferent against the other's angle x0 and
+    the other's best reply to the first player's angle is x0.  Candidate
+    (alpha, beta) pairs are deduplicated modulo 180 within
+    refine_tol_deg, reported in sorted order, and each is verified with
+    two-sided deviation probes (n_probe, tol); unverified candidates stay
+    in the result with verified=False.
+
+    The game is zero-sum, so its equilibria are interchangeable: they
+    form a product of Alice's equilibrium angles and Bob's.  A best
+    reply is unique unless the player's harmonic is flat, so more than
+    one equilibrium needs an indifference.  When only one player is
+    indifferent, every equilibrium puts the other player at the angle
+    that makes the first indifferent.
     """
     if not (0.0 < scan_step_deg <= 1.0):
         raise ValueError(f"scan step must be in (0, 1] degrees, got {scan_step_deg!r}")
@@ -273,21 +285,21 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
     _, residuals = compose(alphas, params)
     regions = _degeneracy_regions(alphas, np.isnan(residuals))
     roots = fixedpoint.fixed_points(params, refine_tol_deg)
-    candidates = np.concatenate(
-        (roots, fixedpoint.unexplained_crossings(alphas, residuals, roots, params, refine_tol_deg)))
+    candidates = np.concatenate((
+        roots,
+        fixedpoint.unexplained_crossings(alphas, residuals, roots[:, 0], params, refine_tol_deg),
+        fixedpoint.indifference_points(params, refine_tol_deg)))
 
-    # deduplicate modulo 180
-    unique: list[float] = []
+    # deduplicate (alpha, beta) pairs modulo 180, in sorted order
+    unique: list[list[float]] = []
     for cand in sorted(candidates.tolist()):
-        if any(wrapped_distance(cand, u) <= refine_tol_deg for u in unique):
+        if any(wrapped_distance(cand[0], u[0]) <= refine_tol_deg
+               and wrapped_distance(cand[1], u[1]) <= refine_tol_deg for u in unique):
             continue
         unique.append(cand)
 
-    if not unique:
-        return SearchResult(equilibria=(), degeneracy_regions=regions)
-    betas, defects = compose(np.array(unique), params)
     reports = []
-    for alpha_star, beta_star, residual in zip(unique, betas.tolist(), defects.tolist()):
+    for alpha_star, beta_star, residual in unique:
         if math.isnan(beta_star) or math.isnan(residual):
             continue
         strat_a = QuantumStrategy(alpha_star)
@@ -306,5 +318,4 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
             max_violation=verdict.max_violation,
             residual_deg=abs(residual),
         ))
-    reports.sort(key=lambda r: r.alpha_star_deg)
     return SearchResult(equilibria=tuple(reports), degeneracy_regions=regions)

@@ -14,14 +14,17 @@ the cross condition reads (a0 x e) |K_B| = (A K_B) x e.  Squared, it is
 a trigonometric polynomial of degree at most 4 in phi, that is z^-4
 times a degree-8 polynomial in z = exp(i phi) (spectral rootfinding for
 Fourier series: J. P. Boyd, J. Eng. Math. 56 (2006) 203-219).  Its
-unit-circle roots are found by one subdivision loop whose only
-certificate is Taylor exclusion: cells that may hold a root are split
-down to a fixed width, then Newton steps finish the root next to each
-cell on which the polynomial is monotone, and the others are multiple
-roots.  The roots hold every fixed point, and also the roots of the
-other square-root branch, where Alice answers -w, and the zeros of K_B;
+unit-circle roots are the eigenvalues of the companion matrix that lie
+near the circle, finished by Newton steps on the real polynomial.  The
+roots hold every fixed point, and also the roots of the other
+square-root branch, where Alice answers -w, and the zeros of K_B;
 Newton steps on the unsquared residual and a residual test tell them
 apart.
+
+Where a player's harmonic vanishes that player is indifferent and the
+composed map is undefined.  Such a zero, and the opponent angles that
+it pairs with in an equilibrium, each solve one linear equation in
+(cos 2y, sin 2y), so they have closed forms too.
 """
 
 from __future__ import annotations
@@ -40,18 +43,14 @@ ALICE, BOB = "alice", "bob"
 # cos phi and sin phi as Laurent coefficients of z^-1, z^0, z^1
 _COS = (0.5, 0.0, 0.5)
 _SIN = (0.5j, 0.0, -0.5j)
-# the unit-circle roots are searched on this many cells of [0, 2 pi) at
-# first; a cell that does not exclude a root is split this many ways,
-# down to a half-width of _MULTIPLE_ROOT_RAD
-_ROOT_CELLS = 512
-_ROOT_SPLIT = 8
-_MULTIPLE_ROOT_RAD = 1e-6
-# child cell centres, as fractions of the parent's half-width
-_CHILDREN = (2.0 * np.arange(_ROOT_SPLIT) + 1.0 - _ROOT_SPLIT) / _ROOT_SPLIT
+# an eigenvalue of the companion matrix whose modulus is this close to 1
+# is taken for a root on the unit circle: the eigenvalues of a k-fold
+# root scatter by about eps^(1/k), 1e-5 for a triple root; an eigenvalue
+# this close that is no root on the circle gives an angle that the
+# residual filters of fixed_points drop
+_ON_CIRCLE = 1e-3
 _HARMONICS = np.arange(1.0, 5.0)
-# a monotone surviving cell's centre lies within about its half-width
-# (under _MULTIPLE_ROOT_RAD) of a root, so quadratically convergent
-# Newton steps on the polynomial finish that root in this many
+# Newton steps on the polynomial that finish an eigenvalue's angle
 _ROOT_NEWTON_STEPS = 2
 # relative size below which the polynomial counts as identically zero
 _ZERO_POLYNOMIAL = 1e-12
@@ -60,7 +59,9 @@ _ZERO_POLYNOMIAL = 1e-12
 _RAW_ROOT_DEG = 1.0
 _NEWTON_STEPS = 4
 _NEWTON_H_DEG = 1e-6
-_NEWTON_TOL_DEG = 1e-10
+# the forward-difference slope leaves part of the last step in alpha,
+# and Bob's best response can be thousands of times steeper than that
+_NEWTON_TOL_DEG = 1e-12
 
 
 def stake_scale(params) -> float:
@@ -102,6 +103,11 @@ def harmonic(opponent_deg, params, player: str):
     return k1 + m11 * cos + m12 * sin, k2 + m21 * cos + m22 * sin
 
 
+def _flat_amplitude(params) -> float:
+    """hypot(K1, K2) at or below which a harmonic is flat."""
+    return math.sqrt(DEGENERACY_SQ) * stake_scale(params)
+
+
 def best_responses(opponent_deg, params, player: str):
     """A player's best-response angles in [0, 180) against each opponent
     angle, NaN where the harmonic is flat; broadcasts over angle arrays.
@@ -114,7 +120,7 @@ def best_responses(opponent_deg, params, player: str):
     """
     k1, k2 = harmonic(opponent_deg, params, player)
     peak = np.arctan2(k2, k1) * (90.0 / math.pi) + (0.0 if player == ALICE else 90.0)
-    flat = np.hypot(k1, k2) <= math.sqrt(DEGENERACY_SQ) * stake_scale(params)
+    flat = np.hypot(k1, k2) <= _flat_amplitude(params)
     return np.where(flat, np.nan, wrap_half_turn(peak))
 
 
@@ -126,14 +132,14 @@ def compose(alpha_deg, params):
     return beta, signed_delta(best_responses(beta, params, ALICE), alpha_deg)
 
 
-def polish(alphas: np.ndarray, params) -> tuple[np.ndarray, np.ndarray]:
+def polish(alphas: np.ndarray, params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Newton steps on the residual, with a forward-difference slope.
 
     Stops after applying a step in which no angle moves by more than
-    _NEWTON_TOL_DEG, and returns the angles with their residuals
-    recomputed there; a step left unapplied stays as an error in alpha,
-    which a steep best response of Bob multiplies into beta.  A
-    candidate whose residual or slope is undefined stays where it is.
+    _NEWTON_TOL_DEG, and returns the angles with Bob's answers and the
+    residuals recomputed there; a step left unapplied stays as an error
+    in alpha, which a steep best response of Bob multiplies into beta.
+    A candidate whose residual or slope is undefined stays where it is.
     """
     n = len(alphas)
     for _ in range(_NEWTON_STEPS):
@@ -144,15 +150,14 @@ def polish(alphas: np.ndarray, params) -> tuple[np.ndarray, np.ndarray]:
         alphas = wrap_half_turn(alphas - step)
         if not np.any(np.abs(step) > _NEWTON_TOL_DEG):
             break
-    return alphas, compose(alphas, params)[1]
+    return (alphas, *compose(alphas, params))
 
 
 def _times(f, g) -> list[complex]:
     """Product of two Laurent polynomials given as coefficient sequences.
 
-    Plain Python rather than NumPy: the factors have at most five terms,
-    and NumPy's complex kernels would add about half a megabyte to the
-    resident set of every process that solves a game.
+    Plain Python rather than numpy.convolve, which is slower on factors
+    of at most five terms.
     """
     out = [0j] * (len(f) + len(g) - 1)
     for i, fi in enumerate(f):
@@ -203,48 +208,34 @@ def _values(tables, a0: float, a: np.ndarray, b: np.ndarray):
 def circle_angles(coeffs) -> np.ndarray:
     """Angle phi of each root on the unit circle of z^4 sum coeffs[k] z^(k-4).
 
-    On the circle the polynomial is the real trigonometric polynomial
+    The roots are the eigenvalues of the companion matrix (numpy.roots)
+    whose modulus is within _ON_CIRCLE of 1.  On the circle the
+    polynomial is the real trigonometric polynomial
     T(phi) = a0 + sum_k (a_k cos k phi + b_k sin k phi), k = 1 ... 4, and
-    its real roots are found by subdividing [0, 2 pi) rather than with a
-    companion-matrix eigensolver, whose LAPACK code adds about a megabyte
-    to the resident set of every process that solves a game.  The one
-    certificate is Taylor exclusion: with M = sum_k k^2 hypot(a_k, b_k),
-    a bound on |T''|, the cell of half-width h around phi holds no root
-    when |T(phi)| > |T'(phi)| h + M h^2 / 2.  Every cell not excluded is
-    split until h < _MULTIPLE_ROOT_RAD.  A surviving cell on which
-    |T'(phi)| > M h is monotone, and Newton steps on T from its centre
-    finish the root it lies next to; several neighbouring cells may
-    finish on the same root.  Any other surviving cell holds a multiple
-    (tangent) root, reported at its centre.  A polynomial that vanishes
+    _ROOT_NEWTON_STEPS Newton steps on T finish each root's angle; a step
+    is skipped where T' vanishes.  A multiple root keeps one angle per
+    eigenvalue, all close together.  A polynomial that vanishes
     identically (K_A parallel to e for every phi) has no isolated roots
     and yields none.
     """
     if max(map(abs, coeffs)) <= _ZERO_POLYNOMIAL:
         return np.empty(0)
+    z = np.roots(coeffs[::-1])
+    roots = np.angle(z[np.abs(np.abs(z) - 1.0) <= _ON_CIRCLE])
     a0 = coeffs[4].real
     a = np.array([2.0 * c.real for c in coeffs[5:]])
     b = np.array([-2.0 * c.imag for c in coeffs[5:]])
-    bound = float(_HARMONICS ** 2 @ np.hypot(a, b))
-    half = math.pi / _ROOT_CELLS
-    mid = (2.0 * np.arange(_ROOT_CELLS) + 1.0) * half
-    while True:
-        t, dt = _values(_tables(mid), a0, a, b)
-        kept = np.abs(t) <= np.abs(dt) * half + 0.5 * bound * half * half
-        mid, dt = mid[kept], dt[kept]
-        if half < _MULTIPLE_ROOT_RAD:
-            break
-        mid = (mid[:, None] + _CHILDREN * half).ravel()
-        half /= _ROOT_SPLIT
-    monotone = np.abs(dt) > bound * half
-    roots = mid[monotone]
     for _ in range(_ROOT_NEWTON_STEPS):
         t, dt = _values(_tables(roots), a0, a, b)
-        roots = roots - t / dt
-    return np.concatenate((roots, mid[~monotone]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = t / dt
+        roots = roots - np.where(np.isfinite(step), step, 0.0)
+    return roots
 
 
 def fixed_points(params, tol_deg: float) -> np.ndarray:
-    """Alice's angle at every fixed point of the composed best-response map.
+    """(alpha, beta, residual) rows of the fixed points of the composed
+    best-response map, one row per fixed point.
 
     The unit-circle roots of the fixed-point polynomial whose residual
     is within _RAW_ROOT_DEG of zero are polished on the unsquared
@@ -254,12 +245,58 @@ def fixed_points(params, tol_deg: float) -> np.ndarray:
     """
     coeffs = polynomial(harmonic_map(params, ALICE), harmonic_map(params, BOB))
     alphas = wrap_half_turn(0.5 * np.degrees(circle_angles(coeffs)))
-    if len(alphas):
-        alphas = alphas[np.abs(compose(alphas, params)[1]) < _RAW_ROOT_DEG]
-    if len(alphas):
-        alphas, residuals = polish(alphas, params)
-        alphas = alphas[np.abs(residuals) <= tol_deg]
-    return alphas
+    alphas = alphas[np.abs(compose(alphas, params)[1]) < _RAW_ROOT_DEG]
+    rows = np.column_stack(polish(alphas, params))
+    return rows[np.abs(rows[:, 2]) <= tol_deg]
+
+
+def _harmonic_angles(u1: float, u2: float, k: float) -> list[float]:
+    """The at most two angles y in [0, 180) with u1 cos 2y + u2 sin 2y = k."""
+    amplitude = math.hypot(u1, u2)
+    if amplitude == 0.0 or abs(k) > amplitude:
+        return []
+    peak, half = math.atan2(u2, u1), math.acos(k / amplitude)
+    return [wrap_half_turn(math.degrees(peak + sign * half) / 2.0) for sign in (-1.0, 1.0)]
+
+
+def indifference_points(params, tol_deg: float) -> np.ndarray:
+    """(alpha, beta, residual) rows of the equilibria at which one player
+    is indifferent, that is, where the composed map is undefined.
+
+    A player's harmonic K = k0 + M e(x) vanishes only where one row of it
+    does, at one of at most two closed-form opponent angles x0, kept
+    where the flatness test of best_responses holds there.  The player's
+    partner angles y are those against which the opponent's harmonic is
+    parallel to e(x0): its cross product with e(x0) is one linear
+    equation in (cos 2y, sin 2y).  At one sign of that harmonic the
+    opponent's best reply is x0, at the other x0 + 90.  The residual is
+    the opponent's best-reply defect from x0, 0 where that reply is flat
+    too, and the rows within tol_deg of zero are kept.
+    """
+    flat = _flat_amplitude(params)
+    rows = []
+    for player, opponent in ((BOB, ALICE), (ALICE, BOB)):
+        (k1, k2), ((m11, m12), (m21, m22)) = harmonic_map(params, player)
+        (o1, o2), ((p11, p12), (p21, p22)) = harmonic_map(params, opponent)
+        if math.hypot(m11, m12) >= math.hypot(m21, m22):
+            zeros = _harmonic_angles(m11, m12, -k1)
+        else:
+            zeros = _harmonic_angles(m21, m22, -k2)
+        for x0 in zeros:
+            c, s = math.cos(math.radians(2.0 * x0)), math.sin(math.radians(2.0 * x0))
+            if math.hypot(k1 + m11 * c + m12 * s, k2 + m21 * c + m22 * s) > flat:
+                continue
+            ys = np.array(_harmonic_angles(p11 * s - p21 * c, p12 * s - p22 * c,
+                                           o2 * c - o1 * s))
+            reply = best_responses(ys, params, opponent)
+            residual = np.where(np.isnan(reply), 0.0, signed_delta(reply, x0))
+            xs = np.full_like(ys, x0)
+            rows.append(np.column_stack((xs, ys, residual) if player == BOB
+                                        else (ys, xs, residual)))
+    if not rows:
+        return np.empty((0, 3))
+    rows = np.concatenate(rows)
+    return rows[np.abs(rows[:, 2]) <= tol_deg]
 
 
 def unexplained_crossings(alphas: np.ndarray, residuals: np.ndarray, roots: np.ndarray,
@@ -270,23 +307,25 @@ def unexplained_crossings(alphas: np.ndarray, residuals: np.ndarray, roots: np.n
     samples whose residual moves by less than 90 degrees (larger moves
     are the wraps of the discontinuous composed map).  Each unexplained
     bracket yields its interpolated crossing, Newton-polished when that
-    stays inside the bracket.
+    stays inside the bracket; the crossings come as (alpha, beta,
+    residual) rows.
     """
     step = alphas[1] - alphas[0]
     r_next = np.append(residuals[1:], residuals[0])
     bracket = (residuals == 0.0) | ((residuals * r_next < 0.0)
                                     & (np.abs(r_next - residuals) < 90.0))
     if not bracket.any():
-        return np.empty(0)
+        return np.empty((0, 3))
     lo, r_lo, r_hi = alphas[bracket], residuals[bracket], r_next[bracket]
     mid = lo + step / 2.0
     offsets = signed_delta(roots[None, :], mid[:, None])
     open_ = ~np.any(np.abs(offsets) <= step / 2.0 + tol_deg, axis=1)
     if not open_.any():
-        return np.empty(0)
+        return np.empty((0, 3))
     lo, r_lo, r_hi, mid = lo[open_], r_lo[open_], r_hi[open_], mid[open_]
     with np.errstate(invalid="ignore"):
         guess = wrap_half_turn(lo + step * np.where(r_lo == 0.0, 0.0, r_lo / (r_lo - r_hi)))
-    polished, _ = polish(guess, params)
+    polished = polish(guess, params)[0]
     inside = np.abs(signed_delta(polished, mid)) <= step / 2.0 + tol_deg
-    return np.where(inside, polished, guess)
+    crossings = np.where(inside, polished, guess)
+    return np.column_stack((crossings, *compose(crossings, params)))

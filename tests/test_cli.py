@@ -70,6 +70,23 @@ def test_quantum_solve_reference_config(runner):
     assert payload["notes"] and "reference tables" in payload["notes"][0]
 
 
+@pytest.mark.parametrize("theta_b, beta", [("70", 175.958), ("20", 152.024),
+                                           ("40", 160.570), ("150", 23.794)])
+def test_quantum_solve_reports_equilibrium_where_bob_is_indifferent(runner, theta_b, beta):
+    # a = 3c = c tan^2 60 and b = d = d tan^2 (60 - 15): Bob's harmonic
+    # vanishes at alpha 60, where the composed best-response map is undefined
+    payload = _run_json(runner, ["quantum", "solve", "-p", "3,1,1,1",
+                                 "--theta-a", "15", "--theta-b", theta_b])
+    _check_schema(payload, "quantum_solve")
+    assert payload["degeneracy_regions"] == [[60.0, 60.25]]
+    (eq,) = payload["equilibria"]
+    assert eq["verified"] is True
+    assert eq["alpha_deg"] == pytest.approx(60.0, abs=1e-9)
+    assert eq["beta_deg"] == pytest.approx(beta, abs=1e-3)
+    assert eq["value"] == pytest.approx(1.25, abs=1e-12)
+    assert eq["residual_deg"] <= 1e-9
+
+
 def test_quantum_solve_input_errors(runner):
     base = ["quantum", "solve", "-p", "3,3,5,1"]
     assert runner.invoke(main, base + ["--theta-a", "180", "--theta-b", "70"]).exit_code == 2

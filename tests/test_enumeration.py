@@ -1,15 +1,15 @@
 """Exact fixed-point enumeration checked against independent oracles.
 
 The enumerator's polynomial is compared with a symbolic expansion built
-from the payoff formula alone, its unit-circle roots with the eigenvalues
-of the companion matrix (numpy.roots), its equilibria with a fine
-residual scan built from the public best responses, and the scan
-cross-check inside the search is shown to recover a root the enumerator
-drops.
+from the payoff formula alone, its unit-circle roots with those mpmath
+finds at 30 digits, its equilibria with a fine residual scan built from
+the public best responses, and the scan cross-check inside the search is
+shown to recover a root the enumerator drops.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -92,9 +92,13 @@ def test_polynomial_matches_symbolic_expansion(params):
     np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-12)
 
 
-def _companion_angles(coeffs):
-    z = np.roots(coeffs[::-1])
-    return np.angle(z[np.abs(np.abs(z) - 1.0) <= 1e-6])
+def _reference_angles(coeffs):
+    """Angles of the unit-circle roots found by mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        roots = mpmath.polyroots([mpmath.mpc(c) for c in reversed(coeffs)],
+                                 maxsteps=200, extraprec=60)
+        return np.array([float(mpmath.arg(z)) for z in roots
+                         if abs(abs(z) - 1) <= 1e-6])
 
 
 def _circular_gap(x, y):
@@ -104,18 +108,18 @@ def _circular_gap(x, y):
 def test_circle_angles_match_companion_matrix():
     rng = np.random.default_rng(808)
     matched = 0
-    for _ in range(300):
+    for _ in range(60):
         params = _random_game(rng)
         coeffs = fixedpoint.polynomial(fixedpoint.harmonic_map(params, fixedpoint.ALICE),
                                        fixedpoint.harmonic_map(params, fixedpoint.BOB))
         found = fixedpoint.circle_angles(coeffs)
-        expected = _companion_angles(coeffs)
+        expected = _reference_angles(coeffs)
         for phi in expected:
             assert np.min(_circular_gap(found, phi)) <= 1e-6, (params, phi, found)
             matched += 1
         for phi in found:
             assert np.min(_circular_gap(expected, phi)) <= 1e-6, (params, phi, expected)
-    assert matched >= 600
+    assert matched >= 400
 
 
 def _laurent_product(*factors):
@@ -125,12 +129,17 @@ def _laurent_product(*factors):
     return list(product.astype(complex))
 
 
-@pytest.mark.parametrize("split", [0.0, 1e-9, 1e-3])
-def test_circle_angles_double_and_close_roots(split):
-    # (cos phi - c)(cos phi - c')(2 + cos 2 phi) has the roots +-acos c and
-    # +-acos c' and no others; c' = c is a pair of tangencies
+@pytest.mark.parametrize("split, multiplicity", [
+    pytest.param(0.0, 2, id="0.0"), pytest.param(1e-9, 2, id="1e-09"),
+    pytest.param(1e-3, 2, id="0.001"), pytest.param(0.0, 3, id="triple")])
+def test_circle_angles_double_and_close_roots(split, multiplicity):
+    # (cos phi - c)^(m - 1) (cos phi - c') times a factor with no real
+    # roots has the roots +-acos c and +-acos c' and no others; c' = c is
+    # a pair of tangencies (m = 2) or of triple roots (m = 3), whose
+    # companion-matrix eigenvalues lie about 1e-5 off the unit circle
     c, c2 = math.cos(1.1), math.cos(1.1) + split
-    coeffs = _laurent_product([0.5, -c, 0.5], [0.5, -c2, 0.5], [0.5, 0, 2.0, 0, 0.5])
+    rootless = [0.5, 0, 2.0, 0, 0.5] if multiplicity == 2 else [0.5, 2.0, 0.5]
+    coeffs = _laurent_product(*[[0.5, -c, 0.5]] * (multiplicity - 1), [0.5, -c2, 0.5], rootless)
     found = fixedpoint.circle_angles(coeffs)
     roots = np.array([1.1, -1.1, math.acos(c2), -math.acos(c2)])
     tol = 1e-9 if split > 1e-6 else 1e-5

@@ -252,6 +252,90 @@ def test_find_equilibria_degeneracy_regions():
     assert any(lo <= 135.0 < hi for lo, hi in regions)
 
 
+def test_find_equilibria_where_both_players_are_indifferent():
+    # Bob's harmonic vanishes at alpha 45 and 135 and Alice's at beta 45
+    # and 135, so each of the four profiles is an equilibrium at which
+    # neither player has a unique best reply
+    partial = GameParams(1, 0, 1, 0, 45.0, 45.0)
+    result = find_equilibria(partial)
+    assert len(result) == len(result.verified) == 4
+    assert [(e.alpha_star_deg, e.beta_star_deg) for e in result] == pytest.approx(
+        [(45.0, 45.0), (45.0, 135.0), (135.0, 45.0), (135.0, 135.0)], abs=1e-9)
+    assert all(e.residual_deg == 0.0 for e in result)
+
+
+def _indifference_game(rng, mirror):
+    """x0 and a game in which Bob is indifferent against alpha = x0
+    (a = c tan^2 x0, b = d tan^2 (x0 - theta_a)) or, mirrored, Alice
+    against beta = x0 (a = c cot^2 x0, b = d cot^2 (x0 - theta_b))."""
+    x0, theta_a, theta_b = rng.uniform(0.0, 180.0), *rng.uniform(1.0, 179.0, 2)
+    c, d = rng.uniform(0.1, 10.0, 2)
+    shift = theta_b if mirror else theta_a
+    t, u = math.tan(math.radians(x0)) ** 2, math.tan(math.radians(x0 - shift)) ** 2
+    a, b = (c / t, d / u) if mirror else (c * t, d * u)
+    return x0, GameParams(a, b, c, d, theta_a, theta_b)
+
+
+def _indifference_partners(x0, params, mirror, step=0.01):
+    """Verified profiles pairing x0 with each angle whose best reply by the
+    other player is x0, from a fine scan of the public best responses
+    whose sign changes are bisected."""
+    respond = best_response_bob if mirror else best_response_alice
+
+    def defect(y):
+        return (respond(y, params).angle_deg - x0 + 90.0) % 180.0 - 90.0
+
+    ys = np.arange(0.0, 180.0, step)
+    scanned = defect(ys)
+    following = np.roll(scanned, -1)
+    found = []
+    for i in np.flatnonzero((scanned * following < 0.0) & (np.abs(following - scanned) < 90.0)):
+        lo, hi = float(ys[i]), float(ys[i]) + step
+        for _ in range(50):
+            mid = (lo + hi) / 2.0
+            lo, hi = (mid, hi) if defect(mid) * scanned[i] > 0.0 else (lo, mid)
+        profile = ((lo + hi) / 2.0, x0) if mirror else (x0, (lo + hi) / 2.0)
+        if verify_equilibrium(*profile, params, n_probe=2880).verified:
+            found.append(profile)
+    return found
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_find_equilibria_reports_indifference_equilibria(mirror):
+    # one player's harmonic vanishes at x0, so the composed map is
+    # undefined there; every equilibrium pairs x0 with a partner angle
+    rng = np.random.default_rng(6061 + mirror)
+    with_partner = with_two = 0
+    for _ in range(40):
+        x0, params = _indifference_game(rng, mirror)
+        expected = _indifference_partners(x0, params, mirror)
+        reported = [(e.alpha_star_deg, e.beta_star_deg) for e in find_equilibria(params).verified]
+        # equilibria of a zero-sum game are interchangeable, so with x0 in
+        # one of them every other pairs x0 with a partner as well
+        assert not expected or len(reported) == len(expected), (params, expected, reported)
+        for alpha, beta in expected:
+            assert any(wrapped_distance(alpha, a) <= 1e-6 and wrapped_distance(beta, b) <= 1e-6
+                       for a, b in reported), (params, alpha, beta, reported)
+        with_partner += bool(expected)
+        with_two += len(expected) == 2
+    assert with_partner >= 10 and with_two >= 2
+
+
+def test_find_equilibria_two_equilibria_share_the_indifferent_coordinate():
+    # a = 3c = c tan^2 60 and b = d = d tan^2 (60 - 15): Bob is indifferent
+    # at alpha 60, and Alice answers both beta 0 and beta 30 with alpha 60
+    params = GameParams(3, 1, 1, 1, 15.0, 75.0)
+    result = find_equilibria(params)
+    assert len(result) == len(result.verified) == 2
+    for eq, beta in zip(result, (0.0, 30.0)):
+        assert wrapped_distance(eq.alpha_star_deg, 60.0) <= 1e-9
+        assert wrapped_distance(eq.beta_star_deg, beta) <= 1e-9
+        assert eq.value == pytest.approx(1.25, abs=1e-12)
+        assert verify_equilibrium(eq.alpha_star_deg, eq.beta_star_deg, params,
+                                  n_probe=2880).verified
+    assert result.degeneracy_regions == ((60.0, 60.25),)
+
+
 def test_search_result_container_protocol():
     result = find_equilibria(EX1)
     assert len(result) == len(list(result))
