@@ -33,7 +33,7 @@ from . import fixedpoint
 from .angles import wrapped_distance
 from .fixedpoint import ALICE, BOB, DEGENERACY_SQ, best_responses, compose, stake_scale
 from .quantum import (AmplitudeSquares, LogicRepresentation, QuantumStrategy,
-                      amplitudes, payoff_grid, payoff_terms)
+                      _diagonal_terms, amplitudes, payoff_grid)
 
 __all__ = [
     "DEGENERACY_SQ",
@@ -239,9 +239,17 @@ class SearchResult:
         return tuple(e for e in self.equilibria if e.verified)
 
 
-def _degeneracy_regions(alphas: np.ndarray,
-                        degenerate: np.ndarray) -> tuple[tuple[float, float], ...]:
-    """Group consecutive degenerate scan samples into intervals."""
+def _degeneracy_regions(alphas: np.ndarray, degenerate: np.ndarray,
+                        flat_alphas: np.ndarray) -> tuple[tuple[float, float], ...]:
+    """Group consecutive degenerate scan samples into intervals.
+
+    Each angle in flat_alphas whose nearest sample the scan did not find
+    degenerate marks the scan cell [k step, (k+1) step] that holds it.
+    """
+    if len(flat_alphas):
+        nearest = np.rint(flat_alphas / (alphas[1] - alphas[0])).astype(int) % len(alphas)
+        missed = flat_alphas[~degenerate[nearest]]
+        degenerate[np.searchsorted(alphas, missed, side="right") - 1] = True
     if not degenerate.any():
         return ()
     edges = np.flatnonzero(np.diff(np.concatenate(([False], degenerate, [False]))))
@@ -262,7 +270,9 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
     moving by less than 90 degrees) that holds no enumerated root adds
     its crossing as a candidate.  So is each profile, from closed forms,
     at which one player is indifferent against the other's angle x0 and
-    the other's best reply to the first player's angle is x0.  Candidate
+    the other's best reply to the first player's angle is x0.  Where Bob
+    is indifferent, at alpha = x0, the scan cell holding x0 is a
+    degeneracy region too, on the grid or off it.  Candidate
     (alpha, beta) pairs are deduplicated modulo 180 within
     refine_tol_deg, reported in sorted order, and each is verified with
     two-sided deviation probes (n_probe, tol); unverified candidates stay
@@ -283,12 +293,13 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
 
     alphas = np.arange(0.0, 180.0, scan_step_deg)
     _, residuals = compose(alphas, params)
-    regions = _degeneracy_regions(alphas, np.isnan(residuals))
+    indifferent, bob_flat = fixedpoint.indifference_points(params, refine_tol_deg)
+    regions = _degeneracy_regions(alphas, np.isnan(residuals), bob_flat)
     roots = fixedpoint.fixed_points(params, refine_tol_deg)
     candidates = np.concatenate((
         roots,
         fixedpoint.unexplained_crossings(alphas, residuals, roots[:, 0], params, refine_tol_deg),
-        fixedpoint.indifference_points(params, refine_tol_deg)))
+        indifferent))
 
     # deduplicate (alpha, beta) pairs modulo 180, in sorted order
     unique: list[list[float]] = []
@@ -302,18 +313,17 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
     for alpha_star, beta_star, residual in unique:
         if math.isnan(beta_star) or math.isnan(residual):
             continue
-        strat_a = QuantumStrategy(alpha_star)
-        strat_b = QuantumStrategy(beta_star)
+        amplitudes_a = amplitudes(QuantumStrategy(alpha_star), params.rep_a)
+        amplitudes_b = amplitudes(QuantumStrategy(beta_star), params.rep_b)
         verdict = verify_equilibrium(alpha_star, beta_star, params,
                                      n_probe=n_probe, tol=tol)
         reports.append(EquilibriumReport(
             alpha_star_deg=alpha_star,
             beta_star_deg=beta_star,
             value=float(params.payoff(alpha_star, beta_star)),
-            terms=payoff_terms(strat_a, strat_b, params.rep_a, params.rep_b,
-                               *params.stakes),
-            amplitudes_a=amplitudes(strat_a, params.rep_a),
-            amplitudes_b=amplitudes(strat_b, params.rep_b),
+            terms=_diagonal_terms(amplitudes_a, amplitudes_b, *params.stakes),
+            amplitudes_a=amplitudes_a,
+            amplitudes_b=amplitudes_b,
             verified=verdict.verified,
             max_violation=verdict.max_violation,
             residual_deg=abs(residual),

@@ -3,7 +3,13 @@
 For a fixed opponent angle x a player's payoff is a single harmonic in
 twice the player's own angle, K0 + K1 cos 2t + K2 sin 2t, and (K1, K2) is
 an affine function of (cos 2x, sin 2x): each best response has a closed
-form, and one array kernel evaluates either player's.
+form, and one array kernel evaluates either player's.  The kernel keeps
+the harmonic as one complex amplitude K = K1 + i K2 = kappa0 + mu e +
+nu conj(e) of the opponent's phase e = exp(2ix); the payoff peaks where
+exp(2it) points along K.  So the composed map needs no angle between the
+two best responses: Bob's answer to Alice's phase e is the unit vector
+w = -K_B/|K_B|, Alice's harmonic against it is K_A = kappa0_A + mu_A w +
+nu_A conj(w), and the fixed-point residual is arg(K_A conj(e))/2.
 
 Write e = (cos phi, sin phi), phi = 2a, for Alice's angle a.  Bob's
 harmonic against a is K_B = b0 + B e; Alice's against Bob's answer
@@ -19,7 +25,8 @@ near the circle, finished by Newton steps on the real polynomial.  The
 roots hold every fixed point, and also the roots of the other
 square-root branch, where Alice answers -w, and the zeros of K_B;
 Newton steps on the unsquared residual and a residual test tell them
-apart.
+apart.  One composition at the raw roots and at their forward-difference
+neighbours gives both that test and the first Newton step.
 
 Where a player's harmonic vanishes that player is indifferent and the
 composed map is undefined.  Such a zero, and the opponent angles that
@@ -29,6 +36,7 @@ it pairs with in an equilibrium, each solve one linear equation in
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -66,7 +74,7 @@ _NEWTON_TOL_DEG = 1e-12
 
 def stake_scale(params) -> float:
     """Largest |stake|, the unit of payoff tolerances and flatness."""
-    return max(abs(s) for s in params.stakes)
+    return max(map(abs, params.stakes))
 
 
 def harmonic_map(params, player: str):
@@ -94,42 +102,69 @@ def harmonic_map(params, player: str):
     return k0, m
 
 
-def harmonic(opponent_deg, params, player: str):
-    """(K1, K2) of a player's payoff harmonic against each opponent angle;
-    broadcasts over angle arrays."""
-    (k1, k2), ((m11, m12), (m21, m22)) = harmonic_map(params, player)
-    x = np.asarray(opponent_deg, dtype=float) * (math.pi / 90.0)    # 2x in radians
-    cos, sin = np.cos(x), np.sin(x)
-    return k1 + m11 * cos + m12 * sin, k2 + m21 * cos + m22 * sin
+def phase(angle_deg):
+    """e = exp(2ix) of each angle x in degrees; broadcasts over arrays."""
+    return np.exp((1j * math.pi / 90.0) * np.asarray(angle_deg, dtype=float))
 
 
-def _flat_amplitude(params) -> float:
-    """hypot(K1, K2) at or below which a harmonic is flat."""
-    return math.sqrt(DEGENERACY_SQ) * stake_scale(params)
+def harmonic(e, k0, m):
+    """K = K1 + i K2 of the harmonic map (k0, m) of harmonic_map against
+    each opponent phase e = exp(2ix); broadcasts over arrays.
+
+    With k0 and the columns of m as complex numbers kappa0 = k01 + i k02
+    and m_j = m1j + i m2j, K = kappa0 + m_1 Re e + m_2 Im e, which is
+    kappa0 + mu e + nu conj(e) with mu = (m_1 - i m_2)/2 and
+    nu = (m_1 + i m_2)/2.
+    """
+    (k1, k2), ((m11, m12), (m21, m22)) = k0, m
+    return complex(k1, k2) + complex(m11, m21) * e.real + complex(m12, m22) * e.imag
+
+
+def _flat(k, params):
+    """Whether each harmonic K = k is flat: K1^2 + K2^2 <= DEGENERACY_SQ *
+    max|stake|^2, tested as |K| <= sqrt(DEGENERACY_SQ) * max|stake| so
+    that no square overflows or underflows at extreme stakes."""
+    return abs(k) <= math.sqrt(DEGENERACY_SQ) * stake_scale(params)
+
+
+def _peak(k, params):
+    """arg K in radians, where the harmonic K1 cos 2t + K2 sin 2t =
+    Re(K conj(exp(2it))) peaks, for each K = k; NaN where it is flat."""
+    return np.where(_flat(k, params), np.nan, np.arctan2(k.imag, k.real))
+
+
+def _answer(peak, player: str):
+    """The best-response angle in [0, 180) at the harmonic's peak 2t = peak;
+    Bob minimises, so his answer lies a quarter turn from it."""
+    return wrap_half_turn(peak * (90.0 / math.pi) + (0.0 if player == ALICE else 90.0))
 
 
 def best_responses(opponent_deg, params, player: str):
     """A player's best-response angles in [0, 180) against each opponent
-    angle, NaN where the harmonic is flat; broadcasts over angle arrays.
-
-    The harmonic K1 cos 2t + K2 sin 2t peaks at 2t = atan2(K2, K1); Bob
-    minimises, so his answer lies a quarter turn from the peak.  A
-    harmonic is flat when K1^2 + K2^2 <= DEGENERACY_SQ * max|stake|^2,
-    tested as hypot(K1, K2) <= sqrt(DEGENERACY_SQ) * max|stake| so that
-    no square overflows or underflows at extreme stakes.
-    """
-    k1, k2 = harmonic(opponent_deg, params, player)
-    peak = np.arctan2(k2, k1) * (90.0 / math.pi) + (0.0 if player == ALICE else 90.0)
-    flat = np.hypot(k1, k2) <= _flat_amplitude(params)
-    return np.where(flat, np.nan, wrap_half_turn(peak))
+    angle, NaN where the harmonic is flat; broadcasts over angle arrays."""
+    k = harmonic(phase(opponent_deg), *harmonic_map(params, player))
+    return _answer(_peak(k, params), player)
 
 
 def compose(alpha_deg, params):
     """Bob's response to each alpha, and the signed angular defect of alpha
-    under the composed best-response map (the residual); NaN where a
-    response along the composition is degenerate."""
-    beta = best_responses(alpha_deg, params, BOB)
-    return beta, signed_delta(best_responses(beta, params, ALICE), alpha_deg)
+    under the composed best-response map (the residual, in [-90, 90]);
+    NaN where a response along the composition is degenerate.
+
+    With e = exp(2i alpha), Bob answers w = -K_B/|K_B| = exp(2i beta),
+    and Alice's harmonic against him is K_A = kappa0_A + mu_A w +
+    nu_A conj(w): no angle is converted between the two responses.  The
+    residual is arg(K_A conj(e))/2.
+    """
+    e = phase(alpha_deg)
+    peak_b = _peak(harmonic(e, *harmonic_map(params, BOB)), params)
+    k_a = harmonic(-np.exp(1j * peak_b), *harmonic_map(params, ALICE))
+    return _answer(peak_b, BOB), _peak(k_a * np.conj(e), params) * (90.0 / math.pi)
+
+
+def _paired(alphas: np.ndarray) -> np.ndarray:
+    """The angles and their forward-difference neighbours, in one array."""
+    return np.concatenate((alphas, alphas + _NEWTON_H_DEG))
 
 
 def polish(alphas: np.ndarray, params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -140,17 +175,28 @@ def polish(alphas: np.ndarray, params) -> tuple[np.ndarray, np.ndarray, np.ndarr
     residuals recomputed there; a step left unapplied stays as an error
     in alpha, which a steep best response of Bob multiplies into beta.
     A candidate whose residual or slope is undefined stays where it is.
+
+    Each step costs one composition, at the angles and at their
+    neighbours _NEWTON_H_DEG ahead together; the last one, at the
+    returned angles, gives the returned answers and residuals.
+    fixed_points passes in the first composition, which it has already
+    made for its residual test.
     """
+    return _newton(alphas, *compose(_paired(alphas), params), params)
+
+
+def _newton(alphas, betas, residuals, params):
+    """polish, given compose at _paired(alphas)."""
     n = len(alphas)
     for _ in range(_NEWTON_STEPS):
-        _, r = compose(np.concatenate((alphas, alphas + _NEWTON_H_DEG)), params)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = r[:n] * _NEWTON_H_DEG / (r[n:] - r[:n])
+            step = residuals[:n] * _NEWTON_H_DEG / (residuals[n:] - residuals[:n])
         step = np.where(np.isfinite(step), step, 0.0)
         alphas = wrap_half_turn(alphas - step)
+        betas, residuals = compose(_paired(alphas), params)
         if not np.any(np.abs(step) > _NEWTON_TOL_DEG):
             break
-    return (alphas, *compose(alphas, params))
+    return alphas, betas[:n], residuals[:n]
 
 
 def _times(f, g) -> list[complex]:
@@ -241,12 +287,16 @@ def fixed_points(params, tol_deg: float) -> np.ndarray:
     is within _RAW_ROOT_DEG of zero are polished on the unsquared
     residual and kept where that is within tol_deg of zero.  This drops
     the roots of the other square-root branch, those where K_A points
-    against e (residual -90) and the zeros of K_B (residual NaN).
+    against e (residual +-90) and the zeros of K_B (residual NaN).  The
+    residuals of that first test come from the composition at the roots
+    and their neighbours that also gives polish its first Newton step.
     """
     coeffs = polynomial(harmonic_map(params, ALICE), harmonic_map(params, BOB))
     alphas = wrap_half_turn(0.5 * np.degrees(circle_angles(coeffs)))
-    alphas = alphas[np.abs(compose(alphas, params)[1]) < _RAW_ROOT_DEG]
-    rows = np.column_stack(polish(alphas, params))
+    betas, residuals = compose(_paired(alphas), params)
+    near = np.abs(residuals[:len(alphas)]) < _RAW_ROOT_DEG
+    pair = np.concatenate((near, near))
+    rows = np.column_stack(_newton(alphas[near], betas[pair], residuals[pair], params))
     return rows[np.abs(rows[:, 2]) <= tol_deg]
 
 
@@ -259,9 +309,10 @@ def _harmonic_angles(u1: float, u2: float, k: float) -> list[float]:
     return [wrap_half_turn(math.degrees(peak + sign * half) / 2.0) for sign in (-1.0, 1.0)]
 
 
-def indifference_points(params, tol_deg: float) -> np.ndarray:
+def indifference_points(params, tol_deg: float) -> tuple[np.ndarray, np.ndarray]:
     """(alpha, beta, residual) rows of the equilibria at which one player
-    is indifferent, that is, where the composed map is undefined.
+    is indifferent, that is, where the composed map is undefined, and the
+    alphas at which Bob is indifferent.
 
     A player's harmonic K = k0 + M e(x) vanishes only where one row of it
     does, at one of at most two closed-form opponent angles x0, kept
@@ -273,19 +324,22 @@ def indifference_points(params, tol_deg: float) -> np.ndarray:
     the opponent's best-reply defect from x0, 0 where that reply is flat
     too, and the rows within tol_deg of zero are kept.
     """
-    flat = _flat_amplitude(params)
-    rows = []
+    rows, bob_zeros = [], []
     for player, opponent in ((BOB, ALICE), (ALICE, BOB)):
-        (k1, k2), ((m11, m12), (m21, m22)) = harmonic_map(params, player)
+        k0, m = harmonic_map(params, player)
+        (k1, k2), ((m11, m12), (m21, m22)) = k0, m
         (o1, o2), ((p11, p12), (p21, p22)) = harmonic_map(params, opponent)
         if math.hypot(m11, m12) >= math.hypot(m21, m22):
             zeros = _harmonic_angles(m11, m12, -k1)
         else:
             zeros = _harmonic_angles(m21, m22, -k2)
         for x0 in zeros:
-            c, s = math.cos(math.radians(2.0 * x0)), math.sin(math.radians(2.0 * x0))
-            if math.hypot(k1 + m11 * c + m12 * s, k2 + m21 * c + m22 * s) > flat:
+            e = cmath.exp(2j * math.radians(x0))
+            if not _flat(harmonic(e, k0, m), params):
                 continue
+            if player == BOB:
+                bob_zeros.append(x0)
+            c, s = e.real, e.imag
             ys = np.array(_harmonic_angles(p11 * s - p21 * c, p12 * s - p22 * c,
                                            o2 * c - o1 * s))
             reply = best_responses(ys, params, opponent)
@@ -294,9 +348,9 @@ def indifference_points(params, tol_deg: float) -> np.ndarray:
             rows.append(np.column_stack((xs, ys, residual) if player == BOB
                                         else (ys, xs, residual)))
     if not rows:
-        return np.empty((0, 3))
+        return np.empty((0, 3)), np.array(bob_zeros)
     rows = np.concatenate(rows)
-    return rows[np.abs(rows[:, 2]) <= tol_deg]
+    return rows[np.abs(rows[:, 2]) <= tol_deg], np.array(bob_zeros)
 
 
 def unexplained_crossings(alphas: np.ndarray, residuals: np.ndarray, roots: np.ndarray,

@@ -226,8 +226,12 @@ def payoff_terms(alpha: QuantumStrategy, beta: QuantumStrategy,
                  rep_a: LogicRepresentation, rep_b: LogicRepresentation,
                  a: float, b: float, c: float, d: float) -> tuple[float, float]:
     """The two diagonal contributions to F; they sum to the full payoff."""
-    p = amplitudes(alpha, rep_a)
-    q = amplitudes(beta, rep_b)
+    return _diagonal_terms(amplitudes(alpha, rep_a), amplitudes(beta, rep_b), a, b, c, d)
+
+
+def _diagonal_terms(p: AmplitudeSquares, q: AmplitudeSquares,
+                    a: float, b: float, c: float, d: float) -> tuple[float, float]:
+    """payoff_terms from Alice's squared amplitudes p and Bob's q."""
     t13 = a * p.p1 * q.p3 + c * p.p3 * q.p1
     t24 = b * p.p2 * q.p4 + d * p.p4 * q.p2
     return (t13, t24)

@@ -309,13 +309,18 @@ def test_find_equilibria_reports_indifference_equilibria(mirror):
     for _ in range(40):
         x0, params = _indifference_game(rng, mirror)
         expected = _indifference_partners(x0, params, mirror)
-        reported = [(e.alpha_star_deg, e.beta_star_deg) for e in find_equilibria(params).verified]
+        result = find_equilibria(params)
+        reported = [(e.alpha_star_deg, e.beta_star_deg) for e in result.verified]
         # equilibria of a zero-sum game are interchangeable, so with x0 in
         # one of them every other pairs x0 with a partner as well
         assert not expected or len(reported) == len(expected), (params, expected, reported)
         for alpha, beta in expected:
             assert any(wrapped_distance(alpha, a) <= 1e-6 and wrapped_distance(beta, b) <= 1e-6
                        for a, b in reported), (params, alpha, beta, reported)
+        # Bob's best response is undefined at alpha = x0, so the scan cell
+        # holding x0 is a degeneracy region even where x0 is off the grid
+        if expected and not mirror:
+            assert any(lo <= x0 <= hi for lo, hi in result.degeneracy_regions), (params, x0)
         with_partner += bool(expected)
         with_two += len(expected) == 2
     assert with_partner >= 10 and with_two >= 2
@@ -350,6 +355,23 @@ def test_find_equilibria_keeps_steep_crossing():
         result = find_equilibria(steep, scan_step_deg=step)
         assert len(result.verified) == 1
         assert wrapped_distance(result.verified[0].alpha_star_deg, 75.21) <= 0.01
+
+
+def test_find_equilibria_keeps_root_finished_on_the_polynomial():
+    # Bob is steep here: Newton steps on the residual end at 1.1e-3 degrees
+    # from the root circle_angles finishes on the polynomial, but at 1.6e-2,
+    # outside the refine tolerance, from the eigenvalue's unfinished angle
+    params = GameParams(4.088702178087739, 2.5629831542334123, 5.164779186923289,
+                        1.7908755701264256, 89.93972978061063, 87.78688468208976)
+    for step in (0.25, 0.125):
+        result = find_equilibria(params, scan_step_deg=step)
+        assert len(result) == len(result.verified) == 1
+        eq = result.verified[0]
+        assert eq.alpha_star_deg == pytest.approx(138.879481, abs=1e-5)
+        assert eq.beta_star_deg == pytest.approx(48.197730, abs=1e-5)
+        assert eq.value == pytest.approx(3.335652, abs=1e-5)
+        assert verify_equilibrium(eq.alpha_star_deg, eq.beta_star_deg, params,
+                                  n_probe=2880).verified
 
 
 def test_find_equilibria_tiny_stakes_not_degenerate():

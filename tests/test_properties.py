@@ -8,14 +8,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from orthogame.angles import wrapped_distance
+from orthogame.angles import signed_delta, wrapped_distance
 from orthogame.classical import PayoffMatrix
 from orthogame.equilibrium import (GameParams, best_response_alice, best_response_bob,
                                    find_equilibria, verify_equilibrium)
-from orthogame.fixedpoint import ALICE, BOB, harmonic
+from orthogame.fixedpoint import (ALICE, BOB, best_responses, compose, harmonic, harmonic_map,
+                                  phase)
 from orthogame.quantum import (LogicRepresentation, QuantumStrategy,
                                expectation, payoff_closed_form, payoff_operator)
 
@@ -90,13 +91,37 @@ def test_grid_gain_within_discretisation_of_analytic_gain(s, exponent, theta_a, 
     gains = [
         (float(np.max(params.payoff(grid, beta))) - value,
          float(params.payoff(response_a.angle_deg, beta)) - value,
-         math.hypot(*harmonic(beta, params, ALICE))),
+         abs(harmonic(phase(beta), *harmonic_map(params, ALICE)))),
         (value - float(np.min(params.payoff(alpha, grid))),
          value - float(params.payoff(alpha, response_b.angle_deg)),
-         math.hypot(*harmonic(alpha, params, BOB))),
+         abs(harmonic(phase(alpha), *harmonic_map(params, BOB)))),
     ]
     for grid_gain, analytic_gain, amplitude in gains:
         assert grid_gain <= analytic_gain + rounding
         assert analytic_gain - grid_gain <= amplitude * (math.pi / n_probe) ** 2 / 2 + rounding
     verdict = verify_equilibrium(alpha, beta, params, n_probe=n_probe)
     assert verdict.max_violation == pytest.approx(max(g[1] for g in gains), abs=rounding)
+
+
+@deterministic
+@given(stakes, wide_decades, mixing_angle, mixing_angle)
+@example((0.0, 0.0, 0.0, 0.0), 0, 45.0, 45.0)
+@example((1.0, 1.0, 1.0, 1.0), 0, 45.0, 45.0)
+# Bob's harmonic vanishes exactly at alpha 60
+@example((3.0, 1.0, 1.0, 1.0), 0, 15.0, 70.0)
+# Alice's vanishes exactly at beta 30, Bob's answer to alpha 135
+@example((3.0, 1.0, 1.0, 1.0), 0, 30.0, 165.0)
+def test_compose_matches_angle_form_composition(s, exponent, theta_a, theta_b):
+    # compose never takes Bob's angle; composing the two best responses
+    # through it must give the same map, NaN wherever a response is flat
+    params = GameParams(*(x * 10.0 ** exponent for x in s), theta_a, theta_b)
+    alphas = np.arange(0.0, 180.0, 0.25)
+    beta, residual = compose(alphas, params)
+    expected_beta = best_responses(alphas, params, BOB)
+    expected = signed_delta(best_responses(expected_beta, params, ALICE), alphas)
+    assert np.array_equal(np.isnan(beta), np.isnan(expected_beta))
+    assert np.array_equal(np.isnan(residual), np.isnan(expected))
+    defined, composed = ~np.isnan(beta), ~np.isnan(expected)
+    # the residual lies in [-90, 90], so a quarter turn may read as +90 or -90
+    assert np.all(np.abs(signed_delta(beta[defined], expected_beta[defined])) <= 1e-9)
+    assert np.all(np.abs(signed_delta(residual[composed], expected[composed])) <= 1e-9)
