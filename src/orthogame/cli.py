@@ -24,7 +24,7 @@ from .classical import (PayoffMatrix, decompose_conditional, solve_closed_form,
                         verify_nash)
 from .equilibrium import GameParams, find_equilibria, reaction_curves
 from .lattice import audit_laws
-from .quantum import LogicRepresentation, QuantumStrategy, amplitudes, payoff_terms
+from .quantum import LogicRepresentation, QuantumStrategy, _diagonal_terms, amplitudes
 
 CSV_HEADER = "input_deg,best_response_deg,payoff"
 
@@ -189,7 +189,7 @@ def quantum_payoff(stakes, theta_a, theta_b, alpha, beta):
         "alpha_deg": strat_a.angle_deg,
         "beta_deg": strat_b.angle_deg,
         "value": float(params.payoff(strat_a.angle_deg, strat_b.angle_deg)),
-        "terms": list(payoff_terms(strat_a, strat_b, params.rep_a, params.rep_b, *stakes)),
+        "terms": list(_diagonal_terms(p, q, *stakes)),
         "p": list(p.as_tuple()),
         "q": list(q.as_tuple()),
     })

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import fixedpoint
 from .angles import wrapped_distance
-from .fixedpoint import ALICE, BOB, DEGENERACY_SQ, best_responses, compose, stake_scale
+from .fixedpoint import ALICE, BOB, DEGENERACY_SQ, best_responses, stake_scale
 from .quantum import (AmplitudeSquares, LogicRepresentation, QuantumStrategy,
                       _diagonal_terms, amplitudes, payoff_grid)
 
@@ -264,16 +264,18 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
 
     Enumerates the fixed points as the unit-circle roots of the degree-8
     fixed-point polynomial, polished by Newton steps and kept where the
-    residual is within refine_tol_deg of zero.  The residual is also
-    scanned over [0, 180) at scan_step_deg: the scan gives the
-    degeneracy regions, and each of its sign-change brackets (residual
-    moving by less than 90 degrees) that holds no enumerated root adds
-    its crossing as a candidate.  So is each profile, from closed forms,
-    at which one player is indifferent against the other's angle x0 and
-    the other's best reply to the first player's angle is x0.  Where Bob
-    is indifferent, at alpha = x0, the scan cell holding x0 is a
-    degeneracy region too, on the grid or off it.  Candidate
-    (alpha, beta) pairs are deduplicated modulo 180 within
+    residual is within refine_tol_deg of zero.  The residual alone,
+    without Bob's answers, is also scanned over [0, 180) at
+    scan_step_deg, on a grid whose phases are computed once per step
+    and cached: the scan gives the degeneracy regions, and each of its
+    sign-change brackets (residual moving by less than 90 degrees) that
+    holds neither an enumerated root nor an alpha at which Bob is
+    indifferent adds its crossing as a candidate.  So is each profile,
+    from closed forms, at which one player is indifferent against the
+    other's angle x0 and the other's best reply to the first player's
+    angle is x0.  Where Bob is indifferent, at alpha = x0, the scan cell
+    holding x0 is a degeneracy region too, on the grid or off it.
+    Candidate (alpha, beta) pairs are deduplicated modulo 180 within
     refine_tol_deg, reported in sorted order, and each is verified with
     two-sided deviation probes (n_probe, tol); unverified candidates stay
     in the result with verified=False.
@@ -291,14 +293,16 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
         raise ValueError(f"refine tolerance must be in (0, 0.01] degrees, got {refine_tol_deg!r}")
     _check_probe_count(n_probe)
 
-    alphas = np.arange(0.0, 180.0, scan_step_deg)
-    _, residuals = compose(alphas, params)
+    alphas, residuals = fixedpoint.scan(params, scan_step_deg)
     indifferent, bob_flat = fixedpoint.indifference_points(params, refine_tol_deg)
     regions = _degeneracy_regions(alphas, np.isnan(residuals), bob_flat)
     roots = fixedpoint.fixed_points(params, refine_tol_deg)
+    # the composed map jumps where Bob is indifferent, so such an alpha
+    # explains a sign change as a root does
+    explained = np.concatenate((roots[:, 0], bob_flat))
     candidates = np.concatenate((
         roots,
-        fixedpoint.unexplained_crossings(alphas, residuals, roots[:, 0], params, refine_tol_deg),
+        fixedpoint.unexplained_crossings(alphas, residuals, explained, params, refine_tol_deg),
         indifferent))
 
     # deduplicate (alpha, beta) pairs modulo 180, in sorted order

@@ -28,6 +28,12 @@ Newton steps on the unsquared residual and a residual test tell them
 apart.  One composition at the raw roots and at their forward-difference
 neighbours gives both that test and the first Newton step.
 
+The residual is also scanned on a fixed grid, as a cross-check.  The
+grid and its phases are computed once per step and cached read-only,
+and the scan takes only the residuals from the composition kernel:
+Bob's answer angles, which compose adds for its callers, are not
+computed there.
+
 Where a player's harmonic vanishes that player is indifferent and the
 composed map is undefined.  Such a zero, and the opponent angles that
 it pairs with in an equilibrium, each solve one linear equation in
@@ -37,6 +43,7 @@ it pairs with in an equilibrium, each solve one linear equation in
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -127,10 +134,11 @@ def _flat(k, params):
     return abs(k) <= math.sqrt(DEGENERACY_SQ) * stake_scale(params)
 
 
-def _peak(k, params):
+def _peak(k, flat):
     """arg K in radians, where the harmonic K1 cos 2t + K2 sin 2t =
-    Re(K conj(exp(2it))) peaks, for each K = k; NaN where it is flat."""
-    return np.where(_flat(k, params), np.nan, np.arctan2(k.imag, k.real))
+    Re(K conj(exp(2it))) peaks, for each K = k; NaN where the mask flat,
+    from _flat, holds."""
+    return np.where(flat, np.nan, np.arctan2(k.imag, k.real))
 
 
 def _answer(peak, player: str):
@@ -143,23 +151,45 @@ def best_responses(opponent_deg, params, player: str):
     """A player's best-response angles in [0, 180) against each opponent
     angle, NaN where the harmonic is flat; broadcasts over angle arrays."""
     k = harmonic(phase(opponent_deg), *harmonic_map(params, player))
-    return _answer(_peak(k, params), player)
+    return _answer(_peak(k, _flat(k, params)), player)
+
+
+def _compose_phases(e, params):
+    """Bob's harmonic K_B against each of Alice's phases e = exp(2i alpha),
+    the mask of where it is flat, and the residual arg(K_A conj(e))/2 of
+    the composed map in degrees, NaN where K_B or Alice's harmonic K_A
+    against Bob's answer w = -K_B/|K_B| is flat."""
+    k_b = harmonic(e, *harmonic_map(params, BOB))
+    flat_b = _flat(k_b, params)
+    # w is NaN where K_B vanishes and finite but unused where it is flat
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k_a = harmonic(-k_b / abs(k_b), *harmonic_map(params, ALICE)) * np.conj(e)
+    return k_b, flat_b, _peak(k_a, flat_b | _flat(k_a, params)) * (90.0 / math.pi)
 
 
 def compose(alpha_deg, params):
     """Bob's response to each alpha, and the signed angular defect of alpha
     under the composed best-response map (the residual, in [-90, 90]);
-    NaN where a response along the composition is degenerate.
+    NaN where a response along the composition is degenerate."""
+    k_b, flat_b, residuals = _compose_phases(phase(alpha_deg), params)
+    return _answer(_peak(k_b, flat_b), BOB), residuals
 
-    With e = exp(2i alpha), Bob answers w = -K_B/|K_B| = exp(2i beta),
-    and Alice's harmonic against him is K_A = kappa0_A + mu_A w +
-    nu_A conj(w): no angle is converted between the two responses.  The
-    residual is arg(K_A conj(e))/2.
-    """
-    e = phase(alpha_deg)
-    peak_b = _peak(harmonic(e, *harmonic_map(params, BOB)), params)
-    k_a = harmonic(-np.exp(1j * peak_b), *harmonic_map(params, ALICE))
-    return _answer(peak_b, BOB), _peak(k_a * np.conj(e), params) * (90.0 / math.pi)
+
+@functools.lru_cache(maxsize=8)
+def _scan_grid(step_deg: float) -> tuple[np.ndarray, np.ndarray]:
+    """The scan angles arange(0, 180, step_deg) and their phases, as
+    read-only arrays computed once per step."""
+    alphas = np.arange(0.0, 180.0, step_deg)
+    phases = phase(alphas)
+    alphas.flags.writeable = phases.flags.writeable = False
+    return alphas, phases
+
+
+def scan(params, step_deg: float) -> tuple[np.ndarray, np.ndarray]:
+    """The scan angles over [0, 180) at step_deg and the residual at each;
+    Bob's answers, which the scan does not use, are not computed."""
+    alphas, phases = _scan_grid(step_deg)
+    return alphas, _compose_phases(phases, params)[2]
 
 
 def _paired(alphas: np.ndarray) -> np.ndarray:
@@ -289,12 +319,15 @@ def fixed_points(params, tol_deg: float) -> np.ndarray:
     the roots of the other square-root branch, those where K_A points
     against e (residual +-90) and the zeros of K_B (residual NaN).  The
     residuals of that first test come from the composition at the roots
-    and their neighbours that also gives polish its first Newton step.
+    and their neighbours that also gives polish its first Newton step;
+    when no root passes it, nothing is polished.
     """
     coeffs = polynomial(harmonic_map(params, ALICE), harmonic_map(params, BOB))
     alphas = wrap_half_turn(0.5 * np.degrees(circle_angles(coeffs)))
     betas, residuals = compose(_paired(alphas), params)
     near = np.abs(residuals[:len(alphas)]) < _RAW_ROOT_DEG
+    if not near.any():
+        return np.empty((0, 3))
     pair = np.concatenate((near, near))
     rows = np.column_stack(_newton(alphas[near], betas[pair], residuals[pair], params))
     return rows[np.abs(rows[:, 2]) <= tol_deg]
@@ -353,9 +386,10 @@ def indifference_points(params, tol_deg: float) -> tuple[np.ndarray, np.ndarray]
     return rows[np.abs(rows[:, 2]) <= tol_deg], np.array(bob_zeros)
 
 
-def unexplained_crossings(alphas: np.ndarray, residuals: np.ndarray, roots: np.ndarray,
+def unexplained_crossings(alphas: np.ndarray, residuals: np.ndarray, explained: np.ndarray,
                           params, tol_deg: float) -> np.ndarray:
-    """Scan brackets with a sign change that no enumerated root lies in.
+    """Scan brackets with a sign change that no explaining angle (an
+    enumerated root, or an alpha where the composed map jumps) lies in.
 
     A bracket is a zero sample, or a sign change between neighbouring
     samples whose residual moves by less than 90 degrees (larger moves
@@ -372,7 +406,7 @@ def unexplained_crossings(alphas: np.ndarray, residuals: np.ndarray, roots: np.n
         return np.empty((0, 3))
     lo, r_lo, r_hi = alphas[bracket], residuals[bracket], r_next[bracket]
     mid = lo + step / 2.0
-    offsets = signed_delta(roots[None, :], mid[:, None])
+    offsets = signed_delta(explained[None, :], mid[:, None])
     open_ = ~np.any(np.abs(offsets) <= step / 2.0 + tol_deg, axis=1)
     if not open_.any():
         return np.empty((0, 3))

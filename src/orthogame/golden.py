@@ -17,7 +17,7 @@ from typing import Optional
 
 from .classical import PayoffMatrix, decompose_conditional, solve_closed_form, verify_nash
 from .equilibrium import GameParams, find_equilibria, verify_equilibrium
-from .quantum import QuantumStrategy, amplitudes, payoff_terms
+from .quantum import QuantumStrategy, _diagonal_terms, amplitudes
 
 __all__ = [
     "EXPECTED_MATCH",
@@ -289,12 +289,12 @@ def _example1_actuals(record: GoldenRecord) -> dict:
     # the second tabulated point, with Bob's angle shifted by the documented
     # half-period: beta = 123.5 - 90
     alpha2, beta2 = 180.0, 33.5
-    strat_a, strat_b = QuantumStrategy(alpha2), QuantumStrategy(beta2)
+    p = amplitudes(QuantumStrategy(alpha2), params.rep_a)
+    q = amplitudes(QuantumStrategy(beta2), params.rep_b)
     actuals.update({
-        "second_point_alice_amplitudes": amplitudes(strat_a, params.rep_a).as_tuple(),
-        "second_point_bob_amplitudes": amplitudes(strat_b, params.rep_b).as_tuple(),
-        "second_point_term_split": payoff_terms(strat_a, strat_b, params.rep_a, params.rep_b,
-                                                *params.stakes),
+        "second_point_alice_amplitudes": p.as_tuple(),
+        "second_point_bob_amplitudes": q.as_tuple(),
+        "second_point_term_split": _diagonal_terms(p, q, *params.stakes),
         "second_point_value": float(params.payoff(alpha2, beta2)),
         "second_point_deviation_check": verify_equilibrium(alpha2, beta2, params).verified,
     })

@@ -21,6 +21,7 @@ from orthogame.equilibrium import (GameParams, best_response_alice,
                                    verify_equilibrium)
 
 EX1 = GameParams(3, 3, 5, 1, 10.0, 70.0)
+EX2 = GameParams(1, 1, 1, 1, 45.0, 45.0)
 EX3 = GameParams(3, 3, 5, 1, 30.0, 20.0)
 FIG7 = GameParams(3, 3, 5, 1, 15.0, 35.0)
 STEEP = GameParams(4.0215, 9.0215, 0.2523, 3.0968, 134.8434, 29.7447)
@@ -205,3 +206,27 @@ def test_scan_cross_check_recovers_dropped_root(monkeypatch):
         assert wrapped_distance(eq.alpha_star_deg, points[0][0]) <= 1e-6
         assert wrapped_distance(eq.beta_star_deg, points[0][1]) <= 1e-6
         assert eq.residual_deg <= 1e-6
+
+
+def test_scan_grid_is_cached_and_read_only():
+    for step in (0.25, 0.125, 1.0, 0.7):
+        alphas, phases = fixedpoint._scan_grid(step)
+        assert fixedpoint._scan_grid(step)[0] is alphas
+        np.testing.assert_array_equal(alphas, np.arange(0.0, 180.0, step))
+        np.testing.assert_array_equal(phases, fixedpoint.phase(np.arange(0.0, 180.0, step)))
+        for cached in (alphas, phases):
+            with pytest.raises(ValueError):
+                cached[0] = 1.0
+
+
+def test_no_polish_without_a_root(monkeypatch):
+    def newton(*args):
+        raise AssertionError("polished without a root")
+
+    monkeypatch.setattr(fixedpoint, "_newton", newton)
+    rows = fixedpoint.fixed_points(EX2, 0.005)
+    assert rows.shape == (0, 3) and rows.dtype == float
+    assert len(find_equilibria(EX2)) == 0
+    # criterion 3's game has a root, so its solve does polish
+    with pytest.raises(AssertionError, match="polished without a root"):
+        find_equilibria(EX3)

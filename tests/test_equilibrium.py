@@ -321,6 +321,10 @@ def test_find_equilibria_reports_indifference_equilibria(mirror):
         # holding x0 is a degeneracy region even where x0 is off the grid
         if expected and not mirror:
             assert any(lo <= x0 <= hi for lo, hi in result.degeneracy_regions), (params, x0)
+        # the composed map jumps at x0, so a scan bracket across x0 is no
+        # unexplained crossing and adds no unverified candidate
+        if not mirror:
+            assert len(result) == len(result.verified), (params, x0, list(result))
         with_partner += bool(expected)
         with_two += len(expected) == 2
     assert with_partner >= 10 and with_two >= 2
@@ -339,6 +343,19 @@ def test_find_equilibria_two_equilibria_share_the_indifferent_coordinate():
         assert verify_equilibrium(eq.alpha_star_deg, eq.beta_star_deg, params,
                                   n_probe=2880).verified
     assert result.degeneracy_regions == ((60.0, 60.25),)
+
+
+def test_find_equilibria_bob_indifference_inside_a_coarse_scan_bracket():
+    # Bob is indifferent at alpha 60, which lies inside the scan cell
+    # [59.5, 60.2) at step 0.7; the residual changes sign across that
+    # jump, and the cell explains it instead of adding a candidate
+    params = GameParams(3, 1, 1, 1, 15.0, 70.0)
+    result = find_equilibria(params, scan_step_deg=0.7)
+    assert len(result) == len(result.verified) == 1
+    assert wrapped_distance(result[0].alpha_star_deg, 60.0) <= 1e-9
+    assert result[0].beta_star_deg == pytest.approx(175.958, abs=1e-3)
+    (region,) = result.degeneracy_regions
+    assert region == pytest.approx((59.5, 60.2))
 
 
 def test_search_result_container_protocol():
