@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -81,6 +81,11 @@ class GameParams:
     @cached_property
     def rep_b(self) -> LogicRepresentation:
         return LogicRepresentation(self.theta_b_deg)
+
+    @cached_property
+    def kernel(self) -> fixedpoint.HarmonicKernel:
+        """Both players' harmonics and the flatness scale, built once."""
+        return fixedpoint.harmonic_kernel(self)
 
     @property
     def stakes(self) -> tuple[float, float, float, float]:
@@ -172,6 +177,15 @@ def _check_probe_count(n_probe: int) -> None:
         raise ValueError(f"n_probe must be at least 360, got {n_probe!r}")
 
 
+@lru_cache(maxsize=8)
+def _probe_grid(n_probe: int) -> np.ndarray:
+    """The n_probe deviation angles over [0, 180), read-only, computed
+    once per count."""
+    grid = np.arange(n_probe) * (180.0 / n_probe)
+    grid.flags.writeable = False
+    return grid
+
+
 def verify_equilibrium(alpha_star_deg: float, beta_star_deg: float, params: GameParams,
                        n_probe: int = 720, tol: Optional[float] = None) -> VerificationResult:
     """Two-sided deviation check of a candidate profile.
@@ -179,13 +193,17 @@ def verify_equilibrium(alpha_star_deg: float, beta_star_deg: float, params: Game
     Probes F over an n_probe grid of unilateral deviations for each
     player, plus the analytic best responses; max_violation is the
     largest payoff improvement any deviation achieves.  The default
-    tolerance scales with the largest stake.
+    tolerance, 1e-6 * max|stake|, scales with the largest stake but is
+    absolute and the same for both players: a player whose stakes are
+    far below the largest one gains little from any deviation, so that
+    player is checked loosely, and a profile a fraction of a degree from
+    a fixed point can pass.
     """
     _check_probe_count(n_probe)
     if tol is None:
         tol = 1e-6 * stake_scale(params)
     value = float(params.payoff(alpha_star_deg, beta_star_deg))
-    grid = np.arange(n_probe) * (180.0 / n_probe)
+    grid = _probe_grid(n_probe)
 
     gains = [
         float(np.max(params.payoff(grid, beta_star_deg))) - value,
@@ -204,7 +222,14 @@ def verify_equilibrium(alpha_star_deg: float, beta_star_deg: float, params: Game
 
 @dataclass(frozen=True)
 class EquilibriumReport:
-    """A located fixed point of the best-response maps, with its verdict."""
+    """A located fixed point of the best-response maps, with its verdict.
+
+    residual_deg is the residual of the composed map at alpha_star_deg as
+    double precision evaluates it, not a bound on the error of alpha*:
+    where the harmonics cancel, at stake ratios near 5e5, rounding in the
+    map itself can leave alpha* off by about 1e-9 degrees while the
+    residual reads about 1e-15.
+    """
 
     alpha_star_deg: float
     beta_star_deg: float
@@ -240,15 +265,16 @@ class SearchResult:
 
 
 def _degeneracy_regions(alphas: np.ndarray, degenerate: np.ndarray,
-                        flat_alphas: np.ndarray) -> tuple[tuple[float, float], ...]:
+                        undefined: np.ndarray) -> tuple[tuple[float, float], ...]:
     """Group consecutive degenerate scan samples into intervals.
 
-    Each angle in flat_alphas whose nearest sample the scan did not find
-    degenerate marks the scan cell [k step, (k+1) step] that holds it.
+    Each alpha in undefined, where the composed map is undefined, whose
+    nearest sample the scan did not find degenerate marks the scan cell
+    [k step, (k+1) step] that holds it.
     """
-    if len(flat_alphas):
-        nearest = np.rint(flat_alphas / (alphas[1] - alphas[0])).astype(int) % len(alphas)
-        missed = flat_alphas[~degenerate[nearest]]
+    if len(undefined):
+        nearest = np.rint(undefined / (alphas[1] - alphas[0])).astype(int) % len(alphas)
+        missed = undefined[~degenerate[nearest]]
         degenerate[np.searchsorted(alphas, missed, side="right") - 1] = True
     if not degenerate.any():
         return ()
@@ -269,12 +295,14 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
     scan_step_deg, on a grid whose phases are computed once per step
     and cached: the scan gives the degeneracy regions, and each of its
     sign-change brackets (residual moving by less than 90 degrees) that
-    holds neither an enumerated root nor an alpha at which Bob is
-    indifferent adds its crossing as a candidate.  So is each profile,
-    from closed forms, at which one player is indifferent against the
-    other's angle x0 and the other's best reply to the first player's
-    angle is x0.  Where Bob is indifferent, at alpha = x0, the scan cell
-    holding x0 is a degeneracy region too, on the grid or off it.
+    holds neither an enumerated root nor an alpha at which the composed
+    map is undefined adds its crossing as a candidate.  So is each
+    profile, from closed forms, at which one player is indifferent
+    against the other's angle x0 and the other's best reply to the first
+    player's angle is x0.  The composed map is undefined at the alphas
+    where Bob is indifferent, and at those Bob answers with a beta where
+    Alice is; the scan cell holding each is a degeneracy region too, on
+    the grid or off it.
     Candidate (alpha, beta) pairs are deduplicated modulo 180 within
     refine_tol_deg, reported in sorted order, and each is verified with
     two-sided deviation probes (n_probe, tol); unverified candidates stay
@@ -294,12 +322,12 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
     _check_probe_count(n_probe)
 
     alphas, residuals = fixedpoint.scan(params, scan_step_deg)
-    indifferent, bob_flat = fixedpoint.indifference_points(params, refine_tol_deg)
-    regions = _degeneracy_regions(alphas, np.isnan(residuals), bob_flat)
+    indifferent, undefined = fixedpoint.indifference_points(params, refine_tol_deg)
+    regions = _degeneracy_regions(alphas, np.isnan(residuals), undefined)
     roots = fixedpoint.fixed_points(params, refine_tol_deg)
-    # the composed map jumps where Bob is indifferent, so such an alpha
+    # the composed map jumps where it is undefined, so such an alpha
     # explains a sign change as a root does
-    explained = np.concatenate((roots[:, 0], bob_flat))
+    explained = np.concatenate((roots[:, 0], undefined))
     candidates = np.concatenate((
         roots,
         fixedpoint.unexplained_crossings(alphas, residuals, explained, params, refine_tol_deg),

@@ -11,6 +11,12 @@ two best responses: Bob's answer to Alice's phase e is the unit vector
 w = -K_B/|K_B|, Alice's harmonic against it is K_A = kappa0_A + mu_A w +
 nu_A conj(w), and the fixed-point residual is arg(K_A conj(e))/2.
 
+Each game has one harmonic kernel (HarmonicKernel), built on first use
+and cached on the game as params.kernel: both players' harmonics as
+complex coefficients, the largest stake and the flatness radius.  Every
+stage of a solve reads it, so no stage rebuilds a harmonic map or
+rescans the stakes.
+
 Write e = (cos phi, sin phi), phi = 2a, for Alice's angle a.  Bob's
 harmonic against a is K_B = b0 + B e; Alice's against Bob's answer
 w = -K_B/|K_B| is K_A = a0 + A w.  Alice's angle is a fixed point of the
@@ -21,18 +27,20 @@ a trigonometric polynomial of degree at most 4 in phi, that is z^-4
 times a degree-8 polynomial in z = exp(i phi) (spectral rootfinding for
 Fourier series: J. P. Boyd, J. Eng. Math. 56 (2006) 203-219).  Its
 unit-circle roots are the eigenvalues of the companion matrix that lie
-near the circle, finished by Newton steps on the real polynomial.  The
-roots hold every fixed point, and also the roots of the other
-square-root branch, where Alice answers -w, and the zeros of K_B;
-Newton steps on the unsquared residual and a residual test tell them
-apart.  One composition at the raw roots and at their forward-difference
-neighbours gives both that test and the first Newton step.
+near the circle, finished by Newton steps on the real polynomial; the
+matrix is built directly, as numpy.roots builds it, without the zero
+roots numpy.roots appends.  The roots hold every fixed point, and also
+the roots of the other square-root branch, where Alice answers -w, and
+the zeros of K_B; Newton steps on the unsquared residual and a residual
+test tell them apart.  One residual evaluation at the raw roots and at
+their forward-difference neighbours gives both that test and the first
+Newton step.
 
-The residual is also scanned on a fixed grid, as a cross-check.  The
-grid and its phases are computed once per step and cached read-only,
-and the scan takes only the residuals from the composition kernel:
-Bob's answer angles, which compose adds for its callers, are not
-computed there.
+Bob's answer angles are computed only where they are returned: the
+residual test, the Newton steps and the scan take the residuals alone
+from the composition kernel, and compose, which adds Bob's angles, runs
+once, at the polished angles.  The scan is a cross-check on a fixed
+grid whose phases are computed once per step and cached read-only.
 
 Where a player's harmonic vanishes that player is indifferent and the
 composed map is undefined.  Such a zero, and the opponent angles that
@@ -45,6 +53,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,9 +88,32 @@ _NEWTON_H_DEG = 1e-6
 _NEWTON_TOL_DEG = 1e-12
 
 
+class HarmonicKernel(NamedTuple):
+    """One game's harmonics, built once per game.
+
+    alice and bob are the players' harmonic maps as the complex
+    coefficients (kappa0, m_1, m_2) of K = kappa0 + m_1 Re e + m_2 Im e
+    (see harmonic); scale is the largest |stake| and radius,
+    sqrt(DEGENERACY_SQ) * scale, the largest |K| that is flat.
+    """
+
+    alice: tuple[complex, complex, complex]
+    bob: tuple[complex, complex, complex]
+    scale: float
+    radius: float
+
+
+def harmonic_kernel(params) -> HarmonicKernel:
+    """The kernel of a game; GameParams caches it as params.kernel."""
+    scale = max(map(abs, params.stakes))
+    return HarmonicKernel(_coefficients(*harmonic_map(params, ALICE)),
+                          _coefficients(*harmonic_map(params, BOB)),
+                          scale, math.sqrt(DEGENERACY_SQ) * scale)
+
+
 def stake_scale(params) -> float:
     """Largest |stake|, the unit of payoff tolerances and flatness."""
-    return max(map(abs, params.stakes))
+    return params.kernel.scale
 
 
 def harmonic_map(params, player: str):
@@ -123,15 +155,30 @@ def harmonic(e, k0, m):
     kappa0 + mu e + nu conj(e) with mu = (m_1 - i m_2)/2 and
     nu = (m_1 + i m_2)/2.
     """
+    return _harmonic(e, *_coefficients(k0, m))
+
+
+def _coefficients(k0, m) -> tuple[complex, complex, complex]:
+    """The complex coefficients (kappa0, m_1, m_2) of the map (k0, m)."""
     (k1, k2), ((m11, m12), (m21, m22)) = k0, m
-    return complex(k1, k2) + complex(m11, m21) * e.real + complex(m12, m22) * e.imag
+    return complex(k1, k2), complex(m11, m21), complex(m12, m22)
 
 
-def _flat(k, params):
-    """Whether each harmonic K = k is flat: K1^2 + K2^2 <= DEGENERACY_SQ *
-    max|stake|^2, tested as |K| <= sqrt(DEGENERACY_SQ) * max|stake| so
-    that no square overflows or underflows at extreme stakes."""
-    return abs(k) <= math.sqrt(DEGENERACY_SQ) * stake_scale(params)
+def _real_map(kappa0: complex, m_1: complex, m_2: complex):
+    """The map (k0, m) of harmonic_map with these complex coefficients."""
+    return (kappa0.real, kappa0.imag), ((m_1.real, m_2.real), (m_1.imag, m_2.imag))
+
+
+def _harmonic(e, kappa0, m_1, m_2):
+    """K = kappa0 + m_1 Re e + m_2 Im e; broadcasts over arrays."""
+    return kappa0 + m_1 * e.real + m_2 * e.imag
+
+
+def _flat(size, kernel: HarmonicKernel):
+    """Whether each harmonic of modulus size = |K| is flat: K1^2 + K2^2 <=
+    DEGENERACY_SQ * max|stake|^2, tested as |K| <= kernel.radius so that
+    no square overflows or underflows at extreme stakes."""
+    return size <= kernel.radius
 
 
 def _peak(k, flat):
@@ -150,8 +197,9 @@ def _answer(peak, player: str):
 def best_responses(opponent_deg, params, player: str):
     """A player's best-response angles in [0, 180) against each opponent
     angle, NaN where the harmonic is flat; broadcasts over angle arrays."""
-    k = harmonic(phase(opponent_deg), *harmonic_map(params, player))
-    return _answer(_peak(k, _flat(k, params)), player)
+    kernel = params.kernel
+    k = _harmonic(phase(opponent_deg), *(kernel.alice if player == ALICE else kernel.bob))
+    return _answer(_peak(k, _flat(abs(k), kernel)), player)
 
 
 def _compose_phases(e, params):
@@ -159,12 +207,20 @@ def _compose_phases(e, params):
     the mask of where it is flat, and the residual arg(K_A conj(e))/2 of
     the composed map in degrees, NaN where K_B or Alice's harmonic K_A
     against Bob's answer w = -K_B/|K_B| is flat."""
-    k_b = harmonic(e, *harmonic_map(params, BOB))
-    flat_b = _flat(k_b, params)
+    kernel = params.kernel
+    k_b = _harmonic(e, *kernel.bob)
+    size_b = abs(k_b)
+    flat_b = _flat(size_b, kernel)
     # w is NaN where K_B vanishes and finite but unused where it is flat
     with np.errstate(divide="ignore", invalid="ignore"):
-        k_a = harmonic(-k_b / abs(k_b), *harmonic_map(params, ALICE)) * np.conj(e)
-    return k_b, flat_b, _peak(k_a, flat_b | _flat(k_a, params)) * (90.0 / math.pi)
+        k_a = _harmonic(-k_b / size_b, *kernel.alice) * np.conj(e)
+    return k_b, flat_b, _peak(k_a, flat_b | _flat(abs(k_a), kernel)) * (90.0 / math.pi)
+
+
+def _residuals(alpha_deg, params):
+    """The residual of the composed map at each alpha, as compose gives
+    it, without Bob's answers."""
+    return _compose_phases(phase(alpha_deg), params)[2]
 
 
 def compose(alpha_deg, params):
@@ -202,31 +258,32 @@ def polish(alphas: np.ndarray, params) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
     Stops after applying a step in which no angle moves by more than
     _NEWTON_TOL_DEG, and returns the angles with Bob's answers and the
-    residuals recomputed there; a step left unapplied stays as an error
+    residuals computed there; a step left unapplied stays as an error
     in alpha, which a steep best response of Bob multiplies into beta.
     A candidate whose residual or slope is undefined stays where it is.
 
-    Each step costs one composition, at the angles and at their
-    neighbours _NEWTON_H_DEG ahead together; the last one, at the
-    returned angles, gives the returned answers and residuals.
-    fixed_points passes in the first composition, which it has already
-    made for its residual test.
+    Each step takes the residuals alone at the angles and at their
+    neighbours _NEWTON_H_DEG ahead together, and a step is evaluated
+    only when another follows it; compose, for Bob's answers and the
+    residuals, runs once, at the returned angles.  fixed_points passes
+    in the first residuals, which it has already taken for its residual
+    test.
     """
-    return _newton(alphas, *compose(_paired(alphas), params), params)
+    return _newton(alphas, _residuals(_paired(alphas), params), params)
 
 
-def _newton(alphas, betas, residuals, params):
-    """polish, given compose at _paired(alphas)."""
+def _newton(alphas, residuals, params):
+    """polish, given the residuals at _paired(alphas)."""
     n = len(alphas)
-    for _ in range(_NEWTON_STEPS):
+    for k in range(1, _NEWTON_STEPS + 1):
         with np.errstate(divide="ignore", invalid="ignore"):
             step = residuals[:n] * _NEWTON_H_DEG / (residuals[n:] - residuals[:n])
         step = np.where(np.isfinite(step), step, 0.0)
         alphas = wrap_half_turn(alphas - step)
-        betas, residuals = compose(_paired(alphas), params)
-        if not np.any(np.abs(step) > _NEWTON_TOL_DEG):
+        if k == _NEWTON_STEPS or not np.any(np.abs(step) > _NEWTON_TOL_DEG):
             break
-    return alphas, betas[:n], residuals[:n]
+        residuals = _residuals(_paired(alphas), params)
+    return (alphas, *compose(alphas, params))
 
 
 def _times(f, g) -> list[complex]:
@@ -275,18 +332,28 @@ def _tables(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(k_phi), np.sin(k_phi)
 
 
-def _values(tables, a0: float, a: np.ndarray, b: np.ndarray):
-    """T and T' from the tables of cos k phi and sin k phi."""
-    cos, sin = tables
-    return a0 + cos @ a + sin @ b, cos @ (_HARMONICS * b) - sin @ (_HARMONICS * a)
+def _companion_roots(coeffs) -> np.ndarray:
+    """The nonzero roots of z^4 sum coeffs[k] z^(k-4), as numpy.roots
+    finds them: the eigenvalues of the companion matrix of the
+    coefficients from the leading nonzero one c_lead to the last nonzero
+    one, whose first row is -c[k]/c_lead and whose subdiagonal is ones.
+    """
+    p = np.asarray(coeffs[::-1])
+    nonzero = np.flatnonzero(p)
+    if len(nonzero) < 2:
+        return np.empty(0, dtype=complex)
+    p = p[nonzero[0]:nonzero[-1] + 1]
+    companion = np.eye(len(p) - 1, k=-1, dtype=p.dtype)
+    companion[0] = -p[1:] / p[0]
+    return np.linalg.eigvals(companion)
 
 
 def circle_angles(coeffs) -> np.ndarray:
     """Angle phi of each root on the unit circle of z^4 sum coeffs[k] z^(k-4).
 
-    The roots are the eigenvalues of the companion matrix (numpy.roots)
-    whose modulus is within _ON_CIRCLE of 1.  On the circle the
-    polynomial is the real trigonometric polynomial
+    The roots are the eigenvalues of the companion matrix (those
+    numpy.roots finds) whose modulus is within _ON_CIRCLE of 1.  On the
+    circle the polynomial is the real trigonometric polynomial
     T(phi) = a0 + sum_k (a_k cos k phi + b_k sin k phi), k = 1 ... 4, and
     _ROOT_NEWTON_STEPS Newton steps on T finish each root's angle; a step
     is skipped where T' vanishes.  A multiple root keeps one angle per
@@ -296,16 +363,18 @@ def circle_angles(coeffs) -> np.ndarray:
     """
     if max(map(abs, coeffs)) <= _ZERO_POLYNOMIAL:
         return np.empty(0)
-    z = np.roots(coeffs[::-1])
+    z = _companion_roots(coeffs)
     roots = np.angle(z[np.abs(np.abs(z) - 1.0) <= _ON_CIRCLE])
     a0 = coeffs[4].real
     a = np.array([2.0 * c.real for c in coeffs[5:]])
     b = np.array([-2.0 * c.imag for c in coeffs[5:]])
-    for _ in range(_ROOT_NEWTON_STEPS):
-        t, dt = _values(_tables(roots), a0, a, b)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = t / dt
-        roots = roots - np.where(np.isfinite(step), step, 0.0)
+    # the weights of T' = sum_k k (b_k cos k phi - a_k sin k phi)
+    ka, kb = _HARMONICS * a, _HARMONICS * b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_ROOT_NEWTON_STEPS):
+            cos, sin = _tables(roots)
+            step = (a0 + cos @ a + sin @ b) / (cos @ kb - sin @ ka)
+            roots = roots - np.where(np.isfinite(step), step, 0.0)
     return roots
 
 
@@ -313,23 +382,25 @@ def fixed_points(params, tol_deg: float) -> np.ndarray:
     """(alpha, beta, residual) rows of the fixed points of the composed
     best-response map, one row per fixed point.
 
-    The unit-circle roots of the fixed-point polynomial whose residual
-    is within _RAW_ROOT_DEG of zero are polished on the unsquared
-    residual and kept where that is within tol_deg of zero.  This drops
-    the roots of the other square-root branch, those where K_A points
-    against e (residual +-90) and the zeros of K_B (residual NaN).  The
-    residuals of that first test come from the composition at the roots
-    and their neighbours that also gives polish its first Newton step;
-    when no root passes it, nothing is polished.
+    The polynomial's input is the game's kernel.  The unit-circle roots
+    of the fixed-point polynomial whose residual is within _RAW_ROOT_DEG
+    of zero are polished on the unsquared residual and kept where that
+    is within tol_deg of zero.  This drops the roots of the other
+    square-root branch, those where K_A points against e (residual
+    +-90) and the zeros of K_B (residual NaN).  The residuals of that
+    first test, taken without Bob's answers, come from the evaluation at
+    the roots and their neighbours that also gives polish its first
+    Newton step; when no root passes it, nothing is polished.  Bob's
+    answers are computed once, at the polished angles.
     """
-    coeffs = polynomial(harmonic_map(params, ALICE), harmonic_map(params, BOB))
+    kernel = params.kernel
+    coeffs = polynomial(_real_map(*kernel.alice), _real_map(*kernel.bob))
     alphas = wrap_half_turn(0.5 * np.degrees(circle_angles(coeffs)))
-    betas, residuals = compose(_paired(alphas), params)
+    residuals = _residuals(_paired(alphas), params)
     near = np.abs(residuals[:len(alphas)]) < _RAW_ROOT_DEG
     if not near.any():
         return np.empty((0, 3))
-    pair = np.concatenate((near, near))
-    rows = np.column_stack(_newton(alphas[near], betas[pair], residuals[pair], params))
+    rows = np.column_stack(_newton(alphas[near], residuals[np.concatenate((near, near))], params))
     return rows[np.abs(rows[:, 2]) <= tol_deg]
 
 
@@ -345,7 +416,8 @@ def _harmonic_angles(u1: float, u2: float, k: float) -> list[float]:
 def indifference_points(params, tol_deg: float) -> tuple[np.ndarray, np.ndarray]:
     """(alpha, beta, residual) rows of the equilibria at which one player
     is indifferent, that is, where the composed map is undefined, and the
-    alphas at which Bob is indifferent.
+    alphas at which it is undefined: those at which Bob is indifferent,
+    and those Bob answers with a beta at which Alice is.
 
     A player's harmonic K = k0 + M e(x) vanishes only where one row of it
     does, at one of at most two closed-form opponent angles x0, kept
@@ -355,35 +427,37 @@ def indifference_points(params, tol_deg: float) -> tuple[np.ndarray, np.ndarray]
     equation in (cos 2y, sin 2y).  At one sign of that harmonic the
     opponent's best reply is x0, at the other x0 + 90.  The residual is
     the opponent's best-reply defect from x0, 0 where that reply is flat
-    too, and the rows within tol_deg of zero are kept.
+    too, and the rows within tol_deg of zero are kept; the alphas of the
+    rows kept where Alice is indifferent are the alphas Bob answers with
+    x0.
     """
-    rows, bob_zeros = [], []
-    for player, opponent in ((BOB, ALICE), (ALICE, BOB)):
-        k0, m = harmonic_map(params, player)
-        (k1, k2), ((m11, m12), (m21, m22)) = k0, m
-        (o1, o2), ((p11, p12), (p21, p22)) = harmonic_map(params, opponent)
+    kernel = params.kernel
+    rows, undefined = [], []
+    for player, opponent, own, other in ((BOB, ALICE, kernel.bob, kernel.alice),
+                                         (ALICE, BOB, kernel.alice, kernel.bob)):
+        (k1, k2), ((m11, m12), (m21, m22)) = _real_map(*own)
+        (o1, o2), ((p11, p12), (p21, p22)) = _real_map(*other)
         if math.hypot(m11, m12) >= math.hypot(m21, m22):
             zeros = _harmonic_angles(m11, m12, -k1)
         else:
             zeros = _harmonic_angles(m21, m22, -k2)
         for x0 in zeros:
             e = cmath.exp(2j * math.radians(x0))
-            if not _flat(harmonic(e, k0, m), params):
+            if not _flat(abs(_harmonic(e, *own)), kernel):
                 continue
-            if player == BOB:
-                bob_zeros.append(x0)
             c, s = e.real, e.imag
             ys = np.array(_harmonic_angles(p11 * s - p21 * c, p12 * s - p22 * c,
                                            o2 * c - o1 * s))
             reply = best_responses(ys, params, opponent)
             residual = np.where(np.isnan(reply), 0.0, signed_delta(reply, x0))
+            kept = np.abs(residual) <= tol_deg
             xs = np.full_like(ys, x0)
             rows.append(np.column_stack((xs, ys, residual) if player == BOB
-                                        else (ys, xs, residual)))
+                                        else (ys, xs, residual))[kept])
+            undefined.extend([x0] if player == BOB else ys[kept])
     if not rows:
-        return np.empty((0, 3)), np.array(bob_zeros)
-    rows = np.concatenate(rows)
-    return rows[np.abs(rows[:, 2]) <= tol_deg], np.array(bob_zeros)
+        return np.empty((0, 3)), np.array(undefined)
+    return np.concatenate(rows), np.array(undefined)
 
 
 def unexplained_crossings(alphas: np.ndarray, residuals: np.ndarray, explained: np.ndarray,
@@ -399,7 +473,7 @@ def unexplained_crossings(alphas: np.ndarray, residuals: np.ndarray, explained: 
     residual) rows.
     """
     step = alphas[1] - alphas[0]
-    r_next = np.append(residuals[1:], residuals[0])
+    r_next = np.concatenate((residuals[1:], residuals[:1]))
     bracket = (residuals == 0.0) | ((residuals * r_next < 0.0)
                                     & (np.abs(r_next - residuals) < 90.0))
     if not bracket.any():

@@ -230,3 +230,18 @@ def test_no_polish_without_a_root(monkeypatch):
     # criterion 3's game has a root, so its solve does polish
     with pytest.raises(AssertionError, match="polished without a root"):
         find_equilibria(EX3)
+
+
+def test_each_game_builds_its_kernel_once(monkeypatch):
+    # a solve reads the kernel its game caches; a second solve of the same
+    # game rebuilds no harmonic map
+    def harmonic_map(*args):
+        raise AssertionError("harmonic map rebuilt")
+
+    for stakes, theta_a, theta_b in ((EX3.stakes, 30.0, 20.0), ((3, 1, 1, 1), 15.0, 70.0),
+                                     ((3, 1, 1, 1), 30.0, 165.0), ((1, 1, 1, 1), 45.0, 45.0)):
+        params = GameParams(*stakes, theta_a, theta_b)
+        first = find_equilibria(params, scan_step_deg=0.7)
+        with monkeypatch.context() as patched:
+            patched.setattr(fixedpoint, "harmonic_map", harmonic_map)
+            assert find_equilibria(params, scan_step_deg=0.7) == first

@@ -1,6 +1,7 @@
 """Best responses, reaction curves, and the fixed-point equilibrium search."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -252,6 +253,20 @@ def test_find_equilibria_degeneracy_regions():
     assert any(lo <= 135.0 < hi for lo, hi in regions)
 
 
+def test_solved_game_keeps_equality_hash_repr_and_pickles():
+    # the kernel cached by a solve is no field: it changes neither ==,
+    # hash nor repr, and it survives a pickle round trip
+    params, fresh = GameParams(3, 3, 5, 1, 30.0, 20.0), GameParams(3, 3, 5, 1, 30.0, 20.0)
+    result = find_equilibria(params)
+    assert params == fresh
+    assert (hash(params), repr(params)) == (hash(fresh), repr(fresh))
+    restored = pickle.loads(pickle.dumps(params))
+    assert restored == params
+    assert (hash(restored), repr(restored)) == (hash(params), repr(params))
+    assert restored.kernel == params.kernel
+    assert find_equilibria(restored) == find_equilibria(fresh) == result
+
+
 def test_find_equilibria_where_both_players_are_indifferent():
     # Bob's harmonic vanishes at alpha 45 and 135 and Alice's at beta 45
     # and 135, so each of the four profiles is an equilibrium at which
@@ -317,14 +332,15 @@ def test_find_equilibria_reports_indifference_equilibria(mirror):
         for alpha, beta in expected:
             assert any(wrapped_distance(alpha, a) <= 1e-6 and wrapped_distance(beta, b) <= 1e-6
                        for a, b in reported), (params, alpha, beta, reported)
-        # Bob's best response is undefined at alpha = x0, so the scan cell
-        # holding x0 is a degeneracy region even where x0 is off the grid
-        if expected and not mirror:
-            assert any(lo <= x0 <= hi for lo, hi in result.degeneracy_regions), (params, x0)
-        # the composed map jumps at x0, so a scan bracket across x0 is no
-        # unexplained crossing and adds no unverified candidate
-        if not mirror:
-            assert len(result) == len(result.verified), (params, x0, list(result))
+        # the composed map is undefined at the alpha of each such profile
+        # (x0 where Bob is indifferent, or the alpha Bob answers with x0),
+        # so the scan cell holding it is a degeneracy region even where
+        # that alpha is off the grid
+        for alpha, _ in expected:
+            assert any(lo <= alpha <= hi for lo, hi in result.degeneracy_regions), (params, alpha)
+        # the composed map jumps at that alpha, so a scan bracket across it
+        # is no unexplained crossing and adds no unverified candidate
+        assert len(result) == len(result.verified), (params, x0, list(result))
         with_partner += bool(expected)
         with_two += len(expected) == 2
     assert with_partner >= 10 and with_two >= 2
@@ -356,6 +372,21 @@ def test_find_equilibria_bob_indifference_inside_a_coarse_scan_bracket():
     assert result[0].beta_star_deg == pytest.approx(175.958, abs=1e-3)
     (region,) = result.degeneracy_regions
     assert region == pytest.approx((59.5, 60.2))
+
+
+def test_find_equilibria_alice_indifference_inside_a_scan_bracket():
+    # Alice is indifferent at beta 172.512, Bob's answer to alpha 98.232;
+    # the residual changes sign across the jump of the composed map there,
+    # and that alpha explains the bracket instead of adding a crossing
+    # whose residual, 5.8 degrees, the absolute tolerance of
+    # verify_equilibrium passes
+    params = GameParams(167.00504877064787, 1.0707185339242116, 2.88508741956004,
+                        4.303956504759381, 122.06087752912387, 109.0210108951516)
+    result = find_equilibria(params)
+    assert len(result) == len(result.verified) == 1
+    assert result[0].alpha_star_deg == pytest.approx(98.232333, abs=1e-6)
+    assert result[0].residual_deg <= 1e-9
+    assert result.degeneracy_regions == ((98.0, 98.25),)
 
 
 def test_search_result_container_protocol():

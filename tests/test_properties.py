@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from orthogame.angles import signed_delta, wrapped_distance
 from orthogame.classical import PayoffMatrix
-from orthogame.equilibrium import (GameParams, best_response_alice, best_response_bob,
-                                   find_equilibria, verify_equilibrium)
-from orthogame.fixedpoint import (ALICE, BOB, best_responses, compose, harmonic, harmonic_map,
-                                  phase, scan)
+from orthogame.equilibrium import (DEGENERACY_SQ, GameParams, best_response_alice,
+                                   best_response_bob, find_equilibria, verify_equilibrium)
+from orthogame.fixedpoint import (ALICE, BOB, _companion_roots, best_responses, compose,
+                                  harmonic, harmonic_map, phase, polynomial, scan)
 from orthogame.quantum import (LogicRepresentation, QuantumStrategy,
                                expectation, payoff_closed_form, payoff_operator)
 
@@ -145,3 +145,42 @@ def test_scan_residuals_equal_compose(s, exponent, theta_a, theta_b):
             alphas, residuals = scan(params, step)
             np.testing.assert_array_equal(alphas, grid)
             np.testing.assert_array_equal(residuals, compose(grid, params)[1])
+
+
+@deterministic
+@given(stakes, wide_decades, mixing_angle, mixing_angle)
+@example((0.0, 0.0, 0.0, 0.0), 0, 45.0, 45.0)
+@example((3.0, 1.0, 1.0, 1.0), 0, 15.0, 70.0)
+def test_kernel_holds_the_harmonic_maps(s, exponent, theta_a, theta_b):
+    # the kernel a game caches is harmonic_map's entries as complex numbers
+    params = GameParams(*(x * 10.0 ** exponent for x in s), theta_a, theta_b)
+    kernel = params.kernel
+    assert params.kernel is kernel
+    for player, coefficients in ((ALICE, kernel.alice), (BOB, kernel.bob)):
+        (k1, k2), ((m11, m12), (m21, m22)) = harmonic_map(params, player)
+        expected = [complex(k1, k2), complex(m11, m21), complex(m12, m22)]
+        np.testing.assert_array_equal(np.array(coefficients).view(np.uint64),
+                                      np.array(expected).view(np.uint64))
+    scale = max(map(abs, params.stakes))
+    assert kernel.scale == scale
+    assert kernel.radius == math.sqrt(DEGENERACY_SQ) * scale
+
+
+@deterministic
+@given(stakes, wide_decades, mixing_angle, mixing_angle)
+# every coefficient zero
+@example((0.0, 0.0, 0.0, 0.0), 0, 45.0, 45.0)
+@example((1.0, 1.0, 1.0, 1.0), 0, 45.0, 45.0)
+def test_companion_roots_equal_numpy_roots(s, exponent, theta_a, theta_b):
+    # the companion matrix is built as numpy.roots builds it, so its
+    # eigenvalues are numpy.roots' roots bit for bit, less the zero root
+    # numpy.roots appends for each trailing zero coefficient
+    params = GameParams(*(x * 10.0 ** exponent for x in s), theta_a, theta_b)
+    coeffs = polynomial(harmonic_map(params, ALICE), harmonic_map(params, BOB))
+    # the terms in z^-4, z^4 and z^-3, z^3 are coeffs[0], coeffs[8], coeffs[1], coeffs[7]
+    for zeroed in ((), (0,), (8,), (0, 8), (0, 1, 7, 8)):
+        zeroed_coeffs = [0j if k in zeroed else c for k, c in enumerate(coeffs)]
+        found = _companion_roots(zeroed_coeffs)
+        expected = np.roots(zeroed_coeffs[::-1])
+        np.testing.assert_array_equal(found, expected[:len(found)])
+        assert not np.any(expected[len(found):])
