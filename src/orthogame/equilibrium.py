@@ -31,7 +31,7 @@ import numpy as np
 
 from . import fixedpoint
 from .angles import wrapped_distance
-from .fixedpoint import ALICE, BOB, DEGENERACY_SQ, best_responses, stake_scale
+from .fixedpoint import ALICE, BOB, DEGENERACY_SQ, best_responses
 from .quantum import (AmplitudeSquares, LogicRepresentation, QuantumStrategy,
                       _diagonal_terms, amplitudes, payoff_grid)
 
@@ -201,7 +201,7 @@ def verify_equilibrium(alpha_star_deg: float, beta_star_deg: float, params: Game
     """
     _check_probe_count(n_probe)
     if tol is None:
-        tol = 1e-6 * stake_scale(params)
+        tol = 1e-6 * params.kernel.scale
     value = float(params.payoff(alpha_star_deg, beta_star_deg))
     grid = _probe_grid(n_probe)
 

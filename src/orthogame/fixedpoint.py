@@ -17,21 +17,22 @@ complex coefficients, the largest stake and the flatness radius.  Every
 stage of a solve reads it, so no stage rebuilds a harmonic map or
 rescans the stakes.
 
-Write e = (cos phi, sin phi), phi = 2a, for Alice's angle a.  Bob's
-harmonic against a is K_B = b0 + B e; Alice's against Bob's answer
-w = -K_B/|K_B| is K_A = a0 + A w.  Alice's angle is a fixed point of the
-composed map when K_A points along e: K_A x e = 0, where
-u x e = u1 sin phi - u2 cos phi, and K_A . e > 0.  Multiplied by |K_B|
-the cross condition reads (a0 x e) |K_B| = (A K_B) x e.  Squared, it is
-a trigonometric polynomial of degree at most 4 in phi, that is z^-4
-times a degree-8 polynomial in z = exp(i phi) (spectral rootfinding for
-Fourier series: J. P. Boyd, J. Eng. Math. 56 (2006) 203-219).  Its
-unit-circle roots are the eigenvalues of the companion matrix that lie
-near the circle, finished by Newton steps on the real polynomial; the
-matrix is built directly, as numpy.roots builds it, without the zero
-roots numpy.roots appends.  The roots hold every fixed point, and also
-the roots of the other square-root branch, where Alice answers -w, and
-the zeros of K_B; Newton steps on the unsquared residual and a residual
+Write z = e = exp(i phi), phi = 2a, for Alice's angle a.  On the unit
+circle conj(z) = 1/z, so Bob's harmonic is the Laurent polynomial
+K_B = nu_B/z + kappa0_B + mu_B z, and conj(K_B) is its coefficient list
+reversed and conjugated.  Alice's angle is a fixed point of the composed
+map when K_A points along e: Im(K_A conj(e)) = 0 and Re(K_A conj(e)) > 0.
+Multiplied by |K_B| the first condition reads Im(kappa0_A conj(e)) |K_B|
+= Im(L conj(e)), L = mu_A K_B + nu_A conj(K_B), where Im(f conj(e)) =
+(f/z - conj(f) z)/2i.  Squared, with |K_B|^2 = K_B conj(K_B), it is z^-4
+times a degree-8 polynomial in z (spectral rootfinding for Fourier
+series: J. P. Boyd, J. Eng. Math. 56 (2006) 203-219).  Its unit-circle
+roots are the eigenvalues of the companion matrix that lie near the
+circle, finished by Newton steps on the real polynomial; the matrix is
+built directly, as numpy.roots builds it, without the zero roots
+numpy.roots appends.  The roots hold every fixed point, and also the
+roots of the other square-root branch, where Alice answers -w, and the
+zeros of K_B; Newton steps on the unsquared residual and a residual
 test tell them apart.  One residual evaluation at the raw roots and at
 their forward-difference neighbours gives both that test and the first
 Newton step.
@@ -39,7 +40,8 @@ Newton step.
 Bob's answer angles are computed only where they are returned: the
 residual test, the Newton steps and the scan take the residuals alone
 from the composition kernel, and compose, which adds Bob's angles, runs
-once, at the polished angles.  The scan is a cross-check on a fixed
+at the polished angles, and again only where polish puts an angle back
+at its start.  The scan is a cross-check on a fixed
 grid whose phases are computed once per step and cached read-only.
 
 Where a player's harmonic vanishes that player is indifferent and the
@@ -64,9 +66,6 @@ from .angles import signed_delta, wrap_half_turn
 DEGENERACY_SQ = 1e-18
 
 ALICE, BOB = "alice", "bob"
-# cos phi and sin phi as Laurent coefficients of z^-1, z^0, z^1
-_COS = (0.5, 0.0, 0.5)
-_SIN = (0.5j, 0.0, -0.5j)
 # an eigenvalue of the companion matrix whose modulus is this close to 1
 # is taken for a root on the unit circle: the eigenvalues of a k-fold
 # root scatter by about eps^(1/k), 1e-5 for a triple root; an eigenvalue
@@ -91,9 +90,8 @@ _NEWTON_TOL_DEG = 1e-12
 class HarmonicKernel(NamedTuple):
     """One game's harmonics, built once per game.
 
-    alice and bob are the players' harmonic maps as the complex
-    coefficients (kappa0, m_1, m_2) of K = kappa0 + m_1 Re e + m_2 Im e
-    (see harmonic); scale is the largest |stake| and radius,
+    alice and bob are the players' harmonics (kappa0, m_1, m_2) from
+    harmonic_map; scale is the largest |stake| and radius,
     sqrt(DEGENERACY_SQ) * scale, the largest |K| that is flat.
     """
 
@@ -106,25 +104,20 @@ class HarmonicKernel(NamedTuple):
 def harmonic_kernel(params) -> HarmonicKernel:
     """The kernel of a game; GameParams caches it as params.kernel."""
     scale = max(map(abs, params.stakes))
-    return HarmonicKernel(_coefficients(*harmonic_map(params, ALICE)),
-                          _coefficients(*harmonic_map(params, BOB)),
+    return HarmonicKernel(harmonic_map(params, ALICE), harmonic_map(params, BOB),
                           scale, math.sqrt(DEGENERACY_SQ) * scale)
 
 
-def stake_scale(params) -> float:
-    """Largest |stake|, the unit of payoff tolerances and flatness."""
-    return params.kernel.scale
-
-
-def harmonic_map(params, player: str):
-    """A player's harmonic (K1, K2) as an affine map k0 + m @ (cos 2x, sin 2x)
-    of the opponent angle x.
+def harmonic_map(params, player: str) -> tuple[complex, complex, complex]:
+    """A player's harmonic K = K1 + i K2 as the complex coefficients
+    (kappa0, m_1, m_2) of K = kappa0 + m_1 cos 2x + m_2 sin 2x in the
+    opponent angle x.
 
     With (p, q) the stakes the player meets on the axis diagonal, (r, s)
-    those on the rotated one, t_own and t_opp the two mixing angles,
-    K = (h, 0)/2 + g (cos 2t_own, sin 2t_own)/2, where
-    h = p sin^2 x - q cos^2 x and g = r sin^2(x - t_opp) - s cos^2(x - t_opp);
-    both are affine in (cos 2x, sin 2x).
+    those on the rotated one, n = exp(2i t_own) and o = exp(2i t_opp) for
+    the two mixing angles, K = h/2 + g n/2, where h = p sin^2 x -
+    q cos^2 x = (p - q)/2 - (p + q)/2 cos 2x and g = r sin^2(x - t_opp) -
+    s cos^2(x - t_opp) = (r - s)/2 - (r + s)/2 (Re o cos 2x + Im o sin 2x).
     """
     if player == ALICE:
         p, q, r, s = params.a, params.c, params.b, params.d
@@ -132,13 +125,10 @@ def harmonic_map(params, player: str):
     else:
         p, q, r, s = params.c, params.a, params.d, params.b
         t_own, t_opp = params.theta_b_deg, params.theta_a_deg
-    own, opp = math.radians(2.0 * t_own), math.radians(2.0 * t_opp)
-    n1, n2 = math.cos(own) / 2.0, math.sin(own) / 2.0
-    g0, g = (r - s) / 2.0, (r + s) / 2.0
-    o1, o2 = g * math.cos(opp), g * math.sin(opp)
-    k0 = ((p - q) / 4.0 + n1 * g0, n2 * g0)
-    m = ((-(p + q) / 4.0 - n1 * o1, -n1 * o2), (-n2 * o1, -n2 * o2))
-    return k0, m
+    n = cmath.exp(1j * math.radians(2.0 * t_own))
+    o = cmath.exp(1j * math.radians(2.0 * t_opp))
+    g = (r + s) / 4.0
+    return (p - q) / 4.0 + (r - s) / 4.0 * n, -(p + q) / 4.0 - g * o.real * n, -g * o.imag * n
 
 
 def phase(angle_deg):
@@ -146,31 +136,11 @@ def phase(angle_deg):
     return np.exp((1j * math.pi / 90.0) * np.asarray(angle_deg, dtype=float))
 
 
-def harmonic(e, k0, m):
-    """K = K1 + i K2 of the harmonic map (k0, m) of harmonic_map against
-    each opponent phase e = exp(2ix); broadcasts over arrays.
-
-    With k0 and the columns of m as complex numbers kappa0 = k01 + i k02
-    and m_j = m1j + i m2j, K = kappa0 + m_1 Re e + m_2 Im e, which is
-    kappa0 + mu e + nu conj(e) with mu = (m_1 - i m_2)/2 and
-    nu = (m_1 + i m_2)/2.
-    """
-    return _harmonic(e, *_coefficients(k0, m))
-
-
-def _coefficients(k0, m) -> tuple[complex, complex, complex]:
-    """The complex coefficients (kappa0, m_1, m_2) of the map (k0, m)."""
-    (k1, k2), ((m11, m12), (m21, m22)) = k0, m
-    return complex(k1, k2), complex(m11, m21), complex(m12, m22)
-
-
-def _real_map(kappa0: complex, m_1: complex, m_2: complex):
-    """The map (k0, m) of harmonic_map with these complex coefficients."""
-    return (kappa0.real, kappa0.imag), ((m_1.real, m_2.real), (m_1.imag, m_2.imag))
-
-
 def _harmonic(e, kappa0, m_1, m_2):
-    """K = kappa0 + m_1 Re e + m_2 Im e; broadcasts over arrays."""
+    """K = kappa0 + m_1 Re e + m_2 Im e against each opponent phase
+    e = exp(2ix), which is kappa0 + mu e + nu conj(e) with
+    mu = (m_1 - i m_2)/2 and nu = (m_1 + i m_2)/2; broadcasts over arrays.
+    """
     return kappa0 + m_1 * e.real + m_2 * e.imag
 
 
@@ -260,12 +230,14 @@ def polish(alphas: np.ndarray, params) -> tuple[np.ndarray, np.ndarray, np.ndarr
     _NEWTON_TOL_DEG, and returns the angles with Bob's answers and the
     residuals computed there; a step left unapplied stays as an error
     in alpha, which a steep best response of Bob multiplies into beta.
-    A candidate whose residual or slope is undefined stays where it is.
+    A candidate whose residual or slope is undefined stays where it is,
+    and one whose |residual| the steps raised goes back to its start.
 
     Each step takes the residuals alone at the angles and at their
     neighbours _NEWTON_H_DEG ahead together, and a step is evaluated
     only when another follows it; compose, for Bob's answers and the
-    residuals, runs once, at the returned angles.  fixed_points passes
+    residuals, runs at the stepped angles, and again only when some
+    angle went back.  fixed_points passes
     in the first residuals, which it has already taken for its residual
     test.
     """
@@ -275,6 +247,7 @@ def polish(alphas: np.ndarray, params) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def _newton(alphas, residuals, params):
     """polish, given the residuals at _paired(alphas)."""
     n = len(alphas)
+    start, start_residuals = alphas, residuals[:n]
     for k in range(1, _NEWTON_STEPS + 1):
         with np.errstate(divide="ignore", invalid="ignore"):
             step = residuals[:n] * _NEWTON_H_DEG / (residuals[n:] - residuals[:n])
@@ -283,7 +256,14 @@ def _newton(alphas, residuals, params):
         if k == _NEWTON_STEPS or not np.any(np.abs(step) > _NEWTON_TOL_DEG):
             break
         residuals = _residuals(_paired(alphas), params)
-    return (alphas, *compose(alphas, params))
+    betas, residuals = compose(alphas, params)
+    # where Bob is steep the forward difference can span the residual's
+    # whole jump, and every step overshoots
+    worse = np.abs(residuals) > np.abs(start_residuals)
+    if worse.any():
+        alphas = np.where(worse, start, alphas)
+        betas, residuals = compose(alphas, params)
+    return alphas, betas, residuals
 
 
 def _times(f, g) -> list[complex]:
@@ -299,31 +279,35 @@ def _times(f, g) -> list[complex]:
     return out
 
 
-def _cross_e(u1, u2) -> list[complex]:
-    """u x e = u1 sin phi - u2 cos phi for Laurent polynomials u1, u2."""
-    return [x - y for x, y in zip(_times(u1, _SIN), _times(u2, _COS))]
+def _conj(f) -> list[complex]:
+    """conj(f) of a Laurent polynomial f in z on the unit circle."""
+    return [c.conjugate() for c in reversed(f)]
+
+
+def _im_along_e(f) -> list[complex]:
+    """Im(f conj(e)) = (f/z - conj(f) z)/2i on the unit circle z = e."""
+    return [(x - y) / 2j for x, y in zip([*f, 0j, 0j], [0j, 0j, *_conj(f)])]
 
 
 def polynomial(alice, bob) -> list[complex]:
-    """Coefficients of z^-4 ... z^4 of (a0 x e)^2 |K_B|^2 - ((A K_B) x e)^2.
+    """Coefficients of z^-4 ... z^4 of Im(kappa0_A conj(e))^2 K_B conj(K_B)
+    - Im(L conj(e))^2, where L = mu_A K_B + nu_A conj(K_B).
 
-    alice = (a0, A) and bob = (b0, B) are the affine maps of the two
-    harmonics, as a pair of 2-vectors and a 2x2 nested sequence.  The
-    coefficients are scaled so that the largest map entry is 1.
+    alice and bob are the harmonics (kappa0, m_1, m_2) of harmonic_map,
+    with mu = (m_1 - i m_2)/2 and nu = (m_1 + i m_2)/2.  The coefficients
+    are scaled so that the largest |coefficient| of the two is 1.
     """
-    (a0, am), (b0, bm) = alice, bob
-    scale = max(abs(x) for x in (*a0, *am[0], *am[1], *b0, *bm[0], *bm[1]))
+    scale = max(map(abs, (*alice, *bob)))
     if scale == 0.0:
         return [0j] * 9
-    a0, am = [x / scale for x in a0], [[x / scale for x in row] for row in am]
-    kb = [[(b1 + 1j * b2) / (2.0 * scale), c / scale, (b1 - 1j * b2) / (2.0 * scale)]
-          for c, (b1, b2) in zip(b0, bm)]
-    akb = [[row[0] * x + row[1] * y for x, y in zip(*kb)] for row in am]
-    a0_cross = _cross_e([a0[0]], [a0[1]])
-    akb_cross = _cross_e(*akb)
-    kb_sq = [x + y for x, y in zip(_times(kb[0], kb[0]), _times(kb[1], kb[1]))]
-    return [x - y for x, y in zip(_times(_times(a0_cross, a0_cross), kb_sq),
-                                  _times(akb_cross, akb_cross))]
+    (kappa0, m_1, m_2), (b0, b1, b2) = ([c / scale for c in h] for h in (alice, bob))
+    k_b = [(b1 + 1j * b2) / 2.0, b0, (b1 - 1j * b2) / 2.0]
+    k_b_conj = _conj(k_b)
+    mu, nu = (m_1 - 1j * m_2) / 2.0, (m_1 + 1j * m_2) / 2.0
+    a0_im = _im_along_e([kappa0])
+    l_im = _im_along_e([mu * x + nu * y for x, y in zip(k_b, k_b_conj)])
+    return [x - y for x, y in zip(_times(_times(a0_im, a0_im), _times(k_b, k_b_conj)),
+                                  _times(l_im, l_im))]
 
 
 def _tables(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -394,7 +378,7 @@ def fixed_points(params, tol_deg: float) -> np.ndarray:
     answers are computed once, at the polished angles.
     """
     kernel = params.kernel
-    coeffs = polynomial(_real_map(*kernel.alice), _real_map(*kernel.bob))
+    coeffs = polynomial(kernel.alice, kernel.bob)
     alphas = wrap_half_turn(0.5 * np.degrees(circle_angles(coeffs)))
     residuals = _residuals(_paired(alphas), params)
     near = np.abs(residuals[:len(alphas)]) < _RAW_ROOT_DEG
@@ -419,12 +403,13 @@ def indifference_points(params, tol_deg: float) -> tuple[np.ndarray, np.ndarray]
     alphas at which it is undefined: those at which Bob is indifferent,
     and those Bob answers with a beta at which Alice is.
 
-    A player's harmonic K = k0 + M e(x) vanishes only where one row of it
-    does, at one of at most two closed-form opponent angles x0, kept
-    where the flatness test of best_responses holds there.  The player's
-    partner angles y are those against which the opponent's harmonic is
-    parallel to e(x0): its cross product with e(x0) is one linear
-    equation in (cos 2y, sin 2y).  At one sign of that harmonic the
+    A player's harmonic K = kappa0 + m_1 cos 2x + m_2 sin 2x vanishes only
+    where its real or imaginary part does, at one of at most two
+    closed-form opponent angles x0, taken from the part whose m-terms
+    are larger and kept where the flatness test of best_responses holds
+    there.  The player's partner angles y are those against which the
+    opponent's harmonic K' is parallel to e(x0): Im(conj(K') e(x0)) = 0
+    is one linear equation in (cos 2y, sin 2y).  At one sign of K' the
     opponent's best reply is x0, at the other x0 + 90.  The residual is
     the opponent's best-reply defect from x0, 0 where that reply is flat
     too, and the rows within tol_deg of zero are kept; the alphas of the
@@ -435,19 +420,14 @@ def indifference_points(params, tol_deg: float) -> tuple[np.ndarray, np.ndarray]
     rows, undefined = [], []
     for player, opponent, own, other in ((BOB, ALICE, kernel.bob, kernel.alice),
                                          (ALICE, BOB, kernel.alice, kernel.bob)):
-        (k1, k2), ((m11, m12), (m21, m22)) = _real_map(*own)
-        (o1, o2), ((p11, p12), (p21, p22)) = _real_map(*other)
-        if math.hypot(m11, m12) >= math.hypot(m21, m22):
-            zeros = _harmonic_angles(m11, m12, -k1)
-        else:
-            zeros = _harmonic_angles(m21, m22, -k2)
-        for x0 in zeros:
+        parts = ([c.real for c in own], [c.imag for c in own])
+        k, u1, u2 = max(parts, key=lambda part: math.hypot(part[1], part[2]))
+        for x0 in _harmonic_angles(u1, u2, -k):
             e = cmath.exp(2j * math.radians(x0))
             if not _flat(abs(_harmonic(e, *own)), kernel):
                 continue
-            c, s = e.real, e.imag
-            ys = np.array(_harmonic_angles(p11 * s - p21 * c, p12 * s - p22 * c,
-                                           o2 * c - o1 * s))
+            k, u1, u2 = ((c.conjugate() * e).imag for c in other)
+            ys = np.array(_harmonic_angles(u1, u2, -k))
             reply = best_responses(ys, params, opponent)
             residual = np.where(np.isnan(reply), 0.0, signed_delta(reply, x0))
             kept = np.abs(residual) <= tol_deg

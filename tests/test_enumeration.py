@@ -37,6 +37,12 @@ STEEP_BOB = GameParams(9.96619230971892, 4.147195379985186, 3.7964574020539477,
                        0.895754578130782, 6.726662415119358, 17.471849482076767)
 STEEP_BOB_ALPHA = 121.678252408444470
 STEEP_BOB_BETA = 33.658557969366914
+# A game whose only equilibrium sits where the residual rises by about
+# 1.4e8 degrees per degree of alpha, and the angle of the fixed-point
+# polynomial's root there, to about 4e-12 degrees.
+STEEP_RESIDUAL = GameParams(4.088702178087739, 2.5629831542334123, 5.164779186923289,
+                            1.7908755701264256, 89.93972978061063, 87.78688468208976)
+STEEP_RESIDUAL_ROOT = 138.87948114637666
 
 
 def _random_game(rng):
@@ -123,6 +129,16 @@ def test_circle_angles_match_companion_matrix():
     assert matched >= 400
 
 
+def test_circle_angles_finish_roots_on_the_polynomial():
+    # the companion matrix's eigenvalues put this game's roots up to 4e-12
+    # radians from the 30-digit roots; the Newton steps on T finish them
+    coeffs = fixedpoint.polynomial(STEEP_RESIDUAL.kernel.alice, STEEP_RESIDUAL.kernel.bob)
+    found = fixedpoint.circle_angles(coeffs)
+    expected = _reference_angles(coeffs)
+    assert len(found) == len(expected)
+    assert all(np.min(_circular_gap(found, phi)) <= 1e-12 for phi in expected)
+
+
 def _laurent_product(*factors):
     product = [1.0]
     for factor in factors:
@@ -190,6 +206,19 @@ def test_polished_root_accurate_where_bob_is_steep():
     assert report.verified
     assert abs(report.alpha_star_deg - STEEP_BOB_ALPHA) <= 1e-11
     assert abs(report.beta_star_deg - STEEP_BOB_BETA) <= 1e-9
+
+
+def test_polish_never_raises_the_residual():
+    # a forward difference of 1e-6 degrees spans the residual's whole jump
+    # here, so Newton steps overshoot; polish keeps the better of its start
+    # and their end, so a start within the refine tolerance stays within it
+    starts = STEEP_RESIDUAL_ROOT + np.arange(-5, 6) * 1e-12
+    before = fixedpoint.compose(starts, STEEP_RESIDUAL)[1]
+    alphas, betas, residuals = fixedpoint.polish(starts, STEEP_RESIDUAL)
+    assert np.all(np.abs(before) <= 0.005)
+    assert np.all(np.abs(residuals) <= np.abs(before))
+    np.testing.assert_array_equal(fixedpoint.compose(alphas, STEEP_RESIDUAL),
+                                  (betas, residuals))
 
 
 def test_scan_cross_check_recovers_dropped_root(monkeypatch):

@@ -406,9 +406,10 @@ def test_find_equilibria_keeps_steep_crossing():
 
 
 def test_find_equilibria_keeps_root_finished_on_the_polynomial():
-    # Bob is steep here: Newton steps on the residual end at 1.1e-3 degrees
-    # from the root circle_angles finishes on the polynomial, but at 1.6e-2,
-    # outside the refine tolerance, from the eigenvalue's unfinished angle
+    # Bob is steep here: the residual is 5.4e-4 degrees at the root
+    # circle_angles finishes on the polynomial and 3.0e-3 at the
+    # eigenvalue's unfinished angle, and Newton steps on the residual,
+    # which overshoot from either, must not leave it larger
     params = GameParams(4.088702178087739, 2.5629831542334123, 5.164779186923289,
                         1.7908755701264256, 89.93972978061063, 87.78688468208976)
     for step in (0.25, 0.125):

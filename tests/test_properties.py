@@ -16,8 +16,8 @@ from orthogame.angles import signed_delta, wrapped_distance
 from orthogame.classical import PayoffMatrix
 from orthogame.equilibrium import (DEGENERACY_SQ, GameParams, best_response_alice,
                                    best_response_bob, find_equilibria, verify_equilibrium)
-from orthogame.fixedpoint import (ALICE, BOB, _companion_roots, best_responses, compose,
-                                  harmonic, harmonic_map, phase, polynomial, scan)
+from orthogame.fixedpoint import (ALICE, BOB, _companion_roots, _harmonic, best_responses,
+                                  compose, harmonic_map, phase, polynomial, scan)
 from orthogame.quantum import (LogicRepresentation, QuantumStrategy,
                                expectation, payoff_closed_form, payoff_operator)
 
@@ -92,10 +92,10 @@ def test_grid_gain_within_discretisation_of_analytic_gain(s, exponent, theta_a, 
     gains = [
         (float(np.max(params.payoff(grid, beta))) - value,
          float(params.payoff(response_a.angle_deg, beta)) - value,
-         abs(harmonic(phase(beta), *harmonic_map(params, ALICE)))),
+         abs(_harmonic(phase(beta), *harmonic_map(params, ALICE)))),
         (value - float(np.min(params.payoff(alpha, grid))),
          value - float(params.payoff(alpha, response_b.angle_deg)),
-         abs(harmonic(phase(alpha), *harmonic_map(params, BOB)))),
+         abs(_harmonic(phase(alpha), *harmonic_map(params, BOB)))),
     ]
     for grid_gain, analytic_gain, amplitude in gains:
         assert grid_gain <= analytic_gain + rounding
@@ -148,19 +148,20 @@ def test_scan_residuals_equal_compose(s, exponent, theta_a, theta_b):
 
 
 @deterministic
-@given(stakes, wide_decades, mixing_angle, mixing_angle)
-@example((0.0, 0.0, 0.0, 0.0), 0, 45.0, 45.0)
-@example((3.0, 1.0, 1.0, 1.0), 0, 15.0, 70.0)
-def test_kernel_holds_the_harmonic_maps(s, exponent, theta_a, theta_b):
-    # the kernel a game caches is harmonic_map's entries as complex numbers
-    params = GameParams(*(x * 10.0 ** exponent for x in s), theta_a, theta_b)
+@given(stakes, decades, mixing_angle, mixing_angle, angle)
+@example((0.0, 0.0, 0.0, 0.0), 0, 45.0, 45.0, 0.0)
+@example((3.0, 1.0, 1.0, 1.0), 0, 15.0, 70.0, 60.0)
+def test_kernel_harmonic_matches_payoff(s, exponent, theta_a, theta_b, x):
+    # the payoff is F0 + K1 cos 2t + K2 sin 2t in a player's own angle t, so
+    # the payoff at t = 0, 45 and 90 gives K = K1 + i K2 without the kernel
+    params = GameParams(*(v * 10.0 ** exponent for v in s), theta_a, theta_b)
     kernel = params.kernel
     assert params.kernel is kernel
-    for player, coefficients in ((ALICE, kernel.alice), (BOB, kernel.bob)):
-        (k1, k2), ((m11, m12), (m21, m22)) = harmonic_map(params, player)
-        expected = [complex(k1, k2), complex(m11, m21), complex(m12, m22)]
-        np.testing.assert_array_equal(np.array(coefficients).view(np.uint64),
-                                      np.array(expected).view(np.uint64))
+    own = np.array([0.0, 45.0, 90.0])
+    for harmonic, (f0, f45, f90) in ((kernel.alice, params.payoff(own, x)),
+                                     (kernel.bob, params.payoff(x, own))):
+        expected = (f0 - f90) / 2.0 + 1j * (f45 - (f0 + f90) / 2.0)
+        assert abs(_harmonic(phase(x), *harmonic) - expected) <= 1e-12 * max(params.stakes)
     scale = max(map(abs, params.stakes))
     assert kernel.scale == scale
     assert kernel.radius == math.sqrt(DEGENERACY_SQ) * scale
