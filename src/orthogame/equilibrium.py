@@ -15,14 +15,15 @@ The residual is also scanned on a fixed grid.  The scan yields the
 degeneracy regions, where a best response is non-unique, and serves as
 a cross-check: a sign change of the scanned residual that no enumerated
 root explains becomes a candidate of its own.  Verification is
-mandatory: every candidate is probed with dense two-sided deviations,
-and those that fail are reported with verified=False rather than
-dropped.
+mandatory: each player's largest gain from a unilateral deviation
+follows in closed form from the same harmonics, and candidates that
+fail are reported with verified=False rather than dropped.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import fixedpoint
 from .angles import wrapped_distance
-from .fixedpoint import ALICE, BOB, DEGENERACY_SQ, best_responses
+from .fixedpoint import ALICE, BOB, DEGENERACY_SQ, _harmonic, best_responses, phase
 from .quantum import (AmplitudeSquares, LogicRepresentation, QuantumStrategy,
                       _diagonal_terms, amplitudes, payoff_grid)
 
@@ -172,51 +173,58 @@ class VerificationResult(NamedTuple):
     max_violation: float
 
 
-def _check_probe_count(n_probe: int) -> None:
+def _check_probe_count(n_probe) -> None:
+    if not isinstance(n_probe, numbers.Integral):
+        raise ValueError(f"n_probe must be an integer, got {n_probe!r}")
     if n_probe < 360:
         raise ValueError(f"n_probe must be at least 360, got {n_probe!r}")
 
 
 @lru_cache(maxsize=8)
-def _probe_grid(n_probe: int) -> np.ndarray:
-    """The n_probe deviation angles over [0, 180), read-only, computed
-    once per count."""
-    grid = np.arange(n_probe) * (180.0 / n_probe)
-    grid.flags.writeable = False
-    return grid
+def _probe_phases(n_probe: int) -> np.ndarray:
+    """conj(e(t)) of the n_probe deviation angles t over [0, 180), read-only,
+    computed once per count."""
+    phases = np.conj(phase(np.arange(n_probe) * (180.0 / n_probe)))
+    phases.flags.writeable = False
+    return phases
 
 
 def verify_equilibrium(alpha_star_deg: float, beta_star_deg: float, params: GameParams,
                        n_probe: int = 720, tol: Optional[float] = None) -> VerificationResult:
-    """Two-sided deviation check of a candidate profile.
+    """Two-sided deviation check of a candidate profile, in closed form.
 
-    Probes F over an n_probe grid of unilateral deviations for each
-    player, plus the analytic best responses; max_violation is the
-    largest payoff improvement any deviation achieves.  The default
-    tolerance, 1e-6 * max|stake|, scales with the largest stake but is
-    absolute and the same for both players: a player whose stakes are
-    far below the largest one gains little from any deviation, so that
-    player is checked loosely, and a profile a fraction of a degree from
-    a fixed point can pass.
+    Against beta* Alice's payoff is K0 + Re(K_A conj(e(t))) in her own
+    angle t, where e(t) = exp(2it) and K_A is her harmonic from the
+    game's kernel, so her largest gain from a deviation is
+    |K_A| - Re(K_A conj(e(alpha*))); Bob minimises, and his is
+    Re(K_B conj(e(beta*))) + |K_B|.  Neither needs K0 or a payoff value.
+    Each player's deviations over an n_probe grid of [0, 180) are probed
+    too, one product of the harmonic with the grid's cached phases; the
+    grid cannot beat the closed form, so it checks it to rounding.
+    max_violation is the largest gain, grid or closed form, and the
+    profile is verified when it is at most tol.  A profile with a
+    non-finite angle is not verified, and its max_violation is NaN.
+
+    The default tolerance, 1e-6 * max|stake|, scales with the largest
+    stake but is absolute and the same for both players: a player whose
+    stakes are far below the largest one gains little from any
+    deviation, so that player is checked loosely, and a profile a
+    fraction of a degree from a fixed point can pass.
     """
     _check_probe_count(n_probe)
+    if not (math.isfinite(alpha_star_deg) and math.isfinite(beta_star_deg)):
+        return VerificationResult(verified=False, max_violation=math.nan)
+    kernel = params.kernel
     if tol is None:
-        tol = 1e-6 * params.kernel.scale
-    value = float(params.payoff(alpha_star_deg, beta_star_deg))
-    grid = _probe_grid(n_probe)
-
-    gains = [
-        float(np.max(params.payoff(grid, beta_star_deg))) - value,
-        value - float(np.min(params.payoff(alpha_star_deg, grid))),
-    ]
-    ba = best_response_alice(beta_star_deg, params)
-    if not ba.degenerate:
-        gains.append(float(params.payoff(ba.angle_deg, beta_star_deg)) - value)
-    bb = best_response_bob(alpha_star_deg, params)
-    if not bb.degenerate:
-        gains.append(value - float(params.payoff(alpha_star_deg, bb.angle_deg)))
-
-    worst = max(gains)
+        tol = 1e-6 * kernel.scale
+    e_a, e_b = phase([alpha_star_deg, beta_star_deg]).tolist()
+    k_a, k_b = _harmonic(e_b, *kernel.alice), _harmonic(e_a, *kernel.bob)
+    grid = _probe_phases(n_probe)
+    gain_a = (max(float((k_a * grid).real.max()), abs(k_a))
+              - (k_a * e_a.conjugate()).real)
+    gain_b = ((k_b * e_b.conjugate()).real
+              - min(float((k_b * grid).real.min()), -abs(k_b)))
+    worst = max(gain_a, gain_b)
     return VerificationResult(verified=bool(worst <= tol), max_violation=worst)
 
 
@@ -304,9 +312,10 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
     Alice is; the scan cell holding each is a degeneracy region too, on
     the grid or off it.
     Candidate (alpha, beta) pairs are deduplicated modulo 180 within
-    refine_tol_deg, reported in sorted order, and each is verified with
-    two-sided deviation probes (n_probe, tol); unverified candidates stay
-    in the result with verified=False.
+    refine_tol_deg, reported in sorted order, and each is verified by
+    verify_equilibrium (n_probe, tol); unverified candidates stay in the
+    result with verified=False.  A report's value is the sum of its two
+    diagonal terms.
 
     The game is zero-sum, so its equilibria are interchangeable: they
     form a product of Alice's equilibrium angles and Bob's.  A best
@@ -347,13 +356,14 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
             continue
         amplitudes_a = amplitudes(QuantumStrategy(alpha_star), params.rep_a)
         amplitudes_b = amplitudes(QuantumStrategy(beta_star), params.rep_b)
+        terms = _diagonal_terms(amplitudes_a, amplitudes_b, *params.stakes)
         verdict = verify_equilibrium(alpha_star, beta_star, params,
                                      n_probe=n_probe, tol=tol)
         reports.append(EquilibriumReport(
             alpha_star_deg=alpha_star,
             beta_star_deg=beta_star,
-            value=float(params.payoff(alpha_star, beta_star)),
-            terms=_diagonal_terms(amplitudes_a, amplitudes_b, *params.stakes),
+            value=terms[0] + terms[1],
+            terms=terms,
             amplitudes_a=amplitudes_a,
             amplitudes_b=amplitudes_b,
             verified=verdict.verified,

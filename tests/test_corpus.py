@@ -14,6 +14,10 @@ region, and moves angles by at most 1e-9 degrees and values by at most
 Regenerate the corpus, after a change meant to alter the answers, with
 
     PYTHONPATH=src python tests/test_corpus.py
+
+The corpus reports, with those of a heterogeneous-stake family, also
+feed the verification oracle, which judges each report from
+GameParams.payoff alone.
 """
 
 import json
@@ -22,11 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from orthogame.angles import wrapped_distance
-from orthogame.equilibrium import GameParams, find_equilibria
+from orthogame.equilibrium import GameParams, find_equilibria, verify_equilibrium
 
 CORPUS = Path(__file__).resolve().parent / "data" / "solve_corpus.json"
 ANGLE_TOL_DEG = 1e-9
 VALUE_TOL = 1e-12               # times the largest stake
+ORACLE_PROBES = np.arange(2880) * (180.0 / 2880)
 
 
 def _record(params: GameParams) -> dict:
@@ -80,6 +85,57 @@ def test_solve_corpus_is_reproduced():
         assert len(actual["regions"]) == len(entry["regions"]), entry
         for got, want in zip(actual["regions"], entry["regions"]):
             assert np.allclose(got, want, rtol=0.0, atol=ANGLE_TOL_DEG), (entry, got)
+
+
+
+def _heterogeneous_games(k: int, count: int) -> list[GameParams]:
+    """Stakes 10^U(-k, k) each, angles U(1, 179), from default_rng(k)."""
+    rng = np.random.default_rng(k)
+    return [GameParams(*10.0 ** rng.uniform(-k, k, 4), *rng.uniform(1.0, 179.0, 2))
+            for _ in range(count)]
+
+
+def _oracle_gain(params: GameParams, alpha: float, beta: float) -> float:
+    """The largest gain from a unilateral deviation, from params.payoff
+    alone: the better of the 2880-point grid and the analytic best
+    response, whose harmonic is read off the payoff at the player's own
+    angles 0, 45 and 90."""
+    value = float(params.payoff(alpha, beta))
+    f_a = params.payoff(np.array([0.0, 45.0, 90.0]), beta)
+    f_b = params.payoff(alpha, np.array([0.0, 45.0, 90.0]))
+    peaks = [np.angle(complex(f[0] - f[2], 2.0 * f[1] - f[0] - f[2]), deg=True) / 2.0
+             for f in (f_a, f_b)]
+    return max(float(np.max(params.payoff(ORACLE_PROBES, beta))) - value,
+               float(params.payoff(peaks[0], beta)) - value,
+               value - float(np.min(params.payoff(alpha, ORACLE_PROBES))),
+               value - float(params.payoff(alpha, peaks[1] + 90.0)))
+
+
+def test_verification_agrees_with_payoff_oracle():
+    # the verdict comes from the kernel's harmonics; the oracle shares
+    # nothing with it but the payoff formula.  At a report both players'
+    # gains are near zero, so each report is also moved 1 degree along
+    # each player's angle, where that player's gain is mostly the larger.
+    corpus = json.loads(CORPUS.read_text())["games"]
+    reports = [(GameParams(*entry["params"]), eq[0], eq[1], eq[3], None)
+               for entry in corpus for eq in entry["equilibria"]]
+    for params in _heterogeneous_games(3, 200):
+        reports += [(params, e.alpha_star_deg, e.beta_star_deg, e.verified, e.max_violation)
+                    for e in find_equilibria(params)]
+    assert len(reports) > 350
+    for params, alpha, beta, verified, violation in reports:
+        scale = max(map(abs, params.stakes))
+        gain = _oracle_gain(params, alpha, beta)
+        verdict = verify_equilibrium(alpha, beta, params, n_probe=2880)
+        assert abs(verdict.max_violation - gain) <= 1e-12 * scale, (params, alpha, beta)
+        assert verdict.verified == verified == (gain <= 1e-6 * scale), (params, alpha, beta)
+        if violation is not None:
+            assert abs(violation - gain) <= 1e-12 * scale, (params, alpha, beta)
+        for moved in ((alpha + 1.0, beta), (alpha, beta + 1.0)):
+            gain = _oracle_gain(params, *moved)
+            verdict = verify_equilibrium(*moved, params)
+            assert abs(verdict.max_violation - gain) <= 1e-12 * scale, (params, moved)
+            assert verdict.verified == (gain <= 1e-6 * scale), (params, moved)
 
 
 if __name__ == "__main__":

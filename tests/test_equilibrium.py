@@ -6,10 +6,12 @@ import pickle
 import numpy as np
 import pytest
 
+from orthogame import equilibrium, quantum
 from orthogame.angles import wrap_half_turn, wrapped_distance
 from orthogame.equilibrium import (GameParams, best_response_alice,
                                    best_response_bob, find_equilibria,
                                    reaction_curves, verify_equilibrium)
+from orthogame.fixedpoint import phase
 
 EX1 = GameParams(3, 3, 5, 1, 10.0, 70.0)
 EX2 = GameParams(1, 1, 1, 1, 45.0, 45.0)
@@ -172,6 +174,65 @@ def test_verify_equilibrium_flat_game():
 def test_verify_equilibrium_probe_validation():
     with pytest.raises(ValueError):
         verify_equilibrium(0.0, 0.0, EX1, n_probe=100)
+
+
+@pytest.mark.parametrize("n_probe", [720.5, 720.0, "720"])
+def test_probe_count_must_be_an_integer(n_probe):
+    with pytest.raises(ValueError, match="n_probe must be an integer"):
+        verify_equilibrium(EX1_STAR[0], EX1_STAR[1], EX1, n_probe=n_probe)
+    with pytest.raises(ValueError, match="n_probe must be an integer"):
+        find_equilibria(EX1, n_probe=n_probe)
+
+
+def test_probe_count_accepts_numpy_integers():
+    want = verify_equilibrium(EX1_STAR[0], EX1_STAR[1], EX1, n_probe=2880)
+    assert verify_equilibrium(EX1_STAR[0], EX1_STAR[1], EX1, n_probe=np.int64(2880)) == want
+    assert len(find_equilibria(EX1, n_probe=np.int32(720)).verified) == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", [0, 1])
+def test_verify_equilibrium_non_finite_angle_is_not_verified(bad, position):
+    # max() over gains would skip a NaN, so the guard comes first; warnings
+    # are errors in this suite, so none may be raised on the way
+    profile = [EX1_STAR[0], EX1_STAR[1]]
+    profile[position] = bad
+    for n_probe in (720, 2880):
+        verified, violation = verify_equilibrium(*profile, EX1, n_probe=n_probe)
+        assert verified is False
+        assert math.isnan(violation)
+
+
+def test_verification_evaluates_no_payoff_and_no_best_response(monkeypatch):
+    # the deviation gains come from the kernel in closed form and a report's
+    # value from its terms, so a solve evaluates no payoff at all
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return quantum.payoff_grid(*args)
+
+    def forbidden(*args):
+        raise AssertionError("best response called")
+
+    monkeypatch.setattr(equilibrium, "payoff_grid", counting)
+    monkeypatch.setattr(equilibrium, "best_response_alice", forbidden)
+    monkeypatch.setattr(equilibrium, "best_response_bob", forbidden)
+    result = find_equilibria(EX1)
+    assert len(result) == 1 and result[0].verified
+    assert verify_equilibrium(EX1_STAR[0], EX1_STAR[1], EX1, n_probe=2880).verified
+    assert calls == []
+    # the counter is live: the payoff itself still goes through it
+    assert EX1.payoff(EX1_STAR[0], EX1_STAR[1]) == pytest.approx(result[0].value, abs=1e-12)
+    assert len(calls) == 1
+
+
+def test_probe_phases_are_cached_and_read_only():
+    phases = equilibrium._probe_phases(720)
+    assert equilibrium._probe_phases(720) is phases
+    np.testing.assert_array_equal(phases, np.conj(phase(np.arange(720) * 0.25)))
+    with pytest.raises(ValueError):
+        phases[0] = 0.0
 
 
 def test_find_equilibria_parameter_validation():

@@ -2,9 +2,12 @@
 
 Deleting or renaming a name that `orthogame` or a public module's
 `__all__` exports fails here; `fixedpoint` is private and not pinned.
+So does changing the signature of `verify_equilibrium` or the fields of
+the `VerificationResult` it returns.
 """
 
 import importlib
+import inspect
 import types
 
 import pytest
@@ -59,3 +62,13 @@ def test_public_module_all(name):
     assert len(module.__all__) == len(set(module.__all__))
     assert set(module.__all__) == MODULE_ALL[name]
     assert all(hasattr(module, attr) for attr in module.__all__)
+
+
+def test_verify_equilibrium_contract():
+    from orthogame.equilibrium import VerificationResult, verify_equilibrium
+    parameters = inspect.signature(verify_equilibrium).parameters
+    assert [(p.name, p.default) for p in parameters.values()] == [
+        ("alpha_star_deg", inspect.Parameter.empty), ("beta_star_deg", inspect.Parameter.empty),
+        ("params", inspect.Parameter.empty), ("n_probe", 720), ("tol", None)]
+    assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in parameters.values())
+    assert VerificationResult._fields == ("verified", "max_violation")
