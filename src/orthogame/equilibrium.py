@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -180,15 +180,6 @@ def _check_probe_count(n_probe) -> None:
         raise ValueError(f"n_probe must be at least 360, got {n_probe!r}")
 
 
-@lru_cache(maxsize=8)
-def _probe_phases(n_probe: int) -> np.ndarray:
-    """conj(e(t)) of the n_probe deviation angles t over [0, 180), read-only,
-    computed once per count."""
-    phases = np.conj(phase(np.arange(n_probe) * (180.0 / n_probe)))
-    phases.flags.writeable = False
-    return phases
-
-
 def verify_equilibrium(alpha_star_deg: float, beta_star_deg: float, params: GameParams,
                        n_probe: int = 720, tol: Optional[float] = None) -> VerificationResult:
     """Two-sided deviation check of a candidate profile, in closed form.
@@ -198,12 +189,13 @@ def verify_equilibrium(alpha_star_deg: float, beta_star_deg: float, params: Game
     game's kernel, so her largest gain from a deviation is
     |K_A| - Re(K_A conj(e(alpha*))); Bob minimises, and his is
     Re(K_B conj(e(beta*))) + |K_B|.  Neither needs K0 or a payoff value.
-    Each player's deviations over an n_probe grid of [0, 180) are probed
-    too, one product of the harmonic with the grid's cached phases; the
-    grid cannot beat the closed form, so it checks it to rounding.
-    max_violation is the largest gain, grid or closed form, and the
-    profile is verified when it is at most tol.  A profile with a
-    non-finite angle is not verified, and its max_violation is NaN.
+    max_violation is the larger of the two gains, and the profile is
+    verified when it is at most tol.  A profile with a non-finite angle
+    is not verified, and its max_violation is NaN.
+
+    n_probe no longer affects the result: the gains are exact, so no
+    grid of deviations is probed.  It is still validated (an integer of
+    at least 360) so that existing callers keep working.
 
     The default tolerance, 1e-6 * max|stake|, scales with the largest
     stake but is absolute and the same for both players: a player whose
@@ -219,12 +211,9 @@ def verify_equilibrium(alpha_star_deg: float, beta_star_deg: float, params: Game
         tol = 1e-6 * kernel.scale
     e_a, e_b = phase([alpha_star_deg, beta_star_deg]).tolist()
     k_a, k_b = _harmonic(e_b, *kernel.alice), _harmonic(e_a, *kernel.bob)
-    grid = _probe_phases(n_probe)
-    gain_a = (max(float((k_a * grid).real.max()), abs(k_a))
-              - (k_a * e_a.conjugate()).real)
-    gain_b = ((k_b * e_b.conjugate()).real
-              - min(float((k_b * grid).real.min()), -abs(k_b)))
-    worst = max(gain_a, gain_b)
+    gain_a = abs(k_a) - (k_a * e_a.conjugate()).real
+    gain_b = (k_b * e_b.conjugate()).real + abs(k_b)
+    worst = float(max(gain_a, gain_b))
     return VerificationResult(verified=bool(worst <= tol), max_violation=worst)
 
 
@@ -313,7 +302,8 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
     the grid or off it.
     Candidate (alpha, beta) pairs are deduplicated modulo 180 within
     refine_tol_deg, reported in sorted order, and each is verified by
-    verify_equilibrium (n_probe, tol); unverified candidates stay in the
+    verify_equilibrium with tol (n_probe is passed on, validated, and
+    no longer affects the verdict); unverified candidates stay in the
     result with verified=False.  A report's value is the sum of its two
     diagonal terms.
 
@@ -362,7 +352,7 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
         reports.append(EquilibriumReport(
             alpha_star_deg=alpha_star,
             beta_star_deg=beta_star,
-            value=terms[0] + terms[1],
+            value=float(terms[0] + terms[1]),
             terms=terms,
             amplitudes_a=amplitudes_a,
             amplitudes_b=amplitudes_b,

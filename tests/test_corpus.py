@@ -15,9 +15,9 @@ Regenerate the corpus, after a change meant to alter the answers, with
 
     PYTHONPATH=src python tests/test_corpus.py
 
-The corpus reports, with those of a heterogeneous-stake family, also
-feed the verification oracle, which judges each report from
-GameParams.payoff alone.
+The corpus reports, with those of a heterogeneous-stake family and of
+more sweep-recipe games, also feed the verification oracle, which
+judges each report from GameParams.payoff alone.
 """
 
 import json
@@ -119,10 +119,10 @@ def test_verification_agrees_with_payoff_oracle():
     corpus = json.loads(CORPUS.read_text())["games"]
     reports = [(GameParams(*entry["params"]), eq[0], eq[1], eq[3], None)
                for entry in corpus for eq in entry["equilibria"]]
-    for params in _heterogeneous_games(3, 200):
+    for params in _heterogeneous_games(3, 200) + _sweep_games(1001, 200):
         reports += [(params, e.alpha_star_deg, e.beta_star_deg, e.verified, e.max_violation)
                     for e in find_equilibria(params)]
-    assert len(reports) > 350
+    assert len(reports) > 450
     for params, alpha, beta, verified, violation in reports:
         scale = max(map(abs, params.stakes))
         gain = _oracle_gain(params, alpha, beta)

@@ -11,7 +11,6 @@ from orthogame.angles import wrap_half_turn, wrapped_distance
 from orthogame.equilibrium import (GameParams, best_response_alice,
                                    best_response_bob, find_equilibria,
                                    reaction_curves, verify_equilibrium)
-from orthogame.fixedpoint import phase
 
 EX1 = GameParams(3, 3, 5, 1, 10.0, 70.0)
 EX2 = GameParams(1, 1, 1, 1, 45.0, 45.0)
@@ -227,12 +226,14 @@ def test_verification_evaluates_no_payoff_and_no_best_response(monkeypatch):
     assert len(calls) == 1
 
 
-def test_probe_phases_are_cached_and_read_only():
-    phases = equilibrium._probe_phases(720)
-    assert equilibrium._probe_phases(720) is phases
-    np.testing.assert_array_equal(phases, np.conj(phase(np.arange(720) * 0.25)))
-    with pytest.raises(ValueError):
-        phases[0] = 0.0
+def test_report_numbers_are_python_floats_for_numpy_stakes():
+    params = GameParams(*np.array([3.0, 3.0, 5.0, 1.0]), np.float64(10.0), np.float64(70.0))
+    result = find_equilibria(params)
+    assert len(result) == 1
+    for e in result:
+        assert type(e.value) is float and type(e.max_violation) is float
+    verdict = verify_equilibrium(result[0].alpha_star_deg, result[0].beta_star_deg, params)
+    assert type(verdict.max_violation) is float
 
 
 def test_find_equilibria_parameter_validation():
