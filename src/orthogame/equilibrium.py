@@ -5,11 +5,11 @@ the player's own angle, K0 + K1 cos 2t + K2 sin 2t, and (K1, K2) is an
 affine function of (cos 2x, sin 2x); each best response has a closed
 form.  Equilibria are fixed points of the composed best-response map on
 the half-turn circle, and they are enumerated exactly: they are roots of
-a degree-8 polynomial (see `fixedpoint`), polished by Newton steps on
-the unsquared fixed-point residual and kept where that residual
-vanishes, steep crossings and tangencies included.  Where one player is
-indifferent the composed map is undefined, and the equilibria there
-come from closed forms instead.
+a degree-8 polynomial (see `fixedpoint`), polished by Newton's
+iteration on the unsquared fixed-point residual and kept where that
+residual vanishes, steep crossings and tangencies included.  Where one
+player is indifferent the composed map is undefined, and the equilibria
+there come from closed forms instead.
 
 The residual is also scanned on a fixed grid.  The scan yields the
 degeneracy regions, where a best response is non-unique, and serves as
@@ -286,9 +286,9 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
     """Locate and verify all fixed points of the composed best-response map.
 
     Enumerates the fixed points as the unit-circle roots of the degree-8
-    fixed-point polynomial, polished by Newton steps and kept where the
-    residual is within refine_tol_deg of zero.  The residual alone,
-    without Bob's answers, is also scanned over [0, 180) at
+    fixed-point polynomial, polished by Newton's iteration on the
+    residual and kept where it is within refine_tol_deg of zero.  The
+    residual alone, without Bob's answers, is also scanned over [0, 180) at
     scan_step_deg, on a grid whose phases are computed once per step
     and cached: the scan gives the degeneracy regions, and each of its
     sign-change brackets (residual moving by less than 90 degrees) that
@@ -300,9 +300,11 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
     where Bob is indifferent, and at those Bob answers with a beta where
     Alice is; the scan cell holding each is a degeneracy region too, on
     the grid or off it.
-    Candidate (alpha, beta) pairs are deduplicated modulo 180 within
-    refine_tol_deg, reported in sorted order, and each is verified by
-    verify_equilibrium with tol (n_probe is passed on, validated, and
+    Of candidate (alpha, beta) pairs within refine_tol_deg of each other
+    modulo 180 the one with the least |residual| is kept; candidates
+    whose beta or residual is undefined are dropped, and the rest are
+    reported in sorted order, each verified by verify_equilibrium
+    with tol (n_probe is passed on, validated, and
     no longer affects the verdict); unverified candidates stay in the
     result with verified=False.  A report's value is the sum of its two
     diagonal terms.
@@ -332,18 +334,18 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
         fixedpoint.unexplained_crossings(alphas, residuals, explained, params, refine_tol_deg),
         indifferent))
 
-    # deduplicate (alpha, beta) pairs modulo 180, in sorted order
+    # deduplicate (alpha, beta) pairs modulo 180, keeping the least
+    # |residual| of each cluster (ties in sorted order), in sorted order
     unique: list[list[float]] = []
-    for cand in sorted(candidates.tolist()):
+    defined = [c for c in sorted(candidates.tolist()) if not math.isnan(c[1] + c[2])]
+    for cand in sorted(defined, key=lambda c: abs(c[2])):
         if any(wrapped_distance(cand[0], u[0]) <= refine_tol_deg
                and wrapped_distance(cand[1], u[1]) <= refine_tol_deg for u in unique):
             continue
         unique.append(cand)
 
     reports = []
-    for alpha_star, beta_star, residual in unique:
-        if math.isnan(beta_star) or math.isnan(residual):
-            continue
+    for alpha_star, beta_star, residual in sorted(unique):
         amplitudes_a = amplitudes(QuantumStrategy(alpha_star), params.rep_a)
         amplitudes_b = amplitudes(QuantumStrategy(beta_star), params.rep_b)
         terms = _diagonal_terms(amplitudes_a, amplitudes_b, *params.stakes)

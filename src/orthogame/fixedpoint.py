@@ -28,21 +28,23 @@ Multiplied by |K_B| the first condition reads Im(kappa0_A conj(e)) |K_B|
 times a degree-8 polynomial in z (spectral rootfinding for Fourier
 series: J. P. Boyd, J. Eng. Math. 56 (2006) 203-219).  Its unit-circle
 roots are the eigenvalues of the companion matrix that lie near the
-circle, finished by Newton steps on the real polynomial; the matrix is
-built directly, as numpy.roots builds it, without the zero roots
-numpy.roots appends.  The roots hold every fixed point, and also the
-roots of the other square-root branch, where Alice answers -w, and the
-zeros of K_B; Newton steps on the unsquared residual and a residual
-test tell them apart.  One residual evaluation at the raw roots and at
-their forward-difference neighbours gives both that test and the first
-Newton step.
+circle; the matrix is built directly, as numpy.roots builds it, without
+the zero roots numpy.roots appends.  The roots hold every fixed point,
+and also the roots of the other square-root branch, where Alice answers
+-w, and the zeros of K_B.  Each root's angle seeds one Newton iteration
+on the unsquared residual, whose slope has a closed form in the same
+harmonics; the first step and the residual it ends at tell the roots
+apart.  Where K_A or K_B nearly vanishes the residual sweeps most of a
+quarter turn within a small fraction of a degree, and a full step from
+an eigenvalue's angle can overshoot it, so a step that does not lower
+the residual is halved instead.
 
 Bob's answer angles are computed only where they are returned: the
-residual test, the Newton steps and the scan take the residuals alone
-from the composition kernel, and compose, which adds Bob's angles, runs
-at the polished angles, and again only where polish puts an angle back
-at its start.  The scan is a cross-check on a fixed
-grid whose phases are computed once per step and cached read-only.
+Newton iteration takes residuals and slopes one angle at a time in
+plain complex arithmetic, the scan takes the residuals alone from the
+composition kernel, and compose, which adds Bob's angles, runs once at
+the polished angles.  The scan is a cross-check on a fixed grid whose
+phases are computed once per step and cached read-only.
 
 Where a player's harmonic vanishes that player is indifferent and the
 composed map is undefined.  Such a zero, and the opponent angles that
@@ -69,21 +71,20 @@ ALICE, BOB = "alice", "bob"
 # an eigenvalue of the companion matrix whose modulus is this close to 1
 # is taken for a root on the unit circle: the eigenvalues of a k-fold
 # root scatter by about eps^(1/k), 1e-5 for a triple root; an eigenvalue
-# this close that is no root on the circle gives an angle that the
-# residual filters of fixed_points drop
+# this close that is no fixed point gives a seed that fixed_points drops
 _ON_CIRCLE = 1e-3
-_HARMONICS = np.arange(1.0, 5.0)
-# Newton steps on the polynomial that finish an eigenvalue's angle
-_ROOT_NEWTON_STEPS = 2
 # relative size below which the polynomial counts as identically zero
 _ZERO_POLYNOMIAL = 1e-12
-# a root's unpolished residual is orders of magnitude below this on the
-# fixed-point branch; roots of the other branch are mostly far above
-_RAW_ROOT_DEG = 1.0
-_NEWTON_STEPS = 4
-_NEWTON_H_DEG = 1e-6
-# the forward-difference slope leaves part of the last step in alpha,
-# and Bob's best response can be thousands of times steeper than that
+# a Newton iteration moves at most this far from its start, and
+# fixed_points polishes only the seeds whose first step is this short: an
+# eigenvalue's angle is orders of magnitude closer to its fixed point,
+# and a seed on the other square-root branch (residual +-90) mostly
+# much farther
+_REACH_DEG = 1.0
+# residual evaluations per Newton iteration; a halved step costs one
+_NEWTON_STEPS = 12
+# the last step is applied before the iteration stops, since Bob's best
+# response can be thousands of times steeper than the residual
 _NEWTON_TOL_DEG = 1e-12
 
 
@@ -187,12 +188,6 @@ def _compose_phases(e, params):
     return k_b, flat_b, _peak(k_a, flat_b | _flat(abs(k_a), kernel)) * (90.0 / math.pi)
 
 
-def _residuals(alpha_deg, params):
-    """The residual of the composed map at each alpha, as compose gives
-    it, without Bob's answers."""
-    return _compose_phases(phase(alpha_deg), params)[2]
-
-
 def compose(alpha_deg, params):
     """Bob's response to each alpha, and the signed angular defect of alpha
     under the composed best-response map (the residual, in [-90, 90]);
@@ -218,52 +213,68 @@ def scan(params, step_deg: float) -> tuple[np.ndarray, np.ndarray]:
     return alphas, _compose_phases(phases, params)[2]
 
 
-def _paired(alphas: np.ndarray) -> np.ndarray:
-    """The angles and their forward-difference neighbours, in one array."""
-    return np.concatenate((alphas, alphas + _NEWTON_H_DEG))
+def _step(alpha: float, kernel: HarmonicKernel) -> tuple[float, float]:
+    """The residual r of compose at alpha and the Newton step r / r', in
+    degrees; the step is NaN where r or its slope r' is undefined or the
+    slope is 0, and r is NaN where r is undefined.
+
+    With e = exp(2i alpha), per radian of alpha dK_B = 2(m_2 Re e -
+    m_1 Im e) from Bob's harmonic, Bob's answer w = -K_B/|K_B| turns by
+    dw = i w Im(dK_B/K_B), Alice's harmonic against it moves by dK_A =
+    m_1 Re dw + m_2 Im dw from hers, and r = arg(K_A conj(e))/2 has the
+    slope r' = Im(dK_A/K_A)/2 - 1 in degrees per degree.  Plain Python
+    complex arithmetic: one angle at a time, numpy would cost more than
+    the arithmetic.
+    """
+    (_, m1_a, m2_a), (_, m1_b, m2_b) = kernel.alice, kernel.bob
+    e = cmath.exp(1j * math.radians(2.0 * alpha))
+    k_b = _harmonic(e, *kernel.bob)
+    size_b = abs(k_b)
+    if _flat(size_b, kernel):
+        return math.nan, math.nan
+    w = -k_b / size_b
+    k_a = _harmonic(w, *kernel.alice)
+    if _flat(abs(k_a), kernel):
+        return math.nan, math.nan
+    dw = 1j * w * (2.0 * (m2_b * e.real - m1_b * e.imag) / k_b).imag
+    slope = ((m1_a * dw.real + m2_a * dw.imag) / k_a).imag / 2.0 - 1.0
+    residual = math.degrees(cmath.phase(k_a * e.conjugate())) / 2.0
+    return residual, residual / slope if slope else math.nan
+
+
+def _newton(alpha: float, residual: float, step: float, kernel: HarmonicKernel) -> float:
+    """Newton's iteration on the residual from alpha, given the residual
+    and the first step there from _step; the angle is not wrapped.
+
+    A step that does not lower |residual| is halved instead of taken.  The
+    iteration stops where the step is undefined or would leave
+    _REACH_DEG of the start, after _NEWTON_STEPS evaluations, or once a
+    step of at most _NEWTON_TOL_DEG is due, which it applies unevaluated.
+    """
+    start = alpha
+    for _ in range(_NEWTON_STEPS):
+        if math.isnan(step) or abs(alpha - step - start) > _REACH_DEG:
+            break
+        if abs(step) <= _NEWTON_TOL_DEG:
+            return alpha - step
+        trial, trial_step = _step(alpha - step, kernel)
+        if abs(trial) < abs(residual):
+            alpha, residual, step = alpha - step, trial, trial_step
+        else:
+            step /= 2.0
+    return alpha
 
 
 def polish(alphas: np.ndarray, params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Newton steps on the residual, with a forward-difference slope.
-
-    Stops after applying a step in which no angle moves by more than
-    _NEWTON_TOL_DEG, and returns the angles with Bob's answers and the
-    residuals computed there; a step left unapplied stays as an error
-    in alpha, which a steep best response of Bob multiplies into beta.
-    A candidate whose residual or slope is undefined stays where it is,
-    and one whose |residual| the steps raised goes back to its start.
-
-    Each step takes the residuals alone at the angles and at their
-    neighbours _NEWTON_H_DEG ahead together, and a step is evaluated
-    only when another follows it; compose, for Bob's answers and the
-    residuals, runs at the stepped angles, and again only when some
-    angle went back.  fixed_points passes
-    in the first residuals, which it has already taken for its residual
-    test.
+    """Newton's iteration on the residual from each angle, as _newton runs
+    it with the closed-form slope of _step, and Bob's answers and the
+    residuals at the polished angles, from one compose call.  An angle
+    whose residual or slope is undefined stays where it is.
     """
-    return _newton(alphas, _residuals(_paired(alphas), params), params)
-
-
-def _newton(alphas, residuals, params):
-    """polish, given the residuals at _paired(alphas)."""
-    n = len(alphas)
-    start, start_residuals = alphas, residuals[:n]
-    for k in range(1, _NEWTON_STEPS + 1):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = residuals[:n] * _NEWTON_H_DEG / (residuals[n:] - residuals[:n])
-        step = np.where(np.isfinite(step), step, 0.0)
-        alphas = wrap_half_turn(alphas - step)
-        if k == _NEWTON_STEPS or not np.any(np.abs(step) > _NEWTON_TOL_DEG):
-            break
-        residuals = _residuals(_paired(alphas), params)
-    betas, residuals = compose(alphas, params)
-    # where Bob is steep the forward difference can span the residual's
-    # whole jump, and every step overshoots
-    worse = np.abs(residuals) > np.abs(start_residuals)
-    if worse.any():
-        alphas = np.where(worse, start, alphas)
-        betas, residuals = compose(alphas, params)
-    return alphas, betas, residuals
+    kernel = params.kernel
+    alphas = wrap_half_turn(np.array([_newton(a, *_step(a, kernel), kernel)
+                                      for a in alphas.tolist()]))
+    return (alphas, *compose(alphas, params))
 
 
 def _times(f, g) -> list[complex]:
@@ -310,12 +321,6 @@ def polynomial(alice, bob) -> list[complex]:
                                   _times(l_im, l_im))]
 
 
-def _tables(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos k phi and sin k phi for k = 1 ... 4, one row per phi."""
-    k_phi = phi[:, None] * _HARMONICS
-    return np.cos(k_phi), np.sin(k_phi)
-
-
 def _companion_roots(coeffs) -> np.ndarray:
     """The nonzero roots of z^4 sum coeffs[k] z^(k-4), as numpy.roots
     finds them: the eigenvalues of the companion matrix of the
@@ -336,55 +341,41 @@ def circle_angles(coeffs) -> np.ndarray:
     """Angle phi of each root on the unit circle of z^4 sum coeffs[k] z^(k-4).
 
     The roots are the eigenvalues of the companion matrix (those
-    numpy.roots finds) whose modulus is within _ON_CIRCLE of 1.  On the
-    circle the polynomial is the real trigonometric polynomial
-    T(phi) = a0 + sum_k (a_k cos k phi + b_k sin k phi), k = 1 ... 4, and
-    _ROOT_NEWTON_STEPS Newton steps on T finish each root's angle; a step
-    is skipped where T' vanishes.  A multiple root keeps one angle per
-    eigenvalue, all close together.  A polynomial that vanishes
-    identically (K_A parallel to e for every phi) has no isolated roots
-    and yields none.
+    numpy.roots finds) whose modulus is within _ON_CIRCLE of 1, and the
+    angles are theirs, unfinished: fixed_points finishes them on the
+    unsquared residual.  A multiple root keeps one angle per eigenvalue,
+    all close together.  A polynomial that vanishes identically (K_A
+    parallel to e for every phi) has no isolated roots and yields none.
     """
     if max(map(abs, coeffs)) <= _ZERO_POLYNOMIAL:
         return np.empty(0)
     z = _companion_roots(coeffs)
-    roots = np.angle(z[np.abs(np.abs(z) - 1.0) <= _ON_CIRCLE])
-    a0 = coeffs[4].real
-    a = np.array([2.0 * c.real for c in coeffs[5:]])
-    b = np.array([-2.0 * c.imag for c in coeffs[5:]])
-    # the weights of T' = sum_k k (b_k cos k phi - a_k sin k phi)
-    ka, kb = _HARMONICS * a, _HARMONICS * b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_ROOT_NEWTON_STEPS):
-            cos, sin = _tables(roots)
-            step = (a0 + cos @ a + sin @ b) / (cos @ kb - sin @ ka)
-            roots = roots - np.where(np.isfinite(step), step, 0.0)
-    return roots
+    return np.angle(z[np.abs(np.abs(z) - 1.0) <= _ON_CIRCLE])
 
 
 def fixed_points(params, tol_deg: float) -> np.ndarray:
     """(alpha, beta, residual) rows of the fixed points of the composed
-    best-response map, one row per fixed point.
+    best-response map, one row per seed that finds one.
 
-    The polynomial's input is the game's kernel.  The unit-circle roots
-    of the fixed-point polynomial whose residual is within _RAW_ROOT_DEG
-    of zero are polished on the unsquared residual and kept where that
+    The polynomial's input is the game's kernel.  Each unit-circle root
+    of the fixed-point polynomial whose first Newton step on the
+    unsquared residual is at most _REACH_DEG seeds Newton's iteration,
+    as polish runs it, and a polished angle is kept where its residual
     is within tol_deg of zero.  This drops the roots of the other
     square-root branch, those where K_A points against e (residual
-    +-90) and the zeros of K_B (residual NaN).  The residuals of that
-    first test, taken without Bob's answers, come from the evaluation at
-    the roots and their neighbours that also gives polish its first
-    Newton step; when no root passes it, nothing is polished.  Bob's
-    answers are computed once, at the polished angles.
+    +-90), and the zeros of K_B (step undefined).  When no root seeds an
+    iteration, nothing is polished.  Bob's answers and the residuals
+    come from one compose call at the polished angles.
     """
     kernel = params.kernel
     coeffs = polynomial(kernel.alice, kernel.bob)
-    alphas = wrap_half_turn(0.5 * np.degrees(circle_angles(coeffs)))
-    residuals = _residuals(_paired(alphas), params)
-    near = np.abs(residuals[:len(alphas)]) < _RAW_ROOT_DEG
-    if not near.any():
+    seeds = wrap_half_turn(0.5 * np.degrees(circle_angles(coeffs))).tolist()
+    firsts = [(a, *_step(a, kernel)) for a in seeds]
+    seeded = [seed for seed in firsts if abs(seed[2]) <= _REACH_DEG]
+    if not seeded:
         return np.empty((0, 3))
-    rows = np.column_stack(_newton(alphas[near], residuals[np.concatenate((near, near))], params))
+    alphas = wrap_half_turn(np.array([_newton(*seed, kernel) for seed in seeded]))
+    rows = np.column_stack((alphas, *compose(alphas, params)))
     return rows[np.abs(rows[:, 2]) <= tol_deg]
 
 

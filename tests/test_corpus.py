@@ -18,6 +18,12 @@ Regenerate the corpus, after a change meant to alter the answers, with
 The corpus reports, with those of a heterogeneous-stake family and of
 more sweep-recipe games, also feed the verification oracle, which
 judges each report from GameParams.payoff alone.
+
+tests/data/heterogeneous_roots.json holds heterogeneous-stake games
+whose fixed points are hard to finish, each with the alpha of one fixed
+point found without the solver: the residual of compose scanned at
+0.005 degrees, each sign change bisected to 1e-12 degrees and kept
+where verify_equilibrium passes it at n_probe 2880.
 """
 
 import json
@@ -29,6 +35,7 @@ from orthogame.angles import wrapped_distance
 from orthogame.equilibrium import GameParams, find_equilibria, verify_equilibrium
 
 CORPUS = Path(__file__).resolve().parent / "data" / "solve_corpus.json"
+HETEROGENEOUS_ROOTS = CORPUS.with_name("heterogeneous_roots.json")
 ANGLE_TOL_DEG = 1e-9
 VALUE_TOL = 1e-12               # times the largest stake
 ORACLE_PROBES = np.arange(2880) * (180.0 / 2880)
@@ -93,6 +100,19 @@ def _heterogeneous_games(k: int, count: int) -> list[GameParams]:
     rng = np.random.default_rng(k)
     return [GameParams(*10.0 ** rng.uniform(-k, k, 4), *rng.uniform(1.0, 179.0, 2))
             for _ in range(count)]
+
+
+def test_heterogeneous_stake_roots_are_found():
+    # draws of _heterogeneous_games(2 and 3, 2000) in which Alice's
+    # harmonic nearly vanishes at the fixed point, so the residual sweeps
+    # about 90 degrees within 0.001 degrees of it and the eigenvalue's
+    # angle can be 1e-4 degrees off
+    games = json.loads(HETEROGENEOUS_ROOTS.read_text())["games"]
+    assert len(games) == 15
+    for entry in games:
+        result = find_equilibria(GameParams(*entry["params"]))
+        assert any(e.verified and wrapped_distance(e.alpha_star_deg, entry["alpha"]) <= 1e-6
+                   for e in result), entry
 
 
 def _oracle_gain(params: GameParams, alpha: float, beta: float) -> float:

@@ -37,6 +37,14 @@ STEEP_BOB = GameParams(9.96619230971892, 4.147195379985186, 3.7964574020539477,
                        0.895754578130782, 6.726662415119358, 17.471849482076767)
 STEEP_BOB_ALPHA = 121.678252408444470
 STEEP_BOB_BETA = 33.658557969366914
+# Game 830 of 5,000 drawn with the sweep recipe from seed 5151.  Bob is
+# steeper still: the residual changes sign between neighbouring doubles
+# of alpha, so the best alpha* leaves about 1e-10 degrees in beta*.  The
+# fixed point was computed as for STEEP_BOB, at 60 digits.
+STEEPER_BOB = GameParams(8.34818857605159, 4.617549890979543, 7.64429062687259,
+                         5.068944704998965, 67.87722996329703, 90.01478535857665)
+STEEPER_BOB_ALPHA = 125.404247325966573
+STEEPER_BOB_BETA = 43.716855995407071
 # A game whose only equilibrium sits where the residual rises by about
 # 1.4e8 degrees per degree of alpha, and the angle of the fixed-point
 # polynomial's root there, to about 4e-12 degrees.
@@ -129,16 +137,6 @@ def test_circle_angles_match_companion_matrix():
     assert matched >= 400
 
 
-def test_circle_angles_finish_roots_on_the_polynomial():
-    # the companion matrix's eigenvalues put this game's roots up to 4e-12
-    # radians from the 30-digit roots; the Newton steps on T finish them
-    coeffs = fixedpoint.polynomial(STEEP_RESIDUAL.kernel.alice, STEEP_RESIDUAL.kernel.bob)
-    found = fixedpoint.circle_angles(coeffs)
-    expected = _reference_angles(coeffs)
-    assert len(found) == len(expected)
-    assert all(np.min(_circular_gap(found, phi)) <= 1e-12 for phi in expected)
-
-
 def _laurent_product(*factors):
     product = [1.0]
     for factor in factors:
@@ -202,16 +200,29 @@ def test_steep_crossing_found_by_fine_scan():
 
 
 def test_polished_root_accurate_where_bob_is_steep():
-    (report,) = find_equilibria(STEEP_BOB).equilibria
+    for params, alpha, beta in ((STEEP_BOB, STEEP_BOB_ALPHA, STEEP_BOB_BETA),
+                                (STEEPER_BOB, STEEPER_BOB_ALPHA, STEEPER_BOB_BETA)):
+        (report,) = find_equilibria(params).equilibria
+        assert report.verified
+        assert abs(report.alpha_star_deg - alpha) <= 1e-11
+        assert abs(report.beta_star_deg - beta) <= 1e-9
+
+
+def test_polished_root_accurate_where_the_residual_is_steep():
+    # the eigenvalue's angle alone is up to 4e-12 radians off the 30-digit
+    # root here; Newton's iteration on the residual finishes it
+    coeffs = fixedpoint.polynomial(STEEP_RESIDUAL.kernel.alice, STEEP_RESIDUAL.kernel.bob)
+    (report,) = find_equilibria(STEEP_RESIDUAL).equilibria
     assert report.verified
-    assert abs(report.alpha_star_deg - STEEP_BOB_ALPHA) <= 1e-11
-    assert abs(report.beta_star_deg - STEEP_BOB_BETA) <= 1e-9
+    assert np.min(_circular_gap(2.0 * math.radians(report.alpha_star_deg),
+                                _reference_angles(coeffs))) <= 1e-12
+    assert report.residual_deg <= 1e-5
 
 
 def test_polish_never_raises_the_residual():
-    # a forward difference of 1e-6 degrees spans the residual's whole jump
-    # here, so Newton steps overshoot; polish keeps the better of its start
-    # and their end, so a start within the refine tolerance stays within it
+    # the residual rises by about 1.4e8 degrees per degree of alpha here,
+    # and Newton's iteration with the closed-form slope must leave no
+    # start farther from zero than it was
     starts = STEEP_RESIDUAL_ROOT + np.arange(-5, 6) * 1e-12
     before = fixedpoint.compose(starts, STEEP_RESIDUAL)[1]
     alphas, betas, residuals = fixedpoint.polish(starts, STEEP_RESIDUAL)
@@ -235,6 +246,21 @@ def test_scan_cross_check_recovers_dropped_root(monkeypatch):
         assert wrapped_distance(eq.alpha_star_deg, points[0][0]) <= 1e-6
         assert wrapped_distance(eq.beta_star_deg, points[0][1]) <= 1e-6
         assert eq.residual_deg <= 1e-6
+
+
+def test_duplicates_keep_the_least_residual(monkeypatch):
+    # a poorer row 1e-5 degrees below the root, as a second seed might
+    # leave it, lies within the refine tolerance of the root's row and
+    # sorts first; the row with the smaller residual is the one reported
+    (good,) = fixedpoint.fixed_points(EX3, 0.005).tolist()
+    alpha = good[0] - 1e-5
+    poorer = [alpha, *(float(x[0]) for x in fixedpoint.compose(np.array([alpha]), EX3))]
+    assert abs(good[2]) < abs(poorer[2]) <= 0.005 and wrapped_distance(good[1], poorer[1]) <= 0.005
+    monkeypatch.setattr(fixedpoint, "fixed_points",
+                        lambda params, tol_deg: np.array([poorer, good]))
+    (report,) = find_equilibria(EX3).equilibria
+    assert (report.alpha_star_deg, report.beta_star_deg) == (good[0], good[1])
+    assert report.residual_deg == abs(good[2])
 
 
 def test_scan_grid_is_cached_and_read_only():
