@@ -337,8 +337,8 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
     # deduplicate (alpha, beta) pairs modulo 180, keeping the least
     # |residual| of each cluster (ties in sorted order), in sorted order
     unique: list[list[float]] = []
-    defined = [c for c in sorted(candidates.tolist()) if not math.isnan(c[1] + c[2])]
-    for cand in sorted(defined, key=lambda c: abs(c[2])):
+    defined = [c for c in candidates.tolist() if not math.isnan(c[1] + c[2])]
+    for cand in sorted(defined, key=lambda c: (abs(c[2]), c)):
         if any(wrapped_distance(cand[0], u[0]) <= refine_tol_deg
                and wrapped_distance(cand[1], u[1]) <= refine_tol_deg for u in unique):
             continue
