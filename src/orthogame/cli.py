@@ -128,7 +128,7 @@ def quantum_group():
 @_theta_a_option
 @_theta_b_option
 @click.option("--step", "scan_step", type=float, default=0.25, show_default=True,
-              help="fixed-point scan step in degrees")
+              help="width in degrees of the cells that report degeneracy regions")
 @click.option("--refine-tol", type=float, default=0.005, show_default=True,
               help="fixed-point residual tolerance and deduplication radius in degrees")
 def quantum_solve(stakes, theta_a, theta_b, scan_step, refine_tol):

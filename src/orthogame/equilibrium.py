@@ -5,19 +5,16 @@ the player's own angle, K0 + K1 cos 2t + K2 sin 2t, and (K1, K2) is an
 affine function of (cos 2x, sin 2x); each best response has a closed
 form.  Equilibria are fixed points of the composed best-response map on
 the half-turn circle, and they are enumerated exactly: they are roots of
-a degree-8 polynomial (see `fixedpoint`), polished by Newton's
+a degree-8 polynomial (see `fixedpoint`), finished by Newton's
 iteration on the unsquared fixed-point residual and kept where that
 residual vanishes, steep crossings and tangencies included.  Where one
 player is indifferent the composed map is undefined, and the equilibria
-there come from closed forms instead.
-
-The residual is also scanned on a fixed grid.  The scan yields the
-degeneracy regions, where a best response is non-unique, and serves as
-a cross-check: a sign change of the scanned residual that no enumerated
-root explains becomes a candidate of its own.  Verification is
-mandatory: each player's largest gain from a unilateral deviation
-follows in closed form from the same harmonics, and candidates that
-fail are reported with verified=False rather than dropped.
+there, and the degeneracy regions, where a best response is non-unique,
+come from closed forms instead.  No residual is scanned: a scan of it
+is the tests' oracle for the enumeration.  Verification is mandatory:
+each player's largest gain from a unilateral deviation follows in
+closed form from the same harmonics, and candidates that fail are
+reported with verified=False rather than dropped.
 """
 
 from __future__ import annotations
@@ -241,8 +238,9 @@ class EquilibriumReport:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Equilibrium candidates plus the scan intervals where a best
-    response was non-unique.  Iterates over the reports."""
+    """Equilibrium candidates plus the degeneracy regions: the cells of
+    width scan_step_deg that hold an alpha at which a best response
+    along the composed map is non-unique.  Iterates over the reports."""
 
     equilibria: tuple[EquilibriumReport, ...]
     degeneracy_regions: tuple[tuple[float, float], ...]
@@ -261,22 +259,28 @@ class SearchResult:
         return tuple(e for e in self.equilibria if e.verified)
 
 
-def _degeneracy_regions(alphas: np.ndarray, degenerate: np.ndarray,
-                        undefined: np.ndarray) -> tuple[tuple[float, float], ...]:
-    """Group consecutive degenerate scan samples into intervals.
+def _degeneracy_regions(undefined: np.ndarray, step_deg: float,
+                        params: GameParams) -> tuple[tuple[float, float], ...]:
+    """The cells [k step, (k+1) step] of the grid arange(0, 180, step_deg)
+    that hold an alpha in undefined, where the composed map is
+    undefined, with neighbouring cells merged.
 
-    Each alpha in undefined, where the composed map is undefined, whose
-    nearest sample the scan did not find degenerate marks the scan cell
-    [k step, (k+1) step] that holds it.
+    An alpha that sits on a grid angle up to rounding, where the
+    composed map is undefined too, marks that angle's cell.  When every
+    stake is 0 every best response is non-unique, and the region is the
+    whole half turn.
     """
-    if len(undefined):
-        nearest = np.rint(undefined / (alphas[1] - alphas[0])).astype(int) % len(alphas)
-        missed = undefined[~degenerate[nearest]]
-        degenerate[np.searchsorted(alphas, missed, side="right") - 1] = True
-    if not degenerate.any():
+    if params.kernel.scale == 0.0:
+        return ((0.0, 180.0),)
+    if not len(undefined):
         return ()
-    edges = np.flatnonzero(np.diff(np.concatenate(([False], degenerate, [False]))))
-    bounds = np.append(alphas, 180.0)[edges].tolist()
+    grid = np.arange(0.0, 180.0, step_deg)
+    nearest = np.rint(undefined / step_deg).astype(int) % len(grid)
+    on_grid = np.isnan(fixedpoint.compose(grid[nearest], params)[1])
+    cells = np.zeros(len(grid), dtype=bool)
+    cells[np.where(on_grid, nearest, np.searchsorted(grid, undefined, side="right") - 1)] = True
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], cells, [False]))))
+    bounds = np.append(grid, 180.0)[edges].tolist()
     return tuple(zip(bounds[::2], bounds[1::2]))
 
 
@@ -286,20 +290,16 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
     """Locate and verify all fixed points of the composed best-response map.
 
     Enumerates the fixed points as the unit-circle roots of the degree-8
-    fixed-point polynomial, polished by Newton's iteration on the
-    residual and kept where it is within refine_tol_deg of zero.  The
-    residual alone, without Bob's answers, is also scanned over [0, 180) at
-    scan_step_deg, on a grid whose phases are computed once per step
-    and cached: the scan gives the degeneracy regions, and each of its
-    sign-change brackets (residual moving by less than 90 degrees) that
-    holds neither an enumerated root nor an alpha at which the composed
-    map is undefined adds its crossing as a candidate.  So is each
-    profile, from closed forms, at which one player is indifferent
+    fixed-point polynomial, finished by Newton's iteration on the
+    residual from the angle of every eigenvalue of its companion matrix
+    and kept where the residual is within refine_tol_deg of zero.  So is
+    each profile, from closed forms, at which one player is indifferent
     against the other's angle x0 and the other's best reply to the first
     player's angle is x0.  The composed map is undefined at the alphas
     where Bob is indifferent, and at those Bob answers with a beta where
-    Alice is; the scan cell holding each is a degeneracy region too, on
-    the grid or off it.
+    Alice is; the degeneracy regions are the cells [k step, (k+1) step]
+    of width scan_step_deg that hold one (neighbouring cells merged), and
+    the whole half turn when every stake is 0.
     Of candidate (alpha, beta) pairs within refine_tol_deg of each other
     modulo 180 the one with the least |residual| is kept; candidates
     whose beta or residual is undefined are dropped, and the rest are
@@ -317,22 +317,13 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
     that makes the first indifferent.
     """
     if not (0.0 < scan_step_deg <= 1.0):
-        raise ValueError(f"scan step must be in (0, 1] degrees, got {scan_step_deg!r}")
+        raise ValueError(f"region cell width must be in (0, 1] degrees, got {scan_step_deg!r}")
     if not (0.0 < refine_tol_deg <= 0.01):
         raise ValueError(f"refine tolerance must be in (0, 0.01] degrees, got {refine_tol_deg!r}")
     _check_probe_count(n_probe)
 
-    alphas, residuals = fixedpoint.scan(params, scan_step_deg)
     indifferent, undefined = fixedpoint.indifference_points(params, refine_tol_deg)
-    regions = _degeneracy_regions(alphas, np.isnan(residuals), undefined)
-    roots = fixedpoint.fixed_points(params, refine_tol_deg)
-    # the composed map jumps where it is undefined, so such an alpha
-    # explains a sign change as a root does
-    explained = np.concatenate((roots[:, 0], undefined))
-    candidates = np.concatenate((
-        roots,
-        fixedpoint.unexplained_crossings(alphas, residuals, explained, params, refine_tol_deg),
-        indifferent))
+    candidates = np.concatenate((fixedpoint.fixed_points(params, refine_tol_deg), indifferent))
 
     # deduplicate (alpha, beta) pairs modulo 180, keeping the least
     # |residual| of each cluster (ties in sorted order), in sorted order
@@ -362,4 +353,5 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
             max_violation=verdict.max_violation,
             residual_deg=abs(residual),
         ))
+    regions = _degeneracy_regions(undefined, scan_step_deg, params)
     return SearchResult(equilibria=tuple(reports), degeneracy_regions=regions)

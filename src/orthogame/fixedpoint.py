@@ -34,17 +34,19 @@ and also the roots of the other square-root branch, where Alice answers
 -w, and the zeros of K_B.  Each root's angle seeds one Newton iteration
 on the unsquared residual, whose slope has a closed form in the same
 harmonics; the first step and the residual it ends at tell the roots
-apart.  Where K_A or K_B nearly vanishes the residual sweeps most of a
-quarter turn within a small fraction of a degree, and a full step from
-an eigenvalue's angle can overshoot it, so a step that does not lower
-the residual is halved instead.
+apart.  Every eigenvalue seeds, near the circle or not: rounding can
+push those of a clustered root a hundredth off it, and a seed that
+finds nothing fails the first-step test.  Where K_A or K_B nearly
+vanishes the residual sweeps most of a quarter turn within a small
+fraction of a degree, and a full step from an eigenvalue's angle can
+overshoot it, so a step that does not lower the residual is halved
+instead, and an iteration that stops short of a root across which its
+residual changed sign bisects that bracket.
 
 Bob's answer angles are computed only where they are returned: the
 Newton iteration takes residuals and slopes one angle at a time in
-plain complex arithmetic, the scan takes the residuals alone from the
-composition kernel, and compose, which adds Bob's angles, runs once at
-the polished angles.  The scan is a cross-check on a fixed grid whose
-phases are computed once per step and cached read-only.
+plain complex arithmetic, and compose, which adds Bob's angles, runs
+once at the finished angles.
 
 Where a player's harmonic vanishes that player is indifferent and the
 composed map is undefined.  Such a zero, and the opponent angles that
@@ -55,7 +57,6 @@ it pairs with in an equilibrium, each solve one linear equation in
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from typing import NamedTuple
 
@@ -70,8 +71,7 @@ DEGENERACY_SQ = 1e-18
 ALICE, BOB = "alice", "bob"
 # an eigenvalue of the companion matrix whose modulus is this close to 1
 # is taken for a root on the unit circle: the eigenvalues of a k-fold
-# root scatter by about eps^(1/k), 1e-5 for a triple root; an eigenvalue
-# this close that is no fixed point gives a seed that fixed_points drops
+# root scatter by about eps^(1/k), 1e-5 for a triple root
 _ON_CIRCLE = 1e-3
 # relative size below which the polynomial counts as identically zero
 _ZERO_POLYNOMIAL = 1e-12
@@ -103,10 +103,14 @@ class HarmonicKernel(NamedTuple):
 
 
 def harmonic_kernel(params) -> HarmonicKernel:
-    """The kernel of a game; GameParams caches it as params.kernel."""
-    scale = max(map(abs, params.stakes))
-    return HarmonicKernel(harmonic_map(params, ALICE), harmonic_map(params, BOB),
-                          scale, math.sqrt(DEGENERACY_SQ) * scale)
+    """The kernel of a game; GameParams caches it as params.kernel.
+
+    Its numbers are Python complex and float whatever the stakes' type,
+    so np.float64 stakes solve bit for bit as float ones do.
+    """
+    scale = float(max(map(abs, params.stakes)))
+    alice, bob = (tuple(map(complex, harmonic_map(params, p))) for p in (ALICE, BOB))
+    return HarmonicKernel(alice, bob, scale, math.sqrt(DEGENERACY_SQ) * scale)
 
 
 def harmonic_map(params, player: str) -> tuple[complex, complex, complex]:
@@ -196,23 +200,6 @@ def compose(alpha_deg, params):
     return _answer(_peak(k_b, flat_b), BOB), residuals
 
 
-@functools.lru_cache(maxsize=8)
-def _scan_grid(step_deg: float) -> tuple[np.ndarray, np.ndarray]:
-    """The scan angles arange(0, 180, step_deg) and their phases, as
-    read-only arrays computed once per step."""
-    alphas = np.arange(0.0, 180.0, step_deg)
-    phases = phase(alphas)
-    alphas.flags.writeable = phases.flags.writeable = False
-    return alphas, phases
-
-
-def scan(params, step_deg: float) -> tuple[np.ndarray, np.ndarray]:
-    """The scan angles over [0, 180) at step_deg and the residual at each;
-    Bob's answers, which the scan does not use, are not computed."""
-    alphas, phases = _scan_grid(step_deg)
-    return alphas, _compose_phases(phases, params)[2]
-
-
 def _step(alpha: float, kernel: HarmonicKernel) -> tuple[float, float]:
     """The residual r of compose at alpha and the Newton step r / r', in
     degrees; the step is NaN where r or its slope r' is undefined or the
@@ -250,31 +237,37 @@ def _newton(alpha: float, residual: float, step: float, kernel: HarmonicKernel) 
     iteration stops where the step is undefined or would leave
     _REACH_DEG of the start, after _NEWTON_STEPS evaluations, or once a
     step of at most _NEWTON_TOL_DEG is due, which it applies unevaluated.
+    An iteration that stops otherwise, after the residual changed sign
+    between two angles by less than 90 degrees (more is a wrap of the
+    composed map), bisects the last such bracket down to neighbouring
+    doubles and ends at whichever of the bracket's ends and its own last
+    angle has the least |residual|: where the residual climbs 1e7
+    degrees per degree, a bracket 1e-12 degrees wide can still hold
+    residuals of 1e-5.
     """
-    start = alpha
+    start, bracket = alpha, None
     for _ in range(_NEWTON_STEPS):
         if math.isnan(step) or abs(alpha - step - start) > _REACH_DEG:
             break
         if abs(step) <= _NEWTON_TOL_DEG:
             return alpha - step
         trial, trial_step = _step(alpha - step, kernel)
+        if trial * residual < 0.0 and abs(trial - residual) < 90.0:
+            bracket = (alpha, residual, alpha - step, trial)
         if abs(trial) < abs(residual):
             alpha, residual, step = alpha - step, trial, trial_step
         else:
             step /= 2.0
-    return alpha
-
-
-def polish(alphas: np.ndarray, params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Newton's iteration on the residual from each angle, as _newton runs
-    it with the closed-form slope of _step, and Bob's answers and the
-    residuals at the polished angles, from one compose call.  An angle
-    whose residual or slope is undefined stays where it is.
-    """
-    kernel = params.kernel
-    alphas = wrap_half_turn(np.array([_newton(a, *_step(a, kernel), kernel)
-                                      for a in alphas.tolist()]))
-    return (alphas, *compose(alphas, params))
+    if bracket is None:
+        return alpha
+    lo, r_lo, hi, r_hi = bracket
+    while lo != (mid := (lo + hi) / 2.0) != hi:
+        r_mid = _step(mid, kernel)[0]
+        if r_mid * r_lo > 0.0:
+            lo, r_lo = mid, r_mid
+        else:
+            hi, r_hi = mid, r_mid
+    return min((alpha, residual), (lo, r_lo), (hi, r_hi), key=lambda x: abs(x[1]))[0]
 
 
 def _times(f, g) -> list[complex]:
@@ -337,39 +330,41 @@ def _companion_roots(coeffs) -> np.ndarray:
     return np.linalg.eigvals(companion)
 
 
-def circle_angles(coeffs) -> np.ndarray:
+def circle_angles(coeffs, off_circle: float = _ON_CIRCLE) -> np.ndarray:
     """Angle phi of each root on the unit circle of z^4 sum coeffs[k] z^(k-4).
 
     The roots are the eigenvalues of the companion matrix (those
-    numpy.roots finds) whose modulus is within _ON_CIRCLE of 1, and the
-    angles are theirs, unfinished: fixed_points finishes them on the
-    unsquared residual.  A multiple root keeps one angle per eigenvalue,
-    all close together.  A polynomial that vanishes identically (K_A
-    parallel to e for every phi) has no isolated roots and yields none.
+    numpy.roots finds) whose modulus is within off_circle of 1, and the
+    angles are theirs, unfinished: fixed_points takes every eigenvalue
+    (off_circle infinite) and finishes the angles on the unsquared
+    residual.  A multiple root keeps one angle per eigenvalue, all close
+    together.  A polynomial that vanishes identically (K_A parallel to e
+    for every phi) has no isolated roots and yields none.
     """
     if max(map(abs, coeffs)) <= _ZERO_POLYNOMIAL:
         return np.empty(0)
     z = _companion_roots(coeffs)
-    return np.angle(z[np.abs(np.abs(z) - 1.0) <= _ON_CIRCLE])
+    return np.angle(z[np.abs(np.abs(z) - 1.0) <= off_circle])
 
 
 def fixed_points(params, tol_deg: float) -> np.ndarray:
     """(alpha, beta, residual) rows of the fixed points of the composed
     best-response map, one row per seed that finds one.
 
-    The polynomial's input is the game's kernel.  Each unit-circle root
-    of the fixed-point polynomial whose first Newton step on the
-    unsquared residual is at most _REACH_DEG seeds Newton's iteration,
-    as polish runs it, and a polished angle is kept where its residual
-    is within tol_deg of zero.  This drops the roots of the other
-    square-root branch, those where K_A points against e (residual
-    +-90), and the zeros of K_B (step undefined).  When no root seeds an
-    iteration, nothing is polished.  Bob's answers and the residuals
-    come from one compose call at the polished angles.
+    The polynomial's input is the game's kernel.  The angle of each
+    eigenvalue of its companion matrix, on the unit circle or off it,
+    whose first Newton step on the unsquared residual is at most
+    _REACH_DEG seeds Newton's iteration (_newton), and a finished angle
+    is kept where its residual is within tol_deg of zero.  This drops
+    the roots off the circle, those of the other square-root branch,
+    where K_A points against e (residual +-90), and the zeros of K_B
+    (step undefined).  When no root seeds an iteration, nothing is
+    iterated.  Bob's answers and the residuals come from one compose
+    call at the finished angles.
     """
     kernel = params.kernel
     coeffs = polynomial(kernel.alice, kernel.bob)
-    seeds = wrap_half_turn(0.5 * np.degrees(circle_angles(coeffs))).tolist()
+    seeds = wrap_half_turn(0.5 * np.degrees(circle_angles(coeffs, math.inf))).tolist()
     firsts = [(a, *_step(a, kernel)) for a in seeds]
     seeded = [seed for seed in firsts if abs(seed[2]) <= _REACH_DEG]
     if not seeded:
@@ -429,36 +424,3 @@ def indifference_points(params, tol_deg: float) -> tuple[np.ndarray, np.ndarray]
     if not rows:
         return np.empty((0, 3)), np.array(undefined)
     return np.concatenate(rows), np.array(undefined)
-
-
-def unexplained_crossings(alphas: np.ndarray, residuals: np.ndarray, explained: np.ndarray,
-                          params, tol_deg: float) -> np.ndarray:
-    """Scan brackets with a sign change that no explaining angle (an
-    enumerated root, or an alpha where the composed map jumps) lies in.
-
-    A bracket is a zero sample, or a sign change between neighbouring
-    samples whose residual moves by less than 90 degrees (larger moves
-    are the wraps of the discontinuous composed map).  Each unexplained
-    bracket yields its interpolated crossing, Newton-polished when that
-    stays inside the bracket; the crossings come as (alpha, beta,
-    residual) rows.
-    """
-    step = alphas[1] - alphas[0]
-    r_next = np.concatenate((residuals[1:], residuals[:1]))
-    bracket = (residuals == 0.0) | ((residuals * r_next < 0.0)
-                                    & (np.abs(r_next - residuals) < 90.0))
-    if not bracket.any():
-        return np.empty((0, 3))
-    lo, r_lo, r_hi = alphas[bracket], residuals[bracket], r_next[bracket]
-    mid = lo + step / 2.0
-    offsets = signed_delta(explained[None, :], mid[:, None])
-    open_ = ~np.any(np.abs(offsets) <= step / 2.0 + tol_deg, axis=1)
-    if not open_.any():
-        return np.empty((0, 3))
-    lo, r_lo, r_hi, mid = lo[open_], r_lo[open_], r_hi[open_], mid[open_]
-    with np.errstate(invalid="ignore"):
-        guess = wrap_half_turn(lo + step * np.where(r_lo == 0.0, 0.0, r_lo / (r_lo - r_hi)))
-    polished = polish(guess, params)[0]
-    inside = np.abs(signed_delta(polished, mid)) <= step / 2.0 + tol_deg
-    crossings = np.where(inside, polished, guess)
-    return np.column_stack((crossings, *compose(crossings, params)))

@@ -23,7 +23,10 @@ tests/data/heterogeneous_roots.json holds heterogeneous-stake games
 whose fixed points are hard to finish, each with the alpha of one fixed
 point found without the solver: the residual of compose scanned at
 0.005 degrees, each sign change bisected to 1e-12 degrees and kept
-where verify_equilibrium passes it at n_probe 2880.
+where verify_equilibrium passes it at n_probe 2880.  Family 2 or 3 is a
+draw of _heterogeneous_games(k, 2000); indifference-77 is a draw of
+test_equilibrium._indifference_game(default_rng(77), False).  An entry
+with max_residual bounds the residual of that report too.
 """
 
 import json
@@ -103,16 +106,32 @@ def _heterogeneous_games(k: int, count: int) -> list[GameParams]:
 
 
 def test_heterogeneous_stake_roots_are_found():
-    # draws of _heterogeneous_games(2 and 3, 2000) in which Alice's
-    # harmonic nearly vanishes at the fixed point, so the residual sweeps
-    # about 90 degrees within 0.001 degrees of it and the eigenvalue's
-    # angle can be 1e-4 degrees off
+    # draws in which Alice's or Bob's harmonic nearly vanishes at the fixed
+    # point, so the residual sweeps about 90 degrees within 0.001 degrees
+    # of it: the eigenvalue's angle can be 1e-4 degrees off, the first
+    # Newton step can cross the root, and rounding can move the
+    # eigenvalues of a clustered root 0.01 off the unit circle.  Each game
+    # has that one equilibrium, and no unverified report besides.
     games = json.loads(HETEROGENEOUS_ROOTS.read_text())["games"]
-    assert len(games) == 15
+    assert len(games) == 18
     for entry in games:
         result = find_equilibria(GameParams(*entry["params"]))
-        assert any(e.verified and wrapped_distance(e.alpha_star_deg, entry["alpha"]) <= 1e-6
+        assert all(e.verified for e in result), entry
+        assert any(wrapped_distance(e.alpha_star_deg, entry["alpha"]) <= 1e-6
+                   and e.residual_deg <= entry.get("max_residual", 0.005)
                    for e in result), entry
+
+
+def test_stake_type_does_not_change_the_answers():
+    # the kernel holds Python complex and float numbers whatever the type
+    # of the stakes, so np.float64 stakes give the reports float ones do
+    pinned = [GameParams(*entry["params"])
+              for entry in json.loads(HETEROGENEOUS_ROOTS.read_text())["games"]]
+    for params in pinned + _heterogeneous_games(3, 200):
+        angles = (params.theta_a_deg, params.theta_b_deg)
+        as_float = GameParams(*map(float, params.stakes), *angles)
+        as_numpy = GameParams(*map(np.float64, params.stakes), *angles)
+        assert find_equilibria(as_numpy) == find_equilibria(as_float), params
 
 
 def _oracle_gain(params: GameParams, alpha: float, beta: float) -> float:

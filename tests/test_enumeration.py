@@ -2,9 +2,9 @@
 
 The enumerator's polynomial is compared with a symbolic expansion built
 from the payoff formula alone, its unit-circle roots with those mpmath
-finds at 30 digits, its equilibria with a fine residual scan built from
-the public best responses, and the scan cross-check inside the search is
-shown to recover a root the enumerator drops.
+finds at 30 digits, and its equilibria with a residual scan built from
+the public best responses, whose sign changes are narrowed to a
+billionth of the scan step: exact enumeration against scan.
 """
 
 import math
@@ -167,15 +167,38 @@ def test_circle_angles_of_vanishing_polynomial():
 
 
 def _scan_equilibria(params, step=0.01):
-    """Verified fixed points of a fine residual scan of the public best responses."""
+    """Verified fixed points of a residual scan of the public best responses.
+
+    Each sign change between neighbouring samples that moves the residual
+    by less than 90 degrees (more is a wrap of the composed map) is
+    narrowed three times to the first change of sign among 1,000 even
+    subdivisions of its bracket.  It is a fixed point where the end of
+    its bracket with the smaller |residual| is within 0.005 degrees, the
+    search's default refine tolerance, and verifies; a bracket that
+    closes on a jump of the composed map, where it is undefined, ends
+    farther off.
+    """
+    def residual(alpha):
+        beta = best_response_bob(alpha, params).angle_deg
+        return signed_delta(best_response_alice(beta, params).angle_deg, alpha)
+
     alphas = np.arange(0.0, 180.0, step)
-    beta = best_response_bob(alphas, params).angle_deg
-    residual = signed_delta(best_response_alice(beta, params).angle_deg, alphas)
-    following = np.roll(residual, -1)
-    crossing = (residual * following < 0.0) & (np.abs(following - residual) < 90.0)
+    r = residual(alphas)
+    following = np.roll(r, -1)
+    crossing = (r * following < 0.0) & (np.abs(following - r) < 90.0)
+    lo, r_lo = alphas[crossing], r[crossing]
+    hi, r_hi = lo + step, following[crossing]
+    rows = np.arange(len(lo))
+    for _ in range(3):
+        ts = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 1001)
+        ts[:, -1] = hi
+        rs = residual(ts)
+        rs[:, 0], rs[:, -1] = r_lo, r_hi
+        k = np.argmax(~(rs * r_lo[:, None] > 0.0), axis=1)
+        lo, r_lo, hi, r_hi = ts[rows, k - 1], rs[rows, k - 1], ts[rows, k], rs[rows, k]
     found = []
-    for i in np.flatnonzero(crossing):
-        alpha = float(alphas[i] + step * residual[i] / (residual[i] - following[i]))
+    for alpha in np.where(np.abs(r_lo) <= np.abs(r_hi), lo, hi)[
+            np.minimum(np.abs(r_lo), np.abs(r_hi)) <= 0.005].tolist():
         response = best_response_bob(alpha, params)
         if (not response.degenerate
                 and verify_equilibrium(alpha, response.angle_deg, params).verified):
@@ -184,15 +207,26 @@ def _scan_equilibria(params, step=0.01):
 
 
 def test_fine_scan_equilibria_are_all_reported():
+    # every verified crossing of the scan is a verified report: 300 random
+    # games at 0.01 degrees, and at 0.05 the pinned corpus and the first
+    # draws of the heterogeneous-stake and both indifference families
+    from test_corpus import _corpus_games, _heterogeneous_games
+    from test_equilibrium import _indifference_game
+
     rng = np.random.default_rng(20260)
+    games = [(_random_game(rng), 0.01) for _ in range(300)]
+    families = _corpus_games() + _heterogeneous_games(2, 60) + _heterogeneous_games(3, 60)
+    for mirror in (False, True):
+        rng = np.random.default_rng(77 + mirror)
+        families += [_indifference_game(rng, mirror)[1] for _ in range(40)]
+    games += [(params, 0.05) for params in families]
     scanned = 0
-    for _ in range(300):
-        params = _random_game(rng)
+    for params, step in games:
         reported = [e.alpha_star_deg for e in find_equilibria(params).verified]
-        for alpha in _scan_equilibria(params):
+        for alpha in _scan_equilibria(params, step):
             scanned += 1
-            assert any(wrapped_distance(alpha, r) <= 0.01 for r in reported), (params, alpha)
-    assert scanned >= 100
+            assert any(wrapped_distance(alpha, r) <= 1e-6 for r in reported), (params, alpha)
+    assert scanned >= 450
 
 
 def test_steep_crossing_found_by_fine_scan():
@@ -223,29 +257,14 @@ def test_polish_never_raises_the_residual():
     # the residual rises by about 1.4e8 degrees per degree of alpha here,
     # and Newton's iteration with the closed-form slope must leave no
     # start farther from zero than it was
+    kernel = STEEP_RESIDUAL.kernel
     starts = STEEP_RESIDUAL_ROOT + np.arange(-5, 6) * 1e-12
+    alphas = np.array([fixedpoint._newton(a, *fixedpoint._step(a, kernel), kernel)
+                       for a in starts.tolist()])
     before = fixedpoint.compose(starts, STEEP_RESIDUAL)[1]
-    alphas, betas, residuals = fixedpoint.polish(starts, STEEP_RESIDUAL)
+    after = fixedpoint.compose(alphas, STEEP_RESIDUAL)[1]
     assert np.all(np.abs(before) <= 0.005)
-    assert np.all(np.abs(residuals) <= np.abs(before))
-    np.testing.assert_array_equal(fixedpoint.compose(alphas, STEEP_RESIDUAL),
-                                  (betas, residuals))
-
-
-def test_scan_cross_check_recovers_dropped_root(monkeypatch):
-    expected = {params: [(e.alpha_star_deg, e.beta_star_deg) for e in find_equilibria(params)]
-                for params in (EX1, EX3, FIG7)}
-    enumerate_roots = fixedpoint.fixed_points
-    monkeypatch.setattr(fixedpoint, "fixed_points",
-                        lambda params, tol_deg: enumerate_roots(params, tol_deg)[1:])
-    for params, points in expected.items():
-        assert len(points) == 1
-        result = find_equilibria(params)
-        assert len(result) == 1 and len(result.verified) == 1
-        eq = result.verified[0]
-        assert wrapped_distance(eq.alpha_star_deg, points[0][0]) <= 1e-6
-        assert wrapped_distance(eq.beta_star_deg, points[0][1]) <= 1e-6
-        assert eq.residual_deg <= 1e-6
+    assert np.all(np.abs(after) <= np.abs(before))
 
 
 def test_duplicates_keep_the_least_residual(monkeypatch):
@@ -261,17 +280,6 @@ def test_duplicates_keep_the_least_residual(monkeypatch):
     (report,) = find_equilibria(EX3).equilibria
     assert (report.alpha_star_deg, report.beta_star_deg) == (good[0], good[1])
     assert report.residual_deg == abs(good[2])
-
-
-def test_scan_grid_is_cached_and_read_only():
-    for step in (0.25, 0.125, 1.0, 0.7):
-        alphas, phases = fixedpoint._scan_grid(step)
-        assert fixedpoint._scan_grid(step)[0] is alphas
-        np.testing.assert_array_equal(alphas, np.arange(0.0, 180.0, step))
-        np.testing.assert_array_equal(phases, fixedpoint.phase(np.arange(0.0, 180.0, step)))
-        for cached in (alphas, phases):
-            with pytest.raises(ValueError):
-                cached[0] = 1.0
 
 
 def test_no_polish_without_a_root(monkeypatch):

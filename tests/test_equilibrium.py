@@ -396,12 +396,12 @@ def test_find_equilibria_reports_indifference_equilibria(mirror):
                        for a, b in reported), (params, alpha, beta, reported)
         # the composed map is undefined at the alpha of each such profile
         # (x0 where Bob is indifferent, or the alpha Bob answers with x0),
-        # so the scan cell holding it is a degeneracy region even where
+        # so the region cell holding it is a degeneracy region even where
         # that alpha is off the grid
         for alpha, _ in expected:
             assert any(lo <= alpha <= hi for lo, hi in result.degeneracy_regions), (params, alpha)
-        # the composed map jumps at that alpha, so a scan bracket across it
-        # is no unexplained crossing and adds no unverified candidate
+        # the composed map jumps at that alpha, and the jump adds no
+        # unverified candidate
         assert len(result) == len(result.verified), (params, x0, list(result))
         with_partner += bool(expected)
         with_two += len(expected) == 2
@@ -424,9 +424,9 @@ def test_find_equilibria_two_equilibria_share_the_indifferent_coordinate():
 
 
 def test_find_equilibria_bob_indifference_inside_a_coarse_scan_bracket():
-    # Bob is indifferent at alpha 60, which lies inside the scan cell
+    # Bob is indifferent at alpha 60, which lies inside the region cell
     # [59.5, 60.2) at step 0.7; the residual changes sign across that
-    # jump, and the cell explains it instead of adding a candidate
+    # jump, which adds no candidate
     params = GameParams(3, 1, 1, 1, 15.0, 70.0)
     result = find_equilibria(params, scan_step_deg=0.7)
     assert len(result) == len(result.verified) == 1
@@ -439,9 +439,8 @@ def test_find_equilibria_bob_indifference_inside_a_coarse_scan_bracket():
 def test_find_equilibria_alice_indifference_inside_a_scan_bracket():
     # Alice is indifferent at beta 172.512, Bob's answer to alpha 98.232;
     # the residual changes sign across the jump of the composed map there,
-    # and that alpha explains the bracket instead of adding a crossing
-    # whose residual, 5.8 degrees, the absolute tolerance of
-    # verify_equilibrium passes
+    # which must add no crossing: one with residual 5.8 degrees would
+    # pass the absolute tolerance of verify_equilibrium
     params = GameParams(167.00504877064787, 1.0707185339242116, 2.88508741956004,
                         4.303956504759381, 122.06087752912387, 109.0210108951516)
     result = find_equilibria(params)
@@ -459,7 +458,7 @@ def test_search_result_container_protocol():
 
 def test_find_equilibria_keeps_steep_crossing():
     # the composed residual jumps from +64.3 at 75.0 to -25.7 at 75.25: a
-    # true crossing steeper than a quarter turn per scan step
+    # true crossing steeper than a quarter turn per 0.25 degrees
     steep = GameParams(4.0215, 9.0215, 0.2523, 3.0968, 134.8434, 29.7447)
     for step in (0.25, 0.125):
         result = find_equilibria(steep, scan_step_deg=step)

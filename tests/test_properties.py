@@ -5,7 +5,6 @@ same examples.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from orthogame.classical import PayoffMatrix
 from orthogame.equilibrium import (DEGENERACY_SQ, GameParams, best_response_alice,
                                    best_response_bob, find_equilibria, verify_equilibrium)
 from orthogame.fixedpoint import (ALICE, BOB, _companion_roots, _harmonic, best_responses,
-                                  compose, harmonic_map, phase, polynomial, scan)
+                                  compose, harmonic_map, phase, polynomial)
 from orthogame.quantum import (LogicRepresentation, QuantumStrategy,
                                expectation, payoff_closed_form, payoff_operator)
 
@@ -126,25 +125,6 @@ def test_compose_matches_angle_form_composition(s, exponent, theta_a, theta_b):
     # the residual lies in [-90, 90], so a quarter turn may read as +90 or -90
     assert np.all(np.abs(signed_delta(beta[defined], expected_beta[defined])) <= 1e-9)
     assert np.all(np.abs(signed_delta(residual[composed], expected[composed])) <= 1e-9)
-
-
-@deterministic
-@given(stakes, wide_decades, mixing_angle, mixing_angle)
-@example((0.0, 0.0, 0.0, 0.0), 0, 45.0, 45.0)
-@example((1.0, 1.0, 1.0, 1.0), 0, 45.0, 45.0)
-@example((3.0, 1.0, 1.0, 1.0), 0, 15.0, 70.0)
-@example((3.0, 1.0, 1.0, 1.0), 0, 30.0, 165.0)
-def test_scan_residuals_equal_compose(s, exponent, theta_a, theta_b):
-    # the scan skips Bob's answers and reuses cached phases, but its
-    # residuals are compose's, NaNs included, bit for bit
-    params = GameParams(*(x * 10.0 ** exponent for x in s), theta_a, theta_b)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        for step in (0.25, 0.125, 1.0, 0.7):
-            grid = np.arange(0.0, 180.0, step)
-            alphas, residuals = scan(params, step)
-            np.testing.assert_array_equal(alphas, grid)
-            np.testing.assert_array_equal(residuals, compose(grid, params)[1])
 
 
 @deterministic
