@@ -266,11 +266,16 @@ def _degeneracy_regions(undefined: np.ndarray, step_deg: float,
     undefined, with neighbouring cells merged.
 
     An alpha that sits on a grid angle up to rounding, where the
-    composed map is undefined too, marks that angle's cell.  When every
-    stake is 0 every best response is non-unique, and the region is the
-    whole half turn.
+    composed map is undefined too, marks that angle's cell.  Where a
+    player's harmonic K = kappa0 + mu e + nu conj(e) is flat at every
+    angle, as when every stake is 0, the composed map is undefined
+    everywhere and the region is the whole half turn; mu e + nu conj(e)
+    traces an ellipse of semi-major axis |mu| + |nu|, so |K| is at most
+    |kappa0| + |mu| + |nu| there.
     """
-    if params.kernel.scale == 0.0:
+    kernel = params.kernel
+    if any(abs(k0) + (abs(m_1 - 1j * m_2) + abs(m_1 + 1j * m_2)) / 2.0 <= kernel.radius
+           for k0, m_1, m_2 in (kernel.alice, kernel.bob)):
         return ((0.0, 180.0),)
     if not len(undefined):
         return ()
@@ -299,7 +304,8 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
     where Bob is indifferent, and at those Bob answers with a beta where
     Alice is; the degeneracy regions are the cells [k step, (k+1) step]
     of width scan_step_deg that hold one (neighbouring cells merged), and
-    the whole half turn when every stake is 0.
+    the whole half turn when a player's harmonic is flat at every angle,
+    as when every stake is 0.
     Of candidate (alpha, beta) pairs within refine_tol_deg of each other
     modulo 180 the one with the least |residual| is kept; candidates
     whose beta or residual is undefined are dropped, and the rest are

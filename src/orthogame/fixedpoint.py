@@ -69,10 +69,6 @@ from .angles import signed_delta, wrap_half_turn
 DEGENERACY_SQ = 1e-18
 
 ALICE, BOB = "alice", "bob"
-# an eigenvalue of the companion matrix whose modulus is this close to 1
-# is taken for a root on the unit circle: the eigenvalues of a k-fold
-# root scatter by about eps^(1/k), 1e-5 for a triple root
-_ON_CIRCLE = 1e-3
 # relative size below which the polynomial counts as identically zero
 _ZERO_POLYNOMIAL = 1e-12
 # a Newton iteration moves at most this far from its start, and
@@ -330,21 +326,20 @@ def _companion_roots(coeffs) -> np.ndarray:
     return np.linalg.eigvals(companion)
 
 
-def circle_angles(coeffs, off_circle: float = _ON_CIRCLE) -> np.ndarray:
-    """Angle phi of each root on the unit circle of z^4 sum coeffs[k] z^(k-4).
+def circle_angles(coeffs) -> np.ndarray:
+    """Angle phi of each nonzero root of z^4 sum coeffs[k] z^(k-4), on the
+    unit circle or off it.
 
     The roots are the eigenvalues of the companion matrix (those
-    numpy.roots finds) whose modulus is within off_circle of 1, and the
-    angles are theirs, unfinished: fixed_points takes every eigenvalue
-    (off_circle infinite) and finishes the angles on the unsquared
-    residual.  A multiple root keeps one angle per eigenvalue, all close
-    together.  A polynomial that vanishes identically (K_A parallel to e
-    for every phi) has no isolated roots and yields none.
+    numpy.roots finds), and the angles are theirs, unfinished:
+    fixed_points finishes them on the unsquared residual.  A multiple
+    root keeps one angle per eigenvalue, all close together.  A
+    polynomial that vanishes identically (K_A parallel to e for every
+    phi) has no isolated roots and yields none.
     """
     if max(map(abs, coeffs)) <= _ZERO_POLYNOMIAL:
         return np.empty(0)
-    z = _companion_roots(coeffs)
-    return np.angle(z[np.abs(np.abs(z) - 1.0) <= off_circle])
+    return np.angle(_companion_roots(coeffs))
 
 
 def fixed_points(params, tol_deg: float) -> np.ndarray:
@@ -364,7 +359,7 @@ def fixed_points(params, tol_deg: float) -> np.ndarray:
     """
     kernel = params.kernel
     coeffs = polynomial(kernel.alice, kernel.bob)
-    seeds = wrap_half_turn(0.5 * np.degrees(circle_angles(coeffs, math.inf))).tolist()
+    seeds = wrap_half_turn(0.5 * np.degrees(circle_angles(coeffs))).tolist()
     firsts = [(a, *_step(a, kernel)) for a in seeds]
     seeded = [seed for seed in firsts if abs(seed[2]) <= _REACH_DEG]
     if not seeded:

@@ -309,6 +309,12 @@ def test_find_equilibria_degeneracy_regions():
     assert len(result) == 0
     assert result.degeneracy_regions == ((0.0, 180.0),)
 
+    # one player's harmonic is below the flatness radius at every angle
+    # with nonzero stakes: that player is indifferent to every opponent
+    for one_flat in (GameParams(1, 2, 2, 1, 90 - 1e-8, 1e-8),
+                     GameParams(2, 1, 1, 2, 1e-8, 90 - 1e-8)):
+        assert find_equilibria(one_flat).degeneracy_regions == ((0.0, 180.0),)
+
     partial = GameParams(1, 0, 1, 0, 45.0, 45.0)
     regions = find_equilibria(partial).degeneracy_regions
     assert any(lo <= 45.0 < hi for lo, hi in regions)
