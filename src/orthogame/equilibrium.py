@@ -296,8 +296,10 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
 
     Enumerates the fixed points as the unit-circle roots of the degree-8
     fixed-point polynomial, finished by Newton's iteration on the
-    residual from the angle of every eigenvalue of its companion matrix
-    and kept where the residual is within refine_tol_deg of zero.  So is
+    residual from the angle of every eigenvalue of the real companion
+    matrix of its half-angle form, and kept where the residual is within
+    refine_tol_deg of zero or changes sign between the finished alpha and
+    a neighbouring double.  So is
     each profile, from closed forms, at which one player is indifferent
     against the other's angle x0 and the other's best reply to the first
     player's angle is x0.  The composed map is undefined at the alphas

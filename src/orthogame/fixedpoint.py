@@ -24,29 +24,33 @@ reversed and conjugated.  Alice's angle is a fixed point of the composed
 map when K_A points along e: Im(K_A conj(e)) = 0 and Re(K_A conj(e)) > 0.
 Multiplied by |K_B| the first condition reads Im(kappa0_A conj(e)) |K_B|
 = Im(L conj(e)), L = mu_A K_B + nu_A conj(K_B), where Im(f conj(e)) =
-(f/z - conj(f) z)/2i.  Squared, with |K_B|^2 = K_B conj(K_B), it is z^-4
-times a degree-8 polynomial in z (spectral rootfinding for Fourier
-series: J. P. Boyd, J. Eng. Math. 56 (2006) 203-219).  Its unit-circle
-roots are the eigenvalues of the companion matrix that lie near the
-circle; the matrix is built directly, as numpy.roots builds it, without
-the zero roots numpy.roots appends.  The roots hold every fixed point,
-and also the roots of the other square-root branch, where Alice answers
--w, and the zeros of K_B.  Each root's angle seeds one Newton iteration
-on the unsquared residual, whose slope has a closed form in the same
-harmonics; the first step and the residual it ends at tell the roots
-apart.  Every eigenvalue seeds, near the circle or not: rounding can
-push those of a clustered root a hundredth off it, and a seed that
-finds nothing fails the first-step test.  Where K_A or K_B nearly
-vanishes the residual sweeps most of a quarter turn within a small
-fraction of a degree, and a full step from an eigenvalue's angle can
-overshoot it, so a step that does not lower the residual is halved
+(f/z - conj(f) z)/2i.  Squared, with |K_B|^2 = K_B conj(K_B), it is
+T(phi) = z^-4 times a degree-8 polynomial in z, real on the circle
+(spectral rootfinding for Fourier series: J. P. Boyd, J. Eng. Math. 56
+(2006) 203-219).  The half-angle substitution z = (1 + it)/(1 - it),
+t = tan(phi/2), makes (1 + t^2)^4 T(phi) a real polynomial in t whose
+real roots are the roots on the circle, so one real eigenvalue problem,
+that of its companion matrix, finds them all.  The roots hold every
+fixed point, and also the roots of the other square-root branch, where
+Alice answers -w, and the zeros of K_B.  Each root's angle seeds one
+Newton iteration on the unsquared residual, whose slope has a closed
+form in the same harmonics; the first step and the residual it ends at
+tell the roots apart.  Every eigenvalue seeds, real or not: rounding
+can push those of a clustered root a hundredth off the real line, and a
+seed that finds nothing fails the first-step test.  Where K_A or K_B
+nearly vanishes the residual sweeps most of a quarter turn within a
+small fraction of a degree, and a full step from an eigenvalue's angle
+can overshoot it, so a step that does not lower the residual is halved
 instead, and an iteration that stops short of a root across which its
 residual changed sign bisects that bracket.
 
-Bob's answer angles are computed only where they are returned: the
-Newton iteration takes residuals and slopes one angle at a time in
-plain complex arithmetic, and compose, which adds Bob's angles, runs
-once at the finished angles.
+Everything after the eigenvalue call is scalar arithmetic, one angle at
+a time in plain Python floats and complex numbers, which on a handful
+of angles costs less than numpy calls do: the seeds, the Newton
+iteration, and each finished row, whose residual and Bob's answer come
+from one more evaluation of the same step.  compose stays the array
+form of that residual, which the degeneracy regions and the tests
+evaluate on grids.
 
 Where a player's harmonic vanishes that player is indifferent and the
 composed map is undefined.  Such a zero, and the opponent angles that
@@ -82,6 +86,12 @@ _NEWTON_STEPS = 12
 # the last step is applied before the iteration stops, since Bob's best
 # response can be thousands of times steeper than the residual
 _NEWTON_TOL_DEG = 1e-12
+# column k holds the coefficients of t^8 ... t^0 of (1 + it)^k (1 - it)^(8 - k),
+# which is (1 + t^2)^4 z^(k - 4) at z = (1 + it)/(1 - it)
+_HALF_ANGLE = np.array([[(1, 1j, -1, -1j)[j % 4]
+                         * sum((-1) ** (j - a) * math.comb(k, a) * math.comb(8 - k, j - a)
+                               for a in range(j + 1))
+                         for k in range(9)] for j in range(8, -1, -1)])
 
 
 class HarmonicKernel(NamedTuple):
@@ -196,10 +206,11 @@ def compose(alpha_deg, params):
     return _answer(_peak(k_b, flat_b), BOB), residuals
 
 
-def _step(alpha: float, kernel: HarmonicKernel) -> tuple[float, float]:
-    """The residual r of compose at alpha and the Newton step r / r', in
-    degrees; the step is NaN where r or its slope r' is undefined or the
-    slope is 0, and r is NaN where r is undefined.
+def _step(alpha: float, kernel: HarmonicKernel) -> tuple[float, float, complex]:
+    """The residual r of compose at alpha, the Newton step r / r', in
+    degrees, and Bob's harmonic K_B there; the step is NaN where r or its
+    slope r' is undefined or the slope is 0, and r is NaN where r is
+    undefined.
 
     With e = exp(2i alpha), per radian of alpha dK_B = 2(m_2 Re e -
     m_1 Im e) from Bob's harmonic, Bob's answer w = -K_B/|K_B| turns by
@@ -214,15 +225,15 @@ def _step(alpha: float, kernel: HarmonicKernel) -> tuple[float, float]:
     k_b = _harmonic(e, *kernel.bob)
     size_b = abs(k_b)
     if _flat(size_b, kernel):
-        return math.nan, math.nan
+        return math.nan, math.nan, k_b
     w = -k_b / size_b
     k_a = _harmonic(w, *kernel.alice)
     if _flat(abs(k_a), kernel):
-        return math.nan, math.nan
+        return math.nan, math.nan, k_b
     dw = 1j * w * (2.0 * (m2_b * e.real - m1_b * e.imag) / k_b).imag
     slope = ((m1_a * dw.real + m2_a * dw.imag) / k_a).imag / 2.0 - 1.0
     residual = math.degrees(cmath.phase(k_a * e.conjugate())) / 2.0
-    return residual, residual / slope if slope else math.nan
+    return residual, residual / slope if slope else math.nan, k_b
 
 
 def _newton(alpha: float, residual: float, step: float, kernel: HarmonicKernel) -> float:
@@ -247,7 +258,7 @@ def _newton(alpha: float, residual: float, step: float, kernel: HarmonicKernel) 
             break
         if abs(step) <= _NEWTON_TOL_DEG:
             return alpha - step
-        trial, trial_step = _step(alpha - step, kernel)
+        trial, trial_step, _ = _step(alpha - step, kernel)
         if trial * residual < 0.0 and abs(trial - residual) < 90.0:
             bracket = (alpha, residual, alpha - step, trial)
         if abs(trial) < abs(residual):
@@ -310,63 +321,80 @@ def polynomial(alice, bob) -> list[complex]:
                                   _times(l_im, l_im))]
 
 
-def _companion_roots(coeffs) -> np.ndarray:
-    """The nonzero roots of z^4 sum coeffs[k] z^(k-4), as numpy.roots
-    finds them: the eigenvalues of the companion matrix of the
-    coefficients from the leading nonzero one c_lead to the last nonzero
-    one, whose first row is -c[k]/c_lead and whose subdiagonal is ones.
-    """
-    p = np.asarray(coeffs[::-1])
-    nonzero = np.flatnonzero(p)
-    if len(nonzero) < 2:
-        return np.empty(0, dtype=complex)
-    p = p[nonzero[0]:nonzero[-1] + 1]
-    companion = np.eye(len(p) - 1, k=-1, dtype=p.dtype)
-    companion[0] = -p[1:] / p[0]
-    return np.linalg.eigvals(companion)
+def circle_angles(coeffs) -> list[float]:
+    """Angle phi of each root of T(phi) = sum coeffs[k] exp(i (k - 4) phi),
+    a polynomial real on the unit circle (coeffs[8 - k] = conj(coeffs[k])),
+    as a list of floats: one per root t below, where a real t is a root
+    on the circle and a complex one a root off it.
 
-
-def circle_angles(coeffs) -> np.ndarray:
-    """Angle phi of each nonzero root of z^4 sum coeffs[k] z^(k-4), on the
-    unit circle or off it.
-
-    The roots are the eigenvalues of the companion matrix (those
-    numpy.roots finds), and the angles are theirs, unfinished:
-    fixed_points finishes them on the unsquared residual.  A multiple
-    root keeps one angle per eigenvalue, all close together.  A
-    polynomial that vanishes identically (K_A parallel to e for every
-    phi) has no isolated roots and yields none.
+    With z = exp(i phi) = (1 + it)/(1 - it), t = tan(phi/2), the real
+    polynomial Q(t) = (1 + t^2)^4 T(phi) has the coefficients
+    Re(_HALF_ANGLE coeffs), and its roots t = x + iy are the eigenvalues
+    of its companion matrix, whose first row is -q[k]/q_lead and whose
+    subdiagonal is ones.  A root's angle is arg z = atan2(x, 1 - y) +
+    atan2(x, 1 + y), finite for every t and the same for both roots of a
+    conjugate pair; each vanishing leading coefficient of Q is a root at
+    t = infinity, phi = pi.  The angles are unfinished: fixed_points
+    finishes them on the unsquared residual.  A multiple root keeps one
+    angle per eigenvalue, all close together.  A polynomial that vanishes
+    identically (K_A parallel to e for every phi) has no isolated roots
+    and yields none.
     """
     if max(map(abs, coeffs)) <= _ZERO_POLYNOMIAL:
-        return np.empty(0)
-    return np.angle(_companion_roots(coeffs))
+        return []
+    q = (_HALF_ANGLE @ coeffs).real.tolist()
+    lead = next((k for k, x in enumerate(q) if x), len(q))
+    angles = [math.pi] * lead
+    if lead < len(q) - 1:
+        companion = np.eye(len(q) - lead - 1, k=-1)
+        companion[0] = [-x / q[lead] for x in q[lead + 1:]]
+        angles += [math.atan2(t.real, 1.0 - t.imag) + math.atan2(t.real, 1.0 + t.imag)
+                   for t in np.linalg.eigvals(companion).tolist()]
+    return angles
+
+
+def _crosses(alpha: float, residual: float, kernel: HarmonicKernel) -> bool:
+    """Whether the residual changes sign between alpha and a neighbouring
+    double by less than 90 degrees (more is a wrap of the composed map),
+    so that a root lies between neighbouring doubles, however far from 0
+    the residual at alpha is."""
+    for side in (-math.inf, math.inf):
+        beside = _step(math.nextafter(alpha, side), kernel)[0]
+        if beside * residual < 0.0 and abs(beside - residual) < 90.0:
+            return True
+    return False
 
 
 def fixed_points(params, tol_deg: float) -> np.ndarray:
     """(alpha, beta, residual) rows of the fixed points of the composed
     best-response map, one row per seed that finds one.
 
-    The polynomial's input is the game's kernel.  The angle of each
-    eigenvalue of its companion matrix, on the unit circle or off it,
-    whose first Newton step on the unsquared residual is at most
-    _REACH_DEG seeds Newton's iteration (_newton), and a finished angle
-    is kept where its residual is within tol_deg of zero.  This drops
-    the roots off the circle, those of the other square-root branch,
-    where K_A points against e (residual +-90), and the zeros of K_B
-    (step undefined).  When no root seeds an iteration, nothing is
-    iterated.  Bob's answers and the residuals come from one compose
-    call at the finished angles.
+    The polynomial's input is the game's kernel.  Each angle of
+    circle_angles, a root on the unit circle or off it, whose first
+    Newton step on the unsquared residual is at most _REACH_DEG seeds
+    Newton's iteration (_newton), and a finished angle is kept where its
+    residual is within tol_deg of zero, or where the residual changes
+    sign between it and a neighbouring double (_crosses): at a crossing
+    steeper than about 1e11 degrees per degree the nearest double can
+    leave a residual of 1e-3 degrees.  This drops the roots off the
+    circle, those of the other square-root branch, where K_A points
+    against e (residual +-90), and the zeros of K_B (step undefined).
+    When no root seeds an iteration, nothing is iterated.  Everything
+    after the eigenvalue call is scalar arithmetic: a finished row's
+    residual and Bob's answer come from one more _step at its angle.
     """
     kernel = params.kernel
-    coeffs = polynomial(kernel.alice, kernel.bob)
-    seeds = wrap_half_turn(0.5 * np.degrees(circle_angles(coeffs))).tolist()
-    firsts = [(a, *_step(a, kernel)) for a in seeds]
-    seeded = [seed for seed in firsts if abs(seed[2]) <= _REACH_DEG]
-    if not seeded:
-        return np.empty((0, 3))
-    alphas = wrap_half_turn(np.array([_newton(*seed, kernel) for seed in seeded]))
-    rows = np.column_stack((alphas, *compose(alphas, params)))
-    return rows[np.abs(rows[:, 2]) <= tol_deg]
+    rows = []
+    for phi in circle_angles(polynomial(kernel.alice, kernel.bob)):
+        seed = wrap_half_turn(0.5 * math.degrees(phi))
+        residual, step, _ = _step(seed, kernel)
+        if not abs(step) <= _REACH_DEG:
+            continue
+        alpha = wrap_half_turn(_newton(seed, residual, step, kernel))
+        residual, _, k_b = _step(alpha, kernel)
+        if abs(residual) <= tol_deg or _crosses(alpha, residual, kernel):
+            rows.append((alpha, _answer(math.atan2(k_b.imag, k_b.real), BOB), residual))
+    return np.array(rows).reshape(-1, 3)
 
 
 def _harmonic_angles(u1: float, u2: float, k: float) -> list[float]:

@@ -51,6 +51,14 @@ STEEPER_BOB_BETA = 43.716855995407071
 STEEP_RESIDUAL = GameParams(4.088702178087739, 2.5629831542334123, 5.164779186923289,
                             1.7908755701264256, 89.93972978061063, 87.78688468208976)
 STEEP_RESIDUAL_ROOT = 138.87948114637666
+# Draw 789 of the Bob-indifferent family from seed 77.  Its equilibrium
+# at alpha 69.558563 is a crossing so steep (about 1e12 degrees per
+# degree) that the residual changes sign between neighbouring doubles
+# of alpha and the nearer one leaves 4.2e-3 degrees, and a 0.005 degree
+# scan sees the residual move by 90.005 degrees between two samples.
+STEEPEST = GameParams(36.3785024847954, 0.31850828536729037, 5.063843859586553,
+                      2.32699456190945, 90.15742324078172, 89.84812326575941)
+STEEPEST_ALPHA = 69.558563
 
 
 def _random_game(rng):
@@ -121,10 +129,10 @@ def _circular_gap(x, y):
 
 
 def _on_circle_angles(coeffs):
-    """Angles of the companion-matrix eigenvalues within 1e-3 of the unit
-    circle: the eigenvalues of a k-fold root scatter by about eps^(1/k),
-    1e-5 for a triple root."""
-    z = fixedpoint._companion_roots(coeffs)
+    """Angles of the roots numpy.roots finds within 1e-3 of the unit
+    circle: the roots of a k-fold root scatter by about eps^(1/k), 1e-5
+    for a triple root."""
+    z = np.roots(coeffs[::-1])
     return np.angle(z[np.abs(np.abs(z) - 1.0) <= 1e-3])
 
 
@@ -135,8 +143,9 @@ def test_circle_angles_match_companion_matrix():
         params = _random_game(rng)
         coeffs = fixedpoint.polynomial(fixedpoint.harmonic_map(params, fixedpoint.ALICE),
                                        fixedpoint.harmonic_map(params, fixedpoint.BOB))
-        # every root on the circle seeds, and every eigenvalue near it is one
-        found, near = fixedpoint.circle_angles(coeffs), _on_circle_angles(coeffs)
+        # every root on the circle seeds, and every root numpy.roots finds
+        # near it is one
+        found, near = np.array(fixedpoint.circle_angles(coeffs)), _on_circle_angles(coeffs)
         expected = _reference_angles(coeffs)
         for phi in expected:
             assert np.min(_circular_gap(found, phi)) <= 1e-6, (params, phi, found)
@@ -164,11 +173,40 @@ def test_circle_angles_double_and_close_roots(split, multiplicity):
     c, c2 = math.cos(1.1), math.cos(1.1) + split
     rootless = [0.5, 0, 2.0, 0, 0.5] if multiplicity == 2 else [0.5, 2.0, 0.5]
     coeffs = _laurent_product(*[[0.5, -c, 0.5]] * (multiplicity - 1), [0.5, -c2, 0.5], rootless)
-    found, near = fixedpoint.circle_angles(coeffs), _on_circle_angles(coeffs)
+    found = np.array(fixedpoint.circle_angles(coeffs))
+    near = _on_circle_angles(coeffs)
     roots = np.array([1.1, -1.1, math.acos(c2), -math.acos(c2)])
     tol = 1e-9 if split > 1e-6 else 1e-5
     assert all(np.min(_circular_gap(found, r)) <= tol for r in roots)
     assert all(np.min(_circular_gap(roots, phi)) <= tol for phi in near)
+
+
+# sin phi, 1 + cos phi and 1 - cos phi as Laurent coefficients of z^-1, 1, z
+SIN, ONE_PLUS_COS, ONE_MINUS_COS = [0.5j, 0, -0.5j], [0.5, 1.0, 0.5], [0.5, -1.0, 0.5]
+
+
+@pytest.mark.parametrize("factor, terms, roots", [
+    # a simple root at phi = pi is a vanishing leading coefficient of the
+    # half-angle polynomial Q(t), and one at phi = 0 its root t = 0
+    pytest.param(SIN, 9, [0.0, math.pi], id="0-and-pi"),
+    pytest.param(ONE_PLUS_COS, 9, [math.pi], id="double-pi"),
+    pytest.param(ONE_MINUS_COS, 9, [0.0], id="double-0"),
+    # c_-4 = c_4 = 0: z^4 T(z) has a root at z = 0 and one at infinity,
+    # so Q(t) has the roots t = +-i
+    pytest.param([1.0], 7, [], id="t=+-i")])
+def test_circle_angles_at_half_angle_edges(factor, terms, roots):
+    # (cos phi - 1/2)(2 + cos 2 phi) times the factor: every coefficient
+    # is exact, so the edge roots are exact too.  The suite turns every
+    # warning into an error, so a division by a vanishing coefficient
+    # would fail here.
+    coeffs = _laurent_product(factor, [0.5, -0.5, 0.5], [0.5, 0, 2.0, 0, 0.5])
+    pad = (9 - terms) // 2
+    coeffs = [0j] * pad + coeffs + [0j] * pad
+    assert len(coeffs) == 9
+    found = np.array(fixedpoint.circle_angles(coeffs))
+    assert np.all(np.isfinite(found))
+    for phi in [*roots, math.pi / 3.0, -math.pi / 3.0]:
+        assert np.min(_circular_gap(found, phi)) <= 1e-6, (phi, found)
 
 
 def test_circle_angles_of_vanishing_polynomial():
@@ -179,13 +217,16 @@ def _scan_equilibria(params, step=0.01):
     """Verified fixed points of a residual scan of the public best responses.
 
     Each sign change between neighbouring samples that moves the residual
-    by less than 90 degrees (more is a wrap of the composed map) is
-    narrowed three times to the first change of sign among 1,000 even
-    subdivisions of its bracket.  It is a fixed point where the end of
-    its bracket with the smaller |residual| is within 0.005 degrees, the
-    search's default refine tolerance, and verifies; a bracket that
-    closes on a jump of the composed map, where it is undefined, ends
-    farther off.
+    by less than 90 degrees is narrowed three times to the first change
+    of sign among 1,000 even subdivisions of its bracket.  One that moves
+    it by 90 degrees or more is a wrap of the composed map or a crossing
+    that sweeps a quarter turn between two samples: it is bisected down
+    to neighbouring doubles, and it is a crossing where the residual
+    there jumps by less than 90 degrees.  A crossing is a fixed point
+    where the end of its bracket with the smaller |residual| is within
+    0.005 degrees, the search's default refine tolerance, and verifies; a
+    bracket that closes on a jump of the composed map, where it is
+    undefined, ends farther off.
     """
     def residual(alpha):
         beta = best_response_bob(alpha, params).angle_deg
@@ -194,7 +235,8 @@ def _scan_equilibria(params, step=0.01):
     alphas = np.arange(0.0, 180.0, step)
     r = residual(alphas)
     following = np.roll(r, -1)
-    crossing = (r * following < 0.0) & (np.abs(following - r) < 90.0)
+    sign_change = r * following < 0.0
+    crossing = sign_change & (np.abs(following - r) < 90.0)
     lo, r_lo = alphas[crossing], r[crossing]
     hi, r_hi = lo + step, following[crossing]
     rows = np.arange(len(lo))
@@ -205,6 +247,18 @@ def _scan_equilibria(params, step=0.01):
         rs[:, 0], rs[:, -1] = r_lo, r_hi
         k = np.argmax(~(rs * r_lo[:, None] > 0.0), axis=1)
         lo, r_lo, hi, r_hi = ts[rows, k - 1], rs[rows, k - 1], ts[rows, k], rs[rows, k]
+    jump = sign_change & ~crossing
+    j_lo, j_r_lo, j_r_hi = alphas[jump], r[jump], following[jump]
+    j_hi = j_lo + step
+    while np.any(narrowing := (j_lo != (mid := (j_lo + j_hi) / 2.0)) & (mid != j_hi)):
+        r_mid = residual(mid)
+        low = narrowing & (r_mid * j_r_lo > 0.0)
+        high = narrowing & ~low
+        j_lo[low], j_r_lo[low] = mid[low], r_mid[low]
+        j_hi[high], j_r_hi[high] = mid[high], r_mid[high]
+    steep = np.abs(j_r_hi - j_r_lo) < 90.0
+    lo, r_lo, hi, r_hi = (np.concatenate((x, y[steep])) for x, y in
+                          ((lo, j_lo), (r_lo, j_r_lo), (hi, j_hi), (r_hi, j_r_hi)))
     found = []
     for alpha in np.where(np.abs(r_lo) <= np.abs(r_hi), lo, hi)[
             np.minimum(np.abs(r_lo), np.abs(r_hi)) <= 0.005].tolist():
@@ -228,7 +282,7 @@ def test_fine_scan_equilibria_are_all_reported():
     for mirror in (False, True):
         rng = np.random.default_rng(77 + mirror)
         families += [_indifference_game(rng, mirror)[1] for _ in range(40)]
-    games += [(params, 0.05) for params in families]
+    games += [(params, 0.05) for params in families + [STEEPEST]]
     scanned = 0
     for params, step in games:
         reported = [e.alpha_star_deg for e in find_equilibria(params).verified]
@@ -240,6 +294,20 @@ def test_fine_scan_equilibria_are_all_reported():
 
 def test_steep_crossing_found_by_fine_scan():
     assert len(_scan_equilibria(STEEP)) == 1
+    # a quarter turn between two samples at either scan step
+    for step in (0.005, 0.05):
+        (alpha,) = _scan_equilibria(STEEPEST, step)
+        assert abs(alpha - STEEPEST_ALPHA) <= 1e-6
+
+
+@pytest.mark.parametrize("refine_tol", [0.001, 0.005])
+def test_crossing_between_neighbouring_doubles_is_kept(refine_tol):
+    # the nearest double leaves a residual of 4.2e-3 degrees, above the
+    # tighter tolerance, but the residual changes sign at the next double
+    (report,) = find_equilibria(STEEPEST, refine_tol_deg=refine_tol).equilibria
+    assert report.verified
+    assert abs(report.alpha_star_deg - STEEPEST_ALPHA) <= 1e-6
+    assert 1e-3 < report.residual_deg < 5e-3
 
 
 def test_polished_root_accurate_where_bob_is_steep():
@@ -268,7 +336,7 @@ def test_polish_never_raises_the_residual():
     # start farther from zero than it was
     kernel = STEEP_RESIDUAL.kernel
     starts = STEEP_RESIDUAL_ROOT + np.arange(-5, 6) * 1e-12
-    alphas = np.array([fixedpoint._newton(a, *fixedpoint._step(a, kernel), kernel)
+    alphas = np.array([fixedpoint._newton(a, *fixedpoint._step(a, kernel)[:2], kernel)
                        for a in starts.tolist()])
     before = fixedpoint.compose(starts, STEEP_RESIDUAL)[1]
     after = fixedpoint.compose(alphas, STEEP_RESIDUAL)[1]

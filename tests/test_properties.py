@@ -15,7 +15,7 @@ from orthogame.angles import signed_delta, wrapped_distance
 from orthogame.classical import PayoffMatrix
 from orthogame.equilibrium import (DEGENERACY_SQ, GameParams, best_response_alice,
                                    best_response_bob, find_equilibria, verify_equilibrium)
-from orthogame.fixedpoint import (ALICE, BOB, _companion_roots, _harmonic, best_responses,
+from orthogame.fixedpoint import (ALICE, BOB, _harmonic, best_responses, circle_angles,
                                   compose, harmonic_map, phase, polynomial)
 from orthogame.quantum import (LogicRepresentation, QuantumStrategy,
                                expectation, payoff_closed_form, payoff_operator)
@@ -152,16 +152,22 @@ def test_kernel_harmonic_matches_payoff(s, exponent, theta_a, theta_b, x):
 # every coefficient zero
 @example((0.0, 0.0, 0.0, 0.0), 0, 45.0, 45.0)
 @example((1.0, 1.0, 1.0, 1.0), 0, 45.0, 45.0)
-def test_companion_roots_equal_numpy_roots(s, exponent, theta_a, theta_b):
-    # the companion matrix is built as numpy.roots builds it, so its
-    # eigenvalues are numpy.roots' roots bit for bit, less the zero root
-    # numpy.roots appends for each trailing zero coefficient
+def test_circle_angles_hold_numpy_roots_on_the_circle(s, exponent, theta_a, theta_b):
+    # every root numpy.roots finds on the unit circle is within 1e-6 of an
+    # angle of the half-angle companion matrix, and no angle is NaN
     params = GameParams(*(x * 10.0 ** exponent for x in s), theta_a, theta_b)
     coeffs = polynomial(harmonic_map(params, ALICE), harmonic_map(params, BOB))
-    # the terms in z^-4, z^4 and z^-3, z^3 are coeffs[0], coeffs[8], coeffs[1], coeffs[7]
-    for zeroed in ((), (0,), (8,), (0, 8), (0, 1, 7, 8)):
+    # the terms in z^-4, z^4 and z^-3, z^3 are coeffs[0], coeffs[8], coeffs[1], coeffs[7];
+    # circle_angles takes a polynomial real on the circle, so a zeroed term
+    # zeroes its conjugate too: zeroing coeffs[0] or coeffs[8] alone is (0, 8)
+    for zeroed in ((), (0, 8), (0, 1, 7, 8)):
         zeroed_coeffs = [0j if k in zeroed else c for k, c in enumerate(coeffs)]
-        found = _companion_roots(zeroed_coeffs)
-        expected = np.roots(zeroed_coeffs[::-1])
-        np.testing.assert_array_equal(found, expected[:len(found)])
-        assert not np.any(expected[len(found):])
+        found = np.array(circle_angles(zeroed_coeffs))
+        assert not np.any(np.isnan(found))
+        if max(map(abs, zeroed_coeffs)) <= 1e-12:
+            # a vanishing polynomial has no isolated roots to seed
+            assert len(found) == 0
+            continue
+        roots = np.roots(zeroed_coeffs[::-1])
+        for phi in np.angle(roots[np.abs(np.abs(roots) - 1.0) <= 1e-6]):
+            assert np.min(np.abs((found - phi + np.pi) % (2 * np.pi) - np.pi)) <= 1e-6
