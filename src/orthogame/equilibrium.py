@@ -19,6 +19,7 @@ reported with verified=False rather than dropped.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import fixedpoint
 from .angles import wrapped_distance
-from .fixedpoint import ALICE, BOB, DEGENERACY_SQ, _harmonic, best_responses, phase
+from .fixedpoint import ALICE, BOB, DEGENERACY_SQ, _harmonic, best_responses
 from .quantum import (AmplitudeSquares, LogicRepresentation, QuantumStrategy,
                       _diagonal_terms, amplitudes, payoff_grid)
 
@@ -206,11 +207,11 @@ def verify_equilibrium(alpha_star_deg: float, beta_star_deg: float, params: Game
     kernel = params.kernel
     if tol is None:
         tol = 1e-6 * kernel.scale
-    e_a, e_b = phase([alpha_star_deg, beta_star_deg]).tolist()
+    e_a, e_b = (cmath.exp(2j * math.radians(x)) for x in (alpha_star_deg, beta_star_deg))
     k_a, k_b = _harmonic(e_b, *kernel.alice), _harmonic(e_a, *kernel.bob)
     gain_a = abs(k_a) - (k_a * e_a.conjugate()).real
     gain_b = (k_b * e_b.conjugate()).real + abs(k_b)
-    worst = float(max(gain_a, gain_b))
+    worst = max(gain_a, gain_b)
     return VerificationResult(verified=bool(worst <= tol), max_violation=worst)
 
 
@@ -259,7 +260,7 @@ class SearchResult:
         return tuple(e for e in self.equilibria if e.verified)
 
 
-def _degeneracy_regions(undefined: np.ndarray, step_deg: float,
+def _degeneracy_regions(undefined: list[float], step_deg: float,
                         params: GameParams) -> tuple[tuple[float, float], ...]:
     """The cells [k step, (k+1) step] of the grid arange(0, 180, step_deg)
     that hold an alpha in undefined, where the composed map is
@@ -277,13 +278,14 @@ def _degeneracy_regions(undefined: np.ndarray, step_deg: float,
     if any(abs(k0) + (abs(m_1 - 1j * m_2) + abs(m_1 + 1j * m_2)) / 2.0 <= kernel.radius
            for k0, m_1, m_2 in (kernel.alice, kernel.bob)):
         return ((0.0, 180.0),)
-    if not len(undefined):
+    if not undefined:
         return ()
     grid = np.arange(0.0, 180.0, step_deg)
-    nearest = np.rint(undefined / step_deg).astype(int) % len(grid)
-    on_grid = np.isnan(fixedpoint.compose(grid[nearest], params)[1])
+    alphas = np.array(undefined)
+    nearest = np.rint(alphas / step_deg).astype(int) % len(grid)
+    on_grid = [math.isnan(fixedpoint._step(x, kernel)[0]) for x in grid[nearest].tolist()]
     cells = np.zeros(len(grid), dtype=bool)
-    cells[np.where(on_grid, nearest, np.searchsorted(grid, undefined, side="right") - 1)] = True
+    cells[np.where(on_grid, nearest, np.searchsorted(grid, alphas, side="right") - 1)] = True
     edges = np.flatnonzero(np.diff(np.concatenate(([False], cells, [False]))))
     bounds = np.append(grid, 180.0)[edges].tolist()
     return tuple(zip(bounds[::2], bounds[1::2]))
@@ -299,21 +301,20 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
     residual from the angle of every eigenvalue of the real companion
     matrix of its half-angle form, and kept where the residual is within
     refine_tol_deg of zero or changes sign between the finished alpha and
-    a neighbouring double.  So is
-    each profile, from closed forms, at which one player is indifferent
-    against the other's angle x0 and the other's best reply to the first
-    player's angle is x0.  The composed map is undefined at the alphas
-    where Bob is indifferent, and at those Bob answers with a beta where
-    Alice is; the degeneracy regions are the cells [k step, (k+1) step]
-    of width scan_step_deg that hold one (neighbouring cells merged), and
-    the whole half turn when a player's harmonic is flat at every angle,
-    as when every stake is 0.
-    Of candidate (alpha, beta) pairs within refine_tol_deg of each other
-    modulo 180 the one with the least |residual| is kept; candidates
-    whose beta or residual is undefined are dropped, and the rest are
-    reported in sorted order, each verified by verify_equilibrium
-    with tol (n_probe is passed on, validated, and
-    no longer affects the verdict); unverified candidates stay in the
+    a neighbouring double.  It also takes from closed forms each profile
+    at which one player is indifferent against the other's angle x0 and
+    the other's best reply to the first player's angle is x0.  The
+    composed map is undefined at the alphas where Bob is indifferent,
+    and at those Bob answers with a beta where Alice is; the degeneracy
+    regions are the cells [k step, (k+1) step] of width scan_step_deg
+    that hold one (neighbouring cells merged), and the whole half turn
+    when a player's harmonic is flat at every angle, as when every stake
+    is 0.  Of candidate (alpha, beta) pairs within refine_tol_deg of
+    each other modulo 180 the one with the least |residual| is kept;
+    candidates whose beta or residual is undefined are dropped, and the
+    rest are reported in sorted order, each verified by
+    verify_equilibrium with tol (n_probe is passed on, validated, and no
+    longer affects the verdict); unverified candidates stay in the
     result with verified=False.  A report's value is the sum of its two
     diagonal terms.
 
@@ -331,12 +332,12 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
     _check_probe_count(n_probe)
 
     indifferent, undefined = fixedpoint.indifference_points(params, refine_tol_deg)
-    candidates = np.concatenate((fixedpoint.fixed_points(params, refine_tol_deg), indifferent))
+    candidates = fixedpoint.fixed_points(params, refine_tol_deg) + indifferent
 
     # deduplicate (alpha, beta) pairs modulo 180, keeping the least
     # |residual| of each cluster (ties in sorted order), in sorted order
-    unique: list[list[float]] = []
-    defined = [c for c in candidates.tolist() if not math.isnan(c[1] + c[2])]
+    unique: list[tuple[float, float, float]] = []
+    defined = [c for c in candidates if not math.isnan(c[1] + c[2])]
     for cand in sorted(defined, key=lambda c: (abs(c[2]), c)):
         if any(wrapped_distance(cand[0], u[0]) <= refine_tol_deg
                and wrapped_distance(cand[1], u[1]) <= refine_tol_deg for u in unique):

@@ -47,10 +47,12 @@ residual changed sign bisects that bracket.
 Everything after the eigenvalue call is scalar arithmetic, one angle at
 a time in plain Python floats and complex numbers, which on a handful
 of angles costs less than numpy calls do: the seeds, the Newton
-iteration, and each finished row, whose residual and Bob's answer come
-from one more evaluation of the same step.  compose stays the array
-form of that residual, which the degeneracy regions and the tests
-evaluate on grids.
+iteration, each finished row, whose residual and Bob's harmonic come
+from one more evaluation of the same step (_step, the one implementation
+of the residual), and the indifference rows below.  A scalar best reply
+(_reply) gives each row's beta and each indifference row's reply;
+best_responses is its array form, which reaction curves and the public
+best-response functions evaluate on grids.
 
 Where a player's harmonic vanishes that player is indifferent and the
 composed map is undefined.  Such a zero, and the opponent angles that
@@ -138,8 +140,11 @@ def harmonic_map(params, player: str) -> tuple[complex, complex, complex]:
         t_own, t_opp = params.theta_b_deg, params.theta_a_deg
     n = cmath.exp(1j * math.radians(2.0 * t_own))
     o = cmath.exp(1j * math.radians(2.0 * t_opp))
-    g = (r + s) / 4.0
-    return (p - q) / 4.0 + (r - s) / 4.0 * n, -(p + q) / 4.0 - g * o.real * n, -g * o.imag * n
+    # quarter each stake before adding, exactly, so that no sum of two
+    # finite stakes overflows
+    p, q, r, s = p / 4.0, q / 4.0, r / 4.0, s / 4.0
+    g = r + s
+    return p - q + (r - s) * n, -(p + q) - g * o.real * n, -g * o.imag * n
 
 
 def phase(angle_deg):
@@ -162,13 +167,6 @@ def _flat(size, kernel: HarmonicKernel):
     return size <= kernel.radius
 
 
-def _peak(k, flat):
-    """arg K in radians, where the harmonic K1 cos 2t + K2 sin 2t =
-    Re(K conj(exp(2it))) peaks, for each K = k; NaN where the mask flat,
-    from _flat, holds."""
-    return np.where(flat, np.nan, np.arctan2(k.imag, k.real))
-
-
 def _answer(peak, player: str):
     """The best-response angle in [0, 180) at the harmonic's peak 2t = peak;
     Bob minimises, so his answer lies a quarter turn from it."""
@@ -177,40 +175,29 @@ def _answer(peak, player: str):
 
 def best_responses(opponent_deg, params, player: str):
     """A player's best-response angles in [0, 180) against each opponent
-    angle, NaN where the harmonic is flat; broadcasts over angle arrays."""
+    angle, NaN where the harmonic is flat; broadcasts over angle arrays.
+
+    The harmonic K1 cos 2t + K2 sin 2t = Re(K conj(exp(2it))) peaks at
+    2t = arg K.
+    """
     kernel = params.kernel
     k = _harmonic(phase(opponent_deg), *(kernel.alice if player == ALICE else kernel.bob))
-    return _answer(_peak(k, _flat(abs(k), kernel)), player)
+    return _answer(np.where(_flat(abs(k), kernel), np.nan, np.arctan2(k.imag, k.real)), player)
 
 
-def _compose_phases(e, params):
-    """Bob's harmonic K_B against each of Alice's phases e = exp(2i alpha),
-    the mask of where it is flat, and the residual arg(K_A conj(e))/2 of
-    the composed map in degrees, NaN where K_B or Alice's harmonic K_A
-    against Bob's answer w = -K_B/|K_B| is flat."""
-    kernel = params.kernel
-    k_b = _harmonic(e, *kernel.bob)
-    size_b = abs(k_b)
-    flat_b = _flat(size_b, kernel)
-    # w is NaN where K_B vanishes and finite but unused where it is flat
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k_a = _harmonic(-k_b / size_b, *kernel.alice) * np.conj(e)
-    return k_b, flat_b, _peak(k_a, flat_b | _flat(abs(k_a), kernel)) * (90.0 / math.pi)
-
-
-def compose(alpha_deg, params):
-    """Bob's response to each alpha, and the signed angular defect of alpha
-    under the composed best-response map (the residual, in [-90, 90]);
-    NaN where a response along the composition is degenerate."""
-    k_b, flat_b, residuals = _compose_phases(phase(alpha_deg), params)
-    return _answer(_peak(k_b, flat_b), BOB), residuals
+def _reply(k: complex, player: str, kernel: HarmonicKernel) -> float:
+    """The player's best-response angle to the harmonic k, one scalar at a
+    time, as best_responses gives it for arrays; NaN where k is flat."""
+    if _flat(abs(k), kernel):
+        return math.nan
+    return _answer(math.atan2(k.imag, k.real), player)
 
 
 def _step(alpha: float, kernel: HarmonicKernel) -> tuple[float, float, complex]:
-    """The residual r of compose at alpha, the Newton step r / r', in
-    degrees, and Bob's harmonic K_B there; the step is NaN where r or its
-    slope r' is undefined or the slope is 0, and r is NaN where r is
-    undefined.
+    """The residual r = arg(K_A conj(e))/2 of the composed map at alpha,
+    in [-90, 90], the Newton step r / r', in degrees, and Bob's harmonic
+    K_B there; r and the step are NaN where K_B or K_A is flat, and the
+    step is NaN where the slope r' is 0.
 
     With e = exp(2i alpha), per radian of alpha dK_B = 2(m_2 Re e -
     m_1 Im e) from Bob's harmonic, Bob's answer w = -K_B/|K_B| turns by
@@ -365,7 +352,7 @@ def _crosses(alpha: float, residual: float, kernel: HarmonicKernel) -> bool:
     return False
 
 
-def fixed_points(params, tol_deg: float) -> np.ndarray:
+def fixed_points(params, tol_deg: float) -> list[tuple[float, float, float]]:
     """(alpha, beta, residual) rows of the fixed points of the composed
     best-response map, one row per seed that finds one.
 
@@ -381,7 +368,8 @@ def fixed_points(params, tol_deg: float) -> np.ndarray:
     against e (residual +-90), and the zeros of K_B (step undefined).
     When no root seeds an iteration, nothing is iterated.  Everything
     after the eigenvalue call is scalar arithmetic: a finished row's
-    residual and Bob's answer come from one more _step at its angle.
+    residual and Bob's harmonic come from one more _step at its angle,
+    and beta is Bob's _reply to that harmonic.
     """
     kernel = params.kernel
     rows = []
@@ -393,8 +381,8 @@ def fixed_points(params, tol_deg: float) -> np.ndarray:
         alpha = wrap_half_turn(_newton(seed, residual, step, kernel))
         residual, _, k_b = _step(alpha, kernel)
         if abs(residual) <= tol_deg or _crosses(alpha, residual, kernel):
-            rows.append((alpha, _answer(math.atan2(k_b.imag, k_b.real), BOB), residual))
-    return np.array(rows).reshape(-1, 3)
+            rows.append((alpha, _reply(k_b, BOB, kernel), residual))
+    return rows
 
 
 def _harmonic_angles(u1: float, u2: float, k: float) -> list[float]:
@@ -406,7 +394,8 @@ def _harmonic_angles(u1: float, u2: float, k: float) -> list[float]:
     return [wrap_half_turn(math.degrees(peak + sign * half) / 2.0) for sign in (-1.0, 1.0)]
 
 
-def indifference_points(params, tol_deg: float) -> tuple[np.ndarray, np.ndarray]:
+def indifference_points(params, tol_deg: float) -> tuple[list[tuple[float, float, float]],
+                                                          list[float]]:
     """(alpha, beta, residual) rows of the equilibria at which one player
     is indifferent, that is, where the composed map is undefined, and the
     alphas at which it is undefined: those at which Bob is indifferent,
@@ -415,15 +404,15 @@ def indifference_points(params, tol_deg: float) -> tuple[np.ndarray, np.ndarray]
     A player's harmonic K = kappa0 + m_1 cos 2x + m_2 sin 2x vanishes only
     where its real or imaginary part does, at one of at most two
     closed-form opponent angles x0, taken from the part whose m-terms
-    are larger and kept where the flatness test of best_responses holds
-    there.  The player's partner angles y are those against which the
+    are larger and kept where the flatness test of _reply holds there.
+    The player's partner angles y are those against which the
     opponent's harmonic K' is parallel to e(x0): Im(conj(K') e(x0)) = 0
     is one linear equation in (cos 2y, sin 2y).  At one sign of K' the
-    opponent's best reply is x0, at the other x0 + 90.  The residual is
-    the opponent's best-reply defect from x0, 0 where that reply is flat
-    too, and the rows within tol_deg of zero are kept; the alphas of the
-    rows kept where Alice is indifferent are the alphas Bob answers with
-    x0.
+    opponent's best reply (_reply) is x0, at the other x0 + 90.  The
+    residual is the opponent's best-reply defect from x0, 0 where that
+    reply is flat too, and the rows within tol_deg of zero are kept; the
+    alphas of the rows kept where Alice is indifferent are the alphas Bob
+    answers with x0.
     """
     kernel = params.kernel
     rows, undefined = [], []
@@ -436,14 +425,13 @@ def indifference_points(params, tol_deg: float) -> tuple[np.ndarray, np.ndarray]
             if not _flat(abs(_harmonic(e, *own)), kernel):
                 continue
             k, u1, u2 = ((c.conjugate() * e).imag for c in other)
-            ys = np.array(_harmonic_angles(u1, u2, -k))
-            reply = best_responses(ys, params, opponent)
-            residual = np.where(np.isnan(reply), 0.0, signed_delta(reply, x0))
-            kept = np.abs(residual) <= tol_deg
-            xs = np.full_like(ys, x0)
-            rows.append(np.column_stack((xs, ys, residual) if player == BOB
-                                        else (ys, xs, residual))[kept])
-            undefined.extend([x0] if player == BOB else ys[kept])
-    if not rows:
-        return np.empty((0, 3)), np.array(undefined)
-    return np.concatenate(rows), np.array(undefined)
+            kept = []
+            for y in _harmonic_angles(u1, u2, -k):
+                k_y = _harmonic(cmath.exp(2j * math.radians(y)), *other)
+                reply = _reply(k_y, opponent, kernel)
+                residual = 0.0 if math.isnan(reply) else signed_delta(reply, x0)
+                if abs(residual) <= tol_deg:
+                    kept.append(y)
+                    rows.append((x0, y, residual) if player == BOB else (y, x0, residual))
+            undefined.extend([x0] if player == BOB else kept)
+    return rows, undefined

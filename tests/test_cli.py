@@ -87,6 +87,17 @@ def test_quantum_solve_reports_equilibrium_where_bob_is_indifferent(runner, thet
     assert eq["residual_deg"] <= 1e-9
 
 
+def test_quantum_solve_at_stakes_near_the_float_limit(runner):
+    # the sum of two stakes overflows; the solve matches the unit-stake one
+    huge = _run_json(runner, ["quantum", "solve", "-p", "1e308,1e308,1e308,1e308",
+                              "--theta-a", "30", "--theta-b", "20"])
+    _check_schema(huge, "quantum_solve")
+    unit = _run_json(runner, ["quantum", "solve", "-p", "1,1,1,1",
+                              "--theta-a", "30", "--theta-b", "20"])
+    assert (huge["equilibria"], huge["degeneracy_regions"]) == (unit["equilibria"],
+                                                               unit["degeneracy_regions"])
+
+
 def test_quantum_solve_input_errors(runner):
     base = ["quantum", "solve", "-p", "3,3,5,1"]
     assert runner.invoke(main, base + ["--theta-a", "180", "--theta-b", "70"]).exit_code == 2

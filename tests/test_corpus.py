@@ -21,10 +21,11 @@ judges each report from GameParams.payoff alone.
 
 tests/data/heterogeneous_roots.json holds heterogeneous-stake games
 whose fixed points are hard to finish, each with the alpha of one fixed
-point found without the solver: the residual of compose scanned at
-0.005 degrees, each sign change bisected to 1e-12 degrees and kept
-where verify_equilibrium passes it at n_probe 2880.  Family 2 or 3 is a
-draw of _heterogeneous_games(k, 2000); indifference-77 is a draw of
+point found without the solver: the residual of the composed
+best-response map scanned at 0.005 degrees, each sign change bisected
+to 1e-12 degrees and kept where verify_equilibrium passes it at n_probe
+2880.  Family 2 or 3 is a draw of _heterogeneous_games(k, 2000);
+indifference-77 is a draw of
 test_equilibrium._indifference_game(default_rng(77), False).  An entry
 with max_residual bounds the residual of that report too.
 """

@@ -338,8 +338,8 @@ def test_polish_never_raises_the_residual():
     starts = STEEP_RESIDUAL_ROOT + np.arange(-5, 6) * 1e-12
     alphas = np.array([fixedpoint._newton(a, *fixedpoint._step(a, kernel)[:2], kernel)
                        for a in starts.tolist()])
-    before = fixedpoint.compose(starts, STEEP_RESIDUAL)[1]
-    after = fixedpoint.compose(alphas, STEEP_RESIDUAL)[1]
+    before = np.array([fixedpoint._step(a, kernel)[0] for a in starts.tolist()])
+    after = np.array([fixedpoint._step(a, kernel)[0] for a in alphas.tolist()])
     assert np.all(np.abs(before) <= 0.005)
     assert np.all(np.abs(after) <= np.abs(before))
 
@@ -348,12 +348,13 @@ def test_duplicates_keep_the_least_residual(monkeypatch):
     # a poorer row 1e-5 degrees below the root, as a second seed might
     # leave it, lies within the refine tolerance of the root's row and
     # sorts first; the row with the smaller residual is the one reported
-    (good,) = fixedpoint.fixed_points(EX3, 0.005).tolist()
+    kernel = EX3.kernel
+    (good,) = fixedpoint.fixed_points(EX3, 0.005)
     alpha = good[0] - 1e-5
-    poorer = [alpha, *(float(x[0]) for x in fixedpoint.compose(np.array([alpha]), EX3))]
+    residual, _, k_b = fixedpoint._step(alpha, kernel)
+    poorer = (alpha, fixedpoint._reply(k_b, fixedpoint.BOB, kernel), residual)
     assert abs(good[2]) < abs(poorer[2]) <= 0.005 and wrapped_distance(good[1], poorer[1]) <= 0.005
-    monkeypatch.setattr(fixedpoint, "fixed_points",
-                        lambda params, tol_deg: np.array([poorer, good]))
+    monkeypatch.setattr(fixedpoint, "fixed_points", lambda params, tol_deg: [poorer, good])
     (report,) = find_equilibria(EX3).equilibria
     assert (report.alpha_star_deg, report.beta_star_deg) == (good[0], good[1])
     assert report.residual_deg == abs(good[2])
@@ -364,8 +365,7 @@ def test_no_polish_without_a_root(monkeypatch):
         raise AssertionError("polished without a root")
 
     monkeypatch.setattr(fixedpoint, "_newton", newton)
-    rows = fixedpoint.fixed_points(EX2, 0.005)
-    assert rows.shape == (0, 3) and rows.dtype == float
+    assert fixedpoint.fixed_points(EX2, 0.005) == []
     assert len(find_equilibria(EX2)) == 0
     # criterion 3's game has a root, so its solve does polish
     with pytest.raises(AssertionError, match="polished without a root"):

@@ -282,6 +282,15 @@ def test_find_equilibria_ex3_finds_verified_point():
     assert eq.value == pytest.approx(EX3_STAR[2], abs=1e-4)
 
 
+def test_find_equilibria_ex3_at_stakes_near_the_float_limit():
+    # criterion 3's game times 3e307, where the sum of two stakes overflows
+    result = find_equilibria(GameParams(9e307, 9e307, 1.5e308, 3e307, 30.0, 20.0))
+    (eq,) = result.equilibria
+    assert eq.verified
+    assert eq.alpha_star_deg == pytest.approx(EX3_STAR[0], abs=1e-6)
+    assert eq.beta_star_deg == pytest.approx(EX3_STAR[1], abs=1e-6)
+
+
 def test_find_equilibria_fig7_unique_and_stable():
     first = find_equilibria(FIG7, scan_step_deg=0.25)
     second = find_equilibria(FIG7, scan_step_deg=0.125)

@@ -15,8 +15,8 @@ from orthogame.angles import signed_delta, wrapped_distance
 from orthogame.classical import PayoffMatrix
 from orthogame.equilibrium import (DEGENERACY_SQ, GameParams, best_response_alice,
                                    best_response_bob, find_equilibria, verify_equilibrium)
-from orthogame.fixedpoint import (ALICE, BOB, _harmonic, best_responses, circle_angles,
-                                  compose, harmonic_map, phase, polynomial)
+from orthogame.fixedpoint import (ALICE, BOB, _harmonic, _reply, _step, best_responses,
+                                  circle_angles, harmonic_map, phase, polynomial)
 from orthogame.quantum import (LogicRepresentation, QuantumStrategy,
                                expectation, payoff_closed_form, payoff_operator)
 
@@ -44,6 +44,8 @@ def _same_points(first, second, tol_deg=1e-6):
 
 @deterministic
 @given(stakes, mixing_angle, mixing_angle, wide_decades)
+# Alice's stakes a + c sum past the largest double
+@example((9.0, 9.0, 10.0, 3.0), 30.0, 20.0, 307)
 def test_stake_scaling_keeps_equilibrium_angles(s, theta_a, theta_b, exponent):
     factor = 10.0 ** exponent
     base = find_equilibria(GameParams(*s, theta_a, theta_b))
@@ -111,12 +113,16 @@ def test_grid_gain_within_discretisation_of_analytic_gain(s, exponent, theta_a, 
 @example((3.0, 1.0, 1.0, 1.0), 0, 15.0, 70.0)
 # Alice's vanishes exactly at beta 30, Bob's answer to alpha 135
 @example((3.0, 1.0, 1.0, 1.0), 0, 30.0, 165.0)
-def test_compose_matches_angle_form_composition(s, exponent, theta_a, theta_b):
-    # compose never takes Bob's angle; composing the two best responses
-    # through it must give the same map, NaN wherever a response is flat
+def test_step_matches_angle_form_composition(s, exponent, theta_a, theta_b):
+    # the solver's residual never takes Bob's angle; composing the two
+    # public best responses through it must give the same map, NaN
+    # wherever a response is flat
     params = GameParams(*(x * 10.0 ** exponent for x in s), theta_a, theta_b)
+    kernel = params.kernel
     alphas = np.arange(0.0, 180.0, 0.25)
-    beta, residual = compose(alphas, params)
+    steps = [_step(alpha, kernel) for alpha in alphas.tolist()]
+    beta = np.array([_reply(k_b, BOB, kernel) for _, _, k_b in steps])
+    residual = np.array([r for r, _, _ in steps])
     expected_beta = best_responses(alphas, params, BOB)
     expected = signed_delta(best_responses(expected_beta, params, ALICE), alphas)
     assert np.array_equal(np.isnan(beta), np.isnan(expected_beta))
