@@ -300,23 +300,22 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
     fixed-point polynomial, finished by Newton's iteration on the
     residual from the angle of every eigenvalue of the real companion
     matrix of its half-angle form, and kept where the residual is within
-    refine_tol_deg of zero or changes sign between the finished alpha and
-    a neighbouring double.  It also takes from closed forms each profile
-    at which one player is indifferent against the other's angle x0 and
-    the other's best reply to the first player's angle is x0.  The
-    composed map is undefined at the alphas where Bob is indifferent,
-    and at those Bob answers with a beta where Alice is; the degeneracy
-    regions are the cells [k step, (k+1) step] of width scan_step_deg
-    that hold one (neighbouring cells merged), and the whole half turn
-    when a player's harmonic is flat at every angle, as when every stake
-    is 0.  Of candidate (alpha, beta) pairs within refine_tol_deg of
-    each other modulo 180 the one with the least |residual| is kept;
-    candidates whose beta or residual is undefined are dropped, and the
-    rest are reported in sorted order, each verified by
-    verify_equilibrium with tol (n_probe is passed on, validated, and no
-    longer affects the verdict); unverified candidates stay in the
-    result with verified=False.  A report's value is the sum of its two
-    diagonal terms.
+    refine_tol_deg of zero or where Newton's bisection closed a sign
+    change of the residual on it between neighbouring doubles.  It also
+    takes from closed forms each profile at which one player is
+    indifferent against the other's angle x0 and the other's best reply
+    to the first player's angle is x0.  The composed map is undefined at
+    the alphas where Bob is indifferent, and at those Bob answers with a
+    beta where Alice is; the degeneracy regions are the cells [k step,
+    (k+1) step] of width scan_step_deg that hold one (neighbouring cells
+    merged), and the whole half turn when a player's harmonic is flat at
+    every angle, as when every stake is 0.  Of candidate (alpha, beta)
+    pairs within refine_tol_deg of each other modulo 180 the one with the
+    least |residual| is kept, and those kept are reported in sorted order,
+    each verified by verify_equilibrium with tol (n_probe is passed on,
+    validated, and no longer affects the verdict); unverified candidates
+    stay in the result with verified=False.  A report's value is the sum
+    of its two diagonal terms.
 
     The game is zero-sum, so its equilibria are interchangeable: they
     form a product of Alice's equilibrium angles and Bob's.  A best
@@ -337,8 +336,7 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
     # deduplicate (alpha, beta) pairs modulo 180, keeping the least
     # |residual| of each cluster (ties in sorted order), in sorted order
     unique: list[tuple[float, float, float]] = []
-    defined = [c for c in candidates if not math.isnan(c[1] + c[2])]
-    for cand in sorted(defined, key=lambda c: (abs(c[2]), c)):
+    for cand in sorted(candidates, key=lambda c: (abs(c[2]), c)):
         if any(wrapped_distance(cand[0], u[0]) <= refine_tol_deg
                and wrapped_distance(cand[1], u[1]) <= refine_tol_deg for u in unique):
             continue

@@ -42,7 +42,8 @@ nearly vanishes the residual sweeps most of a quarter turn within a
 small fraction of a degree, and a full step from an eigenvalue's angle
 can overshoot it, so a step that does not lower the residual is halved
 instead, and an iteration that stops short of a root across which its
-residual changed sign bisects that bracket.
+residual changed sign bisects that bracket, keeping a root it closes
+between neighbouring doubles.
 
 Everything after the eigenvalue call is scalar arithmetic, one angle at
 a time in plain Python floats and complex numbers, which on a handful
@@ -223,9 +224,12 @@ def _step(alpha: float, kernel: HarmonicKernel) -> tuple[float, float, complex]:
     return residual, residual / slope if slope else math.nan, k_b
 
 
-def _newton(alpha: float, residual: float, step: float, kernel: HarmonicKernel) -> float:
+def _newton(alpha: float, residual: float, step: float,
+            kernel: HarmonicKernel) -> tuple[float, bool]:
     """Newton's iteration on the residual from alpha, given the residual
-    and the first step there from _step; the angle is not wrapped.
+    and the first step there from _step: the angle it ends at, not
+    wrapped, and whether that angle closes a sign change of the residual
+    between neighbouring doubles.
 
     A step that does not lower |residual| is halved instead of taken.  The
     iteration stops where the step is undefined or would leave
@@ -237,14 +241,15 @@ def _newton(alpha: float, residual: float, step: float, kernel: HarmonicKernel) 
     doubles and ends at whichever of the bracket's ends and its own last
     angle has the least |residual|: where the residual climbs 1e7
     degrees per degree, a bracket 1e-12 degrees wide can still hold
-    residuals of 1e-5.
+    residuals of 1e-5.  An end of that bracket closes the sign change
+    when the ends' residuals still differ by less than 90 degrees.
     """
     start, bracket = alpha, None
     for _ in range(_NEWTON_STEPS):
         if math.isnan(step) or abs(alpha - step - start) > _REACH_DEG:
             break
         if abs(step) <= _NEWTON_TOL_DEG:
-            return alpha - step
+            return alpha - step, False
         trial, trial_step, _ = _step(alpha - step, kernel)
         if trial * residual < 0.0 and abs(trial - residual) < 90.0:
             bracket = (alpha, residual, alpha - step, trial)
@@ -253,7 +258,7 @@ def _newton(alpha: float, residual: float, step: float, kernel: HarmonicKernel) 
         else:
             step /= 2.0
     if bracket is None:
-        return alpha
+        return alpha, False
     lo, r_lo, hi, r_hi = bracket
     while lo != (mid := (lo + hi) / 2.0) != hi:
         r_mid = _step(mid, kernel)[0]
@@ -261,7 +266,8 @@ def _newton(alpha: float, residual: float, step: float, kernel: HarmonicKernel) 
             lo, r_lo = mid, r_mid
         else:
             hi, r_hi = mid, r_mid
-    return min((alpha, residual), (lo, r_lo), (hi, r_hi), key=lambda x: abs(x[1]))[0]
+    end = min((alpha, residual), (lo, r_lo), (hi, r_hi), key=lambda x: abs(x[1]))[0]
+    return end, end in (lo, hi) and abs(r_hi - r_lo) < 90.0
 
 
 def _times(f, g) -> list[complex]:
@@ -340,18 +346,6 @@ def circle_angles(coeffs) -> list[float]:
     return angles
 
 
-def _crosses(alpha: float, residual: float, kernel: HarmonicKernel) -> bool:
-    """Whether the residual changes sign between alpha and a neighbouring
-    double by less than 90 degrees (more is a wrap of the composed map),
-    so that a root lies between neighbouring doubles, however far from 0
-    the residual at alpha is."""
-    for side in (-math.inf, math.inf):
-        beside = _step(math.nextafter(alpha, side), kernel)[0]
-        if beside * residual < 0.0 and abs(beside - residual) < 90.0:
-            return True
-    return False
-
-
 def fixed_points(params, tol_deg: float) -> list[tuple[float, float, float]]:
     """(alpha, beta, residual) rows of the fixed points of the composed
     best-response map, one row per seed that finds one.
@@ -360,13 +354,14 @@ def fixed_points(params, tol_deg: float) -> list[tuple[float, float, float]]:
     circle_angles, a root on the unit circle or off it, whose first
     Newton step on the unsquared residual is at most _REACH_DEG seeds
     Newton's iteration (_newton), and a finished angle is kept where its
-    residual is within tol_deg of zero, or where the residual changes
-    sign between it and a neighbouring double (_crosses): at a crossing
-    steeper than about 1e11 degrees per degree the nearest double can
-    leave a residual of 1e-3 degrees.  This drops the roots off the
-    circle, those of the other square-root branch, where K_A points
-    against e (residual +-90), and the zeros of K_B (step undefined).
-    When no root seeds an iteration, nothing is iterated.  Everything
+    residual is within tol_deg of zero, or where the iteration's
+    bisection closed a sign change of the residual on it between
+    neighbouring doubles: at a crossing steeper than about 1e11 degrees
+    per degree the nearest double can leave a residual of 1e-3 degrees.
+    This drops the roots off the circle, those of the other square-root
+    branch, where K_A points against e (residual +-90), and the zeros of
+    K_B (step undefined).  When no root seeds an iteration, nothing is
+    iterated.  Everything
     after the eigenvalue call is scalar arithmetic: a finished row's
     residual and Bob's harmonic come from one more _step at its angle,
     and beta is Bob's _reply to that harmonic.
@@ -378,9 +373,10 @@ def fixed_points(params, tol_deg: float) -> list[tuple[float, float, float]]:
         residual, step, _ = _step(seed, kernel)
         if not abs(step) <= _REACH_DEG:
             continue
-        alpha = wrap_half_turn(_newton(seed, residual, step, kernel))
+        end, closed = _newton(seed, residual, step, kernel)
+        alpha = wrap_half_turn(end)
         residual, _, k_b = _step(alpha, kernel)
-        if abs(residual) <= tol_deg or _crosses(alpha, residual, kernel):
+        if abs(residual) <= tol_deg or closed:
             rows.append((alpha, _reply(k_b, BOB, kernel), residual))
     return rows
 

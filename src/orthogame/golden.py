@@ -165,8 +165,8 @@ RECORDS: dict[str, GoldenRecord] = {
         items=(
             GoldenItem("verified_equilibrium_count", KNOWN_DISCREPANCY, 0,
                        note="the tables claim no equilibrium, but the search locates one "
-                            "near alpha 53.51, beta 51.66 with value 2.707 that passes the "
-                            "two-sided deviation probes at every checked resolution"),
+                            "near alpha 53.51, beta 51.66 with value 2.707 at which neither "
+                            "player gains by deviating (closed-form largest deviation gain)"),
         ),
         solver_note="the reference tables claim no equilibrium for this configuration; "
                     "direct search locates a verified one, audited as a known discrepancy "

@@ -336,7 +336,7 @@ def test_polish_never_raises_the_residual():
     # start farther from zero than it was
     kernel = STEEP_RESIDUAL.kernel
     starts = STEEP_RESIDUAL_ROOT + np.arange(-5, 6) * 1e-12
-    alphas = np.array([fixedpoint._newton(a, *fixedpoint._step(a, kernel)[:2], kernel)
+    alphas = np.array([fixedpoint._newton(a, *fixedpoint._step(a, kernel)[:2], kernel)[0]
                        for a in starts.tolist()])
     before = np.array([fixedpoint._step(a, kernel)[0] for a in starts.tolist()])
     after = np.array([fixedpoint._step(a, kernel)[0] for a in alphas.tolist()])
