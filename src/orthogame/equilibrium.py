@@ -4,17 +4,21 @@ For a fixed opponent angle x the payoff F is a single harmonic in twice
 the player's own angle, K0 + K1 cos 2t + K2 sin 2t, and (K1, K2) is an
 affine function of (cos 2x, sin 2x); each best response has a closed
 form.  Equilibria are fixed points of the composed best-response map on
-the half-turn circle, and they are enumerated exactly: they are roots of
-a degree-8 polynomial (see `fixedpoint`), finished by Newton's
-iteration on the unsquared fixed-point residual and kept where that
-residual vanishes, steep crossings and tangencies included.  Where one
-player is indifferent the composed map is undefined, and the equilibria
-there, and the degeneracy regions, where a best response is non-unique,
-come from closed forms instead.  No residual is scanned: a scan of it
-is the tests' oracle for the enumeration.  Verification is mandatory:
-each player's largest gain from a unilateral deviation follows in
-closed form from the same harmonics, and candidates that fail are
-reported with verified=False rather than dropped.
+the half-turn circle, and they are enumerated exactly.  A closed-form
+certificate comes first: the mixed extension is bilinear on two unit
+disks, and where two 2x2 solves place both of its kinks inside the disk
+the game has no pure equilibrium and the search is skipped.  Otherwise
+the fixed points are roots of a degree-8 polynomial (see `fixedpoint`),
+finished by Newton's iteration on the unsquared fixed-point residual and
+kept where that residual vanishes, steep crossings and tangencies
+included.  Where one player is indifferent the composed map is
+undefined, and the equilibria there, and the degeneracy regions, where a
+best response is non-unique, come from closed forms instead.  No
+residual is scanned: a scan of it is the tests' oracle for the
+enumeration.  Verification is mandatory: each player's largest gain from
+a unilateral deviation follows in closed form from the same harmonics,
+and candidates that fail are reported with verified=False rather than
+dropped.
 """
 
 from __future__ import annotations
@@ -296,26 +300,31 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
                     tol: Optional[float] = None) -> SearchResult:
     """Locate and verify all fixed points of the composed best-response map.
 
-    Enumerates the fixed points as the unit-circle roots of the degree-8
-    fixed-point polynomial, finished by Newton's iteration on the
-    residual from the angle of every eigenvalue of the real companion
-    matrix of its half-angle form, and kept where the residual is within
-    refine_tol_deg of zero or where Newton's bisection closed a sign
-    change of the residual on it between neighbouring doubles.  It also
-    takes from closed forms each profile at which one player is
-    indifferent against the other's angle x0 and the other's best reply
-    to the first player's angle is x0.  The composed map is undefined at
-    the alphas where Bob is indifferent, and at those Bob answers with a
-    beta where Alice is; the degeneracy regions are the cells [k step,
-    (k+1) step] of width scan_step_deg that hold one (neighbouring cells
-    merged), and the whole half turn when a player's harmonic is flat at
-    every angle, as when every stake is 0.  Of candidate (alpha, beta)
-    pairs within refine_tol_deg of each other modulo 180 the one with the
-    least |residual| is kept, and those kept are reported in sorted order,
-    each verified by verify_equilibrium with tol (n_probe is passed on,
+    A game whose coefficients c = M^-1 a and d = M^-T b of the disk
+    certificate both lie inside the unit disk, by a rounding margin that
+    grows with cond(M), has no pure equilibrium and no harmonic that comes
+    near flat; its fixed-point search is skipped, so it reports nothing, not
+    even an unverified candidate, and its regions come from the same closed
+    forms as any game's.  Otherwise this enumerates the fixed points as the
+    unit-circle roots of the degree-8 fixed-point polynomial, finished by
+    Newton's iteration on the residual from the angle of every eigenvalue of
+    the real companion matrix of its half-angle form, and kept where the
+    residual is within refine_tol_deg of zero or where Newton's bisection
+    closed a sign change of the residual on it between neighbouring doubles.
+    It also takes from closed forms each profile at which one player is
+    indifferent against the other's angle x0 and the other's best reply to
+    the first player's angle is x0.  The composed map is undefined at the
+    alphas where Bob is indifferent, and at those Bob answers with a beta
+    where Alice is; the degeneracy regions are the cells [k step, (k+1)
+    step] of width scan_step_deg that hold one (neighbouring cells merged),
+    and the whole half turn when a player's harmonic is flat at every angle,
+    as when every stake is 0.  Of candidate (alpha, beta) pairs within
+    refine_tol_deg of each other modulo 180 the one with the least
+    |residual| is kept, and those kept are reported in sorted order, each
+    verified by verify_equilibrium with tol (n_probe is passed on,
     validated, and no longer affects the verdict); unverified candidates
-    stay in the result with verified=False.  A report's value is the sum
-    of its two diagonal terms.
+    stay in the result with verified=False.  A report's value is the sum of
+    its two diagonal terms.
 
     The game is zero-sum, so its equilibria are interchangeable: they
     form a product of Alice's equilibrium angles and Bob's.  A best

@@ -55,6 +55,14 @@ of the residual), and the indifference rows below.  A scalar best reply
 best_responses is its array form, which reaction curves and the public
 best-response functions evaluate on grids.
 
+Before any of this, two 2x2 solves from the kernel can prove that there
+is nothing to find (_proves_absence).  The payoff is bilinear in the
+phases p = e(alpha) and q = e(beta), so the mixed game is bilinear on two
+unit disks; when c = M^-1 a and d = M^-T b of its coefficients both lie
+inside the disk, by a rounding margin, its only saddle is interior and
+there is no pure equilibrium, and fixed_points returns no rows without
+building the polynomial.
+
 Where a player's harmonic vanishes that player is indifferent and the
 composed map is undefined.  Such a zero, and the opponent angles that
 it pairs with in an equilibrium, each solve one linear equation in
@@ -89,6 +97,9 @@ _NEWTON_STEPS = 12
 # the last step is applied before the iteration stops, since Bob's best
 # response can be thousands of times steeper than the residual
 _NEWTON_TOL_DEG = 1e-12
+# first-order rounding bound of _proves_absence, in units of the largest
+# stake: 256 unit roundoffs
+_ROUNDING = 2.0 ** -45
 # column k holds the coefficients of t^8 ... t^0 of (1 + it)^k (1 - it)^(8 - k),
 # which is (1 + t^2)^4 z^(k - 4) at z = (1 + it)/(1 - it)
 _HALF_ANGLE = np.array([[(1, 1j, -1, -1j)[j % 4]
@@ -346,27 +357,92 @@ def circle_angles(coeffs) -> list[float]:
     return angles
 
 
+def _proves_absence(kernel: HarmonicKernel) -> bool:
+    """Whether the disk certificate proves that the game has no fixed
+    point, so no pure equilibrium: both kinks of the mixed game's security
+    levels lie inside the unit disk, beyond a rounding margin.
+
+    With p = e(alpha) and q = e(beta) as vectors, the payoff is f0 + a.p +
+    b.q + p.Mq, where M = [[Re m_1, Re m_2], [Im m_1, Im m_2]] and a =
+    (Re kappa0, Im kappa0) come from Alice's harmonic, which is the vector
+    a + Mq, and b from Bob's, which is b + M^T p.  A mixed strategy acts
+    only through its mean of p or q, a point of the unit disk, so the
+    mixed game is bilinear on two disks and has a saddle point (von
+    Neumann 1928; Sion, Pacific J. Math. 8 (1958) 171-176), and a pure
+    equilibrium is one of its saddles, since a payoff linear in a
+    player's own mean peaks on the circle.  Let c = M^-1 a and d = M^-T b.
+    If |c| < 1 and |d| < 1, (-d, -c) is an interior saddle, at which each
+    player's harmonic vanishes.  Zero-sum saddles are interchangeable
+    (Osborne and Rubinstein 1994, Prop. 22.2), so a pure equilibrium
+    (p, q) would make (p, -c) a saddle too, at which Bob minimises over
+    the disk at the interior point -c: b + M^T p = 0, so p = -d, which is
+    not on the circle.  There is no pure equilibrium.
+
+    The test reads Q = |det M| - max(|adj(M) a|, |adj(M)^T b|) > |M|_F
+    (r + rho), where adj(M) = det(M) M^-1, r = sqrt(DEGENERACY_SQ) and
+    everything is divided by kernel.scale S first, much as polynomial
+    scales its coefficients, so that no product overflows or underflows.
+    Since sigma_min(M) >= |det M|/|M|_F, it says sigma_min(M) (1 -
+    max(|c|, |d|)) > r + rho, and as |a + Mq| = |M(q + c)| >=
+    sigma_min(M) (1 - |c|) on the circle, and Bob's likewise, no harmonic
+    of the game comes within the flatness radius anywhere on it: neither
+    player is ever indifferent, and the margin this leaves on the norms,
+    (r + rho)/sigma_min(M) >= (r + rho) cond(M)/1.12, grows with cond(M).
+    Singular M (det 0, Q <= 0), the all-zero game and a coefficient that
+    is not finite never pass.
+
+    rho bounds rounding to first order, in units of S, with u = 2^-53.
+    Each coefficient of harmonic_map is within 21u of its exact value:
+    the phases n and o carry at most 14u, mostly from 2t in radians, each
+    multiplies at most 1/2, and the quartered sums, products and the
+    division by S add a few u.  So |a| <= 1, |M|_F <= 1.12 and |b| <= 1,
+    and each harmonic on the circle moves by at most (1 + sqrt 2) 21u,
+    twice that for Bob's, whose block is taken as Alice's M^T.  Computing
+    Q costs at most u(|M|_F^2 + 3 |M|_F max(|a|, |b|) + |Q|), and as |Q|
+    <= |M|_F^2/2 + |M|_F max(|a|, |b|), at most 6u once divided by |M|_F;
+    the solver's own evaluation of a harmonic costs at most 25u.  These
+    sum to under 140u; rho is 256u.
+    """
+    scale = kernel.scale
+    if scale == 0.0:
+        return False
+    (a, m_1, m_2), b = [x / scale for x in kernel.alice], kernel.bob[0] / scale
+    det = m_1.real * m_2.imag - m_2.real * m_1.imag
+    adj_a = math.hypot(m_2.imag * a.real - m_2.real * a.imag,
+                       m_1.real * a.imag - m_1.imag * a.real)
+    adj_b = math.hypot(m_2.imag * b.real - m_1.imag * b.imag,
+                       m_1.real * b.imag - m_2.real * b.real)
+    room = abs(det) - math.hypot(m_1.real, m_1.imag, m_2.real, m_2.imag) * (
+        math.sqrt(DEGENERACY_SQ) + _ROUNDING)
+    # both comparisons, not max(adj_a, adj_b) < room, so that a coefficient
+    # that is not finite, which leaves an adj or room NaN or infinite, fails
+    return adj_a < room and adj_b < room
+
+
 def fixed_points(params, tol_deg: float) -> list[tuple[float, float, float]]:
     """(alpha, beta, residual) rows of the fixed points of the composed
     best-response map, one row per seed that finds one.
 
-    The polynomial's input is the game's kernel.  Each angle of
-    circle_angles, a root on the unit circle or off it, whose first
-    Newton step on the unsquared residual is at most _REACH_DEG seeds
-    Newton's iteration (_newton), and a finished angle is kept where its
-    residual is within tol_deg of zero, or where the iteration's
-    bisection closed a sign change of the residual on it between
-    neighbouring doubles: at a crossing steeper than about 1e11 degrees
-    per degree the nearest double can leave a residual of 1e-3 degrees.
-    This drops the roots off the circle, those of the other square-root
-    branch, where K_A points against e (residual +-90), and the zeros of
-    K_B (step undefined).  When no root seeds an iteration, nothing is
-    iterated.  Everything
-    after the eigenvalue call is scalar arithmetic: a finished row's
-    residual and Bob's harmonic come from one more _step at its angle,
+    A game that the disk certificate (_proves_absence) proves to have no
+    fixed point yields no rows at once, with no polynomial, eigenvalue call
+    or Newton iteration.  Otherwise the polynomial's input is the game's
+    kernel.  Each angle of circle_angles, a root on the unit circle or off
+    it, whose first Newton step on the unsquared residual is at most
+    _REACH_DEG seeds Newton's iteration (_newton), and a finished angle is
+    kept where its residual is within tol_deg of zero, or where the
+    iteration's bisection closed a sign change of the residual on it between
+    neighbouring doubles: at a crossing steeper than about 1e11 degrees per
+    degree the nearest double can leave a residual of 1e-3 degrees.  This
+    drops the roots off the circle, those of the other square-root branch,
+    where K_A points against e (residual +-90), and the zeros of K_B (step
+    undefined).  When no root seeds an iteration, nothing is iterated.
+    Everything after the eigenvalue call is scalar arithmetic: a finished
+    row's residual and Bob's harmonic come from one more _step at its angle,
     and beta is Bob's _reply to that harmonic.
     """
     kernel = params.kernel
+    if _proves_absence(kernel):
+        return []
     rows = []
     for phi in circle_angles(polynomial(kernel.alice, kernel.bob)):
         seed = wrap_half_turn(0.5 * math.degrees(phi))

@@ -1,0 +1,163 @@
+"""The disk certificate that lets fixed_points skip its search.
+
+The mixed extension of the game is bilinear on two disks, so c = M^-1 a
+and d = M^-T b decide whether a pure equilibrium exists (see
+fixedpoint._proves_absence).  Here the certificate is checked against
+the enumerator with the skip bypassed, against the number of verified
+reports as a count oracle whose norms come from numpy's solver, for the
+consistency of the two players' harmonics, for scaling, and on the games
+it must never skip.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from orthogame import fixedpoint
+from orthogame.equilibrium import GameParams, find_equilibria, verify_equilibrium
+from test_corpus import _heterogeneous_games, _sweep_games
+from test_equilibrium import _indifference_game
+from test_properties import deterministic, mixing_angle, stakes, wide_decades
+
+# a Bob-indifferent game (test_equilibrium._indifference_game) with stake a
+# moved so that |d| = 1 - 1e-14 by numpy's solver, and |c| about 0.475:
+# no pure equilibrium exists, but Bob's harmonic dips to about 1e-14
+# times the stakes, and the solve reports a verified near-equilibrium
+NEAR_BOUNDARY = GameParams(15.101032261931065, 0.7937925009565598, 6.445307400664978,
+                           1.160186011759136, 83.56073609483937, 40.49616353127294)
+
+
+def _block(harmonic) -> np.ndarray:
+    """[[Re m_1, Re m_2], [Im m_1, Im m_2]] of a harmonic (kappa0, m_1, m_2)."""
+    _, m_1, m_2 = harmonic
+    return np.array([[m_1.real, m_2.real], [m_1.imag, m_2.imag]])
+
+
+def _norms(params: GameParams) -> tuple[float, float]:
+    """|c| and |d| from numpy's solver on the kernel, inf where M is singular."""
+    kernel = params.kernel
+    m = _block(kernel.alice)
+    a, b = kernel.alice[0], kernel.bob[0]
+    try:
+        c = np.linalg.solve(m, [a.real, a.imag])
+        d = np.linalg.solve(m.T, [b.real, b.imag])
+    except np.linalg.LinAlgError:
+        return math.inf, math.inf
+    return float(np.linalg.norm(c)), float(np.linalg.norm(d))
+
+
+def test_skipped_games_hold_no_verified_fixed_point(monkeypatch):
+    # the oracle is the enumerator itself with the skip bypassed, so a
+    # certificate that skipped a game with an equilibrium fails here
+    games = _sweep_games(1, 1000) + _heterogeneous_games(2, 2000) + _heterogeneous_games(3, 2000)
+    skipped = [g for g in games if fixedpoint._proves_absence(g.kernel)]
+    assert len(skipped) == 485 + 176 + 95
+    with monkeypatch.context() as patched:
+        patched.setattr(fixedpoint, "_proves_absence", lambda kernel: False)
+        for params in skipped:
+            for alpha, beta, _ in fixedpoint.fixed_points(params, 0.005):
+                assert not verify_equilibrium(alpha, beta, params).verified, (params, alpha)
+
+
+def test_sweep_skip_count_is_pinned():
+    # a later edit that makes every game fall through to the search, by
+    # an overflow or a NaN, fails here instead of only slowing the sweep
+    games = _sweep_games(1, 1000)
+    assert sum(fixedpoint._proves_absence(g.kernel) for g in games) == 485
+
+
+@pytest.mark.parametrize("k, pinned", [
+    (2, {}),
+    # the solver misses the one equilibrium of five draws, and reports two
+    # at draw 8476 (|c| = 1.005); all lie where no skip applies
+    (3, {745: (0, 1), 1403: (0, 1), 3286: (0, 1), 4979: (0, 1), 8476: (2, 1), 9114: (0, 1)}),
+])
+def test_certificate_counts_the_verified_reports(k, pinned):
+    # both norms below 1: no pure equilibrium; either above 1 and neither
+    # equal to 1: exactly one.  Games within 1e-6 of the boundary are left
+    # out, where more than one equilibrium can exist.
+    disagree = {}
+    for index, params in enumerate(_heterogeneous_games(k, 10_000)):
+        norms = _norms(params)
+        if any(abs(x - 1.0) <= 1e-6 for x in norms):
+            continue
+        want = 0 if max(norms) < 1.0 else 1
+        got = len(find_equilibria(params).verified)
+        if got != want:
+            disagree[index] = (got, want)
+    assert disagree == pinned
+
+
+@deterministic
+@given(stakes, wide_decades, mixing_angle, mixing_angle)
+@example((3.0, 3.0, 5.0, 1.0), 0, 30.0, 20.0)
+def test_bob_block_is_the_transpose_of_alices(s, exponent, theta_a, theta_b):
+    # F = f0 + a.p + b.q + p.Mq, so Bob's harmonic is b + M^T p
+    kernel = GameParams(*(x * 10.0 ** exponent for x in s), theta_a, theta_b).kernel
+    alice, bob = _block(kernel.alice), _block(kernel.bob)
+    assert np.max(np.abs(bob - alice.T)) <= 1e-12 * np.max(np.abs(alice))
+
+
+@deterministic
+@given(stakes, st.sampled_from([-300, 300]), mixing_angle, mixing_angle)
+def test_skip_decision_survives_extreme_stake_decades(s, exponent, theta_a, theta_b):
+    # the certificate divides by the largest stake, so no product of two
+    # coefficients overflows near 1e308 or underflows near 1e-300
+    base = GameParams(*s, theta_a, theta_b)
+    scaled = GameParams(*(x * 10.0 ** exponent for x in s), theta_a, theta_b)
+    assert fixedpoint._proves_absence(scaled.kernel) == fixedpoint._proves_absence(base.kernel)
+
+
+def test_skip_decision_at_stakes_near_the_float_limit():
+    # criterion 3's game times 3e307 keeps its equilibrium (see
+    # test_equilibrium), so neither it nor the unit-stake game skips
+    near_limit = GameParams(9e307, 9e307, 1.5e308, 3e307, 30.0, 20.0)
+    assert not fixedpoint._proves_absence(near_limit.kernel)
+    assert not fixedpoint._proves_absence(GameParams(3, 3, 5, 1, 30.0, 20.0).kernel)
+
+
+@pytest.mark.parametrize("seed, mirror", [(77, False), (77, True), (78, False), (78, True)])
+def test_indifference_families_are_never_skipped(seed, mirror):
+    # each draw has one player indifferent on the circle, so a norm is 1
+    rng = np.random.default_rng(seed)
+    for _ in range(2000):
+        params = _indifference_game(rng, mirror)[1]
+        assert not fixedpoint._proves_absence(params.kernel), params
+
+
+@pytest.mark.parametrize("params", [
+    NEAR_BOUNDARY,
+    # a + c = 0, so m_1 and m_2 are parallel and M has rank 1
+    GameParams(1.0, 2.0, -1.0, 3.0, 30.0, 20.0),
+    GameParams(0.0, 0.0, 0.0, 0.0, 45.0, 45.0),
+])
+def test_games_on_the_boundary_are_never_skipped(params, monkeypatch):
+    assert not fixedpoint._proves_absence(params.kernel)
+    result = find_equilibria(params)
+    monkeypatch.setattr(fixedpoint, "_proves_absence", lambda kernel: False)
+    assert find_equilibria(params) == result
+
+
+@pytest.mark.parametrize("bad", [complex(math.inf, 0.0), complex(-math.inf, 0.0),
+                                 complex(math.nan, 0.0), complex(0.0, math.inf)])
+@pytest.mark.parametrize("position", range(4))
+def test_non_finite_coefficients_never_pass(bad, position):
+    # GameParams keeps every stake and so every coefficient finite; a
+    # hand-built kernel reaches the case.  As given, M is the identity and
+    # |c|, |d| are 0.22 and 0.14, so the certificate holds.
+    def kernel(a, m_1, m_2, b):
+        return fixedpoint.HarmonicKernel((a, m_1, m_2), (b, 0j, 0j), 1.0, 1e-9)
+
+    coefficients = [0.1 + 0.2j, 1.0 + 0.0j, 1.0j, 0.1 - 0.1j]
+    assert fixedpoint._proves_absence(kernel(*coefficients))
+    coefficients[position] += bad
+    assert not fixedpoint._proves_absence(kernel(*coefficients))
+
+
+def test_near_boundary_game_is_built_as_stated():
+    norm_c, norm_d = _norms(NEAR_BOUNDARY)
+    assert abs(norm_d - (1.0 - 1e-14)) <= 2e-16 and norm_c < 0.5
+    assert len(find_equilibria(NEAR_BOUNDARY).verified) == 1
