@@ -1,29 +1,17 @@
-"""Equilibrium search on the two-angle payoff surface.
+"""The public layer of the equilibrium search on the two-angle payoff
+surface: games, best responses, reaction curves, verification and
+find_equilibria's reports.
 
-For a fixed opponent angle x the payoff F is a single harmonic in twice
-the player's own angle, K0 + K1 cos 2t + K2 sin 2t, and (K1, K2) is an
-affine function of (cos 2x, sin 2x); each best response has a closed
-form.  Equilibria are fixed points of the composed best-response map on
-the half-turn circle, and they are enumerated exactly.  A closed-form
-certificate comes first: the mixed extension is bilinear on two unit
-disks, and where two 2x2 solves place both of its kinks inside the disk
-the game has no pure equilibrium and the search is skipped.  Otherwise
-the fixed points are roots of a degree-8 polynomial (see `fixedpoint`),
-finished by Newton's iteration on the unsquared fixed-point residual and
-kept where that residual vanishes, steep crossings and tangencies
-included.  Where one player is indifferent the composed map is
-undefined, and the equilibria there, and the degeneracy regions, where a
-best response is non-unique, come from closed forms instead.  No
-residual is scanned: a scan of it is the tests' oracle for the
-enumeration.  Verification is mandatory: each player's largest gain from
-a unilateral deviation follows in closed form from the same harmonics,
-and candidates that fail are reported with verified=False rather than
-dropped.
+The search itself, from the disk certificate to the closed-form
+indifference rows and degeneracy regions, is fixedpoint.solve, and the
+closed-form deviation gains are fixedpoint.gains; this module validates
+input, deduplicates candidates, builds the reports and gives each its
+verdict.  Candidates that fail verification are reported with
+verified=False rather than dropped.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -34,7 +22,7 @@ import numpy as np
 
 from . import fixedpoint
 from .angles import wrapped_distance
-from .fixedpoint import ALICE, BOB, DEGENERACY_SQ, _harmonic, best_responses
+from .fixedpoint import ALICE, BOB, DEGENERACY_SQ, best_responses
 from .quantum import (AmplitudeSquares, LogicRepresentation, QuantumStrategy,
                       _diagonal_terms, amplitudes, payoff_grid)
 
@@ -186,14 +174,10 @@ def verify_equilibrium(alpha_star_deg: float, beta_star_deg: float, params: Game
                        n_probe: int = 720, tol: Optional[float] = None) -> VerificationResult:
     """Two-sided deviation check of a candidate profile, in closed form.
 
-    Against beta* Alice's payoff is K0 + Re(K_A conj(e(t))) in her own
-    angle t, where e(t) = exp(2it) and K_A is her harmonic from the
-    game's kernel, so her largest gain from a deviation is
-    |K_A| - Re(K_A conj(e(alpha*))); Bob minimises, and his is
-    Re(K_B conj(e(beta*))) + |K_B|.  Neither needs K0 or a payoff value.
-    max_violation is the larger of the two gains, and the profile is
-    verified when it is at most tol.  A profile with a non-finite angle
-    is not verified, and its max_violation is NaN.
+    max_violation is the larger of the two players' largest gains from a
+    unilateral deviation (fixedpoint.gains), and the profile is verified
+    when it is at most tol.  A profile with a non-finite angle is not
+    verified, and its max_violation is NaN.
 
     n_probe no longer affects the result: the gains are exact, so no
     grid of deviations is probed.  It is still validated (an integer of
@@ -208,14 +192,9 @@ def verify_equilibrium(alpha_star_deg: float, beta_star_deg: float, params: Game
     _check_probe_count(n_probe)
     if not (math.isfinite(alpha_star_deg) and math.isfinite(beta_star_deg)):
         return VerificationResult(verified=False, max_violation=math.nan)
-    kernel = params.kernel
     if tol is None:
-        tol = 1e-6 * kernel.scale
-    e_a, e_b = (cmath.exp(2j * math.radians(x)) for x in (alpha_star_deg, beta_star_deg))
-    k_a, k_b = _harmonic(e_b, *kernel.alice), _harmonic(e_a, *kernel.bob)
-    gain_a = abs(k_a) - (k_a * e_a.conjugate()).real
-    gain_b = (k_b * e_b.conjugate()).real + abs(k_b)
-    worst = max(gain_a, gain_b)
+        tol = 1e-6 * max(map(abs, params.stakes))
+    worst = max(fixedpoint.gains(alpha_star_deg, beta_star_deg, params))
     return VerificationResult(verified=bool(worst <= tol), max_violation=worst)
 
 
@@ -264,74 +243,29 @@ class SearchResult:
         return tuple(e for e in self.equilibria if e.verified)
 
 
-def _degeneracy_regions(undefined: list[float], step_deg: float,
-                        params: GameParams) -> tuple[tuple[float, float], ...]:
-    """The cells [k step, (k+1) step] of the grid arange(0, 180, step_deg)
-    that hold an alpha in undefined, where the composed map is
-    undefined, with neighbouring cells merged.
-
-    An alpha that sits on a grid angle up to rounding, where the
-    composed map is undefined too, marks that angle's cell.  Where a
-    player's harmonic K = kappa0 + mu e + nu conj(e) is flat at every
-    angle, as when every stake is 0, the composed map is undefined
-    everywhere and the region is the whole half turn; mu e + nu conj(e)
-    traces an ellipse of semi-major axis |mu| + |nu|, so |K| is at most
-    |kappa0| + |mu| + |nu| there.
-    """
-    kernel = params.kernel
-    if any(abs(k0) + (abs(m_1 - 1j * m_2) + abs(m_1 + 1j * m_2)) / 2.0 <= kernel.radius
-           for k0, m_1, m_2 in (kernel.alice, kernel.bob)):
-        return ((0.0, 180.0),)
-    if not undefined:
-        return ()
-    grid = np.arange(0.0, 180.0, step_deg)
-    alphas = np.array(undefined)
-    nearest = np.rint(alphas / step_deg).astype(int) % len(grid)
-    on_grid = [math.isnan(fixedpoint._step(x, kernel)[0]) for x in grid[nearest].tolist()]
-    cells = np.zeros(len(grid), dtype=bool)
-    cells[np.where(on_grid, nearest, np.searchsorted(grid, alphas, side="right") - 1)] = True
-    edges = np.flatnonzero(np.diff(np.concatenate(([False], cells, [False]))))
-    bounds = np.append(grid, 180.0)[edges].tolist()
-    return tuple(zip(bounds[::2], bounds[1::2]))
-
-
 def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
                     refine_tol_deg: float = 0.005, n_probe: int = 720,
                     tol: Optional[float] = None) -> SearchResult:
-    """Locate and verify all fixed points of the composed best-response map.
+    """Locate and verify all equilibria of the game (fixedpoint.solve).
 
-    A game whose coefficients c = M^-1 a and d = M^-T b of the disk
-    certificate both lie inside the unit disk, by a rounding margin that
-    grows with cond(M), has no pure equilibrium and no harmonic that comes
-    near flat; its fixed-point search is skipped, so it reports nothing, not
-    even an unverified candidate, and its regions come from the same closed
-    forms as any game's.  Otherwise this enumerates the fixed points as the
-    unit-circle roots of the degree-8 fixed-point polynomial, finished by
-    Newton's iteration on the residual from the angle of every eigenvalue of
-    the real companion matrix of its half-angle form, and kept where the
-    residual is within refine_tol_deg of zero or where Newton's bisection
-    closed a sign change of the residual on it between neighbouring doubles.
-    It also takes from closed forms each profile at which one player is
-    indifferent against the other's angle x0 and the other's best reply to
-    the first player's angle is x0.  The composed map is undefined at the
-    alphas where Bob is indifferent, and at those Bob answers with a beta
-    where Alice is; the degeneracy regions are the cells [k step, (k+1)
-    step] of width scan_step_deg that hold one (neighbouring cells merged),
-    and the whole half turn when a player's harmonic is flat at every angle,
-    as when every stake is 0.  Of candidate (alpha, beta) pairs within
-    refine_tol_deg of each other modulo 180 the one with the least
-    |residual| is kept, and those kept are reported in sorted order, each
-    verified by verify_equilibrium with tol (n_probe is passed on,
-    validated, and no longer affects the verdict); unverified candidates
-    stay in the result with verified=False.  A report's value is the sum of
-    its two diagonal terms.
+    Candidates come from the exact enumeration of fixedpoint, kept where
+    the residual of the composed map is within refine_tol_deg of zero or
+    changes sign between neighbouring doubles; of candidate (alpha,
+    beta) pairs within refine_tol_deg of each other modulo 180 the one
+    with the least |residual| is kept, and those kept are reported in
+    sorted order, each verified by verify_equilibrium with tol (n_probe is
+    passed on, validated, and no longer affects the verdict).  A report's
+    value is the sum of its two diagonal terms.  The degeneracy regions
+    are the cells of width scan_step_deg that hold an alpha at which a
+    best response along the composed map is non-unique, neighbouring cells
+    merged, and the whole half turn when a player's harmonic is flat at
+    every angle.  A game whose absence of pure equilibria the disk
+    certificate proves reports nothing and no region.
 
     The game is zero-sum, so its equilibria are interchangeable: they
     form a product of Alice's equilibrium angles and Bob's.  A best
     reply is unique unless the player's harmonic is flat, so more than
-    one equilibrium needs an indifference.  When only one player is
-    indifferent, every equilibrium puts the other player at the angle
-    that makes the first indifferent.
+    one equilibrium needs an indifference.
     """
     if not (0.0 < scan_step_deg <= 1.0):
         raise ValueError(f"region cell width must be in (0, 1] degrees, got {scan_step_deg!r}")
@@ -339,8 +273,7 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
         raise ValueError(f"refine tolerance must be in (0, 0.01] degrees, got {refine_tol_deg!r}")
     _check_probe_count(n_probe)
 
-    indifferent, undefined = fixedpoint.indifference_points(params, refine_tol_deg)
-    candidates = fixedpoint.fixed_points(params, refine_tol_deg) + indifferent
+    candidates, regions = fixedpoint.solve(params, refine_tol_deg, scan_step_deg)
 
     # deduplicate (alpha, beta) pairs modulo 180, keeping the least
     # |residual| of each cluster (ties in sorted order), in sorted order
@@ -369,5 +302,4 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
             max_violation=verdict.max_violation,
             residual_deg=abs(residual),
         ))
-    regions = _degeneracy_regions(undefined, scan_step_deg, params)
     return SearchResult(equilibria=tuple(reports), degeneracy_regions=regions)

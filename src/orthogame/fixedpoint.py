@@ -1,4 +1,5 @@
-"""Best responses and the fixed points of their composition.
+"""Best responses, the fixed points of their composition, and the one
+search that equilibrium.find_equilibria calls (solve).
 
 For a fixed opponent angle x a player's payoff is a single harmonic in
 twice the player's own angle, K0 + K1 cos 2t + K2 sin 2t, and (K1, K2) is
@@ -14,10 +15,21 @@ nu_A conj(w), and the fixed-point residual is arg(K_A conj(e))/2.
 Each game has one harmonic kernel (HarmonicKernel), built on first use
 and cached on the game as params.kernel: both players' harmonics as
 complex coefficients, the largest stake and the flatness radius.  Every
-stage of a solve reads it, so no stage rebuilds a harmonic map or
-rescans the stakes.
+stage of a solve reads it, so no stage rebuilds a harmonic or rescans
+the stakes.
 
-Write z = e = exp(i phi), phi = 2a, for Alice's angle a.  On the unit
+solve first asks whether two 2x2 solves from the kernel prove that
+there is nothing to find (_proves_absence).  The payoff is bilinear in
+the phases p = e(alpha) and q = e(beta), so the mixed game is bilinear
+on two unit disks; when c = M^-1 a and d = M^-T b of its coefficients
+both lie inside the disk, by a rounding margin, its only saddle is
+interior, there is no pure equilibrium, and no harmonic comes near flat
+anywhere on the circle.  Such a game gets no row and no region, with no
+polynomial, eigenvalue call or closed-form zero computed.
+
+Otherwise the equilibria are fixed points of the composed best-response
+map on the half-turn circle, and they are enumerated exactly.  Write
+z = e = exp(i phi), phi = 2a, for Alice's angle a.  On the unit
 circle conj(z) = 1/z, so Bob's harmonic is the Laurent polynomial
 K_B = nu_B/z + kappa0_B + mu_B z, and conj(K_B) is its coefficient list
 reversed and conjugated.  Alice's angle is a fixed point of the composed
@@ -43,7 +55,8 @@ small fraction of a degree, and a full step from an eigenvalue's angle
 can overshoot it, so a step that does not lower the residual is halved
 instead, and an iteration that stops short of a root across which its
 residual changed sign bisects that bracket, keeping a root it closes
-between neighbouring doubles.
+between neighbouring doubles.  No residual is scanned: a scan of it is
+the tests' oracle for the enumeration.
 
 Everything after the eigenvalue call is scalar arithmetic, one angle at
 a time in plain Python floats and complex numbers, which on a handful
@@ -55,18 +68,13 @@ of the residual), and the indifference rows below.  A scalar best reply
 best_responses is its array form, which reaction curves and the public
 best-response functions evaluate on grids.
 
-Before any of this, two 2x2 solves from the kernel can prove that there
-is nothing to find (_proves_absence).  The payoff is bilinear in the
-phases p = e(alpha) and q = e(beta), so the mixed game is bilinear on two
-unit disks; when c = M^-1 a and d = M^-T b of its coefficients both lie
-inside the disk, by a rounding margin, its only saddle is interior and
-there is no pure equilibrium, and fixed_points returns no rows without
-building the polynomial.
-
 Where a player's harmonic vanishes that player is indifferent and the
 composed map is undefined.  Such a zero, and the opponent angles that
 it pairs with in an equilibrium, each solve one linear equation in
-(cos 2y, sin 2y), so they have closed forms too.
+(cos 2y, sin 2y), so they have closed forms too, and the alphas at
+which the map is undefined mark the degeneracy regions.  A candidate's
+verification needs each player's largest gain from a deviation, which
+is closed-form in the same harmonics (gains).
 """
 
 from __future__ import annotations
@@ -111,9 +119,11 @@ _HALF_ANGLE = np.array([[(1, 1j, -1, -1j)[j % 4]
 class HarmonicKernel(NamedTuple):
     """One game's harmonics, built once per game.
 
-    alice and bob are the players' harmonics (kappa0, m_1, m_2) from
-    harmonic_map; scale is the largest |stake| and radius,
-    sqrt(DEGENERACY_SQ) * scale, the largest |K| that is flat.
+    alice and bob are the players' harmonics (kappa0, m_1, m_2), as
+    harmonic_kernel builds them; scale is the largest |stake| and radius,
+    sqrt(DEGENERACY_SQ) * scale, the largest |K| that is flat.  Flatness
+    is tested as |K| <= radius rather than on K1^2 + K2^2, so that no
+    square overflows or underflows at extreme stakes.
     """
 
     alice: tuple[complex, complex, complex]
@@ -125,38 +135,30 @@ class HarmonicKernel(NamedTuple):
 def harmonic_kernel(params) -> HarmonicKernel:
     """The kernel of a game; GameParams caches it as params.kernel.
 
+    Each player's harmonic K = K1 + i K2 is kept as the complex
+    coefficients (kappa0, m_1, m_2) of K = kappa0 + m_1 cos 2x + m_2 sin 2x
+    in the opponent angle x.  With (p, q) the stakes the player meets on
+    the axis diagonal, (r, s) those on the rotated one, n = exp(2i t_own)
+    and o = exp(2i t_opp) for the two mixing angles, K = h/2 + g n/2,
+    where h = p sin^2 x - q cos^2 x = (p - q)/2 - (p + q)/2 cos 2x and g =
+    r sin^2(x - t_opp) - s cos^2(x - t_opp) = (r - s)/2 - (r + s)/2 (Re o
+    cos 2x + Im o sin 2x).  Alice meets (a, c) and (b, d), Bob (c, a) and
+    (d, b), and each mixing angle's phase is n for its owner and o for
+    the opponent.
+
     Its numbers are Python complex and float whatever the stakes' type,
     so np.float64 stakes solve bit for bit as float ones do.
     """
-    scale = float(max(map(abs, params.stakes)))
-    alice, bob = (tuple(map(complex, harmonic_map(params, p))) for p in (ALICE, BOB))
-    return HarmonicKernel(alice, bob, scale, math.sqrt(DEGENERACY_SQ) * scale)
-
-
-def harmonic_map(params, player: str) -> tuple[complex, complex, complex]:
-    """A player's harmonic K = K1 + i K2 as the complex coefficients
-    (kappa0, m_1, m_2) of K = kappa0 + m_1 cos 2x + m_2 sin 2x in the
-    opponent angle x.
-
-    With (p, q) the stakes the player meets on the axis diagonal, (r, s)
-    those on the rotated one, n = exp(2i t_own) and o = exp(2i t_opp) for
-    the two mixing angles, K = h/2 + g n/2, where h = p sin^2 x -
-    q cos^2 x = (p - q)/2 - (p + q)/2 cos 2x and g = r sin^2(x - t_opp) -
-    s cos^2(x - t_opp) = (r - s)/2 - (r + s)/2 (Re o cos 2x + Im o sin 2x).
-    """
-    if player == ALICE:
-        p, q, r, s = params.a, params.c, params.b, params.d
-        t_own, t_opp = params.theta_a_deg, params.theta_b_deg
-    else:
-        p, q, r, s = params.c, params.a, params.d, params.b
-        t_own, t_opp = params.theta_b_deg, params.theta_a_deg
-    n = cmath.exp(1j * math.radians(2.0 * t_own))
-    o = cmath.exp(1j * math.radians(2.0 * t_opp))
     # quarter each stake before adding, exactly, so that no sum of two
     # finite stakes overflows
-    p, q, r, s = p / 4.0, q / 4.0, r / 4.0, s / 4.0
-    g = r + s
-    return p - q + (r - s) * n, -(p + q) - g * o.real * n, -g * o.imag * n
+    a, b, c, d = (x / 4.0 for x in params.stakes)
+    n_a, n_b = (cmath.exp(1j * math.radians(2.0 * t))
+                for t in (params.theta_a_deg, params.theta_b_deg))
+    alice, bob = (tuple(map(complex, (p - q + (r - s) * n, -(p + q) - (r + s) * o.real * n,
+                                      -(r + s) * o.imag * n)))
+                  for p, q, r, s, n, o in ((a, c, b, d, n_a, n_b), (c, a, d, b, n_b, n_a)))
+    scale = float(max(map(abs, params.stakes)))
+    return HarmonicKernel(alice, bob, scale, math.sqrt(DEGENERACY_SQ) * scale)
 
 
 def phase(angle_deg):
@@ -170,13 +172,6 @@ def _harmonic(e, kappa0, m_1, m_2):
     mu = (m_1 - i m_2)/2 and nu = (m_1 + i m_2)/2; broadcasts over arrays.
     """
     return kappa0 + m_1 * e.real + m_2 * e.imag
-
-
-def _flat(size, kernel: HarmonicKernel):
-    """Whether each harmonic of modulus size = |K| is flat: K1^2 + K2^2 <=
-    DEGENERACY_SQ * max|stake|^2, tested as |K| <= kernel.radius so that
-    no square overflows or underflows at extreme stakes."""
-    return size <= kernel.radius
 
 
 def _answer(peak, player: str):
@@ -194,15 +189,30 @@ def best_responses(opponent_deg, params, player: str):
     """
     kernel = params.kernel
     k = _harmonic(phase(opponent_deg), *(kernel.alice if player == ALICE else kernel.bob))
-    return _answer(np.where(_flat(abs(k), kernel), np.nan, np.arctan2(k.imag, k.real)), player)
+    return _answer(np.where(abs(k) <= kernel.radius, np.nan, np.arctan2(k.imag, k.real)), player)
 
 
 def _reply(k: complex, player: str, kernel: HarmonicKernel) -> float:
     """The player's best-response angle to the harmonic k, one scalar at a
     time, as best_responses gives it for arrays; NaN where k is flat."""
-    if _flat(abs(k), kernel):
+    if abs(k) <= kernel.radius:
         return math.nan
     return _answer(math.atan2(k.imag, k.real), player)
+
+
+def gains(alpha: float, beta: float, params) -> tuple[float, float]:
+    """Alice's and Bob's largest gains from a unilateral deviation at the
+    profile (alpha, beta), in closed form.
+
+    Against beta Alice's payoff is K0 + Re(K_A conj(e(t))) in her own angle
+    t, where e(t) = exp(2it), so her largest gain is |K_A| -
+    Re(K_A conj(e(alpha))); Bob minimises, and his is Re(K_B conj(e(beta)))
+    + |K_B|.  Neither needs K0 or a payoff value.
+    """
+    kernel = params.kernel
+    e_a, e_b = (cmath.exp(2j * math.radians(x)) for x in (alpha, beta))
+    k_a, k_b = _harmonic(e_b, *kernel.alice), _harmonic(e_a, *kernel.bob)
+    return abs(k_a) - (k_a * e_a.conjugate()).real, (k_b * e_b.conjugate()).real + abs(k_b)
 
 
 def _step(alpha: float, kernel: HarmonicKernel) -> tuple[float, float, complex]:
@@ -223,11 +233,11 @@ def _step(alpha: float, kernel: HarmonicKernel) -> tuple[float, float, complex]:
     e = cmath.exp(1j * math.radians(2.0 * alpha))
     k_b = _harmonic(e, *kernel.bob)
     size_b = abs(k_b)
-    if _flat(size_b, kernel):
+    if size_b <= kernel.radius:
         return math.nan, math.nan, k_b
     w = -k_b / size_b
     k_a = _harmonic(w, *kernel.alice)
-    if _flat(abs(k_a), kernel):
+    if abs(k_a) <= kernel.radius:
         return math.nan, math.nan, k_b
     dw = 1j * w * (2.0 * (m2_b * e.real - m1_b * e.imag) / k_b).imag
     slope = ((m1_a * dw.real + m2_a * dw.imag) / k_a).imag / 2.0 - 1.0
@@ -308,7 +318,7 @@ def polynomial(alice, bob) -> list[complex]:
     """Coefficients of z^-4 ... z^4 of Im(kappa0_A conj(e))^2 K_B conj(K_B)
     - Im(L conj(e))^2, where L = mu_A K_B + nu_A conj(K_B).
 
-    alice and bob are the harmonics (kappa0, m_1, m_2) of harmonic_map,
+    alice and bob are the harmonics (kappa0, m_1, m_2) of harmonic_kernel,
     with mu = (m_1 - i m_2)/2 and nu = (m_1 + i m_2)/2.  The coefficients
     are scaled so that the largest |coefficient| of the two is 1.
     """
@@ -392,7 +402,7 @@ def _proves_absence(kernel: HarmonicKernel) -> bool:
     is not finite never pass.
 
     rho bounds rounding to first order, in units of S, with u = 2^-53.
-    Each coefficient of harmonic_map is within 21u of its exact value:
+    Each coefficient of harmonic_kernel is within 21u of its exact value:
     the phases n and o carry at most 14u, mostly from 2t in radians, each
     multiplies at most 1/2, and the quartered sums, products and the
     division by S add a few u.  So |a| <= 1, |M|_F <= 1.12 and |b| <= 1,
@@ -423,26 +433,22 @@ def fixed_points(params, tol_deg: float) -> list[tuple[float, float, float]]:
     """(alpha, beta, residual) rows of the fixed points of the composed
     best-response map, one row per seed that finds one.
 
-    A game that the disk certificate (_proves_absence) proves to have no
-    fixed point yields no rows at once, with no polynomial, eigenvalue call
-    or Newton iteration.  Otherwise the polynomial's input is the game's
-    kernel.  Each angle of circle_angles, a root on the unit circle or off
-    it, whose first Newton step on the unsquared residual is at most
-    _REACH_DEG seeds Newton's iteration (_newton), and a finished angle is
-    kept where its residual is within tol_deg of zero, or where the
-    iteration's bisection closed a sign change of the residual on it between
-    neighbouring doubles: at a crossing steeper than about 1e11 degrees per
-    degree the nearest double can leave a residual of 1e-3 degrees.  This
-    drops the roots off the circle, those of the other square-root branch,
-    where K_A points against e (residual +-90), and the zeros of K_B (step
-    undefined).  When no root seeds an iteration, nothing is iterated.
-    Everything after the eigenvalue call is scalar arithmetic: a finished
-    row's residual and Bob's harmonic come from one more _step at its angle,
-    and beta is Bob's _reply to that harmonic.
+    The polynomial's input is the game's kernel.  Each angle of
+    circle_angles, a root on the unit circle or off it, whose first Newton
+    step on the unsquared residual is at most _REACH_DEG seeds Newton's
+    iteration (_newton), and a finished angle is kept where its residual is
+    within tol_deg of zero, or where the iteration's bisection closed a
+    sign change of the residual on it between neighbouring doubles: at a
+    crossing steeper than about 1e11 degrees per degree the nearest double
+    can leave a residual of 1e-3 degrees.  This drops the roots off the
+    circle, those of the other square-root branch, where K_A points
+    against e (residual +-90), and the zeros of K_B (step undefined).  When
+    no root seeds an iteration, nothing is iterated.  Everything after the
+    eigenvalue call is scalar arithmetic: a finished row's residual and
+    Bob's harmonic come from one more _step at its angle, and beta is Bob's
+    _reply to that harmonic.
     """
     kernel = params.kernel
-    if _proves_absence(kernel):
-        return []
     rows = []
     for phi in circle_angles(polynomial(kernel.alice, kernel.bob)):
         seed = wrap_half_turn(0.5 * math.degrees(phi))
@@ -494,7 +500,7 @@ def indifference_points(params, tol_deg: float) -> tuple[list[tuple[float, float
         k, u1, u2 = max(parts, key=lambda part: math.hypot(part[1], part[2]))
         for x0 in _harmonic_angles(u1, u2, -k):
             e = cmath.exp(2j * math.radians(x0))
-            if not _flat(abs(_harmonic(e, *own)), kernel):
+            if not abs(_harmonic(e, *own)) <= kernel.radius:
                 continue
             k, u1, u2 = ((c.conjugate() * e).imag for c in other)
             kept = []
@@ -507,3 +513,59 @@ def indifference_points(params, tol_deg: float) -> tuple[list[tuple[float, float
                     rows.append((x0, y, residual) if player == BOB else (y, x0, residual))
             undefined.extend([x0] if player == BOB else kept)
     return rows, undefined
+
+
+def _degeneracy_regions(undefined: list[float], step_deg: float,
+                        kernel: HarmonicKernel) -> tuple[tuple[float, float], ...]:
+    """The cells [k step, (k+1) step] of the grid arange(0, 180, step_deg)
+    that hold an alpha in undefined, where the composed map is
+    undefined, with neighbouring cells merged.
+
+    An alpha that sits on a grid angle up to rounding, where the
+    composed map is undefined too, marks that angle's cell.  Where a
+    player's harmonic K = kappa0 + mu e + nu conj(e) is flat at every
+    angle, as when every stake is 0, the composed map is undefined
+    everywhere and the region is the whole half turn; mu e + nu conj(e)
+    traces an ellipse of semi-major axis |mu| + |nu|, so |K| is at most
+    |kappa0| + |mu| + |nu| there.
+    """
+    if any(abs(k0) + (abs(m_1 - 1j * m_2) + abs(m_1 + 1j * m_2)) / 2.0 <= kernel.radius
+           for k0, m_1, m_2 in (kernel.alice, kernel.bob)):
+        return ((0.0, 180.0),)
+    if not undefined:
+        return ()
+    grid = np.arange(0.0, 180.0, step_deg)
+    alphas = np.array(undefined)
+    nearest = np.rint(alphas / step_deg).astype(int) % len(grid)
+    on_grid = [math.isnan(_step(x, kernel)[0]) for x in grid[nearest].tolist()]
+    cells = np.zeros(len(grid), dtype=bool)
+    cells[np.where(on_grid, nearest, np.searchsorted(grid, alphas, side="right") - 1)] = True
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], cells, [False]))))
+    bounds = np.append(grid, 180.0)[edges].tolist()
+    return tuple(zip(bounds[::2], bounds[1::2]))
+
+
+def solve(params, tol_deg: float, step_deg: float) -> tuple[list[tuple[float, float, float]],
+                                                          tuple[tuple[float, float], ...]]:
+    """A game's candidate rows (alpha, beta, residual), those of
+    fixed_points and then those of indifference_points, and its
+    degeneracy regions: the cells of width step_deg that hold an alpha at
+    which the composed map is undefined (_degeneracy_regions).
+
+    Where the disk certificate holds (_proves_absence) this returns ([], ())
+    at once, and loses nothing.  The certificate proves that there is no
+    pure equilibrium, so no fixed point, and it bounds |K| above
+    kernel.radius, by its rounding margin, at every angle of the circle for
+    both players.  indifference_points keeps only the zeros x0 at which a
+    harmonic is flat, so it would find no row and no undefined alpha; and
+    the whole-half-turn test of _degeneracy_regions, |kappa0| + |mu| + |nu|
+    <= radius, cannot hold either, since that sum is at least every |K| on
+    the circle.  Such a game reports no candidate, not even an unverified
+    near fixed point.
+    """
+    kernel = params.kernel
+    if _proves_absence(kernel):
+        return [], ()
+    indifferent, undefined = indifference_points(params, tol_deg)
+    return (fixed_points(params, tol_deg) + indifferent,
+            _degeneracy_regions(undefined, step_deg, kernel))

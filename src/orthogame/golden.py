@@ -60,6 +60,11 @@ class GoldenRecord:
     theta_b_deg: Optional[float]
     items: tuple[GoldenItem, ...]
     solver_note: Optional[str] = None
+    # (prefix, (alpha, beta)) of each tabulated profile that the audit
+    # evaluates literally: its items are named prefix_alice_amplitudes,
+    # prefix_bob_amplitudes, prefix_term_split, prefix_value and
+    # prefix_deviation_check
+    points: tuple[tuple[str, tuple[float, float]], ...] = ()
 
 
 RECORDS: dict[str, GoldenRecord] = {
@@ -126,6 +131,9 @@ RECORDS: dict[str, GoldenRecord] = {
         solver_note="the reference tables for this configuration list a second equilibrium "
                     "point at alpha 180, beta 123.5; it fails the deviation check and is "
                     "audited as a known discrepancy by `reproduce 1`",
+        # the second tabulated point, with Bob's angle shifted by the
+        # documented half-period: beta = 123.5 - 90
+        points=(("second_point", (180.0, 33.5)),),
     ),
     "2": GoldenRecord(
         example_id="2",
@@ -155,6 +163,7 @@ RECORDS: dict[str, GoldenRecord] = {
                     "corner alpha 180, beta 180; that point fails Alice's deviation check "
                     "(alpha 90 pays 1.5 against beta 180) and the two reaction lines have "
                     "no common fixed point; audited by `reproduce 2`",
+        points=(("claimed_point", (180.0, 180.0)),),
     ),
     "3": GoldenRecord(
         example_id="3",
@@ -272,10 +281,11 @@ def _classical_actuals(record: GoldenRecord) -> dict:
     }
 
 
-def _example1_actuals(record: GoldenRecord) -> dict:
+def _quantum_actuals(record: GoldenRecord) -> dict:
     params = GameParams(*record.stakes, record.theta_a_deg, record.theta_b_deg)
     verified = find_equilibria(params).verified
-    actuals: dict = {"verified_equilibrium_count": len(verified)}
+    actuals: dict = {"verified_equilibrium_count": len(verified),
+                     "classical_value": solve_closed_form(*record.stakes)[2]}
     if verified:
         eq = verified[0]
         actuals.update({
@@ -286,49 +296,17 @@ def _example1_actuals(record: GoldenRecord) -> dict:
             "term_split": eq.terms,
             "bob_reported_angle_deg": eq.beta_star_deg,
         })
-    # the second tabulated point, with Bob's angle shifted by the documented
-    # half-period: beta = 123.5 - 90
-    alpha2, beta2 = 180.0, 33.5
-    p = amplitudes(QuantumStrategy(alpha2), params.rep_a)
-    q = amplitudes(QuantumStrategy(beta2), params.rep_b)
-    actuals.update({
-        "second_point_alice_amplitudes": p.as_tuple(),
-        "second_point_bob_amplitudes": q.as_tuple(),
-        "second_point_term_split": _diagonal_terms(p, q, *params.stakes),
-        "second_point_value": float(params.payoff(alpha2, beta2)),
-        "second_point_deviation_check": verify_equilibrium(alpha2, beta2, params).verified,
-    })
+    for prefix, (alpha, beta) in record.points:
+        p = amplitudes(QuantumStrategy(alpha), params.rep_a)
+        q = amplitudes(QuantumStrategy(beta), params.rep_b)
+        actuals.update({
+            f"{prefix}_alice_amplitudes": p.as_tuple(),
+            f"{prefix}_bob_amplitudes": q.as_tuple(),
+            f"{prefix}_term_split": _diagonal_terms(p, q, *params.stakes),
+            f"{prefix}_value": float(params.payoff(alpha, beta)),
+            f"{prefix}_deviation_check": verify_equilibrium(alpha, beta, params).verified,
+        })
     return actuals
-
-
-def _example2_actuals(record: GoldenRecord) -> dict:
-    params = GameParams(*record.stakes, record.theta_a_deg, record.theta_b_deg)
-    verified = find_equilibria(params).verified
-    corner = 180.0
-    p = amplitudes(QuantumStrategy(corner), params.rep_a)
-    q = amplitudes(QuantumStrategy(corner), params.rep_b)
-    return {
-        "claimed_point_value": float(params.payoff(corner, corner)),
-        "claimed_point_alice_amplitudes": p.as_tuple(),
-        "claimed_point_bob_amplitudes": q.as_tuple(),
-        "claimed_point_deviation_check": verify_equilibrium(corner, corner, params).verified,
-        "verified_equilibrium_count": len(verified),
-        "classical_value": solve_closed_form(*record.stakes)[2],
-    }
-
-
-def _example3_actuals(record: GoldenRecord) -> dict:
-    params = GameParams(*record.stakes, record.theta_a_deg, record.theta_b_deg)
-    verified = find_equilibria(params).verified
-    return {"verified_equilibrium_count": len(verified)}
-
-
-_EVALUATORS = {
-    "classical": _classical_actuals,
-    "1": _example1_actuals,
-    "2": _example2_actuals,
-    "3": _example3_actuals,
-}
 
 
 def run_example(example_id: str) -> AuditReport:
@@ -337,7 +315,8 @@ def run_example(example_id: str) -> AuditReport:
         raise KeyError(f"unknown example id {example_id!r}; "
                        f"choose from {sorted(RECORDS)}")
     record = RECORDS[example_id]
-    actuals = _EVALUATORS[example_id](record)
+    evaluate = _classical_actuals if record.theta_a_deg is None else _quantum_actuals
+    actuals = evaluate(record)
 
     outcomes = []
     for item in record.items:

@@ -1,9 +1,9 @@
-"""The disk certificate that lets fixed_points skip its search.
+"""The disk certificate that lets fixedpoint.solve skip the whole search.
 
 The mixed extension of the game is bilinear on two disks, so c = M^-1 a
 and d = M^-T b decide whether a pure equilibrium exists (see
 fixedpoint._proves_absence).  Here the certificate is checked against
-the enumerator with the skip bypassed, against the number of verified
+the whole solve with the skip bypassed, against the number of verified
 reports as a count oracle whose norms come from numpy's solver, for the
 consistency of the two players' harmonics, for scaling, and on the games
 it must never skip.
@@ -49,17 +49,45 @@ def _norms(params: GameParams) -> tuple[float, float]:
     return float(np.linalg.norm(c)), float(np.linalg.norm(d))
 
 
+def _mixed_sign_games(count: int) -> list[GameParams]:
+    """Stakes U(-10, 10) each, angles U(1, 179), from default_rng(99)."""
+    rng = np.random.default_rng(99)
+    return [GameParams(*rng.uniform(-10.0, 10.0, 4), *rng.uniform(1.0, 179.0, 2))
+            for _ in range(count)]
+
+
 def test_skipped_games_hold_no_verified_fixed_point(monkeypatch):
-    # the oracle is the enumerator itself with the skip bypassed, so a
-    # certificate that skipped a game with an equilibrium fails here
-    games = _sweep_games(1, 1000) + _heterogeneous_games(2, 2000) + _heterogeneous_games(3, 2000)
+    # the oracle is the whole solve with the skip bypassed, so a
+    # certificate that skipped a game with an equilibrium, or with a
+    # degeneracy region, fails here
+    games = (_sweep_games(1, 1000) + _sweep_games(5151, 3000) + _heterogeneous_games(2, 2000)
+             + _heterogeneous_games(3, 2000) + _heterogeneous_games(4, 1000)
+             + _mixed_sign_games(2000))
     skipped = [g for g in games if fixedpoint._proves_absence(g.kernel)]
-    assert len(skipped) == 485 + 176 + 95
-    with monkeypatch.context() as patched:
-        patched.setattr(fixedpoint, "_proves_absence", lambda kernel: False)
-        for params in skipped:
-            for alpha, beta, _ in fixedpoint.fixed_points(params, 0.005):
-                assert not verify_equilibrium(alpha, beta, params).verified, (params, alpha)
+    assert len(skipped) == 485 + 1391 + 176 + 95 + 20 + 206
+    monkeypatch.setattr(fixedpoint, "_proves_absence", lambda kernel: False)
+    for params in skipped:
+        rows, regions = fixedpoint.solve(params, 0.005, 0.25)
+        assert regions == (), params
+        for alpha, beta, _ in rows:
+            assert not verify_equilibrium(alpha, beta, params).verified, (params, alpha)
+
+
+def test_proven_absence_skips_the_whole_solve(monkeypatch):
+    # no enumeration, closed-form zero or region is computed for a game
+    # whose absence is proven; the unit-stake game at 30/20 is not
+    # certified, so it shows that the patches are live
+    (certified, *_) = [g for g in _sweep_games(1, 1000) if fixedpoint._proves_absence(g.kernel)]
+
+    def forbidden(*args):
+        raise AssertionError("searched a game whose absence is proven")
+
+    for name in ("fixed_points", "indifference_points", "_degeneracy_regions"):
+        monkeypatch.setattr(fixedpoint, name, forbidden)
+    result = find_equilibria(certified)
+    assert result.equilibria == () and result.degeneracy_regions == ()
+    with pytest.raises(AssertionError, match="searched"):
+        find_equilibria(GameParams(3, 3, 5, 1, 30.0, 20.0))
 
 
 def test_sweep_skip_count_is_pinned():

@@ -22,6 +22,14 @@ def test_diagonal_game_rejects_nonpositive():
         PayoffMatrix.diagonal_game(1, 1, -2, 1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_payoff_matrix_rejects_non_finite_entries(bad):
+    h = PayoffMatrix.diagonal_game(3, 3, 5, 1).h.copy()
+    h[1, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        PayoffMatrix(h)
+
+
 def test_payoff_pure_pairs():
     h = PayoffMatrix.diagonal_game(3, 3, 5, 1)
     assert payoff(MixedStrategy.pure(1), MixedStrategy.pure(3), h) == 3.0

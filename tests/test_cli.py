@@ -1,5 +1,6 @@
 """Command-line interface: JSON payloads, CSV export, exit codes."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
+from orthogame import golden
 from orthogame.cli import main
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -224,6 +226,22 @@ def test_reproduce_json_schema(runner, example):
     _check_schema(payload, "reproduce")
     assert payload["passed"] is True
     assert payload["example_id"] == example
+
+
+def test_reproduce_mismatch_exits_one(runner, monkeypatch):
+    # an expected-match item that recomputation does not meet fails the
+    # audit with exit code 1, in both output forms
+    record = golden.RECORDS["classical"]
+    wrong = dataclasses.replace(record.items[0], expected=1.0)
+    monkeypatch.setitem(golden.RECORDS, "classical",
+                        dataclasses.replace(record, items=(wrong, *record.items[1:])))
+    result = runner.invoke(main, ["reproduce", "classical"])
+    assert result.exit_code == 1
+    assert "MISMATCH           game_value: expected 1, computed 0.535714" in result.output
+    assert "result: FAIL (9 matched, 0 known discrepancies)" in result.output
+    result = runner.invoke(main, ["reproduce", "classical", "--json"])
+    assert result.exit_code == 1
+    assert json.loads(result.output)["passed"] is False
 
 
 def test_reproduce_unknown_example(runner):

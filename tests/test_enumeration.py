@@ -107,8 +107,7 @@ def _symbolic_polynomial(p: GameParams) -> list[complex]:
 @pytest.mark.parametrize("params", [EX1, EX3, STEEP, GameParams(2.5, 0.7, 9.1, 4.4, 163.0, 3.5)])
 def test_polynomial_matches_symbolic_expansion(params):
     expected = np.array(_symbolic_polynomial(params))
-    actual = np.array(fixedpoint.polynomial(fixedpoint.harmonic_map(params, fixedpoint.ALICE),
-                                            fixedpoint.harmonic_map(params, fixedpoint.BOB)))[::-1]
+    actual = np.array(fixedpoint.polynomial(params.kernel.alice, params.kernel.bob))[::-1]
     assert len(actual) == len(expected) == 9
     # compare up to the positive scale each side chose
     expected, actual = (v / np.max(np.abs(v)) for v in (expected, actual))
@@ -141,8 +140,7 @@ def test_circle_angles_match_companion_matrix():
     matched = 0
     for _ in range(60):
         params = _random_game(rng)
-        coeffs = fixedpoint.polynomial(fixedpoint.harmonic_map(params, fixedpoint.ALICE),
-                                       fixedpoint.harmonic_map(params, fixedpoint.BOB))
+        coeffs = fixedpoint.polynomial(params.kernel.alice, params.kernel.bob)
         # every root on the circle seeds, and every root numpy.roots finds
         # near it is one
         found, near = np.array(fixedpoint.circle_angles(coeffs)), _on_circle_angles(coeffs)
@@ -374,14 +372,14 @@ def test_no_polish_without_a_root(monkeypatch):
 
 def test_each_game_builds_its_kernel_once(monkeypatch):
     # a solve reads the kernel its game caches; a second solve of the same
-    # game rebuilds no harmonic map
-    def harmonic_map(*args):
-        raise AssertionError("harmonic map rebuilt")
+    # game rebuilds no kernel
+    def harmonic_kernel(*args):
+        raise AssertionError("harmonic kernel rebuilt")
 
     for stakes, theta_a, theta_b in ((EX3.stakes, 30.0, 20.0), ((3, 1, 1, 1), 15.0, 70.0),
                                      ((3, 1, 1, 1), 30.0, 165.0), ((1, 1, 1, 1), 45.0, 45.0)):
         params = GameParams(*stakes, theta_a, theta_b)
         first = find_equilibria(params, scan_step_deg=0.7)
         with monkeypatch.context() as patched:
-            patched.setattr(fixedpoint, "harmonic_map", harmonic_map)
+            patched.setattr(fixedpoint, "harmonic_kernel", harmonic_kernel)
             assert find_equilibria(params, scan_step_deg=0.7) == first

@@ -2,7 +2,7 @@
 
 import pytest
 
-from orthogame.golden import (EXPECTED_MATCH, KNOWN_DISCREPANCY, RECORDS,
+from orthogame.golden import (EXPECTED_MATCH, KNOWN_DISCREPANCY, RECORDS, _agrees,
                               record_for_config, run_example)
 
 
@@ -82,6 +82,15 @@ def test_report_as_dict_shape():
     assert set(d["parameters"]) == {"stakes", "theta_a_deg", "theta_b_deg"}
     for entry in d["items"]:
         assert set(entry) >= {"name", "status", "expected", "actual", "agrees"}
+
+
+def test_agreement_needs_a_value_of_the_tabulated_shape():
+    # an item with no recomputed value, or a tuple of another length,
+    # never agrees, whatever the tolerance
+    assert not _agrees(0.5, None, 1.0)
+    assert not _agrees((1.0, 0.5), (1.0,), 1.0)
+    assert not _agrees((1.0,), (1.0, 0.5), 1.0)
+    assert _agrees((1.0, 0.5), (1.0, 0.6), 0.2)
 
 
 def test_unknown_example_id():

@@ -16,7 +16,7 @@ from orthogame.classical import PayoffMatrix
 from orthogame.equilibrium import (DEGENERACY_SQ, GameParams, best_response_alice,
                                    best_response_bob, find_equilibria, verify_equilibrium)
 from orthogame.fixedpoint import (ALICE, BOB, _harmonic, _reply, _step, best_responses,
-                                  circle_angles, harmonic_map, phase, polynomial)
+                                  circle_angles, phase, polynomial)
 from orthogame.quantum import (LogicRepresentation, QuantumStrategy,
                                expectation, payoff_closed_form, payoff_operator)
 
@@ -93,10 +93,10 @@ def test_grid_gain_within_discretisation_of_analytic_gain(s, exponent, theta_a, 
     gains = [
         (float(np.max(params.payoff(grid, beta))) - value,
          float(params.payoff(response_a.angle_deg, beta)) - value,
-         abs(_harmonic(phase(beta), *harmonic_map(params, ALICE)))),
+         abs(_harmonic(phase(beta), *params.kernel.alice))),
         (value - float(np.min(params.payoff(alpha, grid))),
          value - float(params.payoff(alpha, response_b.angle_deg)),
-         abs(_harmonic(phase(alpha), *harmonic_map(params, BOB)))),
+         abs(_harmonic(phase(alpha), *params.kernel.bob))),
     ]
     for grid_gain, analytic_gain, amplitude in gains:
         assert grid_gain <= analytic_gain + rounding
@@ -162,7 +162,7 @@ def test_circle_angles_hold_numpy_roots_on_the_circle(s, exponent, theta_a, thet
     # every root numpy.roots finds on the unit circle is within 1e-6 of an
     # angle of the half-angle companion matrix, and no angle is NaN
     params = GameParams(*(x * 10.0 ** exponent for x in s), theta_a, theta_b)
-    coeffs = polynomial(harmonic_map(params, ALICE), harmonic_map(params, BOB))
+    coeffs = polynomial(params.kernel.alice, params.kernel.bob)
     # the terms in z^-4, z^4 and z^-3, z^3 are coeffs[0], coeffs[8], coeffs[1], coeffs[7];
     # circle_angles takes a polynomial real on the circle, so a zeroed term
     # zeroes its conjugate too: zeroing coeffs[0] or coeffs[8] alone is (0, 8)

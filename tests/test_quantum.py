@@ -7,7 +7,7 @@ import pytest
 
 from orthogame.classical import MixedStrategy, PayoffMatrix, solve_closed_form
 from orthogame.quantum import (AmplitudeSquares, LogicRepresentation,
-                               PayoffOperator, QuantumStrategy, amplitudes,
+                               PayoffOperator, ProjectorFamily, QuantumStrategy, amplitudes,
                                build_family, commutator, compare_with_classical,
                                expectation, payoff_closed_form, payoff_grid,
                                payoff_operator, payoff_terms,
@@ -29,6 +29,12 @@ def test_representation_rejects_multiples_of_90():
             LogicRepresentation(bad)
     for ok in (45.0, 10.0, -15.0, 89.9, 135.0):
         LogicRepresentation(ok)
+
+
+def test_projector_family_rejects_a_non_2x2_projector():
+    family = build_family(LogicRepresentation(30.0))
+    with pytest.raises(ValueError, match="p3 must be 2x2"):
+        ProjectorFamily(family.p1, family.p2, np.eye(3), family.p4)
 
 
 def test_build_family_theta_45():
