@@ -30,12 +30,14 @@ __all__ = [
 PROB_ATOL = 1e-12
 
 
-def _frozen_array(values, shape) -> np.ndarray:
+def _frozen_array(values, shape, name: str) -> np.ndarray:
+    """A read-only float copy of values, checked to have the given shape
+    and finite entries; name heads the error messages."""
     arr = np.array(values, dtype=float)
     if arr.shape != shape:
-        raise ValueError(f"expected shape {shape}, got {arr.shape}")
+        raise ValueError(f"{name} must be {'x'.join(map(str, shape))}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("entries must be finite")
+        raise ValueError(f"{name} entries must be finite")
     arr.flags.writeable = False
     return arr
 
@@ -47,7 +49,7 @@ class PayoffMatrix:
     h: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "h", _frozen_array(self.h, (4, 4)))
+        object.__setattr__(self, "h", _frozen_array(self.h, (4, 4), "h"))
 
     @classmethod
     def diagonal_game(cls, a: float, b: float, c: float, d: float) -> "PayoffMatrix":
@@ -71,7 +73,7 @@ class MixedStrategy:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _frozen_array(self.weights, (4,))
+        w = _frozen_array(self.weights, (4,), "weights")
         if np.any(w < 0):
             raise ValueError(f"weights must be nonnegative, got {w}")
         if abs(w.sum() - 1.0) > PROB_ATOL:

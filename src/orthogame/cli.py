@@ -22,9 +22,9 @@ import click
 from . import golden
 from .classical import (PayoffMatrix, decompose_conditional, solve_closed_form,
                         verify_nash)
-from .equilibrium import GameParams, find_equilibria, reaction_curves
+from .equilibrium import GameParams, _report, find_equilibria, reaction_curves
 from .lattice import audit_laws
-from .quantum import LogicRepresentation, QuantumStrategy, _diagonal_terms, amplitudes
+from .quantum import LogicRepresentation, QuantumStrategy
 
 CSV_HEADER = "input_deg,best_response_deg,payoff"
 
@@ -176,22 +176,17 @@ def quantum_solve(stakes, theta_a, theta_b, scan_step, refine_tol):
               help="Bob's angle in degrees")
 def quantum_payoff(stakes, theta_a, theta_b, alpha, beta):
     """Payoff, term split, and squared amplitudes at one strategy pair."""
-    a, b, c, d = stakes
-    params = GameParams(a, b, c, d, theta_a, theta_b)
-    strat_a = QuantumStrategy(alpha)
-    strat_b = QuantumStrategy(beta)
-    p = amplitudes(strat_a, params.rep_a)
-    q = amplitudes(strat_b, params.rep_b)
+    report = _report(alpha, beta, GameParams(*stakes, theta_a, theta_b))
     _emit({
         "stakes": list(stakes),
         "theta_a_deg": theta_a,
         "theta_b_deg": theta_b,
-        "alpha_deg": strat_a.angle_deg,
-        "beta_deg": strat_b.angle_deg,
-        "value": float(params.payoff(strat_a.angle_deg, strat_b.angle_deg)),
-        "terms": list(_diagonal_terms(p, q, *stakes)),
-        "p": list(p.as_tuple()),
-        "q": list(q.as_tuple()),
+        "alpha_deg": report.alpha_star_deg,
+        "beta_deg": report.beta_star_deg,
+        "value": report.value,
+        "terms": list(report.terms),
+        "p": list(report.amplitudes_a.as_tuple()),
+        "q": list(report.amplitudes_b.as_tuple()),
     })
 
 

@@ -220,6 +220,29 @@ class EquilibriumReport:
     residual_deg: float
 
 
+def _report(alpha_deg: float, beta_deg: float, params: GameParams,
+            tol: Optional[float] = None, residual_deg: float = math.nan) -> EquilibriumReport:
+    """The report of the profile (alpha, beta), each angle reduced to
+    [0, 180): both players' squared amplitudes, the two diagonal terms,
+    value as their sum, and the verdict of verify_equilibrium with tol."""
+    alpha, beta = QuantumStrategy(alpha_deg), QuantumStrategy(beta_deg)
+    amplitudes_a = amplitudes(alpha, params.rep_a)
+    amplitudes_b = amplitudes(beta, params.rep_b)
+    terms = _diagonal_terms(amplitudes_a, amplitudes_b, *params.stakes)
+    verdict = verify_equilibrium(alpha.angle_deg, beta.angle_deg, params, tol=tol)
+    return EquilibriumReport(
+        alpha_star_deg=alpha.angle_deg,
+        beta_star_deg=beta.angle_deg,
+        value=float(terms[0] + terms[1]),
+        terms=terms,
+        amplitudes_a=amplitudes_a,
+        amplitudes_b=amplitudes_b,
+        verified=verdict.verified,
+        max_violation=verdict.max_violation,
+        residual_deg=residual_deg,
+    )
+
+
 @dataclass(frozen=True)
 class SearchResult:
     """Equilibrium candidates plus the degeneracy regions: the cells of
@@ -254,8 +277,8 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
     beta) pairs within refine_tol_deg of each other modulo 180 the one
     with the least |residual| is kept, and those kept are reported in
     sorted order, each verified by verify_equilibrium with tol (n_probe is
-    passed on, validated, and no longer affects the verdict).  A report's
-    value is the sum of its two diagonal terms.  The degeneracy regions
+    validated and no longer affects the verdict).  A report's value is the
+    sum of its two diagonal terms.  The degeneracy regions
     are the cells of width scan_step_deg that hold an alpha at which a
     best response along the composed map is non-unique, neighbouring cells
     merged, and the whole half turn when a player's harmonic is flat at
@@ -284,22 +307,6 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
             continue
         unique.append(cand)
 
-    reports = []
-    for alpha_star, beta_star, residual in sorted(unique):
-        amplitudes_a = amplitudes(QuantumStrategy(alpha_star), params.rep_a)
-        amplitudes_b = amplitudes(QuantumStrategy(beta_star), params.rep_b)
-        terms = _diagonal_terms(amplitudes_a, amplitudes_b, *params.stakes)
-        verdict = verify_equilibrium(alpha_star, beta_star, params,
-                                     n_probe=n_probe, tol=tol)
-        reports.append(EquilibriumReport(
-            alpha_star_deg=alpha_star,
-            beta_star_deg=beta_star,
-            value=float(terms[0] + terms[1]),
-            terms=terms,
-            amplitudes_a=amplitudes_a,
-            amplitudes_b=amplitudes_b,
-            verified=verdict.verified,
-            max_violation=verdict.max_violation,
-            residual_deg=abs(residual),
-        ))
+    reports = [_report(alpha_star, beta_star, params, tol, abs(residual))
+               for alpha_star, beta_star, residual in sorted(unique)]
     return SearchResult(equilibria=tuple(reports), degeneracy_regions=regions)

@@ -152,7 +152,8 @@ def harmonic_kernel(params) -> HarmonicKernel:
     # quarter each stake before adding, exactly, so that no sum of two
     # finite stakes overflows
     a, b, c, d = (x / 4.0 for x in params.stakes)
-    n_a, n_b = (cmath.exp(1j * math.radians(2.0 * t))
+    # a mixing angle matters modulo 180; reduced first, 2t cannot overflow
+    n_a, n_b = (cmath.exp(1j * math.radians(2.0 * wrap_half_turn(t)))
                 for t in (params.theta_a_deg, params.theta_b_deg))
     alice, bob = (tuple(map(complex, (p - q + (r - s) * n, -(p + q) - (r + s) * o.real * n,
                                       -(r + s) * o.imag * n)))

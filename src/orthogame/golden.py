@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .classical import PayoffMatrix, decompose_conditional, solve_closed_form, verify_nash
-from .equilibrium import GameParams, find_equilibria, verify_equilibrium
-from .quantum import QuantumStrategy, _diagonal_terms, amplitudes
+from .equilibrium import GameParams, _report, find_equilibria
 
 __all__ = [
     "EXPECTED_MATCH",
@@ -199,7 +198,8 @@ def record_for_config(a: float, b: float, c: float, d: float,
 
 @dataclass(frozen=True)
 class ItemOutcome:
-    """One audited item: the tabulated value next to the recomputed one."""
+    """One audited item: its GoldenItem's fields, the recomputed value
+    and the two verdicts."""
 
     name: str
     status: str
@@ -211,18 +211,7 @@ class ItemOutcome:
     note: str
 
     def as_dict(self) -> dict:
-        def plain(v):
-            return list(v) if isinstance(v, tuple) else v
-        return {
-            "name": self.name,
-            "status": self.status,
-            "expected": plain(self.expected),
-            "actual": plain(self.actual),
-            "tolerance": self.tolerance,
-            "agrees": self.agrees,
-            "passed": self.passed,
-            "note": self.note,
-        }
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in vars(self).items()}
 
 
 @dataclass(frozen=True)
@@ -297,14 +286,13 @@ def _quantum_actuals(record: GoldenRecord) -> dict:
             "bob_reported_angle_deg": eq.beta_star_deg,
         })
     for prefix, (alpha, beta) in record.points:
-        p = amplitudes(QuantumStrategy(alpha), params.rep_a)
-        q = amplitudes(QuantumStrategy(beta), params.rep_b)
+        point = _report(alpha, beta, params)
         actuals.update({
-            f"{prefix}_alice_amplitudes": p.as_tuple(),
-            f"{prefix}_bob_amplitudes": q.as_tuple(),
-            f"{prefix}_term_split": _diagonal_terms(p, q, *params.stakes),
-            f"{prefix}_value": float(params.payoff(alpha, beta)),
-            f"{prefix}_deviation_check": verify_equilibrium(alpha, beta, params).verified,
+            f"{prefix}_alice_amplitudes": point.amplitudes_a.as_tuple(),
+            f"{prefix}_bob_amplitudes": point.amplitudes_b.as_tuple(),
+            f"{prefix}_term_split": point.terms,
+            f"{prefix}_value": point.value,
+            f"{prefix}_deviation_check": point.verified,
         })
     return actuals
 
@@ -324,16 +312,8 @@ def run_example(example_id: str) -> AuditReport:
         # numpy bools are not JSON serializable, so force the plain kind
         agrees = bool(_agrees(item.expected, actual, item.tolerance))
         passed = agrees or item.status == KNOWN_DISCREPANCY
-        outcomes.append(ItemOutcome(
-            name=item.name,
-            status=item.status,
-            expected=item.expected,
-            actual=actual,
-            tolerance=item.tolerance,
-            agrees=agrees,
-            passed=passed,
-            note=item.note,
-        ))
+        outcomes.append(ItemOutcome(**vars(item), actual=actual, agrees=agrees,
+                                    passed=passed))
 
     parameters: dict = {"stakes": list(record.stakes)}
     if record.theta_a_deg is not None:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .angles import wrap_half_turn
-from .classical import MixedStrategy, PayoffMatrix, decompose_conditional
+from .classical import MixedStrategy, PayoffMatrix, _frozen_array, decompose_conditional
 
 __all__ = [
     "LogicRepresentation",
@@ -49,7 +49,9 @@ class LogicRepresentation:
 
     At multiples of 90 degrees the rotated pair collapses onto the axis
     pair and the representation stops separating the two diagonals, so
-    those angles are rejected.
+    those angles are rejected.  Only theta modulo 180 matters, and every
+    formula reduces it to [0, 180) before any trigonometry, so that a
+    huge finite theta describes the same game as its remainder.
     """
 
     theta_deg: float
@@ -69,7 +71,7 @@ def rotation_projector(theta_deg: float) -> np.ndarray:
     This is the raw formula [[cos^2, sin cos], [sin cos, sin^2]]; unlike
     :func:`build_family` it accepts the degenerate multiples of 90.
     """
-    t = math.radians(theta_deg)
+    t = math.radians(wrap_half_turn(theta_deg))
     c, s = math.cos(t), math.sin(t)
     return np.array([[c * c, s * c], [s * c, s * s]])
 
@@ -85,11 +87,7 @@ class ProjectorFamily:
 
     def __post_init__(self):
         for name in ("p1", "p2", "p3", "p4"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (2, 2):
-                raise ValueError(f"{name} must be 2x2, got {arr.shape}")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), (2, 2), name))
 
     def as_tuple(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return (self.p1, self.p2, self.p3, self.p4)
@@ -175,7 +173,7 @@ def amplitudes(s: QuantumStrategy, rep: LogicRepresentation) -> AmplitudeSquares
     the rotated pair.  Identical to the quadratic forms <P_k v, v>.
     """
     t = math.radians(s.angle_deg)
-    u = t - math.radians(rep.theta_deg)
+    u = t - math.radians(wrap_half_turn(rep.theta_deg))
     return AmplitudeSquares(
         p1=math.cos(t) ** 2,
         p2=math.cos(u) ** 2,
@@ -201,8 +199,8 @@ def payoff_grid(alpha_deg, beta_deg, a, b, c, d, theta_a_deg, theta_b_deg):
     """
     al = np.radians(alpha_deg)
     be = np.radians(beta_deg)
-    ta = math.radians(theta_a_deg)
-    tb = math.radians(theta_b_deg)
+    ta = math.radians(wrap_half_turn(theta_a_deg))
+    tb = math.radians(wrap_half_turn(theta_b_deg))
     u = (a * np.cos(al) ** 2, c * np.sin(al) ** 2,
          b * np.cos(al - ta) ** 2, d * np.sin(al - ta) ** 2)
     v = (np.sin(be) ** 2, np.cos(be) ** 2, np.sin(be - tb) ** 2, np.cos(be - tb) ** 2)
@@ -244,11 +242,7 @@ class PayoffOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError(f"operator must be 4x4, got {m.shape}")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _frozen_array(self.matrix, (4, 4), "operator"))
 
 
 def payoff_operator(rep_a: LogicRepresentation, rep_b: LogicRepresentation,

@@ -4,6 +4,7 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from jsonschema import Draft202012Validator
 
 from orthogame import golden
 from orthogame.cli import main
+from orthogame.equilibrium import GameParams, find_equilibria
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -100,6 +102,17 @@ def test_quantum_solve_at_stakes_near_the_float_limit(runner):
                                                                unit["degeneracy_regions"])
 
 
+def test_quantum_solve_at_a_huge_mixing_angle(runner):
+    # 1e308 is a valid mixing angle, and it plays as 1e308 % 180 = 116
+    huge = _run_json(runner, ["quantum", "solve", "-p", "3,3,5,1",
+                              "--theta-a", "1e308", "--theta-b", "20"])
+    rest = _run_json(runner, ["quantum", "solve", "-p", "3,3,5,1",
+                              "--theta-a", "116", "--theta-b", "20"])
+    assert len(huge["equilibria"]) == 1
+    assert (huge["equilibria"], huge["degeneracy_regions"]) == (rest["equilibria"],
+                                                               rest["degeneracy_regions"])
+
+
 def test_quantum_solve_input_errors(runner):
     base = ["quantum", "solve", "-p", "3,3,5,1"]
     assert runner.invoke(main, base + ["--theta-a", "180", "--theta-b", "70"]).exit_code == 2
@@ -115,9 +128,28 @@ def test_quantum_payoff_values(runner):
                                  "--alpha", "145.5", "--beta", "59.5"])
     _check_schema(payload, "quantum_payoff")
     assert payload["value"] == pytest.approx(2.452, abs=2e-3)
-    assert sum(payload["terms"]) == pytest.approx(payload["value"], abs=1e-12)
+    assert payload["value"] == sum(payload["terms"])
     assert payload["p"][0] + payload["p"][2] == pytest.approx(1.0, abs=1e-15)
     assert payload["q"][1] + payload["q"][3] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_quantum_payoff_matches_the_solver_report_at_its_profile(runner):
+    # one assembly of a profile: the payoff at each reported equilibrium is
+    # the report's value, terms and amplitudes, bit for bit
+    rng = np.random.default_rng(19)
+    checked = 0
+    while checked < 30:
+        stakes, angles = rng.uniform(0.1, 10.0, 4).tolist(), rng.uniform(1.0, 179.0, 2).tolist()
+        for eq in find_equilibria(GameParams(*stakes, *angles)):
+            payload = _run_json(runner, ["quantum", "payoff", "-p", ",".join(map(repr, stakes)),
+                                         "--theta-a", repr(angles[0]), "--theta-b", repr(angles[1]),
+                                         "--alpha", repr(eq.alpha_star_deg),
+                                         "--beta", repr(eq.beta_star_deg)])
+            assert payload["value"] == eq.value == sum(payload["terms"])
+            assert payload["terms"] == list(eq.terms)
+            assert payload["p"] == list(eq.amplitudes_a.as_tuple())
+            assert payload["q"] == list(eq.amplitudes_b.as_tuple())
+            checked += 1
 
 
 def test_quantum_payoff_wraps_angles(runner):

@@ -291,6 +291,15 @@ def test_find_equilibria_ex3_at_stakes_near_the_float_limit():
     assert eq.beta_star_deg == pytest.approx(EX3_STAR[1], abs=1e-6)
 
 
+def test_a_huge_mixing_angle_plays_as_its_remainder_modulo_180():
+    # 1e308 % 180 is 116 exactly, and 2 * 1e308 would overflow to inf
+    huge, rest = GameParams(3, 3, 5, 1, 1e308, 20.0), GameParams(3, 3, 5, 1, 116.0, 20.0)
+    assert repr(find_equilibria(huge)) == repr(find_equilibria(rest))
+    assert best_response_alice(30.0, huge) == best_response_alice(30.0, rest)
+    assert not best_response_alice(30.0, huge).degenerate
+    assert huge.payoff(40.0, 50.0) == rest.payoff(40.0, 50.0)
+
+
 def test_find_equilibria_fig7_unique_and_stable():
     first = find_equilibria(FIG7, scan_step_deg=0.25)
     second = find_equilibria(FIG7, scan_step_deg=0.125)

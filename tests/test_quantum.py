@@ -37,6 +37,20 @@ def test_projector_family_rejects_a_non_2x2_projector():
         ProjectorFamily(family.p1, family.p2, np.eye(3), family.p4)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_projectors_and_operator_hold_checked_frozen_copies(bad):
+    eye, m = np.eye(2), np.zeros((4, 4))
+    family, op = ProjectorFamily(eye, eye, eye, eye), PayoffOperator(m)
+    assert eye.flags.writeable and m.flags.writeable
+    assert not family.p1.flags.writeable and not op.matrix.flags.writeable
+    eye[0, 0] = m[1, 1] = bad
+    assert family.p4[0, 0] == 1.0 and op.matrix[1, 1] == 0.0
+    with pytest.raises(ValueError, match="p2 entries must be finite"):
+        ProjectorFamily(family.p1, eye, family.p3, family.p4)
+    with pytest.raises(ValueError, match="operator entries must be finite"):
+        PayoffOperator(m)
+
+
 def test_build_family_theta_45():
     fam = build_family(LogicRepresentation(45.0))
     np.testing.assert_allclose(fam.p2, [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
