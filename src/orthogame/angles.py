@@ -7,6 +7,8 @@ degrees.  All helpers work in degrees and accept floats or NumPy arrays.
 
 from __future__ import annotations
 
+import numpy as np
+
 HALF_TURN = 180.0
 
 
@@ -15,6 +17,24 @@ def wrap_half_turn(angle_deg: float) -> float:
     wrapped = angle_deg % HALF_TURN
     # x % 180.0 can round up to exactly 180.0 for tiny negative x
     return wrapped - HALF_TURN * (wrapped >= HALF_TURN)
+
+
+def wrap_input(angle_deg):
+    """A caller's angle reduced to [0, 180) before any trigonometry: a
+    Python int or float, or an np.float64, as a Python float, anything
+    else as a float array or NumPy scalar.
+
+    The reduction is exact, so a huge angle plays as its remainder and an
+    angle in [0, 180) keeps every bit; a scalar skips numpy, which on one
+    angle costs more than the arithmetic, and an array already in [0, 180)
+    skips the remainder, which costs several times its min and max.
+    """
+    if isinstance(angle_deg, (float, int)):
+        return wrap_half_turn(float(angle_deg))
+    angles = np.asarray(angle_deg, dtype=float)
+    if angles.size and 0.0 <= angles.min() and angles.max() < HALF_TURN:
+        return angles
+    return wrap_half_turn(angles)
 
 
 def signed_delta(a_deg: float, b_deg: float) -> float:

@@ -283,7 +283,9 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
     best response along the composed map is non-unique, neighbouring cells
     merged, and the whole half turn when a player's harmonic is flat at
     every angle.  A game whose absence of pure equilibria the disk
-    certificate proves reports nothing and no region.
+    certificate proves reports nothing and no region; one that it places
+    off the boundary reports its one equilibrium, at the maximum of
+    Alice's security level, and no region.
 
     The game is zero-sum, so its equilibria are interchangeable: they
     form a product of Alice's equilibrium angles and Bob's.  A best

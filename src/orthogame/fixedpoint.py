@@ -18,55 +18,67 @@ complex coefficients, the largest stake and the flatness radius.  Every
 stage of a solve reads it, so no stage rebuilds a harmonic or rescans
 the stakes.
 
-solve first asks whether two 2x2 solves from the kernel prove that
-there is nothing to find (_proves_absence).  The payoff is bilinear in
-the phases p = e(alpha) and q = e(beta), so the mixed game is bilinear
-on two unit disks; when c = M^-1 a and d = M^-T b of its coefficients
-both lie inside the disk, by a rounding margin, its only saddle is
-interior, there is no pure equilibrium, and no harmonic comes near flat
-anywhere on the circle.  Such a game gets no row and no region, with no
-polynomial, eigenvalue call or closed-form zero computed.
+solve first sorts the game by the disk certificate (_certificate), two
+2x2 solves from the kernel: the mixed game is bilinear on two unit disks,
+and c = M^-1 a and d = M^-T b of its coefficients place its saddle.  An
+absent game, both inside the disk by a rounding margin, has no pure
+equilibrium, and nothing more is computed.  An off-boundary game, both
+off the circle by the margin, has no indifference anywhere on it and
+exactly one pure equilibrium, whose alpha is the unique maximum on the
+circle of Alice's security level g(alpha) = K0 + Re(kappa0_A conj(e)) -
+|K_B(e)|, Alice's payoff against Bob's best reply.  Every other game is
+on the boundary, the only place where equilibria can form a discrete
+set.
 
-Otherwise the equilibria are fixed points of the composed best-response
-map on the half-turn circle, and they are enumerated exactly.  Write
-z = e = exp(i phi), phi = 2a, for Alice's angle a.  On the unit
-circle conj(z) = 1/z, so Bob's harmonic is the Laurent polynomial
-K_B = nu_B/z + kappa0_B + mu_B z, and conj(K_B) is its coefficient list
-reversed and conjugated.  Alice's angle is a fixed point of the composed
-map when K_A points along e: Im(K_A conj(e)) = 0 and Re(K_A conj(e)) > 0.
-Multiplied by |K_B| the first condition reads Im(kappa0_A conj(e)) |K_B|
-= Im(L conj(e)), L = mu_A K_B + nu_A conj(K_B), where Im(f conj(e)) =
-(f/z - conj(f) z)/2i.  Squared, with |K_B|^2 = K_B conj(K_B), it is
+The maximum of g is a critical point, and the critical points are
+enumerated exactly.  Write z = e = exp(i phi), phi = 2a, for Alice's
+angle a.  g' has the sign of h = Im(K_A conj(e)), with K_A Alice's
+harmonic against Bob's answer w, so g is critical where K_A is parallel
+to e: a fixed point of the composed map, where K_A points along e
+(Re(K_A conj(e)) > 0), or a root of the other square-root branch, where
+Alice answers -w.  On the unit circle conj(z) = 1/z, so Bob's harmonic
+is the Laurent polynomial K_B = nu_B/z + kappa0_B + mu_B z, and
+conj(K_B) is its coefficient list reversed and conjugated.  Multiplied
+by |K_B| the condition Im(K_A conj(e)) = 0 reads Im(kappa0_A conj(e))
+|K_B| = Im(L conj(e)), L = mu_A K_B + nu_A conj(K_B), where Im(f conj(e))
+= (f/z - conj(f) z)/2i.  Squared, with |K_B|^2 = K_B conj(K_B), it is
 T(phi) = z^-4 times a degree-8 polynomial in z, real on the circle
 (spectral rootfinding for Fourier series: J. P. Boyd, J. Eng. Math. 56
 (2006) 203-219).  The half-angle substitution z = (1 + it)/(1 - it),
 t = tan(phi/2), makes (1 + t^2)^4 T(phi) a real polynomial in t whose
 real roots are the roots on the circle, so one real eigenvalue problem,
-that of its companion matrix, finds them all.  The roots hold every
-fixed point, and also the roots of the other square-root branch, where
-Alice answers -w, and the zeros of K_B.  Each root's angle seeds one
-Newton iteration on the unsquared residual, whose slope has a closed
-form in the same harmonics; the first step and the residual it ends at
-tell the roots apart.  Every eigenvalue seeds, real or not: rounding
-can push those of a clustered root a hundredth off the real line, and a
-seed that finds nothing fails the first-step test.  Where K_A or K_B
-nearly vanishes the residual sweeps most of a quarter turn within a
-small fraction of a degree, and a full step from an eigenvalue's angle
-can overshoot it, so a step that does not lower the residual is halved
-instead, and an iteration that stops short of a root across which its
-residual changed sign bisects that bracket, keeping a root it closes
-between neighbouring doubles.  No residual is scanned: a scan of it is
-the tests' oracle for the enumeration.
+that of its companion matrix, finds them all, and the zeros of K_B
+besides.  g is evaluated at every eigenvalue's angle, real or not:
+rounding can push those of a clustered root a hundredth off the real
+line.  g has two local maxima in most games, so no local ascent from an
+arbitrary start replaces the roots.
+
+Only the angle at which g is largest seeds Newton's iteration on the
+unsquared residual, whose slope has a closed form in the same
+harmonics.  Where K_A or K_B nearly vanishes the residual sweeps most of
+a quarter turn within a small fraction of a degree, and a full step from
+an eigenvalue's angle can overshoot it, so a step that does not lower
+the residual is halved instead, and an iteration that stops short of a
+root across which its residual changed sign bisects that bracket,
+keeping a root it closes between neighbouring doubles.  Off the
+boundary the residual's sign is that of h, which is continuous there,
+so where the iteration closes nothing the sign change uphill of its end
+is bisected instead, and the game's one equilibrium is always found.
+On the boundary that row is joined by the closed-form indifference rows
+below.  No residual is scanned: a scan of it is the tests' oracle for
+the enumeration.
 
 Everything after the eigenvalue call is scalar arithmetic, one angle at
 a time in plain Python floats and complex numbers, which on a handful
-of angles costs less than numpy calls do: the seeds, the Newton
-iteration, each finished row, whose residual and Bob's harmonic come
-from one more evaluation of the same step (_step, the one implementation
-of the residual), and the indifference rows below.  A scalar best reply
-(_reply) gives each row's beta and each indifference row's reply;
-best_responses is its array form, which reaction curves and the public
-best-response functions evaluate on grids.
+of angles costs less than numpy calls do: the values of g, the Newton
+iteration and its bisections, and the finished row, whose residual and
+Bob's harmonic come from one more evaluation of the same step (_step,
+the one implementation of the residual), and the indifference rows
+below.  A scalar best reply (_reply) gives the row's beta and each
+indifference row's reply; best_responses is its array form, which
+reaction curves and the public best-response functions evaluate on
+grids.  Every angle a caller gives enters the trigonometry through
+phase, which reduces it modulo 180 first.
 
 Where a player's harmonic vanishes that player is indifferent and the
 composed map is undefined.  Such a zero, and the opponent angles that
@@ -85,7 +97,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angles import signed_delta, wrap_half_turn
+from .angles import signed_delta, wrap_half_turn, wrap_input
 
 # a harmonic whose squared amplitude is at most this times the square of
 # the largest stake is treated as flat
@@ -94,20 +106,22 @@ DEGENERACY_SQ = 1e-18
 ALICE, BOB = "alice", "bob"
 # relative size below which the polynomial counts as identically zero
 _ZERO_POLYNOMIAL = 1e-12
-# a Newton iteration moves at most this far from its start, and
-# fixed_points polishes only the seeds whose first step is this short: an
-# eigenvalue's angle is orders of magnitude closer to its fixed point,
-# and a seed on the other square-root branch (residual +-90) mostly
-# much farther
+# a Newton iteration moves at most this far from its start: an
+# eigenvalue's angle is orders of magnitude closer to its fixed point
 _REACH_DEG = 1.0
 # residual evaluations per Newton iteration; a halved step costs one
 _NEWTON_STEPS = 12
 # the last step is applied before the iteration stops, since Bob's best
 # response can be thousands of times steeper than the residual
 _NEWTON_TOL_DEG = 1e-12
-# first-order rounding bound of _proves_absence, in units of the largest
+# the first bracket of _climb reaches this far uphill, and each widening
+# doubles it
+_CLIMB_DEG = 1e-9
+# first-order rounding bound of _certificate, in units of the largest
 # stake: 256 unit roundoffs
 _ROUNDING = 2.0 ** -45
+# the classes of _certificate
+ABSENT, OFF_BOUNDARY, BOUNDARY = "absent", "off-boundary", "boundary"
 # column k holds the coefficients of t^8 ... t^0 of (1 + it)^k (1 - it)^(8 - k),
 # which is (1 + t^2)^4 z^(k - 4) at z = (1 + it)/(1 - it)
 _HALF_ANGLE = np.array([[(1, 1j, -1, -1j)[j % 4]
@@ -152,9 +166,8 @@ def harmonic_kernel(params) -> HarmonicKernel:
     # quarter each stake before adding, exactly, so that no sum of two
     # finite stakes overflows
     a, b, c, d = (x / 4.0 for x in params.stakes)
-    # a mixing angle matters modulo 180; reduced first, 2t cannot overflow
-    n_a, n_b = (cmath.exp(1j * math.radians(2.0 * wrap_half_turn(t)))
-                for t in (params.theta_a_deg, params.theta_b_deg))
+    # a mixing angle matters modulo 180; phase reduces it first
+    n_a, n_b = phase(params.theta_a_deg), phase(params.theta_b_deg)
     alice, bob = (tuple(map(complex, (p - q + (r - s) * n, -(p + q) - (r + s) * o.real * n,
                                       -(r + s) * o.imag * n)))
                   for p, q, r, s, n, o in ((a, c, b, d, n_a, n_b), (c, a, d, b, n_b, n_a)))
@@ -163,8 +176,13 @@ def harmonic_kernel(params) -> HarmonicKernel:
 
 
 def phase(angle_deg):
-    """e = exp(2ix) of each angle x in degrees; broadcasts over arrays."""
-    return np.exp((1j * math.pi / 90.0) * np.asarray(angle_deg, dtype=float))
+    """e = exp(2ix) of an angle x in degrees, or of each angle of an array,
+    with x reduced first (wrap_input).  A scalar gives a Python complex
+    from cmath, which agrees with numpy bit for bit."""
+    x = wrap_input(angle_deg)
+    if isinstance(x, float):
+        return cmath.exp(2j * math.radians(x))
+    return np.exp((1j * math.pi / 90.0) * x)
 
 
 def _harmonic(e, kappa0, m_1, m_2):
@@ -211,7 +229,7 @@ def gains(alpha: float, beta: float, params) -> tuple[float, float]:
     + |K_B|.  Neither needs K0 or a payoff value.
     """
     kernel = params.kernel
-    e_a, e_b = (cmath.exp(2j * math.radians(x)) for x in (alpha, beta))
+    e_a, e_b = phase(alpha), phase(beta)
     k_a, k_b = _harmonic(e_b, *kernel.alice), _harmonic(e_a, *kernel.bob)
     return abs(k_a) - (k_a * e_a.conjugate()).real, (k_b * e_b.conjugate()).real + abs(k_b)
 
@@ -281,15 +299,46 @@ def _newton(alpha: float, residual: float, step: float,
             step /= 2.0
     if bracket is None:
         return alpha, False
-    lo, r_lo, hi, r_hi = bracket
+    lo, r_lo, hi, r_hi = _bisect(*bracket, kernel)
+    end = min((alpha, residual), (lo, r_lo), (hi, r_hi), key=lambda x: abs(x[1]))[0]
+    return end, end in (lo, hi) and abs(r_hi - r_lo) < 90.0
+
+
+def _bisect(lo: float, r_lo: float, hi: float, r_hi: float,
+            kernel: HarmonicKernel) -> tuple[float, float, float, float]:
+    """The bracket (lo, r_lo, hi, r_hi) of a sign change of the residual,
+    in either order of lo and hi, bisected down to neighbouring doubles."""
     while lo != (mid := (lo + hi) / 2.0) != hi:
         r_mid = _step(mid, kernel)[0]
         if r_mid * r_lo > 0.0:
             lo, r_lo = mid, r_mid
         else:
             hi, r_hi = mid, r_mid
-    end = min((alpha, residual), (lo, r_lo), (hi, r_hi), key=lambda x: abs(x[1]))[0]
-    return end, end in (lo, hi) and abs(r_hi - r_lo) < 90.0
+    return lo, r_lo, hi, r_hi
+
+
+def _climb(alpha: float, residual: float, kernel: HarmonicKernel) -> float:
+    """Off the boundary, the local maximum of Alice's security level g
+    uphill from alpha, given the residual there: the end with the smaller
+    |residual| of the sign change of the residual from + to -, bisected
+    down to neighbouring doubles; NaN if none lies within a half turn.
+
+    Off the boundary no harmonic comes near flat on the circle, so the
+    residual's sign is that of h = Im(K_A conj(e)), which is continuous
+    and has the sign of g': a change from + to - is a maximum of g, a
+    jump of the residual from -90 to +90 a minimum, and no change needs
+    telling apart from a wrap of the composed map.  The bracket's far end
+    starts _CLIMB_DEG uphill and doubles its distance until the sign
+    changes.
+    """
+    width = _CLIMB_DEG
+    while (r_far := _step(alpha + math.copysign(width, residual), kernel)[0]) * residual > 0.0:
+        if width > 180.0:
+            return math.nan
+        width *= 2.0
+    lo, r_lo, hi, r_hi = _bisect(alpha, residual, alpha + math.copysign(width, residual), r_far,
+                                 kernel)
+    return lo if abs(r_lo) <= abs(r_hi) else hi
 
 
 def _times(f, g) -> list[complex]:
@@ -368,10 +417,11 @@ def circle_angles(coeffs) -> list[float]:
     return angles
 
 
-def _proves_absence(kernel: HarmonicKernel) -> bool:
-    """Whether the disk certificate proves that the game has no fixed
-    point, so no pure equilibrium: both kinks of the mixed game's security
-    levels lie inside the unit disk, beyond a rounding margin.
+def _certificate(kernel: HarmonicKernel) -> str:
+    """The game's class under the disk certificate: ABSENT where it proves
+    that there is no pure equilibrium, OFF_BOUNDARY where it proves that
+    there is exactly one and that neither player is ever indifferent, and
+    BOUNDARY otherwise.
 
     With p = e(alpha) and q = e(beta) as vectors, the payoff is f0 + a.p +
     b.q + p.Mq, where M = [[Re m_1, Re m_2], [Im m_1, Im m_2]] and a =
@@ -381,26 +431,41 @@ def _proves_absence(kernel: HarmonicKernel) -> bool:
     mixed game is bilinear on two disks and has a saddle point (von
     Neumann 1928; Sion, Pacific J. Math. 8 (1958) 171-176), and a pure
     equilibrium is one of its saddles, since a payoff linear in a
-    player's own mean peaks on the circle.  Let c = M^-1 a and d = M^-T b.
-    If |c| < 1 and |d| < 1, (-d, -c) is an interior saddle, at which each
-    player's harmonic vanishes.  Zero-sum saddles are interchangeable
-    (Osborne and Rubinstein 1994, Prop. 22.2), so a pure equilibrium
-    (p, q) would make (p, -c) a saddle too, at which Bob minimises over
-    the disk at the interior point -c: b + M^T p = 0, so p = -d, which is
-    not on the circle.  There is no pure equilibrium.
+    player's own mean peaks on the circle.  Zero-sum saddles are
+    interchangeable (Osborne and Rubinstein 1994, Prop. 22.2).
 
-    The test reads Q = |det M| - max(|adj(M) a|, |adj(M)^T b|) > |M|_F
-    (r + rho), where adj(M) = det(M) M^-1, r = sqrt(DEGENERACY_SQ) and
-    everything is divided by kernel.scale S first, much as polynomial
+    As adj(M)(a + Mq) = adj(M) a + det(M) q and |adj(M)|_2 = |M|_2 <=
+    |M|_F, Alice's harmonic obeys |a + Mq| |M|_F >= ||adj(M) a| - |det M||
+    at every unit q, whatever M, and Bob's likewise with adj(M)^T b.  The
+    test compares both gaps ||adj(M) a| - |det M|| and ||adj(M)^T b| -
+    |det M|| with the margin |M|_F (r + rho), where r = sqrt(DEGENERACY_SQ)
+    and everything is divided by kernel.scale S first, much as polynomial
     scales its coefficients, so that no product overflows or underflows.
-    Since sigma_min(M) >= |det M|/|M|_F, it says sigma_min(M) (1 -
-    max(|c|, |d|)) > r + rho, and as |a + Mq| = |M(q + c)| >=
-    sigma_min(M) (1 - |c|) on the circle, and Bob's likewise, no harmonic
-    of the game comes within the flatness radius anywhere on it: neither
-    player is ever indifferent, and the margin this leaves on the norms,
-    (r + rho)/sigma_min(M) >= (r + rho) cond(M)/1.12, grows with cond(M).
-    Singular M (det 0, Q <= 0), the all-zero game and a coefficient that
-    is not finite never pass.
+    Where both gaps exceed it, no harmonic of the game comes within the
+    flatness radius anywhere on the circle, by rho to spare for rounding:
+    neither player is ever indifferent, so there is no indifference row
+    and no degeneracy region, and there is at most one pure equilibrium.
+    For invertible M, with c = M^-1 a and d = M^-T b, the gaps are
+    |det M| ||c| - 1| and |det M| ||d| - 1|.
+
+    ABSENT: both gaps exceed the margin with |c| < 1 and |d| < 1, and
+    (-d, -c) is an interior saddle, at which each player's harmonic
+    vanishes.  A pure equilibrium (p, q) would make (p, -c) a saddle too,
+    at which Bob minimises over the disk at the interior point -c: b +
+    M^T p = 0, so p = -d, which is not on the circle.  There is no pure
+    equilibrium.
+
+    OFF_BOUNDARY: both gaps exceed the margin, and one of |adj(M) a| and
+    |adj(M)^T b| exceeds |det M|, say Alice's.  Then Alice's harmonic
+    vanishes nowhere on the whole disk, so at a saddle (p, q) Alice's best
+    reply p to the mean q lies on the circle, and Bob's unique best reply
+    to p is pure, which makes a pure equilibrium; Bob's case is the mirror
+    image.  It is the only one, and p is a maximin strategy: alpha* is the
+    unique global maximum on the circle of Alice's security level
+    g(alpha), the least payoff over beta.
+
+    The all-zero game and a coefficient that is not finite are BOUNDARY,
+    and singular M (det 0) is never ABSENT.
 
     rho bounds rounding to first order, in units of S, with u = 2^-53.
     Each coefficient of harmonic_kernel is within 21u of its exact value:
@@ -409,59 +474,72 @@ def _proves_absence(kernel: HarmonicKernel) -> bool:
     division by S add a few u.  So |a| <= 1, |M|_F <= 1.12 and |b| <= 1,
     and each harmonic on the circle moves by at most (1 + sqrt 2) 21u,
     twice that for Bob's, whose block is taken as Alice's M^T.  Computing
-    Q costs at most u(|M|_F^2 + 3 |M|_F max(|a|, |b|) + |Q|), and as |Q|
-    <= |M|_F^2/2 + |M|_F max(|a|, |b|), at most 6u once divided by |M|_F;
-    the solver's own evaluation of a harmonic costs at most 25u.  These
-    sum to under 140u; rho is 256u.
+    a gap G costs at most u(|M|_F^2 + 3 |M|_F max(|a|, |b|) + G), and as
+    G <= |M|_F^2/2 + |M|_F max(|a|, |b|), at most 6u once divided by
+    |M|_F; the solver's own evaluation of a harmonic costs at most 25u.
+    These sum to under 140u; rho is 256u.
     """
     scale = kernel.scale
     if scale == 0.0:
-        return False
+        return BOUNDARY
     (a, m_1, m_2), b = [x / scale for x in kernel.alice], kernel.bob[0] / scale
-    det = m_1.real * m_2.imag - m_2.real * m_1.imag
+    det = abs(m_1.real * m_2.imag - m_2.real * m_1.imag)
     adj_a = math.hypot(m_2.imag * a.real - m_2.real * a.imag,
                        m_1.real * a.imag - m_1.imag * a.real)
     adj_b = math.hypot(m_2.imag * b.real - m_1.imag * b.imag,
                        m_1.real * b.imag - m_2.real * b.real)
-    room = abs(det) - math.hypot(m_1.real, m_1.imag, m_2.real, m_2.imag) * (
+    margin = math.hypot(m_1.real, m_1.imag, m_2.real, m_2.imag) * (
         math.sqrt(DEGENERACY_SQ) + _ROUNDING)
-    # both comparisons, not max(adj_a, adj_b) < room, so that a coefficient
-    # that is not finite, which leaves an adj or room NaN or infinite, fails
-    return adj_a < room and adj_b < room
+    if not math.isfinite(det + adj_a + adj_b + margin):
+        return BOUNDARY
+    if adj_a < det - margin and adj_b < det - margin:
+        return ABSENT
+    if abs(adj_a - det) > margin and abs(adj_b - det) > margin:
+        return OFF_BOUNDARY
+    return BOUNDARY
 
 
-def fixed_points(params, tol_deg: float) -> list[tuple[float, float, float]]:
-    """(alpha, beta, residual) rows of the fixed points of the composed
-    best-response map, one row per seed that finds one.
+def _security(phi: float, kernel: HarmonicKernel) -> float:
+    """Alice's security level g at the phase angle phi = 2 alpha, in
+    radians, less the payoff's constant: against Bob's best reply Alice's
+    payoff is Re(kappa0_A conj(e)) - |K_B(e)| with e = exp(i phi)."""
+    e = cmath.rect(1.0, phi)
+    return (kernel.alice[0] * e.conjugate()).real - abs(_harmonic(e, *kernel.bob))
 
-    The polynomial's input is the game's kernel.  Each angle of
-    circle_angles, a root on the unit circle or off it, whose first Newton
-    step on the unsquared residual is at most _REACH_DEG seeds Newton's
-    iteration (_newton), and a finished angle is kept where its residual is
-    within tol_deg of zero, or where the iteration's bisection closed a
-    sign change of the residual on it between neighbouring doubles: at a
-    crossing steeper than about 1e11 degrees per degree the nearest double
-    can leave a residual of 1e-3 degrees.  This drops the roots off the
-    circle, those of the other square-root branch, where K_A points
-    against e (residual +-90), and the zeros of K_B (step undefined).  When
-    no root seeds an iteration, nothing is iterated.  Everything after the
-    eigenvalue call is scalar arithmetic: a finished row's residual and
-    Bob's harmonic come from one more _step at its angle, and beta is Bob's
-    _reply to that harmonic.
+
+def fixed_points(params, tol_deg: float,
+                 off_boundary: bool = False) -> list[tuple[float, float, float]]:
+    """The (alpha, beta, residual) row of the fixed point at the maximum
+    of Alice's security level g, as a list of at most one row.
+
+    Of the angles of circle_angles, roots of the polynomial of the game's
+    kernel on the unit circle or off it, the one at which g is largest
+    (_security) seeds Newton's iteration (_newton).  The finished
+    angle is kept where its residual is within tol_deg of zero, or where
+    the iteration's bisection closed a sign change of the residual on it
+    between neighbouring doubles: at a crossing steeper than about 1e11
+    degrees per degree the nearest double can leave a residual of 1e-3
+    degrees.  Off the boundary (_certificate) the game has exactly one
+    equilibrium, at that maximum, so where Newton's iteration ends
+    otherwise, the sign change uphill of its end is bisected instead
+    (_climb) and the row is kept.  A row's residual and Bob's harmonic
+    come from one more _step at its angle, and beta is Bob's _reply to
+    that harmonic.
     """
     kernel = params.kernel
-    rows = []
-    for phi in circle_angles(polynomial(kernel.alice, kernel.bob)):
-        seed = wrap_half_turn(0.5 * math.degrees(phi))
-        residual, step, _ = _step(seed, kernel)
-        if not abs(step) <= _REACH_DEG:
-            continue
-        end, closed = _newton(seed, residual, step, kernel)
+    angles = circle_angles(polynomial(kernel.alice, kernel.bob))
+    if not angles:
+        return []
+    seed = wrap_half_turn(0.5 * math.degrees(max(angles, key=lambda phi: _security(phi, kernel))))
+    end, closed = _newton(seed, *_step(seed, kernel)[:2], kernel)
+    alpha = wrap_half_turn(end)
+    residual, _, k_b = _step(alpha, kernel)
+    if not (abs(residual) <= tol_deg or closed):
+        if not off_boundary or math.isnan(end := _climb(alpha, residual, kernel)):
+            return []
         alpha = wrap_half_turn(end)
         residual, _, k_b = _step(alpha, kernel)
-        if abs(residual) <= tol_deg or closed:
-            rows.append((alpha, _reply(k_b, BOB, kernel), residual))
-    return rows
+    return [(alpha, _reply(k_b, BOB, kernel), residual)]
 
 
 def _harmonic_angles(u1: float, u2: float, k: float) -> list[float]:
@@ -548,25 +626,30 @@ def _degeneracy_regions(undefined: list[float], step_deg: float,
 
 def solve(params, tol_deg: float, step_deg: float) -> tuple[list[tuple[float, float, float]],
                                                           tuple[tuple[float, float], ...]]:
-    """A game's candidate rows (alpha, beta, residual), those of
+    """A game's candidate rows (alpha, beta, residual), that of
     fixed_points and then those of indifference_points, and its
     degeneracy regions: the cells of width step_deg that hold an alpha at
     which the composed map is undefined (_degeneracy_regions).
 
-    Where the disk certificate holds (_proves_absence) this returns ([], ())
-    at once, and loses nothing.  The certificate proves that there is no
-    pure equilibrium, so no fixed point, and it bounds |K| above
-    kernel.radius, by its rounding margin, at every angle of the circle for
+    The disk certificate (_certificate) decides what is computed, and
+    nothing it skips could find anything.  An ABSENT game returns ([], ())
+    at once, with no candidate, not even an unverified near fixed point.
+    In an ABSENT or OFF_BOUNDARY game |K| stays above kernel.radius, by
+    the certificate's rounding margin, at every angle of the circle for
     both players.  indifference_points keeps only the zeros x0 at which a
     harmonic is flat, so it would find no row and no undefined alpha; and
     the whole-half-turn test of _degeneracy_regions, |kappa0| + |mu| + |nu|
     <= radius, cannot hold either, since that sum is at least every |K| on
-    the circle.  Such a game reports no candidate, not even an unverified
-    near fixed point.
+    the circle.  So an OFF_BOUNDARY game gets fixed_points' one row and no
+    region, and only a BOUNDARY game, where equilibria can form a
+    discrete set, gets the indifference rows and the regions as well.
     """
     kernel = params.kernel
-    if _proves_absence(kernel):
+    shape = _certificate(kernel)
+    if shape == ABSENT:
         return [], ()
+    rows = fixed_points(params, tol_deg, shape == OFF_BOUNDARY)
+    if shape == OFF_BOUNDARY:
+        return rows, ()
     indifferent, undefined = indifference_points(params, tol_deg)
-    return (fixed_points(params, tol_deg) + indifferent,
-            _degeneracy_regions(undefined, step_deg, kernel))
+    return rows + indifferent, _degeneracy_regions(undefined, step_deg, kernel)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angles import wrap_half_turn
+from .angles import wrap_half_turn, wrap_input
 from .classical import MixedStrategy, PayoffMatrix, _frozen_array, decompose_conditional
 
 __all__ = [
@@ -196,9 +196,12 @@ def payoff_grid(alpha_deg, beta_deg, a, b, c, d, theta_a_deg, theta_b_deg):
     one (n, 4) @ (4, m) matrix product: no mesh-sized temporary, and
     last-bit differences from the sum.  Every other shape takes the sum
     above, term by term in that order.
+
+    Each angle is reduced first (wrap_input), so a huge angle plays as
+    its remainder; the inputs are reduced, never the mesh.
     """
-    al = np.radians(alpha_deg)
-    be = np.radians(beta_deg)
+    al = np.radians(wrap_input(alpha_deg))
+    be = np.radians(wrap_input(beta_deg))
     ta = math.radians(wrap_half_turn(theta_a_deg))
     tb = math.radians(wrap_half_turn(theta_b_deg))
     u = (a * np.cos(al) ** 2, c * np.sin(al) ** 2,

@@ -3,6 +3,7 @@
 import numpy as np
 
 from orthogame.angles import signed_delta, wrap_half_turn, wrapped_distance
+from orthogame.fixedpoint import phase
 
 
 def test_wrap_half_turn_basic():
@@ -11,6 +12,12 @@ def test_wrap_half_turn_basic():
     assert wrap_half_turn(180.0) == 0.0
     assert wrap_half_turn(325.5) == 145.5
     assert wrap_half_turn(-30.0) == 150.0
+    # angles in [0, 180) come back unchanged, so reducing strategy and
+    # mixing angles before any trigonometry moves no answer there
+    rng = np.random.default_rng(11)
+    angles = np.concatenate((rng.uniform(0.0, 180.0, 10_000), [5e-324, np.nextafter(180.0, 0.0)]))
+    assert np.array_equal(wrap_half_turn(angles), angles)
+    assert all(wrap_half_turn(x) == x for x in angles.tolist())
 
 
 def test_wrap_half_turn_tiny_negative_rounds_inside_interval():
@@ -36,3 +43,14 @@ def test_wrapped_distance_symmetry():
     assert wrapped_distance(179.0, 1.0) == 2.0
     assert wrapped_distance(1.0, 179.0) == 2.0
     assert wrapped_distance(90.0, 90.0) == 0.0
+
+
+def test_phase_of_a_float_equals_phase_of_an_array():
+    # the scalar form runs on cmath, the array form on numpy: the same
+    # bits, reduced modulo 180 first
+    rng = np.random.default_rng(12)
+    angles = np.concatenate((rng.uniform(-360.0, 360.0, 2000), [1e20, -1e20, 1e308]))
+    expected = phase(angles)
+    for x, e in zip(angles.tolist(), expected.tolist()):
+        assert phase(x) == e == phase(wrap_half_turn(x))
+    assert phase(np.float64(1e308)) == phase(116.0) == phase(116)

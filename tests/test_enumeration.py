@@ -343,8 +343,8 @@ def test_polish_never_raises_the_residual():
 
 
 def test_duplicates_keep_the_least_residual(monkeypatch):
-    # a poorer row 1e-5 degrees below the root, as a second seed might
-    # leave it, lies within the refine tolerance of the root's row and
+    # a poorer row 1e-5 degrees below the root, as an indifference row
+    # might lie, is within the refine tolerance of the root's row and
     # sorts first; the row with the smaller residual is the one reported
     kernel = EX3.kernel
     (good,) = fixedpoint.fixed_points(EX3, 0.005)
@@ -352,7 +352,7 @@ def test_duplicates_keep_the_least_residual(monkeypatch):
     residual, _, k_b = fixedpoint._step(alpha, kernel)
     poorer = (alpha, fixedpoint._reply(k_b, fixedpoint.BOB, kernel), residual)
     assert abs(good[2]) < abs(poorer[2]) <= 0.005 and wrapped_distance(good[1], poorer[1]) <= 0.005
-    monkeypatch.setattr(fixedpoint, "fixed_points", lambda params, tol_deg: [poorer, good])
+    monkeypatch.setattr(fixedpoint, "fixed_points", lambda params, tol_deg, *_: [poorer, good])
     (report,) = find_equilibria(EX3).equilibria
     assert (report.alpha_star_deg, report.beta_star_deg) == (good[0], good[1])
     assert report.residual_deg == abs(good[2])
@@ -368,6 +368,28 @@ def test_no_polish_without_a_root(monkeypatch):
     # criterion 3's game has a root, so its solve does polish
     with pytest.raises(AssertionError, match="polished without a root"):
         find_equilibria(EX3)
+
+
+def test_one_newton_run_per_game(monkeypatch):
+    # Newton's iteration starts only from the root at which Alice's
+    # security level is largest, in every class of game
+    from test_corpus import _corpus_games, _heterogeneous_games
+
+    starts = []
+    newton = fixedpoint._newton
+
+    def counted(alpha, *args):
+        starts.append(alpha)
+        return newton(alpha, *args)
+
+    monkeypatch.setattr(fixedpoint, "_newton", counted)
+    polished = 0
+    for params in _corpus_games() + _heterogeneous_games(4, 200):
+        starts.clear()
+        find_equilibria(params)
+        assert len(starts) <= 1, params
+        polished += len(starts)
+    assert polished >= 300
 
 
 def test_each_game_builds_its_kernel_once(monkeypatch):

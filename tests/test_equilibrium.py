@@ -300,6 +300,33 @@ def test_a_huge_mixing_angle_plays_as_its_remainder_modulo_180():
     assert huge.payoff(40.0, 50.0) == rest.payoff(40.0, 50.0)
 
 
+@pytest.mark.parametrize("huge", [1000.25, 1e20, -1e20, 1e308])
+def test_a_huge_strategy_angle_plays_as_its_remainder_modulo_180(huge):
+    # each strategy angle is reduced before any trigonometry, exactly as
+    # QuantumStrategy reduces it, in the best responses, the
+    # verification's gains and the payoff, scalars and arrays alike
+    params, rest = GameParams(3, 3, 5, 1, 10.0, 70.0), wrap_half_turn(huge)
+    assert best_response_bob(huge, params) == best_response_bob(rest, params)
+    assert best_response_alice(huge, params) == best_response_alice(rest, params)
+    assert verify_equilibrium(huge, 59.38, params) == verify_equilibrium(rest, 59.38, params)
+    assert verify_equilibrium(59.38, huge, params) == verify_equilibrium(59.38, rest, params)
+    assert params.payoff(huge, 50.0) == params.payoff(rest, 50.0)
+    assert params.payoff(50.0, huge) == params.payoff(50.0, rest)
+    angles = np.array([[huge], [30.0]])
+    remainders = np.array([[rest], [30.0]])
+    assert np.array_equal(params.payoff(angles, angles.T), params.payoff(remainders, remainders.T))
+    assert np.array_equal(best_response_bob(angles[:, 0], params).angle_deg,
+                          best_response_bob(remainders[:, 0], params).angle_deg)
+
+
+def test_huge_strategy_angle_values():
+    # 1e20 % 180 is 100 and 1e308 % 180 is 116: the unreduced angles gave
+    # Bob's reply 32.81 and the payoff 2.9010
+    params = GameParams(3, 3, 5, 1, 10.0, 70.0)
+    assert best_response_bob(1e20, params).angle_deg == pytest.approx(94.57, abs=0.005)
+    assert float(params.payoff(1e308, 50.0)) == pytest.approx(2.8498, abs=5e-5)
+
+
 def test_find_equilibria_fig7_unique_and_stable():
     first = find_equilibria(FIG7, scan_step_deg=0.25)
     second = find_equilibria(FIG7, scan_step_deg=0.125)
