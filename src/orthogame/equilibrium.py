@@ -190,11 +190,18 @@ def verify_equilibrium(alpha_star_deg: float, beta_star_deg: float, params: Game
     fraction of a degree from a fixed point can pass.
     """
     _check_probe_count(n_probe)
-    if not (math.isfinite(alpha_star_deg) and math.isfinite(beta_star_deg)):
+    return _verdict(alpha_star_deg, beta_star_deg, params, tol)
+
+
+def _verdict(alpha_deg: float, beta_deg: float, params: GameParams,
+             tol: Optional[float]) -> VerificationResult:
+    """The verdict of verify_equilibrium without its n_probe check, which
+    find_equilibria makes once per call rather than once per report."""
+    if not (math.isfinite(alpha_deg) and math.isfinite(beta_deg)):
         return VerificationResult(verified=False, max_violation=math.nan)
     if tol is None:
         tol = 1e-6 * max(map(abs, params.stakes))
-    worst = max(fixedpoint.gains(alpha_star_deg, beta_star_deg, params))
+    worst = max(fixedpoint.gains(alpha_deg, beta_deg, params))
     return VerificationResult(verified=bool(worst <= tol), max_violation=worst)
 
 
@@ -224,12 +231,13 @@ def _report(alpha_deg: float, beta_deg: float, params: GameParams,
             tol: Optional[float] = None, residual_deg: float = math.nan) -> EquilibriumReport:
     """The report of the profile (alpha, beta), each angle reduced to
     [0, 180): both players' squared amplitudes, the two diagonal terms,
-    value as their sum, and the verdict of verify_equilibrium with tol."""
+    value as their sum, and the verdict of verify_equilibrium with tol
+    (_verdict)."""
     alpha, beta = QuantumStrategy(alpha_deg), QuantumStrategy(beta_deg)
     amplitudes_a = amplitudes(alpha, params.rep_a)
     amplitudes_b = amplitudes(beta, params.rep_b)
     terms = _diagonal_terms(amplitudes_a, amplitudes_b, *params.stakes)
-    verdict = verify_equilibrium(alpha.angle_deg, beta.angle_deg, params, tol=tol)
+    verdict = _verdict(alpha.angle_deg, beta.angle_deg, params, tol)
     return EquilibriumReport(
         alpha_star_deg=alpha.angle_deg,
         beta_star_deg=beta.angle_deg,

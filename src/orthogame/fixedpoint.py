@@ -58,20 +58,24 @@ unsquared residual, whose slope has a closed form in the same
 harmonics.  Where K_A or K_B nearly vanishes the residual sweeps most of
 a quarter turn within a small fraction of a degree, and a full step from
 an eigenvalue's angle can overshoot it, so a step that does not lower
-the residual is halved instead, and an iteration that stops short of a
-root across which its residual changed sign bisects that bracket,
-keeping a root it closes between neighbouring doubles.  Off the
-boundary the residual's sign is that of h, which is continuous there,
-so where the iteration closes nothing the sign change uphill of its end
-is bisected instead, and the game's one equilibrium is always found.
-On the boundary that row is joined by the closed-form indifference rows
-below.  No residual is scanned: a scan of it is the tests' oracle for
-the enumeration.
+the residual is halved instead.  Where the iteration does not converge,
+the sign change of the residual uphill of its end, where g rises, is
+bisected down to neighbouring doubles, in every class of game, and a
+crossing it closes is kept whatever residual its nearer double leaves.
+Off the boundary the residual's sign is that of h, which is continuous
+there, so that change is always a crossing and the game's one
+equilibrium is always found.  On the boundary it can instead be a wrap
+of the composed map, across which the residual jumps by 90 degrees or
+more, or the edge of a flat harmonic; the bisection tells these from a
+crossing by the jump between its ends, and Newton's end stands.  There
+the row is joined by the closed-form indifference rows below.  No
+residual is scanned: a scan of it is the tests' oracle for the
+enumeration.
 
 Everything after the eigenvalue call is scalar arithmetic, one angle at
 a time in plain Python floats and complex numbers, which on a handful
 of angles costs less than numpy calls do: the values of g, the Newton
-iteration and its bisections, and the finished row, whose residual and
+iteration and the bisection, and the finished row, whose residual and
 Bob's harmonic come from one more evaluation of the same step (_step,
 the one implementation of the residual), and the indifference rows
 below.  A scalar best reply (_reply) gives the row's beta and each
@@ -268,77 +272,55 @@ def _newton(alpha: float, residual: float, step: float,
             kernel: HarmonicKernel) -> tuple[float, bool]:
     """Newton's iteration on the residual from alpha, given the residual
     and the first step there from _step: the angle it ends at, not
-    wrapped, and whether that angle closes a sign change of the residual
-    between neighbouring doubles.
+    wrapped, and whether it converged.
 
     A step that does not lower |residual| is halved instead of taken.  The
-    iteration stops where the step is undefined or would leave
-    _REACH_DEG of the start, after _NEWTON_STEPS evaluations, or once a
-    step of at most _NEWTON_TOL_DEG is due, which it applies unevaluated.
-    An iteration that stops otherwise, after the residual changed sign
-    between two angles by less than 90 degrees (more is a wrap of the
-    composed map), bisects the last such bracket down to neighbouring
-    doubles and ends at whichever of the bracket's ends and its own last
-    angle has the least |residual|: where the residual climbs 1e7
-    degrees per degree, a bracket 1e-12 degrees wide can still hold
-    residuals of 1e-5.  An end of that bracket closes the sign change
-    when the ends' residuals still differ by less than 90 degrees.
+    iteration converges once a step of at most _NEWTON_TOL_DEG is due,
+    which it applies unevaluated, and stops short where the step is
+    undefined or would leave _REACH_DEG of the start, or after
+    _NEWTON_STEPS evaluations.
     """
-    start, bracket = alpha, None
+    start = alpha
     for _ in range(_NEWTON_STEPS):
         if math.isnan(step) or abs(alpha - step - start) > _REACH_DEG:
             break
         if abs(step) <= _NEWTON_TOL_DEG:
-            return alpha - step, False
+            return alpha - step, True
         trial, trial_step, _ = _step(alpha - step, kernel)
-        if trial * residual < 0.0 and abs(trial - residual) < 90.0:
-            bracket = (alpha, residual, alpha - step, trial)
         if abs(trial) < abs(residual):
             alpha, residual, step = alpha - step, trial, trial_step
         else:
             step /= 2.0
-    if bracket is None:
-        return alpha, False
-    lo, r_lo, hi, r_hi = _bisect(*bracket, kernel)
-    end = min((alpha, residual), (lo, r_lo), (hi, r_hi), key=lambda x: abs(x[1]))[0]
-    return end, end in (lo, hi) and abs(r_hi - r_lo) < 90.0
+    return alpha, False
 
 
-def _bisect(lo: float, r_lo: float, hi: float, r_hi: float,
-            kernel: HarmonicKernel) -> tuple[float, float, float, float]:
-    """The bracket (lo, r_lo, hi, r_hi) of a sign change of the residual,
-    in either order of lo and hi, bisected down to neighbouring doubles."""
+def _climb(alpha: float, residual: float, kernel: HarmonicKernel) -> tuple[float, bool]:
+    """The sign change of the residual uphill of alpha, given the residual
+    there, bisected down to neighbouring doubles: the end with the smaller
+    |residual|, and whether the ends' residuals differ by less than 90
+    degrees, which makes the change a crossing of the composed map rather
+    than a wrap or the edge of a flat harmonic, where the residual is NaN;
+    (NaN, False) if no change lies within a half turn.
+
+    Uphill is the direction in which Alice's security level g rises: the
+    residual has the sign of h = Im(K_A conj(e)), which has the sign of g',
+    wherever both harmonics are far from flat, so a change from + to - is
+    a maximum of g, and off the boundary (_certificate) no harmonic comes
+    near flat anywhere on the circle.  The bracket's far end starts
+    _CLIMB_DEG uphill and doubles its distance until the sign changes.
+    """
+    lo, r_lo, width = alpha, residual, _CLIMB_DEG
+    while (r_hi := _step(hi := lo + math.copysign(width, r_lo), kernel)[0]) * r_lo > 0.0:
+        if width > 180.0:
+            return math.nan, False
+        width *= 2.0
     while lo != (mid := (lo + hi) / 2.0) != hi:
         r_mid = _step(mid, kernel)[0]
         if r_mid * r_lo > 0.0:
             lo, r_lo = mid, r_mid
         else:
             hi, r_hi = mid, r_mid
-    return lo, r_lo, hi, r_hi
-
-
-def _climb(alpha: float, residual: float, kernel: HarmonicKernel) -> float:
-    """Off the boundary, the local maximum of Alice's security level g
-    uphill from alpha, given the residual there: the end with the smaller
-    |residual| of the sign change of the residual from + to -, bisected
-    down to neighbouring doubles; NaN if none lies within a half turn.
-
-    Off the boundary no harmonic comes near flat on the circle, so the
-    residual's sign is that of h = Im(K_A conj(e)), which is continuous
-    and has the sign of g': a change from + to - is a maximum of g, a
-    jump of the residual from -90 to +90 a minimum, and no change needs
-    telling apart from a wrap of the composed map.  The bracket's far end
-    starts _CLIMB_DEG uphill and doubles its distance until the sign
-    changes.
-    """
-    width = _CLIMB_DEG
-    while (r_far := _step(alpha + math.copysign(width, residual), kernel)[0]) * residual > 0.0:
-        if width > 180.0:
-            return math.nan
-        width *= 2.0
-    lo, r_lo, hi, r_hi = _bisect(alpha, residual, alpha + math.copysign(width, residual), r_far,
-                                 kernel)
-    return lo if abs(r_lo) <= abs(r_hi) else hi
+    return hi if abs(r_hi) < abs(r_lo) else lo, abs(r_hi - r_lo) < 90.0
 
 
 def _times(f, g) -> list[complex]:
@@ -507,38 +489,40 @@ def _security(phi: float, kernel: HarmonicKernel) -> float:
     return (kernel.alice[0] * e.conjugate()).real - abs(_harmonic(e, *kernel.bob))
 
 
-def fixed_points(params, tol_deg: float,
-                 off_boundary: bool = False) -> list[tuple[float, float, float]]:
+def fixed_points(params, tol_deg: float) -> list[tuple[float, float, float]]:
     """The (alpha, beta, residual) row of the fixed point at the maximum
     of Alice's security level g, as a list of at most one row.
 
     Of the angles of circle_angles, roots of the polynomial of the game's
     kernel on the unit circle or off it, the one at which g is largest
-    (_security) seeds Newton's iteration (_newton).  The finished
-    angle is kept where its residual is within tol_deg of zero, or where
-    the iteration's bisection closed a sign change of the residual on it
-    between neighbouring doubles: at a crossing steeper than about 1e11
-    degrees per degree the nearest double can leave a residual of 1e-3
-    degrees.  Off the boundary (_certificate) the game has exactly one
-    equilibrium, at that maximum, so where Newton's iteration ends
-    otherwise, the sign change uphill of its end is bisected instead
-    (_climb) and the row is kept.  A row's residual and Bob's harmonic
-    come from one more _step at its angle, and beta is Bob's _reply to
-    that harmonic.
+    (_security) seeds Newton's iteration (_newton).  Where the iteration
+    does not converge and its end has a residual, the sign change of the
+    residual uphill of that end is bisected (_climb).  A crossing the
+    bisection closes between neighbouring doubles replaces Newton's end
+    and is kept whatever its residual: at a crossing steeper than about
+    1e11 degrees per degree the nearest double can leave a residual of
+    1e-3 degrees.  Otherwise Newton's end is kept where its residual is
+    within tol_deg of zero.  Off the boundary (_certificate) the residual
+    has no wrap, so the bisection closes whatever the iteration leaves
+    open, and the game's one equilibrium, at that maximum, is always
+    found.  A row's residual and Bob's harmonic come from one more _step
+    at its angle, and beta is Bob's _reply to that harmonic.
     """
     kernel = params.kernel
     angles = circle_angles(polynomial(kernel.alice, kernel.bob))
     if not angles:
         return []
     seed = wrap_half_turn(0.5 * math.degrees(max(angles, key=lambda phi: _security(phi, kernel))))
-    end, closed = _newton(seed, *_step(seed, kernel)[:2], kernel)
-    alpha = wrap_half_turn(end)
+    end, converged = _newton(seed, *_step(seed, kernel)[:2], kernel)
+    alpha, closed = wrap_half_turn(end), False
     residual, _, k_b = _step(alpha, kernel)
+    if not (converged or math.isnan(residual)):
+        end, closed = _climb(alpha, residual, kernel)
+        if closed:
+            alpha = wrap_half_turn(end)
+            residual, _, k_b = _step(alpha, kernel)
     if not (abs(residual) <= tol_deg or closed):
-        if not off_boundary or math.isnan(end := _climb(alpha, residual, kernel)):
-            return []
-        alpha = wrap_half_turn(end)
-        residual, _, k_b = _step(alpha, kernel)
+        return []
     return [(alpha, _reply(k_b, BOB, kernel), residual)]
 
 
@@ -648,7 +632,7 @@ def solve(params, tol_deg: float, step_deg: float) -> tuple[list[tuple[float, fl
     shape = _certificate(kernel)
     if shape == ABSENT:
         return [], ()
-    rows = fixed_points(params, tol_deg, shape == OFF_BOUNDARY)
+    rows = fixed_points(params, tol_deg)
     if shape == OFF_BOUNDARY:
         return rows, ()
     indifferent, undefined = indifference_points(params, tol_deg)

@@ -208,10 +208,11 @@ def test_near_boundary_game_is_built_as_stated():
 
 # draws of _heterogeneous_games(3, 10_000) off the boundary whose one
 # equilibrium Newton's iteration from the maximum of Alice's security
-# level does not close: the residual climbs so steeply through the fixed
-# point that the nearest double of alpha leaves up to 0.12 degrees, a
-# step across it reads as a wrap, or the first step leaves Newton's
-# reach.  Bisecting the sign change of the residual uphill closes each.
+# level does not converge on: the residual climbs so steeply through the
+# fixed point that it still reads 33 to 90 degrees at the seed, 2e-6 to
+# 0.015 degrees away, where the step leaves Newton's reach, and the
+# nearest double of alpha leaves up to 0.12 degrees.  Bisecting the sign
+# change of the residual uphill closes each.
 STEEP_OFF_BOUNDARY = {745: 133.38664989692762, 1403: 32.52531151451362,
                       3286: 136.26489882209376, 4979: 88.88096426232303,
                       9114: 89.12965515637829}

@@ -372,17 +372,24 @@ def test_no_polish_without_a_root(monkeypatch):
 
 def test_one_newton_run_per_game(monkeypatch):
     # Newton's iteration starts only from the root at which Alice's
-    # security level is largest, in every class of game
-    from test_corpus import _corpus_games, _heterogeneous_games
+    # security level is largest, in every class of game; on the sweep
+    # recipe's games it converges every time, so the benchmark's sweep
+    # traffic never reaches the bisection
+    from test_corpus import _corpus_games, _heterogeneous_games, _sweep_games
 
-    starts = []
-    newton = fixedpoint._newton
+    starts, climbs = [], []
+    newton, climb = fixedpoint._newton, fixedpoint._climb
 
     def counted(alpha, *args):
         starts.append(alpha)
         return newton(alpha, *args)
 
+    def counted_climb(alpha, *args):
+        climbs.append(alpha)
+        return climb(alpha, *args)
+
     monkeypatch.setattr(fixedpoint, "_newton", counted)
+    monkeypatch.setattr(fixedpoint, "_climb", counted_climb)
     polished = 0
     for params in _corpus_games() + _heterogeneous_games(4, 200):
         starts.clear()
@@ -390,6 +397,45 @@ def test_one_newton_run_per_game(monkeypatch):
         assert len(starts) <= 1, params
         polished += len(starts)
     assert polished >= 300
+    climbs.clear()
+    for params in _sweep_games(1, 1000):
+        find_equilibria(params)
+    assert climbs == []
+
+
+def test_climb_closes_a_crossing_but_not_a_wrap(monkeypatch):
+    # STEEPEST is a boundary game whose Newton iteration stops short of
+    # its crossing: the bisection uphill of its end closes the crossing at
+    # alpha*, where the residual changes sign between neighbouring doubles
+    from test_equilibrium import _indifference_game
+
+    ends = []
+    climb = fixedpoint._climb
+
+    def recorded(*args):
+        ends.append(args)
+        return climb(*args)
+
+    monkeypatch.setattr(fixedpoint, "_climb", recorded)
+    fixedpoint.fixed_points(STEEPEST, 0.001)
+    ((alpha, residual, kernel),) = ends
+    assert fixedpoint._certificate(kernel) == fixedpoint.BOUNDARY
+    end, closed = climb(alpha, residual, kernel)
+    assert closed and abs(end - STEEPEST_ALPHA) <= 1e-6
+    # in draw 0 of the Bob-indifferent family Newton's iteration cannot
+    # move from its seed, where the residual is +44.6 degrees; the sign
+    # change 3.4e-7 degrees uphill is a wrap at x0, where Bob is
+    # indifferent, and the residual jumps from +44.6 to -47.5 degrees
+    # across the flat band there
+    x0, params = _indifference_game(np.random.default_rng(77), False)
+    kernel = params.kernel
+    start = 141.46781514565333
+    residual = fixedpoint._step(start, kernel)[0]
+    assert 44.6 < residual < 44.7
+    assert -47.6 < fixedpoint._step(x0 + 1e-7, kernel)[0] < -47.5
+    end, closed = climb(start, residual, kernel)
+    assert not closed
+    assert 3.4e-7 < end - start < 3.5e-7 and abs(end - x0) <= 1e-7
 
 
 def test_each_game_builds_its_kernel_once(monkeypatch):
