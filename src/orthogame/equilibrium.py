@@ -200,7 +200,7 @@ def _verdict(alpha_deg: float, beta_deg: float, params: GameParams,
     if not (math.isfinite(alpha_deg) and math.isfinite(beta_deg)):
         return VerificationResult(verified=False, max_violation=math.nan)
     if tol is None:
-        tol = 1e-6 * max(map(abs, params.stakes))
+        tol = 1e-6 * params.kernel.scale
     worst = max(fixedpoint.gains(alpha_deg, beta_deg, params))
     return VerificationResult(verified=bool(worst <= tol), max_violation=worst)
 

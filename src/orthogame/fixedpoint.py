@@ -84,6 +84,14 @@ reaction curves and the public best-response functions evaluate on
 grids.  Every angle a caller gives enters the trigonometry through
 phase, which reduces it modulo 180 first.
 
+The arithmetic up to the eigenvalue call is fixed to the bit:
+harmonic_kernel and polynomial write their coefficients out one Python
+operation at a time, and a cheaper form must keep every product and
+every sum in its order.  Where g has two maxima within a few parts in
+1e9 of each other the last bits of the coefficients decide which root
+seeds the search, so a form that rounds differently loses equilibria.
+The tests hold both functions bit for bit to reference forms.
+
 Where a player's harmonic vanishes that player is indifferent and the
 composed map is undefined.  Such a zero, and the opponent angles that
 it pairs with in an equilibrium, each solve one linear equation in
@@ -164,18 +172,22 @@ def harmonic_kernel(params) -> HarmonicKernel:
     (d, b), and each mixing angle's phase is n for its owner and o for
     the opponent.
 
-    Its numbers are Python complex and float whatever the stakes' type,
-    so np.float64 stakes solve bit for bit as float ones do.
+    Its numbers are Python complex and float whatever the stakes' type:
+    each stake enters as a Python float, so np.float64 and int stakes
+    solve bit for bit as float ones do.  Each coefficient is written out,
+    one Python operation at a time in the order of the formulas above.
     """
+    a, b, c, d = params.stakes
+    scale = float(max(abs(a), abs(b), abs(c), abs(d)))
     # quarter each stake before adding, exactly, so that no sum of two
     # finite stakes overflows
-    a, b, c, d = (x / 4.0 for x in params.stakes)
+    a, b, c, d = float(a) / 4.0, float(b) / 4.0, float(c) / 4.0, float(d) / 4.0
     # a mixing angle matters modulo 180; phase reduces it first
     n_a, n_b = phase(params.theta_a_deg), phase(params.theta_b_deg)
-    alice, bob = (tuple(map(complex, (p - q + (r - s) * n, -(p + q) - (r + s) * o.real * n,
-                                      -(r + s) * o.imag * n)))
-                  for p, q, r, s, n, o in ((a, c, b, d, n_a, n_b), (c, a, d, b, n_b, n_a)))
-    scale = float(max(map(abs, params.stakes)))
+    alice = (a - c + (b - d) * n_a, -(a + c) - (b + d) * n_b.real * n_a,
+             -(b + d) * n_b.imag * n_a)
+    bob = (c - a + (d - b) * n_b, -(c + a) - (d + b) * n_a.real * n_b,
+           -(d + b) * n_a.imag * n_b)
     return HarmonicKernel(alice, bob, scale, math.sqrt(DEGENERACY_SQ) * scale)
 
 
@@ -323,29 +335,6 @@ def _climb(alpha: float, residual: float, kernel: HarmonicKernel) -> tuple[float
     return hi if abs(r_hi) < abs(r_lo) else lo, abs(r_hi - r_lo) < 90.0
 
 
-def _times(f, g) -> list[complex]:
-    """Product of two Laurent polynomials given as coefficient sequences.
-
-    Plain Python rather than numpy.convolve, which is slower on factors
-    of at most five terms.
-    """
-    out = [0j] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
-        for j, gj in enumerate(g):
-            out[i + j] += fi * gj
-    return out
-
-
-def _conj(f) -> list[complex]:
-    """conj(f) of a Laurent polynomial f in z on the unit circle."""
-    return [c.conjugate() for c in reversed(f)]
-
-
-def _im_along_e(f) -> list[complex]:
-    """Im(f conj(e)) = (f/z - conj(f) z)/2i on the unit circle z = e."""
-    return [(x - y) / 2j for x, y in zip([*f, 0j, 0j], [0j, 0j, *_conj(f)])]
-
-
 def polynomial(alice, bob) -> list[complex]:
     """Coefficients of z^-4 ... z^4 of Im(kappa0_A conj(e))^2 K_B conj(K_B)
     - Im(L conj(e))^2, where L = mu_A K_B + nu_A conj(K_B).
@@ -353,18 +342,53 @@ def polynomial(alice, bob) -> list[complex]:
     alice and bob are the harmonics (kappa0, m_1, m_2) of harmonic_kernel,
     with mu = (m_1 - i m_2)/2 and nu = (m_1 + i m_2)/2.  The coefficients
     are scaled so that the largest |coefficient| of the two is 1.
+
+    The Laurent products are written out term by term in plain Python
+    complex arithmetic, which on factors of at most five terms costs less
+    than numpy.convolve or a generic convolution loop.  The result is bit
+    for bit, signed zeros included, that of a plain convolution of the
+    factors' coefficient lists which sums each coefficient from 0j in
+    order of the left factor's power.  Products with the middle
+    coefficient of Im(kappa0 conj(e)), which is exactly 0, are left out;
+    each cross product of a square is formed once, as x y and y x round
+    alike; and the closing + 0j turns a -0.0 part into the +0.0 that a
+    sum from 0j leaves.  No form that rounds differently, such as the
+    inverse DFT of nine samples, may replace it: where Alice's security
+    level has two maxima within a few parts in 1e9 of each other, the
+    last bits of these coefficients decide which one seeds the search
+    (fixed_points).
     """
     scale = max(map(abs, (*alice, *bob)))
     if scale == 0.0:
         return [0j] * 9
-    (kappa0, m_1, m_2), (b0, b1, b2) = ([c / scale for c in h] for h in (alice, bob))
-    k_b = [(b1 + 1j * b2) / 2.0, b0, (b1 - 1j * b2) / 2.0]
-    k_b_conj = _conj(k_b)
+    (kappa0, m_1, m_2), (b0, b1, b2) = alice, bob
+    kappa0, m_1, m_2 = kappa0 / scale, m_1 / scale, m_2 / scale
+    b0, b1, b2 = b0 / scale, b1 / scale, b2 / scale
+    # K_B = u/z + b0 + v z, and conj(K_B) = conj(v)/z + conj(b0) + conj(u) z
+    u, v = (b1 + 1j * b2) / 2.0, (b1 - 1j * b2) / 2.0
+    u_c, b0_c, v_c = u.conjugate(), b0.conjugate(), v.conjugate()
     mu, nu = (m_1 - 1j * m_2) / 2.0, (m_1 + 1j * m_2) / 2.0
-    a0_im = _im_along_e([kappa0])
-    l_im = _im_along_e([mu * x + nu * y for x, y in zip(k_b, k_b_conj)])
-    return [x - y for x, y in zip(_times(_times(a0_im, a0_im), _times(k_b, k_b_conj)),
-                                  _times(l_im, l_im))]
+    # Im(kappa0 conj(e)) = p/z + 0 + p_c z, and its square a0/z^2 + a2 + a4 z^2
+    p, p_c = kappa0 / 2j, (0j - kappa0.conjugate()) / 2j
+    a0, a2, a4 = p * p, p * p_c + p_c * p, p_c * p_c
+    # K_B conj(K_B) = k0/z^2 + k1/z + k2 + k3 z + k4 z^2
+    k0, k1, k2 = u * v_c, u * b0_c + b0 * v_c, u * u_c + b0 * b0_c + v * v_c
+    k3, k4 = b0 * u_c + v * b0_c, v * u_c
+    # L = f0/z + f1 + f2 z, and Im(L conj(e)) = l0/z^2 + l1/z + l2 + l3 z + l4 z^2
+    f0, f1, f2 = mu * u + nu * v_c, mu * b0 + nu * b0_c, mu * v + nu * u_c
+    l0, l1, l2 = f0 / 2j, f1 / 2j, (f2 - f2.conjugate()) / 2j
+    l3, l4 = (0j - f1.conjugate()) / 2j, (0j - f0.conjugate()) / 2j
+    l01, l02, l03, l04 = l0 * l1, l0 * l2, l0 * l3, l0 * l4
+    l12, l13, l14, l23, l24, l34 = l1 * l2, l1 * l3, l1 * l4, l2 * l3, l2 * l4, l3 * l4
+    return [a0 * k0 - l0 * l0 + 0j,
+            a0 * k1 - (l01 + l01) + 0j,
+            a0 * k2 + a2 * k0 - (l02 + l1 * l1 + l02) + 0j,
+            a0 * k3 + a2 * k1 - (l03 + l12 + l12 + l03) + 0j,
+            a0 * k4 + a2 * k2 + a4 * k0 - (l04 + l13 + l2 * l2 + l13 + l04) + 0j,
+            a2 * k3 + a4 * k1 - (l14 + l23 + l23 + l14) + 0j,
+            a2 * k4 + a4 * k2 - (l24 + l3 * l3 + l24) + 0j,
+            a4 * k3 - (l34 + l34) + 0j,
+            a4 * k4 - l4 * l4 + 0j]
 
 
 def circle_angles(coeffs) -> list[float]:

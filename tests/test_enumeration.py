@@ -59,6 +59,21 @@ STEEP_RESIDUAL_ROOT = 138.87948114637666
 STEEPEST = GameParams(36.3785024847954, 0.31850828536729037, 5.063843859586553,
                       2.32699456190945, 90.15742324078172, 89.84812326575941)
 STEEPEST_ALPHA = 69.558563
+# Draw 599 of _heterogeneous_games(4, 1000) and draw 6637 of
+# _heterogeneous_games(3, 10000), whose security levels g have two local
+# maxima within 3.5e-9 and 2.4e-7 of each other, relative.  In the first
+# the last bits of the fixed-point polynomial decide which root seeds the
+# search; in the second they decide whether Newton's iteration converges
+# next to a crossing so steep that the nearest double leaves more than
+# 0.001 degrees, which drops the row, or stops short of it, where the
+# bisection closes it.  A nine-sample DFT form of the polynomial, within
+# 7e-16 of the Laurent products, loses both equilibria.
+NEAR_TIE_K4 = GameParams(17.31152997818888, 0.00010325729679629929, 2704.1184164102415,
+                         0.0002346079959924686, 2.0385989601416767, 68.31163993536565)
+NEAR_TIE_K4_ALPHA = 175.425352
+NEAR_TIE_K3 = GameParams(0.014144715404939967, 162.18528480166708, 0.0011715978168120756,
+                         58.010720897382036, 168.9012943860014, 47.000277145176696)
+NEAR_TIE_K3_ALPHA = 48.018110
 
 
 def _random_game(rng):
@@ -112,6 +127,97 @@ def test_polynomial_matches_symbolic_expansion(params):
     # compare up to the positive scale each side chose
     expected, actual = (v / np.max(np.abs(v)) for v in (expected, actual))
     np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-12)
+
+
+def _laurent_polynomial(alice, bob) -> list[complex]:
+    """fixedpoint.polynomial as plain convolutions of its Laurent factors'
+    coefficient lists, each coefficient summed from 0j in order of the
+    left factor's power: the reference it reproduces bit for bit."""
+    def times(f, g):
+        out = [0j] * (len(f) + len(g) - 1)
+        for i, fi in enumerate(f):
+            for j, gj in enumerate(g):
+                out[i + j] += fi * gj
+        return out
+
+    def conj(f):
+        return [c.conjugate() for c in reversed(f)]
+
+    def im_along_e(f):
+        # Im(f conj(e)) = (f/z - conj(f) z)/2i on the unit circle z = e
+        return [(x - y) / 2j for x, y in zip([*f, 0j, 0j], [0j, 0j, *conj(f)])]
+
+    scale = max(map(abs, (*alice, *bob)))
+    if scale == 0.0:
+        return [0j] * 9
+    (kappa0, m_1, m_2), (b0, b1, b2) = ([c / scale for c in h] for h in (alice, bob))
+    k_b = [(b1 + 1j * b2) / 2.0, b0, (b1 - 1j * b2) / 2.0]
+    k_b_conj = conj(k_b)
+    mu, nu = (m_1 - 1j * m_2) / 2.0, (m_1 + 1j * m_2) / 2.0
+    a0_im = im_along_e([kappa0])
+    l_im = im_along_e([mu * x + nu * y for x, y in zip(k_b, k_b_conj)])
+    return [x - y for x, y in zip(times(times(a0_im, a0_im), times(k_b, k_b_conj)),
+                                  times(l_im, l_im))]
+
+
+def _generator_kernel(params) -> fixedpoint.HarmonicKernel:
+    """fixedpoint.harmonic_kernel as one generator over both players,
+    computed in the stakes' own type and converted to complex at the end:
+    the reference it reproduces bit for bit."""
+    a, b, c, d = (x / 4.0 for x in params.stakes)
+    n_a, n_b = fixedpoint.phase(params.theta_a_deg), fixedpoint.phase(params.theta_b_deg)
+    alice, bob = (tuple(map(complex, (p - q + (r - s) * n, -(p + q) - (r + s) * o.real * n,
+                                      -(r + s) * o.imag * n)))
+                  for p, q, r, s, n, o in ((a, c, b, d, n_a, n_b), (c, a, d, b, n_b, n_a)))
+    scale = float(max(map(abs, params.stakes)))
+    return fixedpoint.HarmonicKernel(alice, bob, scale,
+                                     math.sqrt(fixedpoint.DEGENERACY_SQ) * scale)
+
+
+def _bit_identity_games() -> list[GameParams]:
+    """The solve corpus, the sweep recipe's first 1,000 draws, the
+    heterogeneous, mixed-sign and indifference families, 200 games each
+    with stakes U(0.1, 10) times 1e-300 and times 1e300, and games of
+    stakes 0, -0.0, 1 and -1 at 45 and 135 degrees, whose harmonics hold
+    exact zeros."""
+    from test_certificate import _mixed_sign_games
+    from test_corpus import _corpus_games, _heterogeneous_games, _sweep_games
+    from test_equilibrium import _indifference_game
+
+    games = (_corpus_games() + _sweep_games(1, 1000) + _heterogeneous_games(3, 2000)
+             + _heterogeneous_games(4, 1000) + _mixed_sign_games(2000))
+    for mirror in (False, True):
+        rng = np.random.default_rng(77 + mirror)
+        games += [_indifference_game(rng, mirror)[1] for _ in range(1000)]
+    rng = np.random.default_rng(23)
+    games += [GameParams(*(rng.uniform(0.1, 10.0, 4) * 10.0 ** exponent).tolist(),
+                         *rng.uniform(1.0, 179.0, 2).tolist())
+              for exponent in (-300, 300) for _ in range(200)]
+    games += [GameParams(*rng.choice([0.0, -0.0, 1.0, -1.0], 4).tolist(),
+                         *rng.choice([45.0, 135.0], 2).tolist()) for _ in range(400)]
+    return games
+
+
+def test_polynomial_is_the_laurent_products_bit_for_bit():
+    # repr tells -0.0 from 0.0, which == does not
+    for params in _bit_identity_games():
+        kernel = params.kernel
+        expected = _laurent_polynomial(kernel.alice, kernel.bob)
+        actual = fixedpoint.polynomial(kernel.alice, kernel.bob)
+        assert actual == expected and repr(actual) == repr(expected), params
+
+
+@pytest.mark.parametrize("stake_type", [float, np.float64, int])
+def test_harmonic_kernel_is_the_generator_form_bit_for_bit(stake_type):
+    if stake_type is int:
+        rng = np.random.default_rng(31)
+        games = [GameParams(*rng.integers(-20, 21, 4).tolist(), *rng.uniform(1.0, 179.0, 2))
+                 for _ in range(1000)]
+    else:
+        games = [GameParams(*map(stake_type, params.stakes), params.theta_a_deg,
+                            params.theta_b_deg) for params in _bit_identity_games()[::7]]
+    for params in games:
+        assert repr(fixedpoint.harmonic_kernel(params)) == repr(_generator_kernel(params)), params
 
 
 def _reference_angles(coeffs):
@@ -306,6 +412,17 @@ def test_crossing_between_neighbouring_doubles_is_kept(refine_tol):
     assert report.verified
     assert abs(report.alpha_star_deg - STEEPEST_ALPHA) <= 1e-6
     assert 1e-3 < report.residual_deg < 5e-3
+
+
+@pytest.mark.parametrize("params, alpha, refine_tol", [
+    pytest.param(NEAR_TIE_K4, NEAR_TIE_K4_ALPHA, 0.005, id="k4-draw-599-0.005"),
+    pytest.param(NEAR_TIE_K4, NEAR_TIE_K4_ALPHA, 0.001, id="k4-draw-599-0.001"),
+    pytest.param(NEAR_TIE_K3, NEAR_TIE_K3_ALPHA, 0.001, id="k3-draw-6637-0.001")])
+def test_near_tie_equilibrium_is_found(params, alpha, refine_tol):
+    # found only with the polynomial's every bit
+    (report,) = find_equilibria(params, refine_tol_deg=refine_tol).equilibria
+    assert report.verified
+    assert abs(report.alpha_star_deg - alpha) <= 1e-6
 
 
 def test_polished_root_accurate_where_bob_is_steep():
