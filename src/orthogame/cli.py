@@ -130,7 +130,7 @@ def quantum_group():
 @click.option("--step", "scan_step", type=float, default=0.25, show_default=True,
               help="width in degrees of the cells that report degeneracy regions")
 @click.option("--refine-tol", type=float, default=0.005, show_default=True,
-              help="fixed-point residual tolerance and deduplication radius in degrees")
+              help="radius in degrees within which two equilibria count as one")
 def quantum_solve(stakes, theta_a, theta_b, scan_step, refine_tol):
     """Find and verify equilibria of the two-angle payoff surface."""
     a, b, c, d = stakes

@@ -279,15 +279,15 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
                     tol: Optional[float] = None) -> SearchResult:
     """Locate and verify all equilibria of the game (fixedpoint.solve).
 
-    Candidates come from the exact enumeration of fixedpoint, kept where
-    the residual of the composed map is within refine_tol_deg of zero or
-    changes sign between neighbouring doubles; of candidate (alpha,
-    beta) pairs within refine_tol_deg of each other modulo 180 the one
-    with the least |residual| is kept, and those kept are reported in
-    sorted order, each verified by verify_equilibrium with tol (n_probe is
-    validated and no longer affects the verdict).  A report's value is the
-    sum of its two diagonal terms.  The degeneracy regions
-    are the cells of width scan_step_deg that hold an alpha at which a
+    Candidates come from the exact enumeration of fixedpoint, each kept
+    for what it is, whatever its residual; refine_tol_deg is only the
+    radius within which they count as one.  Of candidate (alpha, beta)
+    pairs within refine_tol_deg of each other modulo 180 the one with
+    the least |residual| is kept, and those kept are reported in sorted
+    order, each verified by verify_equilibrium with tol (n_probe is
+    validated and no longer affects the verdict).  A report's value is
+    the sum of its two diagonal terms.  The degeneracy regions are the
+    cells of width scan_step_deg that hold an alpha at which a
     best response along the composed map is non-unique, neighbouring cells
     merged, and the whole half turn when a player's harmonic is flat at
     every angle.  A game whose absence of pure equilibria the disk
@@ -306,7 +306,7 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
         raise ValueError(f"refine tolerance must be in (0, 0.01] degrees, got {refine_tol_deg!r}")
     _check_probe_count(n_probe)
 
-    candidates, regions = fixedpoint.solve(params, refine_tol_deg, scan_step_deg)
+    candidates, regions = fixedpoint.solve(params, scan_step_deg)
 
     # deduplicate (alpha, beta) pairs modulo 180, keeping the least
     # |residual| of each cluster (ties in sorted order), in sorted order

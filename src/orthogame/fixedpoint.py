@@ -60,17 +60,17 @@ a quarter turn within a small fraction of a degree, and a full step from
 an eigenvalue's angle can overshoot it, so a step that does not lower
 the residual is halved instead.  Where the iteration does not converge,
 the sign change of the residual uphill of its end, where g rises, is
-bisected down to neighbouring doubles, in every class of game, and a
-crossing it closes is kept whatever residual its nearer double leaves.
-Off the boundary the residual's sign is that of h, which is continuous
-there, so that change is always a crossing and the game's one
-equilibrium is always found.  On the boundary it can instead be a wrap
-of the composed map, across which the residual jumps by 90 degrees or
-more, or the edge of a flat harmonic; the bisection tells these from a
-crossing by the jump between its ends, and Newton's end stands.  There
-the row is joined by the closed-form indifference rows below.  No
-residual is scanned: a scan of it is the tests' oracle for the
-enumeration.
+bisected down to neighbouring doubles, in every class of game.  Off the
+boundary the residual's sign is that of h, which is continuous there,
+so that change is always a crossing and the game's one equilibrium is
+always found.  On the boundary it can instead be a wrap of the composed
+map, across which the residual jumps by 90 degrees or more, or the edge
+of a flat harmonic; the bisection tells these from a crossing by the
+jump between its ends, and keeps no row.  There the closed-form
+indifference rows below join it.  A row is kept for what it is, never
+for the size of its residual, so no tolerance enters the search: the
+caller's refine tolerance only merges duplicates.  No residual is
+scanned: a scan of it is the tests' oracle for the enumeration.
 
 Everything after the eigenvalue call is scalar arithmetic, one angle at
 a time in plain Python floats and complex numbers, which on a handful
@@ -513,41 +513,38 @@ def _security(phi: float, kernel: HarmonicKernel) -> float:
     return (kernel.alice[0] * e.conjugate()).real - abs(_harmonic(e, *kernel.bob))
 
 
-def fixed_points(params, tol_deg: float) -> list[tuple[float, float, float]]:
+def fixed_points(params) -> list[tuple[float, float, float]]:
     """The (alpha, beta, residual) row of the fixed point at the maximum
     of Alice's security level g, as a list of at most one row.
 
     Of the angles of circle_angles, roots of the polynomial of the game's
     kernel on the unit circle or off it, the one at which g is largest
-    (_security) seeds Newton's iteration (_newton).  Where the iteration
-    does not converge and its end has a residual, the sign change of the
-    residual uphill of that end is bisected (_climb).  A crossing the
-    bisection closes between neighbouring doubles replaces Newton's end
-    and is kept whatever its residual: at a crossing steeper than about
-    1e11 degrees per degree the nearest double can leave a residual of
-    1e-3 degrees.  Otherwise Newton's end is kept where its residual is
-    within tol_deg of zero.  Off the boundary (_certificate) the residual
-    has no wrap, so the bisection closes whatever the iteration leaves
-    open, and the game's one equilibrium, at that maximum, is always
-    found.  A row's residual and Bob's harmonic come from one more _step
-    at its angle, and beta is Bob's _reply to that harmonic.
+    (_security) seeds Newton's iteration (_newton), whose end is the row
+    where it converges.  Where it does not and its end has a residual,
+    the sign change of the residual uphill of that end is bisected
+    (_climb), and a crossing it closes between neighbouring doubles is
+    the row.  Neither row is held to a tolerance: at a crossing steeper
+    than about 1e11 degrees per degree the nearest double can leave a
+    residual of 1e-3 degrees.  Off the boundary (_certificate) the
+    residual has no wrap, so the bisection closes whatever the iteration
+    leaves open, and the game's one equilibrium, at that maximum, is
+    always found.  A row's residual and Bob's harmonic come from one
+    more _step at its angle, and beta is Bob's _reply to that harmonic.
     """
     kernel = params.kernel
     angles = circle_angles(polynomial(kernel.alice, kernel.bob))
     if not angles:
         return []
     seed = wrap_half_turn(0.5 * math.degrees(max(angles, key=lambda phi: _security(phi, kernel))))
-    end, converged = _newton(seed, *_step(seed, kernel)[:2], kernel)
-    alpha, closed = wrap_half_turn(end), False
+    end, found = _newton(seed, *_step(seed, kernel)[:2], kernel)
+    alpha = wrap_half_turn(end)
     residual, _, k_b = _step(alpha, kernel)
-    if not (converged or math.isnan(residual)):
-        end, closed = _climb(alpha, residual, kernel)
-        if closed:
+    if not (found or math.isnan(residual)):
+        end, found = _climb(alpha, residual, kernel)
+        if found:
             alpha = wrap_half_turn(end)
             residual, _, k_b = _step(alpha, kernel)
-    if not (abs(residual) <= tol_deg or closed):
-        return []
-    return [(alpha, _reply(k_b, BOB, kernel), residual)]
+    return [(alpha, _reply(k_b, BOB, kernel), residual)] if found else []
 
 
 def _harmonic_angles(u1: float, u2: float, k: float) -> list[float]:
@@ -559,8 +556,7 @@ def _harmonic_angles(u1: float, u2: float, k: float) -> list[float]:
     return [wrap_half_turn(math.degrees(peak + sign * half) / 2.0) for sign in (-1.0, 1.0)]
 
 
-def indifference_points(params, tol_deg: float) -> tuple[list[tuple[float, float, float]],
-                                                          list[float]]:
+def indifference_points(params) -> tuple[list[tuple[float, float, float]], list[float]]:
     """(alpha, beta, residual) rows of the equilibria at which one player
     is indifferent, that is, where the composed map is undefined, and the
     alphas at which it is undefined: those at which Bob is indifferent,
@@ -575,9 +571,9 @@ def indifference_points(params, tol_deg: float) -> tuple[list[tuple[float, float
     is one linear equation in (cos 2y, sin 2y).  At one sign of K' the
     opponent's best reply (_reply) is x0, at the other x0 + 90.  The
     residual is the opponent's best-reply defect from x0, 0 where that
-    reply is flat too, and the rows within tol_deg of zero are kept; the
-    alphas of the rows kept where Alice is indifferent are the alphas Bob
-    answers with x0.
+    reply is flat too, so up to rounding its size is 0 or 90 degrees, and
+    the rows below 45 are kept; the alphas of the rows kept where Alice
+    is indifferent are the alphas Bob answers with x0.
     """
     kernel = params.kernel
     rows, undefined = [], []
@@ -586,16 +582,15 @@ def indifference_points(params, tol_deg: float) -> tuple[list[tuple[float, float
         parts = ([c.real for c in own], [c.imag for c in own])
         k, u1, u2 = max(parts, key=lambda part: math.hypot(part[1], part[2]))
         for x0 in _harmonic_angles(u1, u2, -k):
-            e = cmath.exp(2j * math.radians(x0))
+            e = phase(x0)
             if not abs(_harmonic(e, *own)) <= kernel.radius:
                 continue
             k, u1, u2 = ((c.conjugate() * e).imag for c in other)
             kept = []
             for y in _harmonic_angles(u1, u2, -k):
-                k_y = _harmonic(cmath.exp(2j * math.radians(y)), *other)
-                reply = _reply(k_y, opponent, kernel)
+                reply = _reply(_harmonic(phase(y), *other), opponent, kernel)
                 residual = 0.0 if math.isnan(reply) else signed_delta(reply, x0)
-                if abs(residual) <= tol_deg:
+                if abs(residual) < 45.0:
                     kept.append(y)
                     rows.append((x0, y, residual) if player == BOB else (y, x0, residual))
             undefined.extend([x0] if player == BOB else kept)
@@ -632,8 +627,8 @@ def _degeneracy_regions(undefined: list[float], step_deg: float,
     return tuple(zip(bounds[::2], bounds[1::2]))
 
 
-def solve(params, tol_deg: float, step_deg: float) -> tuple[list[tuple[float, float, float]],
-                                                          tuple[tuple[float, float], ...]]:
+def solve(params, step_deg: float) -> tuple[list[tuple[float, float, float]],
+                                           tuple[tuple[float, float], ...]]:
     """A game's candidate rows (alpha, beta, residual), that of
     fixed_points and then those of indifference_points, and its
     degeneracy regions: the cells of width step_deg that hold an alpha at
@@ -656,8 +651,8 @@ def solve(params, tol_deg: float, step_deg: float) -> tuple[list[tuple[float, fl
     shape = _certificate(kernel)
     if shape == ABSENT:
         return [], ()
-    rows = fixed_points(params, tol_deg)
+    rows = fixed_points(params)
     if shape == OFF_BOUNDARY:
         return rows, ()
-    indifferent, undefined = indifference_points(params, tol_deg)
+    indifferent, undefined = indifference_points(params)
     return rows + indifferent, _degeneracy_regions(undefined, step_deg, kernel)

@@ -77,7 +77,7 @@ def test_skipped_games_hold_no_verified_fixed_point(monkeypatch):
     assert len(skipped) == 485 + 1391 + 176 + 95 + 20 + 206
     monkeypatch.setattr(fixedpoint, "_certificate", _certify_nothing)
     for params in skipped:
-        rows, regions = fixedpoint.solve(params, 0.005, 0.25)
+        rows, regions = fixedpoint.solve(params, 0.25)
         assert regions == (), params
         for alpha, beta, _ in rows:
             assert not verify_equilibrium(alpha, beta, params).verified, (params, alpha)

@@ -65,15 +65,25 @@ STEEPEST_ALPHA = 69.558563
 # the last bits of the fixed-point polynomial decide which root seeds the
 # search; in the second they decide whether Newton's iteration converges
 # next to a crossing so steep that the nearest double leaves more than
-# 0.001 degrees, which drops the row, or stops short of it, where the
-# bisection closes it.  A nine-sample DFT form of the polynomial, within
-# 7e-16 of the Laurent products, loses both equilibria.
+# 0.001 degrees or stops short of it, where the bisection closes it, and
+# either end is kept.  A nine-sample DFT form of the polynomial, within
+# 7e-16 of the Laurent products, loses the first equilibrium.
 NEAR_TIE_K4 = GameParams(17.31152997818888, 0.00010325729679629929, 2704.1184164102415,
                          0.0002346079959924686, 2.0385989601416767, 68.31163993536565)
 NEAR_TIE_K4_ALPHA = 175.425352
 NEAR_TIE_K3 = GameParams(0.014144715404939967, 162.18528480166708, 0.0011715978168120756,
                          58.010720897382036, 168.9012943860014, 47.000277145176696)
 NEAR_TIE_K3_ALPHA = 48.018110
+# Draw 2177 of _heterogeneous_games(3, 10000), whose Newton iteration
+# converges where the nearest double leaves a residual of 1.15e-4
+# degrees, and draw 164 of _sweep_games(1, 1000), which converges at
+# 1.7e-9 degrees: each is kept for converging, at any refine tolerance.
+CONVERGED_K3 = GameParams(0.0054545102225696555, 66.97256478417673, 0.0033651398984705367,
+                          565.1031684918328, 14.058720769424296, 30.464968547004645)
+CONVERGED_K3_ALPHA = 175.060991
+CONVERGED_SWEEP = GameParams(1.2873660892703438, 0.43570751249300455, 0.5587669263269904,
+                             2.3944483592556343, 100.26751688073834, 76.4150864863589)
+CONVERGED_SWEEP_ALPHA = 123.373740
 
 
 def _random_game(rng):
@@ -425,6 +435,42 @@ def test_near_tie_equilibrium_is_found(params, alpha, refine_tol):
     assert abs(report.alpha_star_deg - alpha) <= 1e-6
 
 
+@pytest.mark.parametrize("params, alpha, refine_tol", [
+    pytest.param(CONVERGED_K3, CONVERGED_K3_ALPHA, 1e-4, id="k3-draw-2177-1e-4"),
+    pytest.param(CONVERGED_SWEEP, CONVERGED_SWEEP_ALPHA, 1e-9, id="sweep-draw-164-1e-9"),
+    pytest.param(EX3, 53.507396, 1e-15, id="criterion-3-1e-15")])
+def test_converged_end_is_kept_whatever_its_residual(params, alpha, refine_tol):
+    # the refine tolerance only merges duplicates, so a converged Newton
+    # end whose residual is larger than it is still reported
+    (report,) = find_equilibria(params, refine_tol_deg=refine_tol).equilibria
+    assert report.verified
+    assert abs(report.alpha_star_deg - alpha) <= 1e-6
+    assert report.residual_deg > refine_tol
+
+
+@pytest.mark.parametrize("family, count", [("sweep", 515), ("indifference-77", 212)])
+def test_refine_tolerance_loses_no_equilibrium(family, count):
+    # every verified report at the default tolerance is reported at a
+    # far smaller one too: the sweep recipe's games exercise the
+    # fixed-point row, and the Bob-indifferent draws the indifference rows
+    from test_corpus import _sweep_games
+    from test_equilibrium import _indifference_game
+
+    if family == "sweep":
+        games = _sweep_games(1, 1000)
+    else:
+        rng = np.random.default_rng(77)
+        games = [_indifference_game(rng, False)[1] for _ in range(200)]
+    verified = 0
+    for params in games:
+        tight = [(e.alpha_star_deg, e.beta_star_deg)
+                 for e in find_equilibria(params, refine_tol_deg=1e-12)]
+        for report in find_equilibria(params).verified:
+            verified += 1
+            assert (report.alpha_star_deg, report.beta_star_deg) in tight, (params, report)
+    assert verified == count
+
+
 def test_polished_root_accurate_where_bob_is_steep():
     for params, alpha, beta in ((STEEP_BOB, STEEP_BOB_ALPHA, STEEP_BOB_BETA),
                                 (STEEPER_BOB, STEEPER_BOB_ALPHA, STEEPER_BOB_BETA)):
@@ -464,12 +510,12 @@ def test_duplicates_keep_the_least_residual(monkeypatch):
     # might lie, is within the refine tolerance of the root's row and
     # sorts first; the row with the smaller residual is the one reported
     kernel = EX3.kernel
-    (good,) = fixedpoint.fixed_points(EX3, 0.005)
+    (good,) = fixedpoint.fixed_points(EX3)
     alpha = good[0] - 1e-5
     residual, _, k_b = fixedpoint._step(alpha, kernel)
     poorer = (alpha, fixedpoint._reply(k_b, fixedpoint.BOB, kernel), residual)
     assert abs(good[2]) < abs(poorer[2]) <= 0.005 and wrapped_distance(good[1], poorer[1]) <= 0.005
-    monkeypatch.setattr(fixedpoint, "fixed_points", lambda params, tol_deg, *_: [poorer, good])
+    monkeypatch.setattr(fixedpoint, "fixed_points", lambda params: [poorer, good])
     (report,) = find_equilibria(EX3).equilibria
     assert (report.alpha_star_deg, report.beta_star_deg) == (good[0], good[1])
     assert report.residual_deg == abs(good[2])
@@ -480,7 +526,7 @@ def test_no_polish_without_a_root(monkeypatch):
         raise AssertionError("polished without a root")
 
     monkeypatch.setattr(fixedpoint, "_newton", newton)
-    assert fixedpoint.fixed_points(EX2, 0.005) == []
+    assert fixedpoint.fixed_points(EX2) == []
     assert len(find_equilibria(EX2)) == 0
     # criterion 3's game has a root, so its solve does polish
     with pytest.raises(AssertionError, match="polished without a root"):
@@ -534,7 +580,7 @@ def test_climb_closes_a_crossing_but_not_a_wrap(monkeypatch):
         return climb(*args)
 
     monkeypatch.setattr(fixedpoint, "_climb", recorded)
-    fixedpoint.fixed_points(STEEPEST, 0.001)
+    fixedpoint.fixed_points(STEEPEST)
     ((alpha, residual, kernel),) = ends
     assert fixedpoint._certificate(kernel) == fixedpoint.BOUNDARY
     end, closed = climb(alpha, residual, kernel)
