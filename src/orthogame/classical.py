@@ -105,13 +105,19 @@ def solve_closed_form(a: float, b: float, c: float, d: float):
     inversely proportional to the stake that threatens it: the row mixes
     mu * (1/a, 1/b, 1/c, 1/d) and the column mixes the same weights
     shifted to the opposite corners, with mu the harmonic normaliser.
-    The value of the game is mu = 1 / (1/a + 1/b + 1/c + 1/d).
+    The value of the game is mu = 1 / (1/a + 1/b + 1/c + 1/d); a sum
+    that overflows, as a stake below about 5.6e-309 makes it, raises
+    ValueError.
     """
     stakes = (a, b, c, d)
     if min(stakes) <= 0:
         raise ValueError(f"stakes must be positive, got {stakes}")
     inv = np.array([1.0 / a, 1.0 / b, 1.0 / c, 1.0 / d])
-    mu = 1.0 / inv.sum()
+    with np.errstate(over="ignore"):
+        mu = 1.0 / inv.sum()
+    if mu == 0.0:
+        smallest = min(stakes)
+        raise ValueError(f"1/a + 1/b + 1/c + 1/d overflows: 1/{smallest!r} is {1.0 / smallest!r}")
     x = MixedStrategy(mu * inv)
     y = MixedStrategy(mu * np.array([1.0 / c, 1.0 / d, 1.0 / a, 1.0 / b]))
     return x, y, float(mu)

@@ -95,7 +95,10 @@ def classical_group():
 def classical_solve(stakes):
     """Closed-form equilibrium, value, and conditional split."""
     a, b, c, d = stakes
-    x, y, value = solve_closed_form(a, b, c, d)
+    try:
+        x, y, value = solve_closed_form(a, b, c, d)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     dec = decompose_conditional(x, y, a, b, c, d)
     verdict = verify_nash(x, y, PayoffMatrix.diagonal_game(a, b, c, d))
     _emit({

@@ -96,9 +96,9 @@ Where a player's harmonic vanishes that player is indifferent and the
 composed map is undefined.  Such a zero, and the opponent angles that
 it pairs with in an equilibrium, each solve one linear equation in
 (cos 2y, sin 2y), so they have closed forms too, and the alphas at
-which the map is undefined mark the degeneracy regions.  A candidate's
-verification needs each player's largest gain from a deviation, which
-is closed-form in the same harmonics (gains).
+which the map is undefined mark the degeneracy regions by cell index.
+A candidate's verification needs each player's largest gain from a
+deviation, which is closed-form in the same harmonics (gains).
 """
 
 from __future__ import annotations
@@ -118,9 +118,6 @@ DEGENERACY_SQ = 1e-18
 ALICE, BOB = "alice", "bob"
 # relative size below which the polynomial counts as identically zero
 _ZERO_POLYNOMIAL = 1e-12
-# a Newton iteration moves at most this far from its start: an
-# eigenvalue's angle is orders of magnitude closer to its fixed point
-_REACH_DEG = 1.0
 # residual evaluations per Newton iteration; a halved step costs one
 _NEWTON_STEPS = 12
 # the last step is applied before the iteration stops, since Bob's best
@@ -289,12 +286,10 @@ def _newton(alpha: float, residual: float, step: float,
     A step that does not lower |residual| is halved instead of taken.  The
     iteration converges once a step of at most _NEWTON_TOL_DEG is due,
     which it applies unevaluated, and stops short where the step is
-    undefined or would leave _REACH_DEG of the start, or after
-    _NEWTON_STEPS evaluations.
+    undefined or after _NEWTON_STEPS evaluations.
     """
-    start = alpha
     for _ in range(_NEWTON_STEPS):
-        if math.isnan(step) or abs(alpha - step - start) > _REACH_DEG:
+        if math.isnan(step):
             break
         if abs(step) <= _NEWTON_TOL_DEG:
             return alpha - step, True
@@ -599,32 +594,36 @@ def indifference_points(params) -> tuple[list[tuple[float, float, float]], list[
 
 def _degeneracy_regions(undefined: list[float], step_deg: float,
                         kernel: HarmonicKernel) -> tuple[tuple[float, float], ...]:
-    """The cells [k step, (k+1) step] of the grid arange(0, 180, step_deg)
-    that hold an alpha in undefined, where the composed map is
-    undefined, with neighbouring cells merged.
+    """The cells [k step, (k+1) step], k < ceil(180/step), that hold an
+    alpha in undefined, where the composed map is undefined, merged where
+    they touch; the last ends at 180.
 
-    An alpha that sits on a grid angle up to rounding, where the
-    composed map is undefined too, marks that angle's cell.  Where a
-    player's harmonic K = kappa0 + mu e + nu conj(e) is flat at every
-    angle, as when every stake is 0, the composed map is undefined
-    everywhere and the region is the whole half turn; mu e + nu conj(e)
-    traces an ellipse of semi-major axis |mu| + |nu|, so |K| is at most
-    |kappa0| + |mu| + |nu| there.
+    An alpha on its nearest grid angle up to rounding, where the map is
+    undefined too, marks that angle's cell, any other the largest k with
+    k step <= alpha, so the cost does not depend on step; a step below
+    about 1e-306, where 180/step is not finite, raises ValueError.  Where
+    a player's harmonic K = kappa0 + mu e + nu conj(e) is flat at every
+    angle, as when every stake is 0, the region is the whole half turn:
+    mu e + nu conj(e) traces an ellipse of semi-major axis |mu| + |nu|,
+    so |K| <= |kappa0| + |mu| + |nu| there.
     """
     if any(abs(k0) + (abs(m_1 - 1j * m_2) + abs(m_1 + 1j * m_2)) / 2.0 <= kernel.radius
            for k0, m_1, m_2 in (kernel.alice, kernel.bob)):
         return ((0.0, 180.0),)
     if not undefined:
         return ()
-    grid = np.arange(0.0, 180.0, step_deg)
-    alphas = np.array(undefined)
-    nearest = np.rint(alphas / step_deg).astype(int) % len(grid)
-    on_grid = [math.isnan(_step(x, kernel)[0]) for x in grid[nearest].tolist()]
-    cells = np.zeros(len(grid), dtype=bool)
-    cells[np.where(on_grid, nearest, np.searchsorted(grid, alphas, side="right") - 1)] = True
-    edges = np.flatnonzero(np.diff(np.concatenate(([False], cells, [False]))))
-    bounds = np.append(grid, 180.0)[edges].tolist()
-    return tuple(zip(bounds[::2], bounds[1::2]))
+    if not math.isfinite(180.0 / step_deg):
+        raise ValueError(f"region cell width {step_deg!r} leaves too many cells to count")
+    count, cells = math.ceil(180.0 / step_deg), set()
+    for alpha in undefined:
+        k = round(alpha / step_deg) % count
+        if not math.isnan(_step(k * step_deg, kernel)[0]):
+            k = math.floor(alpha / step_deg)
+            k += ((k + 1) * step_deg <= alpha) - (k * step_deg > alpha)
+        cells.add(min(k, count - 1))
+    starts = sorted(k for k in cells if k - 1 not in cells)
+    ends = sorted(k + 1 for k in cells if k + 1 not in cells)
+    return tuple((a * step_deg, b * step_deg if b < count else 180.0) for a, b in zip(starts, ends))
 
 
 def solve(params, step_deg: float) -> tuple[list[tuple[float, float, float]],

@@ -210,7 +210,8 @@ def test_near_boundary_game_is_built_as_stated():
 # equilibrium Newton's iteration from the maximum of Alice's security
 # level does not converge on: the residual climbs so steeply through the
 # fixed point that it still reads 33 to 90 degrees at the seed, 2e-6 to
-# 0.015 degrees away, where the step leaves Newton's reach, and the
+# 0.015 degrees away, where its slope is so shallow that the steps run
+# degrees off and are halved through all twelve evaluations, and the
 # nearest double of alpha leaves up to 0.12 degrees.  Bisecting the sign
 # change of the residual uphill closes each.
 STEEP_OFF_BOUNDARY = {745: 133.38664989692762, 1403: 32.52531151451362,

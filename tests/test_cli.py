@@ -50,7 +50,10 @@ def test_classical_solve_payload(runner):
     assert payload["max_violation"] <= 1e-12
 
 
-@pytest.mark.parametrize("stakes", ["0,1,1,1", "-1,1,1,1", "1,2,3", "a,b,c,d", "1,2,3,4,5"])
+@pytest.mark.parametrize("stakes", ["0,1,1,1", "-1,1,1,1", "1,2,3", "a,b,c,d", "1,2,3,4,5",
+                                    # 1/a + 1/b + 1/c + 1/d overflows
+                                    "1e-320,1,1,1", "5e-324,5e-324,5e-324,5e-324",
+                                    "1e-308,1e-308,1e-308,1e-308"])
 def test_classical_solve_rejects_bad_stakes(runner, stakes):
     result = runner.invoke(main, ["classical", "solve", "-p", stakes])
     assert result.exit_code == 2
@@ -89,6 +92,21 @@ def test_quantum_solve_reports_equilibrium_where_bob_is_indifferent(runner, thet
     assert eq["beta_deg"] == pytest.approx(beta, abs=1e-3)
     assert eq["value"] == pytest.approx(1.25, abs=1e-12)
     assert eq["residual_deg"] <= 1e-9
+
+
+def test_quantum_solve_at_a_tiny_region_cell_width(runner):
+    # a region's cells are found by index arithmetic, not on a grid of
+    # 180/step angles, so a cell width of 1e-9 solves as 0.25 does; below
+    # about 1e-306, where 180/step overflows, a game with a region is
+    # rejected
+    args = ["quantum", "solve", "-p", "3,1,1,1", "--theta-a", "15", "--theta-b", "75"]
+    coarse = _run_json(runner, args)
+    fine = _run_json(runner, args + ["--step", "1e-9"])
+    _check_schema(fine, "quantum_solve")
+    assert fine["equilibria"] == coarse["equilibria"]
+    assert [e["verified"] for e in fine["equilibria"]] == [True, True]
+    assert fine["degeneracy_regions"] == [[60.00000000000001, 60.000000001000004]]
+    assert runner.invoke(main, args + ["--step", "1e-310"]).exit_code == 2
 
 
 def test_quantum_solve_at_stakes_near_the_float_limit(runner):

@@ -601,6 +601,74 @@ def test_climb_closes_a_crossing_but_not_a_wrap(monkeypatch):
     assert 3.4e-7 < end - start < 3.5e-7 and abs(end - x0) <= 1e-7
 
 
+def _grid_regions(undefined, step_deg, kernel):
+    """The degeneracy regions read off the whole grid arange(0, 180,
+    step_deg): each alpha in undefined marks the cell of its nearest grid
+    angle where the composed map is undefined there too, and otherwise
+    the cell searchsorted finds; the runs of marked cells are the
+    regions, the last ending at 180."""
+    if not undefined:
+        return ()
+    grid = np.arange(0.0, 180.0, step_deg)
+    alphas = np.array(undefined)
+    nearest = np.rint(alphas / step_deg).astype(int) % len(grid)
+    on_grid = [math.isnan(fixedpoint._step(x, kernel)[0]) for x in grid[nearest].tolist()]
+    cells = np.zeros(len(grid), dtype=bool)
+    cells[np.where(on_grid, nearest, np.searchsorted(grid, alphas, side="right") - 1)] = True
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], cells, [False]))))
+    bounds = np.append(grid, 180.0)[edges].tolist()
+    return tuple(zip(bounds[::2], bounds[1::2]))
+
+
+@pytest.mark.parametrize("width", [1.0, 0.7, 1.0 / 3.0, 0.25, 0.1, 0.07, 0.001])
+def test_regions_are_the_cells_of_the_grid(width):
+    # the cells come from index arithmetic; on the boundary draws of the
+    # indifference families they are the grid's cells bit for bit
+    from test_equilibrium import _indifference_game
+
+    regions = 0
+    for seed in (77, 78):
+        for mirror in (False, True):
+            rng = np.random.default_rng(seed)
+            for _ in range(200):
+                params = _indifference_game(rng, mirror)[1]
+                kernel = params.kernel
+                if fixedpoint._certificate(kernel) != fixedpoint.BOUNDARY:
+                    continue
+                undefined = fixedpoint.indifference_points(params)[1]
+                expected = _grid_regions(undefined, width, kernel)
+                actual = fixedpoint._degeneracy_regions(undefined, width, kernel)
+                assert repr(actual) == repr(expected), (params, width)
+                regions += len(actual)
+    assert regions >= 800
+
+
+@pytest.mark.parametrize("width, regions", [
+    (1e-9, ((60.00000000000001, 60.000000001000004),)),
+    # a cell narrower than the spacing of doubles near 60, 7.1e-15, holds
+    # one double, and the two undefined alphas, each 60 up to rounding,
+    # fall in two cells
+    (1e-300, ((59.99999999999999, 59.99999999999999),
+              (60.000000000000014, 60.000000000000014)))])
+def test_regions_at_a_tiny_cell_width(width, regions):
+    # no grid of 180/width angles is built, so a cell width of 1e-9 or
+    # 1e-300 costs what 0.25 does and finds the same equilibria
+    params = GameParams(3, 1, 1, 1, 15.0, 75.0)
+    result = find_equilibria(params, scan_step_deg=width)
+    assert result.equilibria == find_equilibria(params).equilibria
+    assert len(result.verified) == 2
+    assert result.degeneracy_regions == regions
+
+
+def test_regions_need_a_countable_cell_width():
+    # below about 1e-306 the cell count 180/width overflows: a game with a
+    # region raises, and one without still solves
+    with pytest.raises(ValueError, match="too many cells"):
+        find_equilibria(GameParams(3, 1, 1, 1, 15.0, 75.0), scan_step_deg=1e-310)
+    (report,) = find_equilibria(EX3, scan_step_deg=1e-310).equilibria
+    assert report.verified and abs(report.alpha_star_deg - 53.507396) <= 1e-6
+
+
 def test_each_game_builds_its_kernel_once(monkeypatch):
     # a solve reads the kernel its game caches; a second solve of the same
     # game rebuilds no kernel
