@@ -60,17 +60,20 @@ a quarter turn within a small fraction of a degree, and a full step from
 an eigenvalue's angle can overshoot it, so a step that does not lower
 the residual is halved instead.  Where the iteration does not converge,
 the sign change of the residual uphill of its end, where g rises, is
-bisected down to neighbouring doubles, in every class of game.  Off the
-boundary the residual's sign is that of h, which is continuous there,
-so that change is always a crossing and the game's one equilibrium is
-always found.  On the boundary it can instead be a wrap of the composed
-map, across which the residual jumps by 90 degrees or more, or the edge
-of a flat harmonic; the bisection tells these from a crossing by the
-jump between its ends, and keeps no row.  There the closed-form
-indifference rows below join it.  A row is kept for what it is, never
-for the size of its residual, so no tolerance enters the search: the
-caller's refine tolerance only merges duplicates.  No residual is
-scanned: a scan of it is the tests' oracle for the enumeration.
+bisected down to neighbouring doubles, in every class of game.  That
+change need not be a crossing.  Off the boundary the residual's sign is
+that of h, which is continuous there, but h also changes sign where K_A
+points against e, and there the residual wraps from +90 to -90 degrees;
+on the boundary the change can also be the edge of a flat harmonic.
+The bisection tells a wrap or an edge from a crossing by the jump
+between its ends, and keeps no row, so where it lands on one the game's
+equilibrium is lost, off the boundary too: the tests pin one such game
+off the boundary and one on it (SWAP_MISSES in tests/test_corpus.py).
+On the boundary the closed-form indifference rows below join it.  A
+row is kept for what it is, never for the size of its residual, so no
+tolerance enters the search: the caller's refine tolerance only merges
+duplicates.  No residual is scanned: a scan of it is the tests' oracle
+for the enumeration.
 
 Everything after the eigenvalue call is scalar arithmetic, one angle at
 a time in plain Python floats and complex numbers, which on a handful
@@ -90,7 +93,16 @@ operation at a time, and a cheaper form must keep every product and
 every sum in its order.  Where g has two maxima within a few parts in
 1e9 of each other the last bits of the coefficients decide which root
 seeds the search, so a form that rounds differently loses equilibria.
-The tests hold both functions bit for bit to reference forms.
+The tests hold both functions bit for bit to reference forms.  The
+eigenvalues come from LAPACK's geev through numpy's gufunc
+(numpy.linalg._umath_linalg.eigvals), which np.linalg.eigvals wraps;
+circle_angles keeps the wrapper's two guarantees by hand, and the tests
+hold its eigenvalues to the wrapper's bit for bit.  Those bits depend on
+the OpenBLAS core type (OPENBLAS_CORETYPE): on the sweep recipe's first
+1,000 games and 4,000 heterogeneous-stake draws, Prescott's kernel
+changes the angles of 3,732 games and the reports of 1,135, alpha by at
+most 9e-12 degrees, and no verified count.  So the bit-for-bit doctrine
+ends at that call.
 
 Where a player's harmonic vanishes that player is indifferent and the
 composed map is undefined.  Such a zero, and the opponent angles that
@@ -108,6 +120,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigvals as _eigvals
 
 from .angles import signed_delta, wrap_half_turn, wrap_input
 
@@ -313,8 +326,12 @@ def _climb(alpha: float, residual: float, kernel: HarmonicKernel) -> tuple[float
     residual has the sign of h = Im(K_A conj(e)), which has the sign of g',
     wherever both harmonics are far from flat, so a change from + to - is
     a maximum of g, and off the boundary (_certificate) no harmonic comes
-    near flat anywhere on the circle.  The bracket's far end starts
-    _CLIMB_DEG uphill and doubles its distance until the sign changes.
+    near flat anywhere on the circle.  Even there the change need not be a
+    crossing: h also changes sign where K_A points against e, and there
+    the residual wraps from +90 to -90 degrees.  The bracket's far end
+    starts _CLIMB_DEG uphill and doubles its distance until the sign
+    changes, so a bracket wide enough to hold a wrap and a crossing may
+    close on the wrap.
     """
     lo, r_lo, width = alpha, residual, _CLIMB_DEG
     while (r_hi := _step(hi := lo + math.copysign(width, r_lo), kernel)[0]) * r_lo > 0.0:
@@ -404,6 +421,17 @@ def circle_angles(coeffs) -> list[float]:
     angle per eigenvalue, all close together.  A polynomial that vanishes
     identically (K_A parallel to e for every phi) has no isolated roots
     and yields none.
+
+    The eigenvalues come from LAPACK's geev through numpy's gufunc, the
+    call np.linalg.eigvals makes, bit for bit as that wrapper returns
+    them (cast to complex), without its cost.  The wrapper's two
+    guarantees are kept by hand: a companion row that is not finite, as
+    where the leading coefficient is subnormal next to the others,
+    raises np.linalg.LinAlgError before the call, and so does an
+    eigenvalue that is NaN, as where geev did not converge, rather than
+    seed the search.  A geev that does not converge also sets the
+    floating-point invalid flag, so numpy warns before the raise.  The
+    bits depend on the OpenBLAS core type (module docstring).
     """
     if max(map(abs, coeffs)) <= _ZERO_POLYNOMIAL:
         return []
@@ -411,10 +439,16 @@ def circle_angles(coeffs) -> list[float]:
     lead = next((k for k, x in enumerate(q) if x), len(q))
     angles = [math.pi] * lead
     if lead < len(q) - 1:
-        companion = np.eye(len(q) - lead - 1, k=-1)
-        companion[0] = [-x / q[lead] for x in q[lead + 1:]]
-        angles += [math.atan2(t.real, 1.0 - t.imag) + math.atan2(t.real, 1.0 + t.imag)
-                   for t in np.linalg.eigvals(companion).tolist()]
+        row = [-x / q[lead] for x in q[lead + 1:]]
+        if not all(map(math.isfinite, row)):
+            raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+        companion = np.eye(len(row), k=-1)
+        companion[0] = row
+        roots = [math.atan2(t.real, 1.0 - t.imag) + math.atan2(t.real, 1.0 + t.imag)
+                 for t in _eigvals(companion, signature="d->D").tolist()]
+        if math.isnan(sum(roots)):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        angles += roots
     return angles
 
 
@@ -520,11 +554,13 @@ def fixed_points(params) -> list[tuple[float, float, float]]:
     (_climb), and a crossing it closes between neighbouring doubles is
     the row.  Neither row is held to a tolerance: at a crossing steeper
     than about 1e11 degrees per degree the nearest double can leave a
-    residual of 1e-3 degrees.  Off the boundary (_certificate) the
-    residual has no wrap, so the bisection closes whatever the iteration
-    leaves open, and the game's one equilibrium, at that maximum, is
-    always found.  A row's residual and Bob's harmonic come from one
-    more _step at its angle, and beta is Bob's _reply to that harmonic.
+    residual of 1e-3 degrees.  Off the boundary (_certificate) no
+    harmonic is flat, but the residual still wraps where K_A points
+    against e, and where the bisection closes such a wrap no row is kept:
+    the game's one equilibrium is then missed, as in draw 621 of
+    SWAP_MISSES in tests/test_corpus.py.  A row's residual and Bob's
+    harmonic come from one more _step at its angle, and beta is Bob's
+    _reply to that harmonic.
     """
     kernel = params.kernel
     angles = circle_angles(polynomial(kernel.alice, kernel.bob))

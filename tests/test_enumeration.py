@@ -8,14 +8,17 @@ billionth of the scan step: exact enumeration against scan.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 import sympy as sp
+from click.testing import CliRunner
 
 from orthogame import fixedpoint
 from orthogame.angles import signed_delta, wrapped_distance
+from orthogame.cli import main
 from orthogame.equilibrium import (GameParams, best_response_alice,
                                    best_response_bob, find_equilibria,
                                    verify_equilibrium)
@@ -276,17 +279,25 @@ def _laurent_product(*factors):
     return list(product.astype(complex))
 
 
-@pytest.mark.parametrize("split, multiplicity", [
-    pytest.param(0.0, 2, id="0.0"), pytest.param(1e-9, 2, id="1e-09"),
-    pytest.param(1e-3, 2, id="0.001"), pytest.param(0.0, 3, id="triple")])
-def test_circle_angles_double_and_close_roots(split, multiplicity):
-    # (cos phi - c)^(m - 1) (cos phi - c') times a factor with no real
-    # roots has the roots +-acos c and +-acos c' and no others; c' = c is
-    # a pair of tangencies (m = 2) or of triple roots (m = 3), whose
-    # companion-matrix eigenvalues lie about 1e-5 off the unit circle
+def _close_roots(split, multiplicity):
+    """(cos phi - c)^(m - 1) (cos phi - c') times a factor with no real
+    roots, c = cos 1.1 and c' = c + split, as Laurent coefficients."""
     c, c2 = math.cos(1.1), math.cos(1.1) + split
     rootless = [0.5, 0, 2.0, 0, 0.5] if multiplicity == 2 else [0.5, 2.0, 0.5]
-    coeffs = _laurent_product(*[[0.5, -c, 0.5]] * (multiplicity - 1), [0.5, -c2, 0.5], rootless)
+    return _laurent_product(*[[0.5, -c, 0.5]] * (multiplicity - 1), [0.5, -c2, 0.5], rootless)
+
+
+CLOSE_ROOTS = {"0.0": (0.0, 2), "1e-09": (1e-9, 2), "0.001": (1e-3, 2), "triple": (0.0, 3)}
+
+
+@pytest.mark.parametrize("split, multiplicity",
+                         [pytest.param(*case, id=name) for name, case in CLOSE_ROOTS.items()])
+def test_circle_angles_double_and_close_roots(split, multiplicity):
+    # the polynomial has the roots +-acos c and +-acos c' and no others;
+    # c' = c is a pair of tangencies (m = 2) or of triple roots (m = 3),
+    # whose companion-matrix eigenvalues lie about 1e-5 off the unit circle
+    c2 = math.cos(1.1) + split
+    coeffs = _close_roots(split, multiplicity)
     found = np.array(fixedpoint.circle_angles(coeffs))
     near = _on_circle_angles(coeffs)
     roots = np.array([1.1, -1.1, math.acos(c2), -math.acos(c2)])
@@ -299,23 +310,27 @@ def test_circle_angles_double_and_close_roots(split, multiplicity):
 SIN, ONE_PLUS_COS, ONE_MINUS_COS = [0.5j, 0, -0.5j], [0.5, 1.0, 0.5], [0.5, -1.0, 0.5]
 
 
-@pytest.mark.parametrize("factor, terms, roots", [
+def _half_angle_edge(factor):
+    """(cos phi - 1/2)(2 + cos 2 phi) times the factor, padded to the nine
+    coefficients of z^-4 ... z^4: every coefficient is exact."""
+    coeffs = _laurent_product(factor, [0.5, -0.5, 0.5], [0.5, 0, 2.0, 0, 0.5])
+    pad = (9 - len(coeffs)) // 2
+    return [0j] * pad + coeffs + [0j] * pad
+
+
+@pytest.mark.parametrize("factor, roots", [
     # a simple root at phi = pi is a vanishing leading coefficient of the
     # half-angle polynomial Q(t), and one at phi = 0 its root t = 0
-    pytest.param(SIN, 9, [0.0, math.pi], id="0-and-pi"),
-    pytest.param(ONE_PLUS_COS, 9, [math.pi], id="double-pi"),
-    pytest.param(ONE_MINUS_COS, 9, [0.0], id="double-0"),
+    pytest.param(SIN, [0.0, math.pi], id="0-and-pi"),
+    pytest.param(ONE_PLUS_COS, [math.pi], id="double-pi"),
+    pytest.param(ONE_MINUS_COS, [0.0], id="double-0"),
     # c_-4 = c_4 = 0: z^4 T(z) has a root at z = 0 and one at infinity,
     # so Q(t) has the roots t = +-i
-    pytest.param([1.0], 7, [], id="t=+-i")])
-def test_circle_angles_at_half_angle_edges(factor, terms, roots):
-    # (cos phi - 1/2)(2 + cos 2 phi) times the factor: every coefficient
-    # is exact, so the edge roots are exact too.  The suite turns every
-    # warning into an error, so a division by a vanishing coefficient
-    # would fail here.
-    coeffs = _laurent_product(factor, [0.5, -0.5, 0.5], [0.5, 0, 2.0, 0, 0.5])
-    pad = (9 - terms) // 2
-    coeffs = [0j] * pad + coeffs + [0j] * pad
+    pytest.param([1.0], [], id="t=+-i")])
+def test_circle_angles_at_half_angle_edges(factor, roots):
+    # the edge roots are exact.  The suite turns every warning into an
+    # error, so a division by a vanishing coefficient would fail here.
+    coeffs = _half_angle_edge(factor)
     assert len(coeffs) == 9
     found = np.array(fixedpoint.circle_angles(coeffs))
     assert np.all(np.isfinite(found))
@@ -325,6 +340,97 @@ def test_circle_angles_at_half_angle_edges(factor, terms, roots):
 
 def test_circle_angles_of_vanishing_polynomial():
     assert len(fixedpoint.circle_angles([0j] * 9)) == 0
+
+
+# circle_angles calls LAPACK's geev through numpy's private gufunc
+# numpy.linalg._umath_linalg.eigvals, not through the public wrapper
+# np.linalg.eigvals.  The tests below are what catches a numpy release
+# that changes that module: they hold the direct call to the wrapper bit
+# for bit, and check the wrapper's two guarantees that circle_angles
+# keeps by hand.
+
+
+def _eigenvalue_coefficients():
+    """The polynomials of the sweep recipe's first 1,000 draws and of the
+    k = 3 and k = 4 heterogeneous families, and the close-root and
+    half-angle edge sets above."""
+    from test_corpus import _heterogeneous_games, _sweep_games
+
+    games = _sweep_games(1, 1000) + _heterogeneous_games(3, 2000) + _heterogeneous_games(4, 1000)
+    return ([fixedpoint.polynomial(g.kernel.alice, g.kernel.bob) for g in games]
+            + [_close_roots(*case) for case in CLOSE_ROOTS.values()]
+            + [_half_angle_edge(f) for f in (SIN, ONE_PLUS_COS, ONE_MINUS_COS, [1.0])])
+
+
+def _public_eigvals(companion, signature):
+    return np.linalg.eigvals(companion).astype(complex)
+
+
+def test_direct_eigenvalue_call_is_the_public_wrapper_bit_for_bit(monkeypatch):
+    # repr tells -0.0 from 0.0, which == does not
+    calls, direct = [], fixedpoint._eigvals
+
+    def recorded(companion, signature):
+        calls.append((companion.copy(), eigenvalues := direct(companion, signature=signature)))
+        return eigenvalues
+
+    coefficients = _eigenvalue_coefficients()
+    monkeypatch.setattr(fixedpoint, "_eigvals", recorded)
+    angles = [fixedpoint.circle_angles(coeffs) for coeffs in coefficients]
+    # the 50 equal-stake draws at 45/45 have no polynomial and make no call
+    assert len(calls) == len(coefficients) - 50
+    for companion, eigenvalues in calls:
+        expected = np.linalg.eigvals(companion).astype(complex)
+        assert eigenvalues.dtype == expected.dtype
+        assert repr(eigenvalues.tolist()) == repr(expected.tolist()), companion
+    # and the angles are those the wrapper's eigenvalues give
+    monkeypatch.setattr(fixedpoint, "_eigvals", _public_eigvals)
+    for coeffs, found in zip(coefficients, angles):
+        assert repr(fixedpoint.circle_angles(coeffs)) == repr(found), coeffs
+
+
+def _never_called(companion, signature):
+    raise AssertionError("eigenvalues of a companion matrix that is not finite")
+
+
+def test_non_finite_companion_raises_before_the_eigenvalue_call(monkeypatch):
+    # T(pi), the leading coefficient of the half-angle polynomial, 1e-323
+    # next to coefficients of 9 overflows the companion's first row to
+    # inf; a NaN coefficient makes the row NaN.  The wrapper raised on
+    # both, and geev itself returns NaN for an inf and writes to stderr
+    # for a NaN, so the row is checked before the call.
+    subnormal = _half_angle_edge(SIN)
+    subnormal[0] += 5e-324
+    subnormal[8] += 5e-324
+    nan = _half_angle_edge(SIN)
+    nan[4] = complex(math.nan, 0.0)
+    monkeypatch.setattr(fixedpoint, "_eigvals", _never_called)
+    for coeffs in (subnormal, nan):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+                fixedpoint.circle_angles(coeffs)
+
+
+def test_eigenvalues_that_did_not_converge_raise(monkeypatch):
+    # geev that does not converge leaves NaN eigenvalues; one is enough
+    # to raise rather than seed the search with a NaN angle, and the CLI
+    # exits 2 on it as on any invalid input
+    direct = fixedpoint._eigvals
+
+    def unconverged(companion, signature):
+        eigenvalues = direct(companion, signature=signature)
+        eigenvalues[-1] = complex(math.nan, math.nan)
+        return eigenvalues
+
+    monkeypatch.setattr(fixedpoint, "_eigvals", unconverged)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        fixedpoint.circle_angles(fixedpoint.polynomial(EX3.kernel.alice, EX3.kernel.bob))
+    with pytest.raises(np.linalg.LinAlgError):
+        find_equilibria(EX3)
+    result = CliRunner().invoke(main, ["quantum", "solve", "-p", "3,3,5,1",
+                                       "--theta-a", "30", "--theta-b", "20"])
+    assert result.exit_code == 2, result.output
 
 
 def _scan_equilibria(params, step=0.01):
