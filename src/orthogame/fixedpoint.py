@@ -54,26 +54,30 @@ line.  g has two local maxima in most games, so no local ascent from an
 arbitrary start replaces the roots.
 
 Only the angle at which g is largest seeds Newton's iteration on the
-unsquared residual, whose slope has a closed form in the same
-harmonics.  Where K_A or K_B nearly vanishes the residual sweeps most of
-a quarter turn within a small fraction of a degree, and a full step from
-an eigenvalue's angle can overshoot it, so a step that does not lower
-the residual is halved instead.  Where the iteration does not converge,
-the sign change of the residual uphill of its end, where g rises, is
-bisected down to neighbouring doubles, in every class of game.  That
-change need not be a crossing.  Off the boundary the residual's sign is
-that of h, which is continuous there, but h also changes sign where K_A
-points against e, and there the residual wraps from +90 to -90 degrees;
-on the boundary the change can also be the edge of a flat harmonic.
-The bisection tells a wrap or an edge from a crossing by the jump
-between its ends, and keeps no row, so where it lands on one the game's
-equilibrium is lost, off the boundary too: the tests pin one such game
-off the boundary and one on it (SWAP_MISSES in tests/test_corpus.py).
-On the boundary the closed-form indifference rows below join it.  A
-row is kept for what it is, never for the size of its residual, so no
-tolerance enters the search: the caller's refine tolerance only merges
-duplicates.  No residual is scanned: a scan of it is the tests' oracle
-for the enumeration.
+unsquared residual, whose slope has a closed form in the same harmonics.
+Where K_A or K_B nearly vanishes the residual sweeps most of a quarter
+turn within a small fraction of a degree, and a full step from an
+eigenvalue's angle can overshoot it, so a step that does not lower the
+residual is halved instead.  Where the iteration does not converge, the
+sign change of the residual uphill of the seed, where g rises, is
+bisected down to neighbouring doubles, in every class of game; where the
+iteration stopped plays no part.  That change need not be a crossing.
+Off the boundary the residual's sign is that of h, which is continuous
+there, but h also changes sign where K_A points against e, and there the
+residual wraps from +90 to -90 degrees; on the boundary the change can
+also be the edge of a flat harmonic.  The bisection tells a wrap or an
+edge from a crossing by the jump between its ends, and keeps no row, so
+where it lands on one the game's equilibrium is lost.  Started where a
+failed iteration stopped, up to degrees from the seed, its bracket could
+span wraps beside the crossing, and two games lost their equilibrium so
+(SWAP_MISSES in tests/test_corpus.py).  From the seed it closes the
+crossing in every game of the families the tests draw from, plain and
+with the players swapped; that is measured, not proven.  On the boundary
+the closed-form indifference rows below join the row.  A row is kept for
+what it is, never for the size of its residual, so no tolerance enters
+the search: the caller's refine tolerance only merges duplicates.  No
+residual is scanned: a scan of it is the tests' oracle for the
+enumeration.
 
 Everything after the eigenvalue call is scalar arithmetic, one angle at
 a time in plain Python floats and complex numbers, which on a handful
@@ -331,7 +335,9 @@ def _climb(alpha: float, residual: float, kernel: HarmonicKernel) -> tuple[float
     the residual wraps from +90 to -90 degrees.  The bracket's far end
     starts _CLIMB_DEG uphill and doubles its distance until the sign
     changes, so a bracket wide enough to hold a wrap and a crossing may
-    close on the wrap.
+    close on the wrap.  fixed_points starts it at the seed, where g is
+    largest of the eigenvalue angles, so that it is narrow where the
+    crossing is near.
     """
     lo, r_lo, width = alpha, residual, _CLIMB_DEG
     while (r_hi := _step(hi := lo + math.copysign(width, r_lo), kernel)[0]) * r_lo > 0.0:
@@ -548,34 +554,37 @@ def fixed_points(params) -> list[tuple[float, float, float]]:
 
     Of the angles of circle_angles, roots of the polynomial of the game's
     kernel on the unit circle or off it, the one at which g is largest
-    (_security) seeds Newton's iteration (_newton), whose end is the row
-    where it converges.  Where it does not and its end has a residual,
-    the sign change of the residual uphill of that end is bisected
-    (_climb), and a crossing it closes between neighbouring doubles is
-    the row.  Neither row is held to a tolerance: at a crossing steeper
-    than about 1e11 degrees per degree the nearest double can leave a
-    residual of 1e-3 degrees.  Off the boundary (_certificate) no
-    harmonic is flat, but the residual still wraps where K_A points
-    against e, and where the bisection closes such a wrap no row is kept:
-    the game's one equilibrium is then missed, as in draw 621 of
-    SWAP_MISSES in tests/test_corpus.py.  A row's residual and Bob's
-    harmonic come from one more _step at its angle, and beta is Bob's
-    _reply to that harmonic.
+    (_security) is the seed.  Its residual and first step start Newton's
+    iteration (_newton), whose end is the row where it converges.  Where
+    it does not and the seed has a residual, the sign change of the
+    residual uphill of the seed, not of where the iteration stopped, is
+    bisected (_climb), and a crossing it closes between neighbouring
+    doubles is the row.  Neither row is held to a tolerance: at a
+    crossing steeper than about 1e11 degrees per degree the nearest
+    double can leave a residual of 1e-3 degrees.  Off the boundary
+    (_certificate) no harmonic is flat, but the residual still wraps
+    where K_A points against e, and where the bisection closes such a
+    wrap no row is kept and the game's one equilibrium is missed.  A
+    climb from where the iteration stopped did so in both games of
+    SWAP_MISSES in tests/test_corpus.py; from the seed it closes their
+    crossings.  Only a row that is kept costs one more _step, at its
+    angle, for its residual and Bob's harmonic, and beta is Bob's _reply
+    to that harmonic.
     """
     kernel = params.kernel
     angles = circle_angles(polynomial(kernel.alice, kernel.bob))
     if not angles:
         return []
     seed = wrap_half_turn(0.5 * math.degrees(max(angles, key=lambda phi: _security(phi, kernel))))
-    end, found = _newton(seed, *_step(seed, kernel)[:2], kernel)
+    residual, step, _ = _step(seed, kernel)
+    end, found = _newton(seed, residual, step, kernel)
+    if not (found or math.isnan(residual)):
+        end, found = _climb(seed, residual, kernel)
+    if not found:
+        return []
     alpha = wrap_half_turn(end)
     residual, _, k_b = _step(alpha, kernel)
-    if not (found or math.isnan(residual)):
-        end, found = _climb(alpha, residual, kernel)
-        if found:
-            alpha = wrap_half_turn(end)
-            residual, _, k_b = _step(alpha, kernel)
-    return [(alpha, _reply(k_b, BOB, kernel), residual)] if found else []
+    return [(alpha, _reply(k_b, BOB, kernel), residual)]
 
 
 def _harmonic_angles(u1: float, u2: float, k: float) -> list[float]:
@@ -603,8 +612,11 @@ def indifference_points(params) -> tuple[list[tuple[float, float, float]], list[
     opponent's best reply (_reply) is x0, at the other x0 + 90.  The
     residual is the opponent's best-reply defect from x0, 0 where that
     reply is flat too, so up to rounding its size is 0 or 90 degrees, and
-    the rows below 45 are kept; the alphas of the rows kept where Alice
-    is indifferent are the alphas Bob answers with x0.
+    the rows below 45 are kept.  The alphas of the rows kept where Alice
+    is indifferent are the alphas Bob answers with x0, but not those
+    where Bob's reply is flat: such an alpha is one of Bob's own zeros,
+    listed already, with other rounding, and listing it twice would split
+    one indifference into two cells of a narrow enough width.
     """
     kernel = params.kernel
     rows, undefined = [], []
@@ -617,14 +629,15 @@ def indifference_points(params) -> tuple[list[tuple[float, float, float]], list[
             if not abs(_harmonic(e, *own)) <= kernel.radius:
                 continue
             k, u1, u2 = ((c.conjugate() * e).imag for c in other)
-            kept = []
+            answered = []
             for y in _harmonic_angles(u1, u2, -k):
                 reply = _reply(_harmonic(phase(y), *other), opponent, kernel)
                 residual = 0.0 if math.isnan(reply) else signed_delta(reply, x0)
                 if abs(residual) < 45.0:
-                    kept.append(y)
                     rows.append((x0, y, residual) if player == BOB else (y, x0, residual))
-            undefined.extend([x0] if player == BOB else kept)
+                    if not math.isnan(reply):
+                        answered.append(y)
+            undefined.extend([x0] if player == BOB else answered)
     return rows, undefined
 
 

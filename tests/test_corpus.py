@@ -166,14 +166,17 @@ def _swapped(params: GameParams) -> GameParams:
     return GameParams(-c, -d, -a, -b, params.theta_b_deg, params.theta_a_deg)
 
 
-# Draws of _heterogeneous_games(4, 1000) whose swapped game reports
-# nothing, and the one verified equilibrium (alpha, beta) the game itself
-# reports.  In draw 621 the swapped game is off the disk certificate's
-# boundary: its Newton iteration does not converge from the seed, and
-# the sign change that _climb bisects uphill of its end is a wrap of the
-# composed map, where K_A points against e, not the crossing beside it.
-# In draw 909 the swapped game is on the boundary, has no indifference
-# row, and loses its equilibrium the same way.
+# Draws of _heterogeneous_games(4, 1000), and the one verified equilibrium
+# (alpha, beta) the game itself reports, whose swapped game reported
+# nothing while _climb started where Newton's iteration stopped.  In draw
+# 621 the swapped game is off the disk certificate's boundary: Newton's
+# iteration does not converge from the seed, 121.8975, and stops at
+# 124.356; the bracket doubled from there held two wraps of the composed
+# map, where K_A points against e, besides the crossing at 121.9832, and
+# the bisection closed the wrap at 121.452.  In draw 909 the swapped game
+# is on the boundary, has no indifference row, and lost its equilibrium
+# the same way.  Climbing from the seed, where Alice's security level is
+# largest, closes the crossing in both.
 SWAP_MISSES = [pytest.param(621, 55.775521, 121.983203, id="k4-draw-621"),
                pytest.param(909, 0.771154, 88.256946, id="k4-draw-909")]
 
@@ -192,14 +195,41 @@ def test_swapped_profile_is_an_equilibrium(draw, alpha, beta):
     assert verify_equilibrium(*profile, swapped).verified
 
 
-@pytest.mark.xfail(strict=True, reason="the search misses the swapped game's one equilibrium")
 @pytest.mark.parametrize("draw, alpha, beta", SWAP_MISSES)
 def test_swapped_game_reports_the_swapped_equilibrium(draw, alpha, beta):
-    # a mend of the seed rule makes these pass, and strict xfail fails
-    # the suite until the marker goes
     reports = find_equilibria(_swapped(_heterogeneous_games(4, 1000)[draw])).verified
     assert any(wrapped_distance(e.alpha_star_deg, beta) <= 1e-6
                and wrapped_distance(e.beta_star_deg, alpha) <= 1e-6 for e in reports), reports
+
+
+def _swap_oracle_games() -> list[GameParams]:
+    from test_certificate import _mixed_sign_games
+    from test_equilibrium import _indifference_game
+
+    games = (_heterogeneous_games(4, 1000) + _corpus_games()[:200] + _sweep_games(1, 200)
+             + _heterogeneous_games(2, 200) + _heterogeneous_games(3, 200) + _mixed_sign_games(200))
+    for seed in (77, 78):
+        for mirror in (False, True):
+            rng = np.random.default_rng(seed)
+            games += [_indifference_game(rng, mirror)[1] for _ in range(50)]
+    return games
+
+
+def test_swapped_games_report_the_swapped_equilibria():
+    # solving the swapped game runs the whole search from Bob's side, with
+    # another polynomial, seed and Newton run, so it is an oracle for the
+    # search: each verified equilibrium of either game is one of the other
+    # with the angles exchanged
+    disagree = []
+    for params in _swap_oracle_games():
+        plain = [(e.alpha_star_deg, e.beta_star_deg) for e in find_equilibria(params).verified]
+        swapped = [(e.beta_star_deg, e.alpha_star_deg)
+                   for e in find_equilibria(_swapped(params)).verified]
+        if not all(any(wrapped_distance(alpha, a) <= 1e-6 and wrapped_distance(beta, b) <= 1e-6
+                       for a, b in those)
+                   for these, those in ((plain, swapped), (swapped, plain)) for alpha, beta in these):
+            disagree.append((params, plain, swapped))
+    assert disagree == []
 
 
 def test_verification_agrees_with_payoff_oracle():

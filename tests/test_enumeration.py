@@ -78,9 +78,11 @@ NEAR_TIE_K3 = GameParams(0.014144715404939967, 162.18528480166708, 0.00117159781
                          58.010720897382036, 168.9012943860014, 47.000277145176696)
 NEAR_TIE_K3_ALPHA = 48.018110
 # Draw 2177 of _heterogeneous_games(3, 10000), whose Newton iteration
-# converges where the nearest double leaves a residual of 1.15e-4
-# degrees, and draw 164 of _sweep_games(1, 1000), which converges at
-# 1.7e-9 degrees: each is kept for converging, at any refine tolerance.
+# converges where the nearest double leaves a residual of 1.15e-4 degrees
+# under OpenBLAS's SkylakeX and Haswell kernels and 6.55e-5 under its
+# SandyBridge, Nehalem and Prescott kernels, above 5e-5 under all five,
+# and draw 164 of _sweep_games(1, 1000), which converges at 1.7e-9
+# degrees: each is kept for converging, at any refine tolerance.
 CONVERGED_K3 = GameParams(0.0054545102225696555, 66.97256478417673, 0.0033651398984705367,
                           565.1031684918328, 14.058720769424296, 30.464968547004645)
 CONVERGED_K3_ALPHA = 175.060991
@@ -542,7 +544,7 @@ def test_near_tie_equilibrium_is_found(params, alpha, refine_tol):
 
 
 @pytest.mark.parametrize("params, alpha, refine_tol", [
-    pytest.param(CONVERGED_K3, CONVERGED_K3_ALPHA, 1e-4, id="k3-draw-2177-1e-4"),
+    pytest.param(CONVERGED_K3, CONVERGED_K3_ALPHA, 5e-5, id="k3-draw-2177-5e-5"),
     pytest.param(CONVERGED_SWEEP, CONVERGED_SWEEP_ALPHA, 1e-9, id="sweep-draw-164-1e-9"),
     pytest.param(EX3, 53.507396, 1e-15, id="criterion-3-1e-15")])
 def test_converged_end_is_kept_whatever_its_residual(params, alpha, refine_tol):
@@ -641,9 +643,10 @@ def test_no_polish_without_a_root(monkeypatch):
 
 def test_one_newton_run_per_game(monkeypatch):
     # Newton's iteration starts only from the root at which Alice's
-    # security level is largest, in every class of game; on the sweep
-    # recipe's games it converges every time, so the benchmark's sweep
-    # traffic never reaches the bisection
+    # security level is largest, in every class of game, and where it does
+    # not converge the climb starts from that root too, not from where the
+    # iteration stopped; on the sweep recipe's games it converges every
+    # time, so the benchmark's sweep traffic never reaches the bisection
     from test_corpus import _corpus_games, _heterogeneous_games, _sweep_games
 
     starts, climbs = [], []
@@ -659,13 +662,16 @@ def test_one_newton_run_per_game(monkeypatch):
 
     monkeypatch.setattr(fixedpoint, "_newton", counted)
     monkeypatch.setattr(fixedpoint, "_climb", counted_climb)
-    polished = 0
+    polished = climbed = 0
     for params in _corpus_games() + _heterogeneous_games(4, 200):
         starts.clear()
+        climbs.clear()
         find_equilibria(params)
         assert len(starts) <= 1, params
+        assert climbs in ([], starts), params
         polished += len(starts)
-    assert polished >= 300
+        climbed += len(climbs)
+    assert polished >= 300 and climbed >= 10
     climbs.clear()
     for params in _sweep_games(1, 1000):
         find_equilibria(params)
@@ -674,8 +680,9 @@ def test_one_newton_run_per_game(monkeypatch):
 
 def test_climb_closes_a_crossing_but_not_a_wrap(monkeypatch):
     # STEEPEST is a boundary game whose Newton iteration stops short of
-    # its crossing: the bisection uphill of its end closes the crossing at
-    # alpha*, where the residual changes sign between neighbouring doubles
+    # its crossing: the bisection uphill of its seed closes the crossing
+    # at alpha*, where the residual changes sign between neighbouring
+    # doubles
     from test_equilibrium import _indifference_game
 
     ends = []
@@ -752,10 +759,9 @@ def test_regions_are_the_cells_of_the_grid(width):
 @pytest.mark.parametrize("width, regions", [
     (1e-9, ((60.00000000000001, 60.000000001000004),)),
     # a cell narrower than the spacing of doubles near 60, 7.1e-15, holds
-    # one double, and the two undefined alphas, each 60 up to rounding,
-    # fall in two cells
-    (1e-300, ((59.99999999999999, 59.99999999999999),
-              (60.000000000000014, 60.000000000000014)))])
+    # one double, and the one undefined alpha, Bob's zero at 60 up to
+    # rounding, falls in one cell
+    (1e-300, ((59.99999999999999, 59.99999999999999),))])
 def test_regions_at_a_tiny_cell_width(width, regions):
     # no grid of 180/width angles is built, so a cell width of 1e-9 or
     # 1e-300 costs what 0.25 does and finds the same equilibria
