@@ -207,7 +207,8 @@ def quantum_curves(stakes, theta_a, theta_b, step, out_dir):
     try:
         params = GameParams(a, b, c, d, theta_a, theta_b)
         curve_a, curve_b = reaction_curves(params, step)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
+        # a step so small that the curves do not fit in memory is bad input
         raise click.UsageError(str(exc))
 
     base = Path(out_dir)

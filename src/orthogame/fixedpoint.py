@@ -36,48 +36,47 @@ angle a.  g' has the sign of h = Im(K_A conj(e)), with K_A Alice's
 harmonic against Bob's answer w, so g is critical where K_A is parallel
 to e: a fixed point of the composed map, where K_A points along e
 (Re(K_A conj(e)) > 0), or a root of the other square-root branch, where
-Alice answers -w.  On the unit circle conj(z) = 1/z, so Bob's harmonic
-is the Laurent polynomial K_B = nu_B/z + kappa0_B + mu_B z, and
-conj(K_B) is its coefficient list reversed and conjugated.  Multiplied
-by |K_B| the condition Im(K_A conj(e)) = 0 reads Im(kappa0_A conj(e))
-|K_B| = Im(L conj(e)), L = mu_A K_B + nu_A conj(K_B), where Im(f conj(e))
-= (f/z - conj(f) z)/2i.  Squared, with |K_B|^2 = K_B conj(K_B), it is
-T(phi) = z^-4 times a degree-8 polynomial in z, real on the circle
-(spectral rootfinding for Fourier series: J. P. Boyd, J. Eng. Math. 56
-(2006) 203-219).  The half-angle substitution z = (1 + it)/(1 - it),
-t = tan(phi/2), makes (1 + t^2)^4 T(phi) a real polynomial in t whose
-real roots are the roots on the circle, so one real eigenvalue problem,
-that of its companion matrix, finds them all, and the zeros of K_B
-besides.  g is evaluated at every eigenvalue's angle, real or not:
-rounding can push those of a clustered root a hundredth off the real
-line.  g has two local maxima in most games, so no local ascent from an
-arbitrary start replaces the roots.
+Alice answers -w.  Multiplied by |K_B| the condition Im(K_A conj(e)) =
+0 reads Im(kappa0_A conj(e)) |K_B| = Im(L conj(e)), L = mu_A K_B + nu_A
+conj(K_B).  Squared, it is T(phi) = 0, where T is a trigonometric
+polynomial of degree 4 in phi, since K_B is one of degree 1 (spectral
+rootfinding for Fourier series: J. P. Boyd, J. Eng. Math. 56 (2006)
+203-219).  So T's values at nine phases determine it (polynomial).  The
+half-angle substitution z = (1 + it)/(1 - it), t = tan(phi/2), makes
+(1 + t^2)^4 T(phi) a real polynomial in t whose real roots are the roots
+on the circle, so one real eigenvalue problem, that of its companion
+matrix, finds them all, and the zeros of K_B besides.  g is evaluated
+at every eigenvalue's angle, real or not: rounding can push those of a
+clustered root a hundredth off the real line.  g has two local maxima
+in most games, so no local ascent from an arbitrary start replaces the
+roots.
 
-Only the angle at which g is largest seeds Newton's iteration on the
-unsquared residual, whose slope has a closed form in the same harmonics.
-Where K_A or K_B nearly vanishes the residual sweeps most of a quarter
-turn within a small fraction of a degree, and a full step from an
-eigenvalue's angle can overshoot it, so a step that does not lower the
-residual is halved instead.  Where the iteration does not converge, the
-sign change of the residual uphill of the seed, where g rises, is
-bisected down to neighbouring doubles, in every class of game; where the
-iteration stopped plays no part.  That change need not be a crossing.
-Off the boundary the residual's sign is that of h, which is continuous
-there, but h also changes sign where K_A points against e, and there the
-residual wraps from +90 to -90 degrees; on the boundary the change can
-also be the edge of a flat harmonic.  The bisection tells a wrap or an
-edge from a crossing by the jump between its ends, and keeps no row, so
-where it lands on one the game's equilibrium is lost.  Started where a
-failed iteration stopped, up to degrees from the seed, its bracket could
-span wraps beside the crossing, and two games lost their equilibrium so
-(SWAP_MISSES in tests/test_corpus.py).  From the seed it closes the
-crossing in every game of the families the tests draw from, plain and
-with the players swapped; that is measured, not proven.  On the boundary
-the closed-form indifference rows below join the row.  A row is kept for
-what it is, never for the size of its residual, so no tolerance enters
-the search: the caller's refine tolerance only merges duplicates.  No
-residual is scanned: a scan of it is the tests' oracle for the
-enumeration.
+The angles seed Newton's iteration on the unsquared residual, whose
+slope has a closed form in the same harmonics, in descending order of g:
+on the boundary only the first, and off it the next wherever a seed
+yields no row (fixed_points).  Where K_A or K_B nearly vanishes the
+residual sweeps most of a quarter turn within a small fraction of a
+degree, and a full step from an eigenvalue's angle can overshoot it, so
+a step that does not lower the residual is halved instead.  Where the
+iteration does not converge, the sign change of the residual uphill of
+the seed, where g rises, is bisected down to neighbouring doubles, in
+every class of game; where the iteration stopped plays no part.  That
+change need not be a crossing.  Off the boundary the residual's sign is
+that of h, which is continuous there, but h also changes sign where K_A
+points against e, and there the residual wraps from +90 to -90 degrees;
+on the boundary the change can also be the edge of a flat harmonic.  The
+bisection tells a wrap or an edge from a crossing by the jump between
+its ends, and keeps no row, so where it lands on one that seed yields
+none.  Started where a failed iteration stopped, up to
+degrees from the seed, its bracket could span wraps beside the crossing,
+and two games lost their equilibrium so (SWAP_MISSES in
+tests/test_corpus.py).  From the seed it closes the crossing in every
+game of the families the tests draw from, plain and with the players
+swapped; that is measured, not proven.  On the boundary the closed-form
+indifference rows below join the row.  A row is kept for what it is,
+never for the size of its residual, so no tolerance enters the search:
+the caller's refine tolerance only merges duplicates.  No residual is
+scanned: a scan of it is the tests' oracle for the enumeration.
 
 Everything after the eigenvalue call is scalar arithmetic, one angle at
 a time in plain Python floats and complex numbers, which on a handful
@@ -91,22 +90,24 @@ reaction curves and the public best-response functions evaluate on
 grids.  Every angle a caller gives enters the trigonometry through
 phase, which reduces it modulo 180 first.
 
-The arithmetic up to the eigenvalue call is fixed to the bit:
-harmonic_kernel and polynomial write their coefficients out one Python
-operation at a time, and a cheaper form must keep every product and
-every sum in its order.  Where g has two maxima within a few parts in
-1e9 of each other the last bits of the coefficients decide which root
-seeds the search, so a form that rounds differently loses equilibria.
-The tests hold both functions bit for bit to reference forms.  The
-eigenvalues come from LAPACK's geev through numpy's gufunc
-(numpy.linalg._umath_linalg.eigvals), which np.linalg.eigvals wraps;
-circle_angles keeps the wrapper's two guarantees by hand, and the tests
-hold its eigenvalues to the wrapper's bit for bit.  Those bits depend on
-the OpenBLAS core type (OPENBLAS_CORETYPE): on the sweep recipe's first
-1,000 games and 4,000 heterogeneous-stake draws, Prescott's kernel
-changes the angles of 3,732 games and the reports of 1,135, alpha by at
-most 9e-12 degrees, and no verified count.  So the bit-for-bit doctrine
-ends at that call.
+polynomial samples T at the nine phases exp(2 pi i j/9) straight from
+the harmonics, and one constant 9x9 matrix takes the samples to the
+coefficients of (1 + t^2)^4 T.  Where g has two maxima within a few
+parts in 1e9 of each other, the last bits of those coefficients and of
+the eigenvalues decide which root is the first seed.  Off the boundary
+that decides nothing: the certificate proves the equilibrium unique
+there and no harmonic flat, so every converged end or closed crossing
+is the equilibrium, and a seed that yields no row is followed by the
+next.  On the boundary only the first seed is tried, so a near tie there
+can still hang on those bits.  The eigenvalues come from LAPACK's geev
+through numpy's gufunc (numpy.linalg._umath_linalg.eigvals), which
+np.linalg.eigvals wraps; circle_angles keeps the wrapper's two
+guarantees by hand, and the tests hold its eigenvalues to the wrapper's
+bit for bit.  Those bits depend on the OpenBLAS core type
+(OPENBLAS_CORETYPE): on the sweep recipe's first 1,000 games and 4,000
+heterogeneous-stake draws, Prescott's kernel changes the angles of
+3,732 games and the reports of 1,135, alpha by at most 9e-12 degrees,
+and no verified count.
 
 Where a player's harmonic vanishes that player is indifferent and the
 composed map is undefined.  Such a zero, and the opponent angles that
@@ -154,6 +155,16 @@ _HALF_ANGLE = np.array([[(1, 1j, -1, -1j)[j % 4]
                          * sum((-1) ** (j - a) * math.comb(k, a) * math.comb(8 - k, j - a)
                                for a in range(j + 1))
                          for k in range(9)] for j in range(8, -1, -1)])
+# the nine phases exp(2 pi i j/9) as (cos, sin), and the matrix that takes
+# the values there of a degree-4 trigonometric polynomial T to the
+# coefficients of t^8 ... t^0 of (1 + t^2)^4 T: the inverse DFT gives T's
+# coefficients of z^-4 ... z^4
+_PHASES = [(math.cos(x), math.sin(x)) for x in (2.0 * math.pi * j / 9.0 for j in range(9))]
+_SAMPLES_TO_Q = np.array([[sum(h * complex(*e) ** (4 - k) for k, h in enumerate(row)).real / 9.0
+                           for e in _PHASES] for row in _HALF_ANGLE.tolist()])
+# the companion matrices' subdiagonals of ones, for up to eight roots: a
+# copy of a slice costs less than half what np.eye does
+_SHIFT = np.eye(8, k=-1)
 
 
 class HarmonicKernel(NamedTuple):
@@ -290,7 +301,8 @@ def _step(alpha: float, kernel: HarmonicKernel) -> tuple[float, float, complex]:
         return math.nan, math.nan, k_b
     dw = 1j * w * (2.0 * (m2_b * e.real - m1_b * e.imag) / k_b).imag
     slope = ((m1_a * dw.real + m2_a * dw.imag) / k_a).imag / 2.0 - 1.0
-    residual = math.degrees(cmath.phase(k_a * e.conjugate())) / 2.0
+    along = k_a * e.conjugate()
+    residual = math.degrees(math.atan2(along.imag, along.real)) / 2.0
     return residual, residual / slope if slope else math.nan, k_b
 
 
@@ -353,80 +365,50 @@ def _climb(alpha: float, residual: float, kernel: HarmonicKernel) -> tuple[float
     return hi if abs(r_hi) < abs(r_lo) else lo, abs(r_hi - r_lo) < 90.0
 
 
-def polynomial(alice, bob) -> list[complex]:
-    """Coefficients of z^-4 ... z^4 of Im(kappa0_A conj(e))^2 K_B conj(K_B)
-    - Im(L conj(e))^2, where L = mu_A K_B + nu_A conj(K_B).
+def polynomial(alice, bob) -> list[float]:
+    """Coefficients of t^8 ... t^0 of Q(t) = (1 + t^2)^4 T(phi), t =
+    tan(phi/2), where T(phi) = Im(kappa0_A conj(e))^2 |K_B|^2 - Im(L
+    conj(e))^2 at e = exp(i phi) and L = m_1 Re K_B + m_2 Im K_B, which is
+    mu_A K_B + nu_A conj(K_B).
 
     alice and bob are the harmonics (kappa0, m_1, m_2) of harmonic_kernel,
-    with mu = (m_1 - i m_2)/2 and nu = (m_1 + i m_2)/2.  The coefficients
-    are scaled so that the largest |coefficient| of the two is 1.
-
-    The Laurent products are written out term by term in plain Python
-    complex arithmetic, which on factors of at most five terms costs less
-    than numpy.convolve or a generic convolution loop.  The result is bit
-    for bit, signed zeros included, that of a plain convolution of the
-    factors' coefficient lists which sums each coefficient from 0j in
-    order of the left factor's power.  Products with the middle
-    coefficient of Im(kappa0 conj(e)), which is exactly 0, are left out;
-    each cross product of a square is formed once, as x y and y x round
-    alike; and the closing + 0j turns a -0.0 part into the +0.0 that a
-    sum from 0j leaves.  No form that rounds differently, such as the
-    inverse DFT of nine samples, may replace it: where Alice's security
-    level has two maxima within a few parts in 1e9 of each other, the
-    last bits of these coefficients decide which one seeds the search
-    (fixed_points).
+    scaled first so that the largest |coefficient| of the two is 1.  T is
+    a degree-4 trigonometric polynomial, so its values at the nine phases
+    exp(2 pi i j/9) determine it: Q is the constant matrix _SAMPLES_TO_Q
+    times those values.
     """
     scale = max(map(abs, (*alice, *bob)))
     if scale == 0.0:
-        return [0j] * 9
-    (kappa0, m_1, m_2), (b0, b1, b2) = alice, bob
-    kappa0, m_1, m_2 = kappa0 / scale, m_1 / scale, m_2 / scale
-    b0, b1, b2 = b0 / scale, b1 / scale, b2 / scale
-    # K_B = u/z + b0 + v z, and conj(K_B) = conj(v)/z + conj(b0) + conj(u) z
-    u, v = (b1 + 1j * b2) / 2.0, (b1 - 1j * b2) / 2.0
-    u_c, b0_c, v_c = u.conjugate(), b0.conjugate(), v.conjugate()
-    mu, nu = (m_1 - 1j * m_2) / 2.0, (m_1 + 1j * m_2) / 2.0
-    # Im(kappa0 conj(e)) = p/z + 0 + p_c z, and its square a0/z^2 + a2 + a4 z^2
-    p, p_c = kappa0 / 2j, (0j - kappa0.conjugate()) / 2j
-    a0, a2, a4 = p * p, p * p_c + p_c * p, p_c * p_c
-    # K_B conj(K_B) = k0/z^2 + k1/z + k2 + k3 z + k4 z^2
-    k0, k1, k2 = u * v_c, u * b0_c + b0 * v_c, u * u_c + b0 * b0_c + v * v_c
-    k3, k4 = b0 * u_c + v * b0_c, v * u_c
-    # L = f0/z + f1 + f2 z, and Im(L conj(e)) = l0/z^2 + l1/z + l2 + l3 z + l4 z^2
-    f0, f1, f2 = mu * u + nu * v_c, mu * b0 + nu * b0_c, mu * v + nu * u_c
-    l0, l1, l2 = f0 / 2j, f1 / 2j, (f2 - f2.conjugate()) / 2j
-    l3, l4 = (0j - f1.conjugate()) / 2j, (0j - f0.conjugate()) / 2j
-    l01, l02, l03, l04 = l0 * l1, l0 * l2, l0 * l3, l0 * l4
-    l12, l13, l14, l23, l24, l34 = l1 * l2, l1 * l3, l1 * l4, l2 * l3, l2 * l4, l3 * l4
-    return [a0 * k0 - l0 * l0 + 0j,
-            a0 * k1 - (l01 + l01) + 0j,
-            a0 * k2 + a2 * k0 - (l02 + l1 * l1 + l02) + 0j,
-            a0 * k3 + a2 * k1 - (l03 + l12 + l12 + l03) + 0j,
-            a0 * k4 + a2 * k2 + a4 * k0 - (l04 + l13 + l2 * l2 + l13 + l04) + 0j,
-            a2 * k3 + a4 * k1 - (l14 + l23 + l23 + l14) + 0j,
-            a2 * k4 + a4 * k2 - (l24 + l3 * l3 + l24) + 0j,
-            a4 * k3 - (l34 + l34) + 0j,
-            a4 * k4 - l4 * l4 + 0j]
+        return [0.0] * 9
+    k0r, k0i, m1r, m1i, m2r, m2i, b0r, b0i, b1r, b1i, b2r, b2i = (
+        x / scale for c in (*alice, *bob) for x in (c.real, c.imag))
+    samples = []
+    for c, s in _PHASES:
+        # K_B = kr + i ki, Im(kappa0_A conj(e)) and Im(L conj(e)) at e = c + is
+        kr, ki = b0r + b1r * c + b2r * s, b0i + b1i * c + b2i * s
+        im_k0 = k0i * c - k0r * s
+        im_l = (m1i * kr + m2i * ki) * c - (m1r * kr + m2r * ki) * s
+        samples.append(im_k0 * im_k0 * (kr * kr + ki * ki) - im_l * im_l)
+    return (_SAMPLES_TO_Q @ samples).tolist()
 
 
-def circle_angles(coeffs) -> list[float]:
-    """Angle phi of each root of T(phi) = sum coeffs[k] exp(i (k - 4) phi),
-    a polynomial real on the unit circle (coeffs[8 - k] = conj(coeffs[k])),
-    as a list of floats: one per root t below, where a real t is a root
-    on the circle and a complex one a root off it.
+def circle_angles(q) -> list[float]:
+    """Angle phi of each root of T(phi), a polynomial of degree 4 in
+    cos phi and sin phi, given the coefficients q of t^8 ... t^0 of Q(t)
+    = (1 + t^2)^4 T(phi), t = tan(phi/2), as polynomial returns them: a
+    list of floats, one per root t of Q, where a real t is a root on the
+    circle and a complex one a root off it.
 
-    With z = exp(i phi) = (1 + it)/(1 - it), t = tan(phi/2), the real
-    polynomial Q(t) = (1 + t^2)^4 T(phi) has the coefficients
-    Re(_HALF_ANGLE coeffs), and its roots t = x + iy are the eigenvalues
-    of its companion matrix, whose first row is -q[k]/q_lead and whose
-    subdiagonal is ones.  A root's angle is arg z = atan2(x, 1 - y) +
-    atan2(x, 1 + y), finite for every t and the same for both roots of a
-    conjugate pair; each vanishing leading coefficient of Q is a root at
-    t = infinity, phi = pi.  The angles are unfinished: fixed_points
-    finishes them on the unsquared residual.  A multiple root keeps one
-    angle per eigenvalue, all close together.  A polynomial that vanishes
-    identically (K_A parallel to e for every phi) has no isolated roots
-    and yields none.
+    The roots t = x + iy of Q are the eigenvalues of its companion
+    matrix, whose first row is -q[k]/q_lead and whose subdiagonal is ones.
+    A root's angle is arg z = atan2(x, 1 - y) + atan2(x, 1 + y), z =
+    exp(i phi) = (1 + it)/(1 - it), finite for every t and the same for
+    both roots of a conjugate pair; each vanishing leading coefficient of
+    Q is a root at t = infinity, phi = pi.  The angles are unfinished:
+    fixed_points finishes them on the unsquared residual.  A multiple
+    root keeps one angle per eigenvalue, all close together.  A
+    polynomial that vanishes identically (K_A parallel to e for every
+    phi) has no isolated roots and yields none.
 
     The eigenvalues come from LAPACK's geev through numpy's gufunc, the
     call np.linalg.eigvals makes, bit for bit as that wrapper returns
@@ -439,16 +421,15 @@ def circle_angles(coeffs) -> list[float]:
     floating-point invalid flag, so numpy warns before the raise.  The
     bits depend on the OpenBLAS core type (module docstring).
     """
-    if max(map(abs, coeffs)) <= _ZERO_POLYNOMIAL:
+    if max(map(abs, q)) <= _ZERO_POLYNOMIAL:
         return []
-    q = (_HALF_ANGLE @ coeffs).real.tolist()
     lead = next((k for k, x in enumerate(q) if x), len(q))
     angles = [math.pi] * lead
     if lead < len(q) - 1:
         row = [-x / q[lead] for x in q[lead + 1:]]
         if not all(map(math.isfinite, row)):
             raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-        companion = np.eye(len(row), k=-1)
+        companion = _SHIFT[:len(row), :len(row)].copy()
         companion[0] = row
         roots = [math.atan2(t.real, 1.0 - t.imag) + math.atan2(t.real, 1.0 + t.imag)
                  for t in _eigvals(companion, signature="d->D").tolist()]
@@ -548,43 +529,49 @@ def _security(phi: float, kernel: HarmonicKernel) -> float:
     return (kernel.alice[0] * e.conjugate()).real - abs(_harmonic(e, *kernel.bob))
 
 
-def fixed_points(params) -> list[tuple[float, float, float]]:
+def fixed_points(params, off_boundary: bool = False) -> list[tuple[float, float, float]]:
     """The (alpha, beta, residual) row of the fixed point at the maximum
-    of Alice's security level g, as a list of at most one row.
+    of Alice's security level g, as a list of at most one row;
+    off_boundary is whether the disk certificate (_certificate) puts the
+    game off the boundary, as solve tells it.
 
-    Of the angles of circle_angles, roots of the polynomial of the game's
-    kernel on the unit circle or off it, the one at which g is largest
-    (_security) is the seed.  Its residual and first step start Newton's
+    The angles of circle_angles, roots of the polynomial of the game's
+    kernel on the unit circle or off it, are seeds in descending order of
+    g (_security).  A seed's residual and first step start Newton's
     iteration (_newton), whose end is the row where it converges.  Where
     it does not and the seed has a residual, the sign change of the
     residual uphill of the seed, not of where the iteration stopped, is
     bisected (_climb), and a crossing it closes between neighbouring
     doubles is the row.  Neither row is held to a tolerance: at a
     crossing steeper than about 1e11 degrees per degree the nearest
-    double can leave a residual of 1e-3 degrees.  Off the boundary
-    (_certificate) no harmonic is flat, but the residual still wraps
+    double can leave a residual of 1e-3 degrees.  The residual wraps
     where K_A points against e, and where the bisection closes such a
-    wrap no row is kept and the game's one equilibrium is missed.  A
-    climb from where the iteration stopped did so in both games of
-    SWAP_MISSES in tests/test_corpus.py; from the seed it closes their
-    crossings.  Only a row that is kept costs one more _step, at its
-    angle, for its residual and Bob's harmonic, and beta is Bob's _reply
-    to that harmonic.
+    wrap the seed yields no row.
+
+    On the boundary only the first seed is tried.  Off it the next seed
+    is tried wherever one yields no row: the certificate proves there
+    that the game has exactly one pure equilibrium and that no harmonic
+    is flat anywhere on the circle, so every converged end and every
+    closed crossing is that equilibrium, whichever seed led there, and
+    the answer does not hang on which of two near-equal maxima of g the
+    rounding of the roots puts first.  Only a row that is kept costs one
+    more _step, at its angle, for its residual and Bob's harmonic, and
+    beta is Bob's _reply to that harmonic.
     """
     kernel = params.kernel
-    angles = circle_angles(polynomial(kernel.alice, kernel.bob))
-    if not angles:
-        return []
-    seed = wrap_half_turn(0.5 * math.degrees(max(angles, key=lambda phi: _security(phi, kernel))))
-    residual, step, _ = _step(seed, kernel)
-    end, found = _newton(seed, residual, step, kernel)
-    if not (found or math.isnan(residual)):
-        end, found = _climb(seed, residual, kernel)
-    if not found:
-        return []
-    alpha = wrap_half_turn(end)
-    residual, _, k_b = _step(alpha, kernel)
-    return [(alpha, _reply(k_b, BOB, kernel), residual)]
+    seeds = sorted(circle_angles(polynomial(kernel.alice, kernel.bob)),
+                   key=lambda phi: _security(phi, kernel), reverse=True)
+    for phi in seeds if off_boundary else seeds[:1]:
+        seed = wrap_half_turn(0.5 * math.degrees(phi))
+        residual, step, _ = _step(seed, kernel)
+        end, found = _newton(seed, residual, step, kernel)
+        if not (found or math.isnan(residual)):
+            end, found = _climb(seed, residual, kernel)
+        if found:
+            alpha = wrap_half_turn(end)
+            residual, _, k_b = _step(alpha, kernel)
+            return [(alpha, _reply(k_b, BOB, kernel), residual)]
+    return []
 
 
 def _harmonic_angles(u1: float, u2: float, k: float) -> list[float]:
@@ -699,7 +686,7 @@ def solve(params, step_deg: float) -> tuple[list[tuple[float, float, float]],
     shape = _certificate(kernel)
     if shape == ABSENT:
         return [], ()
-    rows = fixed_points(params)
+    rows = fixed_points(params, shape == OFF_BOUNDARY)
     if shape == OFF_BOUNDARY:
         return rows, ()
     indifferent, undefined = indifference_points(params)

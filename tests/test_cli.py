@@ -240,6 +240,22 @@ def test_curves_step_validation(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_curves_too_fine_to_fit_in_memory(runner, tmp_path, monkeypatch):
+    # a step of 1e-9 asks for curves of 1.8e11 samples each; the allocation
+    # fails with a MemoryError, stubbed here so that nothing is allocated,
+    # and that is bad input, not a traceback
+    def reaction_curves(params, step):
+        raise MemoryError("Unable to allocate 1.31 TiB for an array")
+
+    monkeypatch.setattr("orthogame.cli.reaction_curves", reaction_curves)
+    result = runner.invoke(main, ["quantum", "curves", "-p", "3,3,5,1",
+                                  "--theta-a", "30", "--theta-b", "20",
+                                  "--step", "1e-9", "--out", str(tmp_path / "x")])
+    assert result.exit_code == 2
+    assert "Unable to allocate" in result.stderr
+    assert not (tmp_path / "x").exists()
+
+
 def test_lattice_audit_payload(runner):
     payload = _run_json(runner, ["lattice", "audit"])
     _check_schema(payload, "lattice_audit")

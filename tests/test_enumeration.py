@@ -22,6 +22,7 @@ from orthogame.cli import main
 from orthogame.equilibrium import (GameParams, best_response_alice,
                                    best_response_bob, find_equilibria,
                                    verify_equilibrium)
+from test_corpus import _swapped
 
 EX1 = GameParams(3, 3, 5, 1, 10.0, 70.0)
 EX2 = GameParams(1, 1, 1, 1, 45.0, 45.0)
@@ -65,15 +66,22 @@ STEEPEST_ALPHA = 69.558563
 # Draw 599 of _heterogeneous_games(4, 1000) and draw 6637 of
 # _heterogeneous_games(3, 10000), whose security levels g have two local
 # maxima within 3.5e-9 and 2.4e-7 of each other, relative.  In the first
-# the last bits of the fixed-point polynomial decide which root seeds the
-# search; in the second they decide whether Newton's iteration converges
-# next to a crossing so steep that the nearest double leaves more than
-# 0.001 degrees or stops short of it, where the bisection closes it, and
-# either end is kept.  A nine-sample DFT form of the polynomial, within
-# 7e-16 of the Laurent products, loses the first equilibrium.
+# the last bits of the fixed-point polynomial and of its eigenvalues
+# decide which root is the first seed, and a form of the polynomial that
+# rounds otherwise can put the other maximum first; in the second they
+# decide whether Newton's iteration converges next to a crossing so steep
+# that the nearest double leaves more than 0.001 degrees or stops short
+# of it, where the bisection closes it, and either end is kept.  Draw 855
+# of _heterogeneous_games(4, 1000), with the players exchanged, is
+# another off-boundary near tie, whose first seed yields no row.  Off the
+# boundary a seed that yields no row is followed by the next.
 NEAR_TIE_K4 = GameParams(17.31152997818888, 0.00010325729679629929, 2704.1184164102415,
                          0.0002346079959924686, 2.0385989601416767, 68.31163993536565)
 NEAR_TIE_K4_ALPHA = 175.425352
+NEAR_TIE_K4_SWAPPED = _swapped(GameParams(20.20629223968029, 0.0009732245148897918,
+                                          7049.352946643685, 0.002387255666463306,
+                                          171.30496474893283, 169.1156394414746))
+NEAR_TIE_K4_SWAPPED_ALPHA = 93.064514
 NEAR_TIE_K3 = GameParams(0.014144715404939967, 162.18528480166708, 0.0011715978168120756,
                          58.010720897382036, 168.9012943860014, 47.000277145176696)
 NEAR_TIE_K3_ALPHA = 48.018110
@@ -136,18 +144,25 @@ def _symbolic_polynomial(p: GameParams) -> list[complex]:
 
 @pytest.mark.parametrize("params", [EX1, EX3, STEEP, GameParams(2.5, 0.7, 9.1, 4.4, 163.0, 3.5)])
 def test_polynomial_matches_symbolic_expansion(params):
-    expected = np.array(_symbolic_polynomial(params))
-    actual = np.array(fixedpoint.polynomial(params.kernel.alice, params.kernel.bob))[::-1]
+    expected = np.array(_q(_symbolic_polynomial(params)[::-1]))
+    actual = np.array(fixedpoint.polynomial(params.kernel.alice, params.kernel.bob))
     assert len(actual) == len(expected) == 9
     # compare up to the positive scale each side chose
     expected, actual = (v / np.max(np.abs(v)) for v in (expected, actual))
     np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-12)
 
 
+def _q(laurent) -> list[float]:
+    """The coefficients of t^8 ... t^0 of Q(t) = (1 + t^2)^4 T(phi), the
+    polynomial circle_angles takes, of the coefficients of z^-4 ... z^4 of
+    T(phi), z = exp(i phi)."""
+    return (fixedpoint._HALF_ANGLE @ laurent).real.tolist()
+
+
 def _laurent_polynomial(alice, bob) -> list[complex]:
-    """fixedpoint.polynomial as plain convolutions of its Laurent factors'
-    coefficient lists, each coefficient summed from 0j in order of the
-    left factor's power: the reference it reproduces bit for bit."""
+    """The coefficients of z^-4 ... z^4 of the polynomial T(phi) that
+    fixedpoint.polynomial samples, as plain convolutions of its Laurent
+    factors' coefficient lists, with the same scaling."""
     def times(f, g):
         out = [0j] * (len(f) + len(g) - 1)
         for i, fi in enumerate(f):
@@ -213,13 +228,21 @@ def _bit_identity_games() -> list[GameParams]:
     return games
 
 
-def test_polynomial_is_the_laurent_products_bit_for_bit():
-    # repr tells -0.0 from 0.0, which == does not
+def test_polynomial_matches_the_laurent_products():
+    # the nine samples round otherwise than the Laurent products, by at
+    # most 4.4e-9 of the largest coefficient, and by 1.4e-14 where T
+    # vanishes identically; the two forms agree on which polynomials
+    # vanish, the samples judged by their Q and the products by their own
+    # coefficients
     for params in _bit_identity_games():
         kernel = params.kernel
-        expected = _laurent_polynomial(kernel.alice, kernel.bob)
-        actual = fixedpoint.polynomial(kernel.alice, kernel.bob)
-        assert actual == expected and repr(actual) == repr(expected), params
+        laurent = _laurent_polynomial(kernel.alice, kernel.bob)
+        expected = np.array(_q(laurent))
+        actual = np.array(fixedpoint.polynomial(kernel.alice, kernel.bob))
+        assert np.max(np.abs(actual - expected)) <= max(1e-8 * np.max(np.abs(expected)),
+                                                       fixedpoint._ZERO_POLYNOMIAL), params
+        assert ((np.max(np.abs(actual)) <= fixedpoint._ZERO_POLYNOMIAL)
+                == (max(map(abs, laurent)) <= fixedpoint._ZERO_POLYNOMIAL)), params
 
 
 @pytest.mark.parametrize("stake_type", [float, np.float64, int])
@@ -261,10 +284,12 @@ def test_circle_angles_match_companion_matrix():
     matched = 0
     for _ in range(60):
         params = _random_game(rng)
-        coeffs = fixedpoint.polynomial(params.kernel.alice, params.kernel.bob)
+        kernel = params.kernel
+        coeffs = _laurent_polynomial(kernel.alice, kernel.bob)
         # every root on the circle seeds, and every root numpy.roots finds
         # near it is one
-        found, near = np.array(fixedpoint.circle_angles(coeffs)), _on_circle_angles(coeffs)
+        found = np.array(fixedpoint.circle_angles(fixedpoint.polynomial(kernel.alice, kernel.bob)))
+        near = _on_circle_angles(coeffs)
         expected = _reference_angles(coeffs)
         for phi in expected:
             assert np.min(_circular_gap(found, phi)) <= 1e-6, (params, phi, found)
@@ -300,7 +325,7 @@ def test_circle_angles_double_and_close_roots(split, multiplicity):
     # whose companion-matrix eigenvalues lie about 1e-5 off the unit circle
     c2 = math.cos(1.1) + split
     coeffs = _close_roots(split, multiplicity)
-    found = np.array(fixedpoint.circle_angles(coeffs))
+    found = np.array(fixedpoint.circle_angles(_q(coeffs)))
     near = _on_circle_angles(coeffs)
     roots = np.array([1.1, -1.1, math.acos(c2), -math.acos(c2)])
     tol = 1e-9 if split > 1e-6 else 1e-5
@@ -334,7 +359,7 @@ def test_circle_angles_at_half_angle_edges(factor, roots):
     # error, so a division by a vanishing coefficient would fail here.
     coeffs = _half_angle_edge(factor)
     assert len(coeffs) == 9
-    found = np.array(fixedpoint.circle_angles(coeffs))
+    found = np.array(fixedpoint.circle_angles(_q(coeffs)))
     assert np.all(np.isfinite(found))
     for phi in [*roots, math.pi / 3.0, -math.pi / 3.0]:
         assert np.min(_circular_gap(found, phi)) <= 1e-6, (phi, found)
@@ -360,8 +385,8 @@ def _eigenvalue_coefficients():
 
     games = _sweep_games(1, 1000) + _heterogeneous_games(3, 2000) + _heterogeneous_games(4, 1000)
     return ([fixedpoint.polynomial(g.kernel.alice, g.kernel.bob) for g in games]
-            + [_close_roots(*case) for case in CLOSE_ROOTS.values()]
-            + [_half_angle_edge(f) for f in (SIN, ONE_PLUS_COS, ONE_MINUS_COS, [1.0])])
+            + [_q(_close_roots(*case)) for case in CLOSE_ROOTS.values()]
+            + [_q(_half_angle_edge(f)) for f in (SIN, ONE_PLUS_COS, ONE_MINUS_COS, [1.0])])
 
 
 def _public_eigvals(companion, signature):
@@ -408,10 +433,11 @@ def test_non_finite_companion_raises_before_the_eigenvalue_call(monkeypatch):
     nan[4] = complex(math.nan, 0.0)
     monkeypatch.setattr(fixedpoint, "_eigvals", _never_called)
     for coeffs in (subnormal, nan):
+        q = _q(coeffs)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
-                fixedpoint.circle_angles(coeffs)
+                fixedpoint.circle_angles(q)
 
 
 def test_eigenvalues_that_did_not_converge_raise(monkeypatch):
@@ -535,9 +561,13 @@ def test_crossing_between_neighbouring_doubles_is_kept(refine_tol):
 @pytest.mark.parametrize("params, alpha, refine_tol", [
     pytest.param(NEAR_TIE_K4, NEAR_TIE_K4_ALPHA, 0.005, id="k4-draw-599-0.005"),
     pytest.param(NEAR_TIE_K4, NEAR_TIE_K4_ALPHA, 0.001, id="k4-draw-599-0.001"),
-    pytest.param(NEAR_TIE_K3, NEAR_TIE_K3_ALPHA, 0.001, id="k3-draw-6637-0.001")])
+    pytest.param(NEAR_TIE_K3, NEAR_TIE_K3_ALPHA, 0.001, id="k3-draw-6637-0.001"),
+    pytest.param(NEAR_TIE_K4_SWAPPED, NEAR_TIE_K4_SWAPPED_ALPHA, 0.005,
+                 id="k4-draw-855-swapped-0.005")])
 def test_near_tie_equilibrium_is_found(params, alpha, refine_tol):
-    # found only with the polynomial's every bit
+    # where two maxima of g nearly tie, the rounding of the polynomial and
+    # of the eigenvalues can put either root first; off the boundary the
+    # search tries the next seed where one yields no row
     (report,) = find_equilibria(params, refine_tol_deg=refine_tol).equilibria
     assert report.verified
     assert abs(report.alpha_star_deg - alpha) <= 1e-6
@@ -591,7 +621,7 @@ def test_polished_root_accurate_where_bob_is_steep():
 def test_polished_root_accurate_where_the_residual_is_steep():
     # the eigenvalue's angle alone is up to 4e-12 radians off the 30-digit
     # root here; Newton's iteration on the residual finishes it
-    coeffs = fixedpoint.polynomial(STEEP_RESIDUAL.kernel.alice, STEEP_RESIDUAL.kernel.bob)
+    coeffs = _laurent_polynomial(STEEP_RESIDUAL.kernel.alice, STEEP_RESIDUAL.kernel.bob)
     (report,) = find_equilibria(STEEP_RESIDUAL).equilibria
     assert report.verified
     assert np.min(_circular_gap(2.0 * math.radians(report.alpha_star_deg),
@@ -623,7 +653,7 @@ def test_duplicates_keep_the_least_residual(monkeypatch):
     residual, _, k_b = fixedpoint._step(alpha, kernel)
     poorer = (alpha, fixedpoint._reply(k_b, fixedpoint.BOB, kernel), residual)
     assert abs(good[2]) < abs(poorer[2]) <= 0.005 and wrapped_distance(good[1], poorer[1]) <= 0.005
-    monkeypatch.setattr(fixedpoint, "fixed_points", lambda params: [poorer, good])
+    monkeypatch.setattr(fixedpoint, "fixed_points", lambda params, off_boundary: [poorer, good])
     (report,) = find_equilibria(EX3).equilibria
     assert (report.alpha_star_deg, report.beta_star_deg) == (good[0], good[1])
     assert report.residual_deg == abs(good[2])
@@ -642,11 +672,13 @@ def test_no_polish_without_a_root(monkeypatch):
 
 
 def test_one_newton_run_per_game(monkeypatch):
-    # Newton's iteration starts only from the root at which Alice's
-    # security level is largest, in every class of game, and where it does
-    # not converge the climb starts from that root too, not from where the
-    # iteration stopped; on the sweep recipe's games it converges every
-    # time, so the benchmark's sweep traffic never reaches the bisection
+    # Newton's iteration starts from the root at which Alice's security
+    # level is largest: one start on the boundary, and more off it only
+    # after a seed that yields no row, which no game here needs.  Where it
+    # does not converge the climb starts from that root too, not from
+    # where the iteration stopped; on the sweep recipe's games it converges
+    # every time, so the benchmark's sweep traffic never reaches the
+    # bisection
     from test_corpus import _corpus_games, _heterogeneous_games, _sweep_games
 
     starts, climbs = [], []
@@ -676,6 +708,41 @@ def test_one_newton_run_per_game(monkeypatch):
     for params in _sweep_games(1, 1000):
         find_equilibria(params)
     assert climbs == []
+
+
+def test_seed_order_does_not_decide_an_off_boundary_answer(monkeypatch):
+    # off the disk certificate's boundary every converged end and every
+    # closed crossing is the game's one equilibrium, so the seeds tried
+    # from the least security level up, the worst order, give the reports
+    # of the seeds tried from the greatest down, plain and with the
+    # players exchanged
+    from test_corpus import _heterogeneous_games, _sweep_games
+
+    plain = _sweep_games(1, 1000) + _heterogeneous_games(3, 2000) + _heterogeneous_games(4, 1000)
+    games = [params for params in plain + [_swapped(params) for params in plain]
+             if fixedpoint._certificate(params.kernel) == fixedpoint.OFF_BOUNDARY]
+    expected = [find_equilibria(params).verified for params in games]
+    security = fixedpoint._security
+    monkeypatch.setattr(fixedpoint, "_security", lambda phi, kernel: -security(phi, kernel))
+    verified = 0
+    for params, reports in zip(games, expected):
+        found = find_equilibria(params).verified
+        assert len(found) == len(reports), (params, found, reports)
+        for e, want in zip(found, reports):
+            assert wrapped_distance(e.alpha_star_deg, want.alpha_star_deg) <= 1e-6, params
+            assert wrapped_distance(e.beta_star_deg, want.beta_star_deg) <= 1e-6, params
+        verified += len(found)
+    assert verified >= 6000
+
+
+def test_residual_underflow_is_not_an_error():
+    # Alice's harmonic against Bob's answer points along e so nearly that
+    # the atan2 of the residual underflows to 0, where cmath.phase raised
+    # a math range error
+    params = GameParams(1e308, 1e-320, -1e308, 0.0, -188.58806543810803, -143.1508119745767)
+    (report,) = find_equilibria(params).equilibria
+    assert report.verified
+    assert (report.alpha_star_deg, report.beta_star_deg) == (0.0, 0.0)
 
 
 def test_climb_closes_a_crossing_but_not_a_wrap(monkeypatch):

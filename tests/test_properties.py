@@ -16,9 +16,10 @@ from orthogame.classical import PayoffMatrix
 from orthogame.equilibrium import (DEGENERACY_SQ, GameParams, best_response_alice,
                                    best_response_bob, find_equilibria, verify_equilibrium)
 from orthogame.fixedpoint import (ALICE, BOB, _harmonic, _reply, _step, best_responses,
-                                  circle_angles, phase, polynomial)
+                                  circle_angles, phase)
 from orthogame.quantum import (LogicRepresentation, QuantumStrategy,
                                expectation, payoff_closed_form, payoff_operator)
+from test_enumeration import _laurent_polynomial, _q
 
 deterministic = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
@@ -162,15 +163,16 @@ def test_circle_angles_hold_numpy_roots_on_the_circle(s, exponent, theta_a, thet
     # every root numpy.roots finds on the unit circle is within 1e-6 of an
     # angle of the half-angle companion matrix, and no angle is NaN
     params = GameParams(*(x * 10.0 ** exponent for x in s), theta_a, theta_b)
-    coeffs = polynomial(params.kernel.alice, params.kernel.bob)
+    coeffs = _laurent_polynomial(params.kernel.alice, params.kernel.bob)
     # the terms in z^-4, z^4 and z^-3, z^3 are coeffs[0], coeffs[8], coeffs[1], coeffs[7];
-    # circle_angles takes a polynomial real on the circle, so a zeroed term
+    # circle_angles takes Q of a polynomial real on the circle, so a zeroed term
     # zeroes its conjugate too: zeroing coeffs[0] or coeffs[8] alone is (0, 8)
     for zeroed in ((), (0, 8), (0, 1, 7, 8)):
         zeroed_coeffs = [0j if k in zeroed else c for k, c in enumerate(coeffs)]
-        found = np.array(circle_angles(zeroed_coeffs))
+        q = _q(zeroed_coeffs)
+        found = np.array(circle_angles(q))
         assert not np.any(np.isnan(found))
-        if max(map(abs, zeroed_coeffs)) <= 1e-12:
+        if max(map(abs, q)) <= 1e-12:
             # a vanishing polynomial has no isolated roots to seed
             assert len(found) == 0
             continue
