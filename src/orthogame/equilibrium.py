@@ -180,8 +180,9 @@ def verify_equilibrium(alpha_star_deg: float, beta_star_deg: float, params: Game
     verified, and its max_violation is NaN.
 
     n_probe no longer affects the result: the gains are exact, so no
-    grid of deviations is probed.  It is still validated (an integer of
-    at least 360) so that existing callers keep working.
+    grid of deviations is probed.  It is still accepted, so that existing
+    callers keep working, and still validated as an integer of at least
+    360.
 
     The default tolerance, 1e-6 * max|stake|, scales with the largest
     stake but is absolute and the same for both players: a player whose

@@ -52,31 +52,32 @@ in most games, so no local ascent from an arbitrary start replaces the
 roots.
 
 The angles seed Newton's iteration on the unsquared residual, whose
-slope has a closed form in the same harmonics, in descending order of g:
-on the boundary only the first, and off it the next wherever a seed
-yields no row (fixed_points).  Where K_A or K_B nearly vanishes the
-residual sweeps most of a quarter turn within a small fraction of a
-degree, and a full step from an eigenvalue's angle can overshoot it, so
-a step that does not lower the residual is halved instead.  Where the
-iteration does not converge, the sign change of the residual uphill of
-the seed, where g rises, is bisected down to neighbouring doubles, in
-every class of game; where the iteration stopped plays no part.  That
-change need not be a crossing.  Off the boundary the residual's sign is
-that of h, which is continuous there, but h also changes sign where K_A
-points against e, and there the residual wraps from +90 to -90 degrees;
-on the boundary the change can also be the edge of a flat harmonic.  The
-bisection tells a wrap or an edge from a crossing by the jump between
-its ends, and keeps no row, so where it lands on one that seed yields
-none.  Started where a failed iteration stopped, up to
-degrees from the seed, its bracket could span wraps beside the crossing,
-and two games lost their equilibrium so (SWAP_MISSES in
-tests/test_corpus.py).  From the seed it closes the crossing in every
-game of the families the tests draw from, plain and with the players
-swapped; that is measured, not proven.  On the boundary the closed-form
-indifference rows below join the row.  A row is kept for what it is,
-never for the size of its residual, so no tolerance enters the search:
-the caller's refine tolerance only merges duplicates.  No residual is
-scanned: a scan of it is the tests' oracle for the enumeration.
+slope has a closed form in the same harmonics, in descending order of g,
+the next wherever a seed yields no row, except in a game with an
+indifference row, which tries only the first (fixed_points).  Where K_A
+or K_B nearly vanishes the residual sweeps most of a quarter turn within
+a small fraction of a degree, and a full step from an eigenvalue's angle
+can overshoot it, so a step that does not lower the residual is halved
+instead.  Where the iteration does not converge, the sign change of the
+residual uphill of the seed, where g rises, is bisected down to
+neighbouring doubles, in every class of game; where the iteration
+stopped plays no part.  That change need not be a crossing.  Off the
+boundary the residual's sign is that of h, which is continuous there,
+but h also changes sign where K_A points against e, and there the
+residual wraps from +90 to -90 degrees; on the boundary the change can
+also be the edge of a flat harmonic.  The bisection tells a wrap or an
+edge from a crossing by the jump between its ends, and keeps no row, so
+where it lands on one that seed yields none.  Started where a failed
+iteration stopped, which can lie degrees from the seed, its bracket
+could span wraps beside the crossing, and two games lost their
+equilibrium so (SWAP_MISSES in tests/test_corpus.py).  From the seed it
+closes the crossing in every game of the families the tests draw from,
+plain and with the players swapped; that is measured, not proven.  On
+the boundary the closed-form indifference rows below join the row.  A
+row is kept for what it is, never for the size of its residual, so no
+tolerance enters the search: the caller's refine tolerance only merges
+duplicates.  No residual is scanned: a scan of it is the tests' oracle
+for the enumeration.
 
 Everything after the eigenvalue call is scalar arithmetic, one angle at
 a time in plain Python floats and complex numbers, which on a handful
@@ -94,14 +95,16 @@ polynomial samples T at the nine phases exp(2 pi i j/9) straight from
 the harmonics, and one constant 9x9 matrix takes the samples to the
 coefficients of (1 + t^2)^4 T.  Where g has two maxima within a few
 parts in 1e9 of each other, the last bits of those coefficients and of
-the eigenvalues decide which root is the first seed.  Off the boundary
-that decides nothing: the certificate proves the equilibrium unique
-there and no harmonic flat, so every converged end or closed crossing
-is the equilibrium, and a seed that yields no row is followed by the
-next.  On the boundary only the first seed is tried, so a near tie there
-can still hang on those bits.  The eigenvalues come from LAPACK's geev
-through numpy's gufunc (numpy.linalg._umath_linalg.eigvals), which
-np.linalg.eigvals wraps; circle_angles keeps the wrapper's two
+the eigenvalues decide which root is the first seed.  That decides
+nothing in a game without an indifference row, in whichever class the
+certificate puts it, since a seed that yields no row is followed by the
+next: such a game's equilibria are fixed points of the composed map at
+the maximum of g.  A game with an indifference row tries only the first
+seed, whose row can still hang on those bits: its equilibria lie among
+the indifference rows, which have closed forms, and every later seed
+would cost a climb that yields nothing.  The eigenvalues come from
+LAPACK's geev through numpy's gufunc (numpy.linalg._umath_linalg.eigvals),
+which np.linalg.eigvals wraps; circle_angles keeps the wrapper's two
 guarantees by hand, and the tests hold its eigenvalues to the wrapper's
 bit for bit.  Those bits depend on the OpenBLAS core type
 (OPENBLAS_CORETYPE): on the sweep recipe's first 1,000 games and 4,000
@@ -195,11 +198,11 @@ def harmonic_kernel(params) -> HarmonicKernel:
     r sin^2(x - t_opp) - s cos^2(x - t_opp) = (r - s)/2 - (r + s)/2 (Re o
     cos 2x + Im o sin 2x).  Alice meets (a, c) and (b, d), Bob (c, a) and
     (d, b), and each mixing angle's phase is n for its owner and o for
-    the opponent.
+    the opponent, so one formula gives both (_coefficients).
 
     Its numbers are Python complex and float whatever the stakes' type:
     each stake enters as a Python float, so np.float64 and int stakes
-    solve bit for bit as float ones do.  Each coefficient is written out,
+    solve bit for bit as float ones do.  The one formula is written out,
     one Python operation at a time in the order of the formulas above.
     """
     a, b, c, d = params.stakes
@@ -209,11 +212,15 @@ def harmonic_kernel(params) -> HarmonicKernel:
     a, b, c, d = float(a) / 4.0, float(b) / 4.0, float(c) / 4.0, float(d) / 4.0
     # a mixing angle matters modulo 180; phase reduces it first
     n_a, n_b = phase(params.theta_a_deg), phase(params.theta_b_deg)
-    alice = (a - c + (b - d) * n_a, -(a + c) - (b + d) * n_b.real * n_a,
-             -(b + d) * n_b.imag * n_a)
-    bob = (c - a + (d - b) * n_b, -(c + a) - (d + b) * n_a.real * n_b,
-           -(d + b) * n_a.imag * n_b)
-    return HarmonicKernel(alice, bob, scale, math.sqrt(DEGENERACY_SQ) * scale)
+    return HarmonicKernel(_coefficients(a, c, b, d, n_a, n_b), _coefficients(c, a, d, b, n_b, n_a),
+                          scale, math.sqrt(DEGENERACY_SQ) * scale)
+
+
+def _coefficients(p, q, r, s, own, opp) -> tuple[complex, complex, complex]:
+    """A player's (kappa0, m_1, m_2) from the quartered stakes (p, q) on
+    the axis diagonal and (r, s) on the rotated one, and the phases own
+    and opp of the player's and the opponent's mixing angles."""
+    return p - q + (r - s) * own, -(p + q) - (r + s) * opp.real * own, -(r + s) * opp.imag * own
 
 
 def phase(angle_deg):
@@ -529,11 +536,11 @@ def _security(phi: float, kernel: HarmonicKernel) -> float:
     return (kernel.alice[0] * e.conjugate()).real - abs(_harmonic(e, *kernel.bob))
 
 
-def fixed_points(params, off_boundary: bool = False) -> list[tuple[float, float, float]]:
+def fixed_points(params, indifferent: bool = False) -> list[tuple[float, float, float]]:
     """The (alpha, beta, residual) row of the fixed point at the maximum
     of Alice's security level g, as a list of at most one row;
-    off_boundary is whether the disk certificate (_certificate) puts the
-    game off the boundary, as solve tells it.
+    indifferent is whether the game has an indifference row
+    (indifference_points), as solve tells it.
 
     The angles of circle_angles, roots of the polynomial of the game's
     kernel on the unit circle or off it, are seeds in descending order of
@@ -548,20 +555,29 @@ def fixed_points(params, off_boundary: bool = False) -> list[tuple[float, float,
     where K_A points against e, and where the bisection closes such a
     wrap the seed yields no row.
 
-    On the boundary only the first seed is tried.  Off it the next seed
-    is tried wherever one yields no row: the certificate proves there
-    that the game has exactly one pure equilibrium and that no harmonic
-    is flat anywhere on the circle, so every converged end and every
-    closed crossing is that equilibrium, whichever seed led there, and
-    the answer does not hang on which of two near-equal maxima of g the
-    rounding of the roots puts first.  Only a row that is kept costs one
-    more _step, at its angle, for its residual and Bob's harmonic, and
-    beta is Bob's _reply to that harmonic.
+    The seeds are tried in that order until one yields a row, so the
+    answer does not hang on which of two near-equal maxima of g the
+    rounding of the roots puts first.  Where the disk certificate
+    (_certificate) puts the game off the boundary it proves that the game
+    has exactly one pure equilibrium and that no harmonic is flat
+    anywhere on the circle, so every converged end and every closed
+    crossing is that equilibrium, whichever seed led there.  On the
+    boundary a game without an indifference row has its equilibria at
+    fixed points of the composed map too, each where g is largest; that
+    the seed order then decides nothing is measured on the families the
+    tests draw from, not proven.  Where indifferent is true only the
+    first seed runs: the equilibria lie among the indifference rows, and
+    each later seed would cost a climb that yields nothing.  The first
+    still runs, since an indifference row can be an epsilon-equilibrium
+    beside an exact fixed point, as in draw 677 of the k = 4
+    heterogeneous-stake family.  Only a row that is kept costs one more
+    _step, at its angle, for its residual and Bob's harmonic, and beta is
+    Bob's _reply to that harmonic.
     """
     kernel = params.kernel
     seeds = sorted(circle_angles(polynomial(kernel.alice, kernel.bob)),
                    key=lambda phi: _security(phi, kernel), reverse=True)
-    for phi in seeds if off_boundary else seeds[:1]:
+    for phi in seeds[:1] if indifferent else seeds:
         seed = wrap_half_turn(0.5 * math.degrees(phi))
         residual, step, _ = _step(seed, kernel)
         end, found = _newton(seed, residual, step, kernel)
@@ -669,8 +685,10 @@ def solve(params, step_deg: float) -> tuple[list[tuple[float, float, float]],
     degeneracy regions: the cells of width step_deg that hold an alpha at
     which the composed map is undefined (_degeneracy_regions).
 
-    The disk certificate (_certificate) decides what is computed, and
-    nothing it skips could find anything.  An ABSENT game returns ([], ())
+    The disk certificate (_certificate) decides what is computed, not
+    what is found: nothing it skips could find anything, and the seeds
+    fixed_points tries depend only on whether the game has an
+    indifference row.  An ABSENT game returns ([], ())
     at once, with no candidate, not even an unverified near fixed point.
     In an ABSENT or OFF_BOUNDARY game |K| stays above kernel.radius, by
     the certificate's rounding margin, at every angle of the circle for
@@ -679,15 +697,17 @@ def solve(params, step_deg: float) -> tuple[list[tuple[float, float, float]],
     the whole-half-turn test of _degeneracy_regions, |kappa0| + |mu| + |nu|
     <= radius, cannot hold either, since that sum is at least every |K| on
     the circle.  So an OFF_BOUNDARY game gets fixed_points' one row and no
-    region, and only a BOUNDARY game, where equilibria can form a
-    discrete set, gets the indifference rows and the regions as well.
+    region, as it would with the certificate bypassed, and only a
+    BOUNDARY game, where equilibria can form a discrete set, gets the
+    indifference rows and the regions as well; the rows come before
+    fixed_points runs, since they decide how many seeds it tries.
     """
     kernel = params.kernel
     shape = _certificate(kernel)
     if shape == ABSENT:
         return [], ()
-    rows = fixed_points(params, shape == OFF_BOUNDARY)
     if shape == OFF_BOUNDARY:
-        return rows, ()
+        return fixed_points(params), ()
     indifferent, undefined = indifference_points(params)
-    return rows + indifferent, _degeneracy_regions(undefined, step_deg, kernel)
+    return (fixed_points(params, bool(indifferent)) + indifferent,
+            _degeneracy_regions(undefined, step_deg, kernel))

@@ -24,7 +24,7 @@ from orthogame import fixedpoint
 from orthogame.angles import signed_delta
 from orthogame.equilibrium import GameParams, find_equilibria, verify_equilibrium
 from orthogame.fixedpoint import ABSENT, BOUNDARY, OFF_BOUNDARY
-from test_corpus import _heterogeneous_games, _oracle_gain, _sweep_games
+from test_corpus import _heterogeneous_games, _oracle_gain, _swapped, _sweep_games
 from test_equilibrium import _indifference_game
 from test_properties import deterministic, mixing_angle, stakes, wide_decades
 
@@ -182,6 +182,23 @@ def test_games_on_the_boundary_are_never_skipped(params, monkeypatch):
     result = find_equilibria(params)
     monkeypatch.setattr(fixedpoint, "_certificate", _certify_nothing)
     assert find_equilibria(params) == result
+
+
+def test_the_certificate_prunes_work_and_decides_no_answer(monkeypatch):
+    # solved as a boundary game, an off-boundary game also reaches the
+    # indifference search and the regions, which find nothing there, and
+    # it tries its seeds by the same rule, so the certificate changes what
+    # is computed, never what is found.  Swapped draw 855 of the k = 4
+    # family is found at its second seed
+    plain = _sweep_games(1, 1000) + _heterogeneous_games(4, 1000) + _mixed_sign_games(500)
+    games = [params for params in plain + [_swapped(params) for params in plain]
+             if fixedpoint._certificate(params.kernel) == OFF_BOUNDARY]
+    assert len(games) == 2 * (515 + 963) + 898
+    assert _swapped(_heterogeneous_games(4, 1000)[855]) in games
+    expected = [find_equilibria(params) for params in games]
+    monkeypatch.setattr(fixedpoint, "_certificate", _certify_nothing)
+    for params, result in zip(games, expected):
+        assert find_equilibria(params) == result, params
 
 
 @pytest.mark.parametrize("bad", [complex(math.inf, 0.0), complex(-math.inf, 0.0),

@@ -73,8 +73,9 @@ STEEPEST_ALPHA = 69.558563
 # that the nearest double leaves more than 0.001 degrees or stops short
 # of it, where the bisection closes it, and either end is kept.  Draw 855
 # of _heterogeneous_games(4, 1000), with the players exchanged, is
-# another off-boundary near tie, whose first seed yields no row.  Off the
-# boundary a seed that yields no row is followed by the next.
+# another off-boundary near tie, whose first seed yields no row.  In a
+# game without an indifference row a seed that yields no row is followed
+# by the next.
 NEAR_TIE_K4 = GameParams(17.31152997818888, 0.00010325729679629929, 2704.1184164102415,
                          0.0002346079959924686, 2.0385989601416767, 68.31163993536565)
 NEAR_TIE_K4_ALPHA = 175.425352
@@ -566,8 +567,9 @@ def test_crossing_between_neighbouring_doubles_is_kept(refine_tol):
                  id="k4-draw-855-swapped-0.005")])
 def test_near_tie_equilibrium_is_found(params, alpha, refine_tol):
     # where two maxima of g nearly tie, the rounding of the polynomial and
-    # of the eigenvalues can put either root first; off the boundary the
-    # search tries the next seed where one yields no row
+    # of the eigenvalues can put either root first; in a game without an
+    # indifference row the search tries the next seed where one yields no
+    # row
     (report,) = find_equilibria(params, refine_tol_deg=refine_tol).equilibria
     assert report.verified
     assert abs(report.alpha_star_deg - alpha) <= 1e-6
@@ -653,7 +655,7 @@ def test_duplicates_keep_the_least_residual(monkeypatch):
     residual, _, k_b = fixedpoint._step(alpha, kernel)
     poorer = (alpha, fixedpoint._reply(k_b, fixedpoint.BOB, kernel), residual)
     assert abs(good[2]) < abs(poorer[2]) <= 0.005 and wrapped_distance(good[1], poorer[1]) <= 0.005
-    monkeypatch.setattr(fixedpoint, "fixed_points", lambda params, off_boundary: [poorer, good])
+    monkeypatch.setattr(fixedpoint, "fixed_points", lambda params, indifferent=False: [poorer, good])
     (report,) = find_equilibria(EX3).equilibria
     assert (report.alpha_star_deg, report.beta_star_deg) == (good[0], good[1])
     assert report.residual_deg == abs(good[2])
@@ -673,12 +675,12 @@ def test_no_polish_without_a_root(monkeypatch):
 
 def test_one_newton_run_per_game(monkeypatch):
     # Newton's iteration starts from the root at which Alice's security
-    # level is largest: one start on the boundary, and more off it only
-    # after a seed that yields no row, which no game here needs.  Where it
-    # does not converge the climb starts from that root too, not from
-    # where the iteration stopped; on the sweep recipe's games it converges
-    # every time, so the benchmark's sweep traffic never reaches the
-    # bisection
+    # level is largest: one start in a game with an indifference row, and
+    # more elsewhere only after a seed that yields no row, which no game
+    # here needs.  Where it does not converge the climb starts from that
+    # root too, not from where the iteration stopped; on the sweep
+    # recipe's games it converges every time, so the benchmark's sweep
+    # traffic never reaches the bisection
     from test_corpus import _corpus_games, _heterogeneous_games, _sweep_games
 
     starts, climbs = [], []
@@ -710,17 +712,28 @@ def test_one_newton_run_per_game(monkeypatch):
     assert climbs == []
 
 
-def test_seed_order_does_not_decide_an_off_boundary_answer(monkeypatch):
-    # off the disk certificate's boundary every converged end and every
-    # closed crossing is the game's one equilibrium, so the seeds tried
-    # from the least security level up, the worst order, give the reports
-    # of the seeds tried from the greatest down, plain and with the
-    # players exchanged
+def test_seed_order_decides_nothing_without_an_indifference_row(monkeypatch):
+    # without an indifference row a game's equilibria are fixed points of
+    # the composed map at the maximum of Alice's security level, off the
+    # disk certificate's boundary or on it, and the seeds are tried until
+    # one yields a row; so the seeds tried from the least security level
+    # up, the worst order, give the reports of the seeds tried from the
+    # greatest down, plain and with the players exchanged.  Swapped draws
+    # 238 and 909 of the k = 4 family are boundary games among them
     from test_corpus import _heterogeneous_games, _sweep_games
+    from test_equilibrium import _indifference_game
 
-    plain = _sweep_games(1, 1000) + _heterogeneous_games(3, 2000) + _heterogeneous_games(4, 1000)
+    k4 = _heterogeneous_games(4, 1000)
+    plain = _sweep_games(1, 1000) + _heterogeneous_games(3, 2000) + k4
+    for seed in (77, 78):
+        for mirror in (False, True):
+            rng = np.random.default_rng(seed)
+            plain += [_indifference_game(rng, mirror)[1] for _ in range(100)]
     games = [params for params in plain + [_swapped(params) for params in plain]
-             if fixedpoint._certificate(params.kernel) == fixedpoint.OFF_BOUNDARY]
+             if not fixedpoint.indifference_points(params)[0]]
+    boundary = [params for params in games
+                if fixedpoint._certificate(params.kernel) == fixedpoint.BOUNDARY]
+    assert _swapped(k4[238]) in boundary and _swapped(k4[909]) in boundary
     expected = [find_equilibria(params).verified for params in games]
     security = fixedpoint._security
     monkeypatch.setattr(fixedpoint, "_security", lambda phi, kernel: -security(phi, kernel))
@@ -732,7 +745,7 @@ def test_seed_order_does_not_decide_an_off_boundary_answer(monkeypatch):
             assert wrapped_distance(e.alpha_star_deg, want.alpha_star_deg) <= 1e-6, params
             assert wrapped_distance(e.beta_star_deg, want.beta_star_deg) <= 1e-6, params
         verified += len(found)
-    assert verified >= 6000
+    assert len(boundary) == 362 and verified >= 7000
 
 
 def test_residual_underflow_is_not_an_error():
