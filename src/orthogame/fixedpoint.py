@@ -54,30 +54,35 @@ roots.
 The angles seed Newton's iteration on the unsquared residual, whose
 slope has a closed form in the same harmonics, in descending order of g,
 the next wherever a seed yields no row, except in a game with an
-indifference row, which tries only the first (fixed_points).  Where K_A
-or K_B nearly vanishes the residual sweeps most of a quarter turn within
-a small fraction of a degree, and a full step from an eigenvalue's angle
-can overshoot it, so a step that does not lower the residual is halved
-instead.  Where the iteration does not converge, the sign change of the
-residual uphill of the seed, where g rises, is bisected down to
-neighbouring doubles, in every class of game; where the iteration
-stopped plays no part.  That change need not be a crossing.  Off the
-boundary the residual's sign is that of h, which is continuous there,
-but h also changes sign where K_A points against e, and there the
-residual wraps from +90 to -90 degrees; on the boundary the change can
-also be the edge of a flat harmonic.  The bisection tells a wrap or an
-edge from a crossing by the jump between its ends, and keeps no row, so
-where it lands on one that seed yields none.  Started where a failed
-iteration stopped, which can lie degrees from the seed, its bracket
-could span wraps beside the crossing, and two games lost their
-equilibrium so (SWAP_MISSES in tests/test_corpus.py).  From the seed it
-closes the crossing in every game of the families the tests draw from,
-plain and with the players swapped; that is measured, not proven.  On
-the boundary the closed-form indifference rows below join the row.  A
-row is kept for what it is, never for the size of its residual, so no
-tolerance enters the search: the caller's refine tolerance only merges
-duplicates.  No residual is scanned: a scan of it is the tests' oracle
-for the enumeration.
+indifference row, which tries only the first (fixed_points).  The
+iteration takes a step only where it strictly lowers |residual|, and
+stops, unconverged, at the first step that does not: |residual| falls
+strictly at every step taken, so the iteration ends.  Where K_A or K_B
+nearly vanishes the residual sweeps most of a quarter turn within a
+small fraction of a degree, and a full step from an eigenvalue's angle
+can overshoot it, so the iteration stops short.  Where the iteration
+does not converge, the first sign change of the residual uphill of the
+seed, where g rises, is bisected down to neighbouring doubles, in every
+class of game; where the iteration stopped plays no part.  The roots
+bracket that change (_climb): every sign change of h is a root of T, so
+between consecutive roots the residual keeps its sign, and the climb
+samples it once at the midpoint of each pair of consecutive root angles,
+walking uphill from the seed, until a sample's sign differs from the
+last one's.  That is at most one sample per root angle, and each seed
+gets one bisection, of that one cell.  Where the eigenvalue angles
+separate the true roots, so that no cell between consecutive midpoints
+holds two of them, the cell holds exactly the first sign change uphill.
+That change need not be a crossing.  Off the boundary the residual's
+sign is that of h, which is continuous there, but h also changes sign
+where K_A points against e, and there the residual wraps from +90 to -90
+degrees; on the boundary the change can also be the edge of a flat
+harmonic.  The bisection tells a wrap or an edge from a crossing by the
+jump between its ends, and keeps no row, so where it lands on one that
+seed yields none.  On the boundary the closed-form indifference rows
+below join the row.  A row is kept for what it is, never for the size of
+its residual, so no tolerance enters the search: the caller's refine
+tolerance only merges duplicates.  No residual is scanned: a scan of it
+is the tests' oracle for the enumeration.
 
 Everything after the eigenvalue call is scalar arithmetic, one angle at
 a time in plain Python floats and complex numbers, which on a handful
@@ -139,14 +144,9 @@ DEGENERACY_SQ = 1e-18
 ALICE, BOB = "alice", "bob"
 # relative size below which the polynomial counts as identically zero
 _ZERO_POLYNOMIAL = 1e-12
-# residual evaluations per Newton iteration; a halved step costs one
-_NEWTON_STEPS = 12
 # the last step is applied before the iteration stops, since Bob's best
 # response can be thousands of times steeper than the residual
 _NEWTON_TOL_DEG = 1e-12
-# the first bracket of _climb reaches this far uphill, and each widening
-# doubles it
-_CLIMB_DEG = 1e-9
 # first-order rounding bound of _certificate, in units of the largest
 # stake: 256 unit roundoffs
 _ROUNDING = 2.0 ** -45
@@ -319,31 +319,29 @@ def _newton(alpha: float, residual: float, step: float,
     and the first step there from _step: the angle it ends at, not
     wrapped, and whether it converged.
 
-    A step that does not lower |residual| is halved instead of taken.  The
-    iteration converges once a step of at most _NEWTON_TOL_DEG is due,
-    which it applies unevaluated, and stops short where the step is
-    undefined or after _NEWTON_STEPS evaluations.
+    The iteration converges once a step of at most _NEWTON_TOL_DEG is due,
+    which it applies unevaluated.  A larger step is taken only where it
+    strictly lowers |residual|, and the iteration stops short at the first
+    step that does not, or where the step is undefined.  So |residual|
+    falls strictly at every step taken, and the iteration ends.
     """
-    for _ in range(_NEWTON_STEPS):
-        if math.isnan(step):
-            break
-        if abs(step) <= _NEWTON_TOL_DEG:
-            return alpha - step, True
+    while abs(step) > _NEWTON_TOL_DEG:
         trial, trial_step, _ = _step(alpha - step, kernel)
-        if abs(trial) < abs(residual):
-            alpha, residual, step = alpha - step, trial, trial_step
-        else:
-            step /= 2.0
-    return alpha, False
+        if not abs(trial) < abs(residual):
+            return alpha, False
+        alpha, residual, step = alpha - step, trial, trial_step
+    return (alpha, False) if math.isnan(step) else (alpha - step, True)
 
 
-def _climb(alpha: float, residual: float, kernel: HarmonicKernel) -> tuple[float, bool]:
-    """The sign change of the residual uphill of alpha, given the residual
-    there, bisected down to neighbouring doubles: the end with the smaller
-    |residual|, and whether the ends' residuals differ by less than 90
-    degrees, which makes the change a crossing of the composed map rather
-    than a wrap or the edge of a flat harmonic, where the residual is NaN;
-    (NaN, False) if no change lies within a half turn.
+def _climb(alpha: float, residual: float, angles: list[float],
+           kernel: HarmonicKernel) -> tuple[float, bool]:
+    """The first sign change of the residual uphill of alpha, given the
+    residual there and the angles phi of circle_angles, bisected down to
+    neighbouring doubles: the end with the smaller |residual|, and
+    whether the ends' residuals differ by less than 90 degrees, which
+    makes the change a crossing of the composed map rather than a wrap or
+    the edge of a flat harmonic, where the residual is NaN; (NaN, False)
+    if no sample within the half turn changes sign.
 
     Uphill is the direction in which Alice's security level g rises: the
     residual has the sign of h = Im(K_A conj(e)), which has the sign of g',
@@ -351,18 +349,26 @@ def _climb(alpha: float, residual: float, kernel: HarmonicKernel) -> tuple[float
     a maximum of g, and off the boundary (_certificate) no harmonic comes
     near flat anywhere on the circle.  Even there the change need not be a
     crossing: h also changes sign where K_A points against e, and there
-    the residual wraps from +90 to -90 degrees.  The bracket's far end
-    starts _CLIMB_DEG uphill and doubles its distance until the sign
-    changes, so a bracket wide enough to hold a wrap and a crossing may
-    close on the wrap.  fixed_points starts it at the seed, where g is
-    largest of the eigenvalue angles, so that it is narrow where the
-    crossing is near.
+    the residual wraps from +90 to -90 degrees.  Every sign change of h is
+    a root of T, so the residual keeps its sign between consecutive roots.
+    The walk samples it once at the midpoint of each pair of consecutive
+    root angles, alpha = phi/2 on the half turn, in order uphill from
+    alpha, until a sample's sign differs from the last one's, and bisects
+    that one cell: at most one sample per root angle and one bisection.
+    Where the angles separate the true roots, so that no cell between
+    consecutive midpoints holds two of them, that cell holds exactly the
+    first sign change uphill.  fixed_points starts the walk at a seed,
+    itself a root angle, so that the first cell holds the seed's own root.
     """
-    lo, r_lo, width = alpha, residual, _CLIMB_DEG
-    while (r_hi := _step(hi := lo + math.copysign(width, r_lo), kernel)[0]) * r_lo > 0.0:
-        if width > 180.0:
-            return math.nan, False
-        width *= 2.0
+    roots = sorted(wrap_half_turn(0.5 * math.degrees(phi)) for phi in angles)
+    lo, r_lo, uphill = alpha, residual, math.copysign(1.0, residual)
+    for offset in sorted((uphill * ((a + b) / 2.0 - alpha)) % 180.0
+                         for a, b in zip(roots, roots[1:] + [roots[0] + 180.0])):
+        if not (r_hi := _step(hi := alpha + uphill * offset, kernel)[0]) * r_lo > 0.0:
+            break
+        lo, r_lo = hi, r_hi
+    else:
+        return math.nan, False
     while lo != (mid := (lo + hi) / 2.0) != hi:
         r_mid = _step(mid, kernel)[0]
         if r_mid * r_lo > 0.0:
@@ -546,33 +552,35 @@ def fixed_points(params, indifferent: bool = False) -> list[tuple[float, float, 
     kernel on the unit circle or off it, are seeds in descending order of
     g (_security).  A seed's residual and first step start Newton's
     iteration (_newton), whose end is the row where it converges.  Where
-    it does not and the seed has a residual, the sign change of the
+    it does not and the seed has a residual, the first sign change of the
     residual uphill of the seed, not of where the iteration stopped, is
-    bisected (_climb), and a crossing it closes between neighbouring
-    doubles is the row.  Neither row is held to a tolerance: at a
-    crossing steeper than about 1e11 degrees per degree the nearest
-    double can leave a residual of 1e-3 degrees.  The residual wraps
-    where K_A points against e, and where the bisection closes such a
-    wrap the seed yields no row.
+    bracketed between the midpoints of the seeds' own angles and bisected
+    (_climb), and a crossing it closes between neighbouring doubles is the
+    row.  Neither row is held to a tolerance: at a crossing steeper than
+    about 1e11 degrees per degree the nearest double can leave a residual
+    of 1e-3 degrees.  The residual wraps where K_A points against e, and
+    where the bisection closes such a wrap the seed yields no row.
 
     The seeds are tried in that order until one yields a row, so the
     answer does not hang on which of two near-equal maxima of g the
-    rounding of the roots puts first.  Where the disk certificate
-    (_certificate) puts the game off the boundary it proves that the game
-    has exactly one pure equilibrium and that no harmonic is flat
-    anywhere on the circle, so every converged end and every closed
-    crossing is that equilibrium, whichever seed led there.  On the
-    boundary a game without an indifference row has its equilibria at
-    fixed points of the composed map too, each where g is largest; that
-    the seed order then decides nothing is measured on the families the
-    tests draw from, not proven.  Where indifferent is true only the
-    first seed runs: the equilibria lie among the indifference rows, and
-    each later seed would cost a climb that yields nothing.  The first
-    still runs, since an indifference row can be an epsilon-equilibrium
-    beside an exact fixed point, as in draw 677 of the k = 4
-    heterogeneous-stake family.  Only a row that is kept costs one more
-    _step, at its angle, for its residual and Bob's harmonic, and beta is
-    Bob's _reply to that harmonic.
+    rounding of the roots puts first.  A converged end or a closed
+    crossing is a fixed point of the composed map, where each player plays
+    the one best reply to the other: an equilibrium, up to rounding.  In a
+    game without an indifference row no equilibrium has a flat harmonic,
+    so there is at most one, since equilibria are interchangeable
+    (_certificate) and a unique best reply admits no second partner;
+    whichever seed yields a row yields that one.  Off the boundary the
+    disk certificate proves that it exists.  Where indifferent is true
+    only the first seed runs: the equilibria lie among the indifference
+    rows, and each later seed would cost a climb that yields nothing.  The
+    first still runs, since an indifference row can be an
+    epsilon-equilibrium beside an exact fixed point, as in draw 677 of the
+    k = 4 heterogeneous-stake family.  Each seed costs at most one Newton
+    iteration, which ends since |residual| falls strictly at every step,
+    and one climb, at most one sample per root angle and one bisection.
+    Only a row that is kept costs one more _step, at its angle, for its
+    residual and Bob's harmonic, and beta is Bob's _reply to that
+    harmonic.
     """
     kernel = params.kernel
     seeds = sorted(circle_angles(polynomial(kernel.alice, kernel.bob)),
@@ -582,7 +590,7 @@ def fixed_points(params, indifferent: bool = False) -> list[tuple[float, float, 
         residual, step, _ = _step(seed, kernel)
         end, found = _newton(seed, residual, step, kernel)
         if not (found or math.isnan(residual)):
-            end, found = _climb(seed, residual, kernel)
+            end, found = _climb(seed, residual, seeds, kernel)
         if found:
             alpha = wrap_half_turn(end)
             residual, _, k_b = _step(alpha, kernel)

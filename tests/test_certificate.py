@@ -83,6 +83,25 @@ def test_skipped_games_hold_no_verified_fixed_point(monkeypatch):
             assert not verify_equilibrium(alpha, beta, params).verified, (params, alpha)
 
 
+def test_a_game_whose_seeds_yield_no_row_costs_a_bounded_search(monkeypatch):
+    # solved as boundary games, the sweep recipe's absent games have no
+    # indifference row, so every seed runs Newton's iteration and its
+    # climb, and none yields a row: each climb takes at most one sample
+    # per root angle and one bisection, about 50 evaluations per seed
+    skipped = [g for g in _sweep_games(1, 1000) if fixedpoint._certificate(g.kernel) == ABSENT]
+    calls, step = [], fixedpoint._step
+
+    def counted(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(fixedpoint, "_certificate", _certify_nothing)
+    monkeypatch.setattr(fixedpoint, "_step", counted)
+    for params in skipped:
+        assert fixedpoint.solve(params, 0.25) == ([], ()), params
+    assert len(skipped) == 485 and len(calls) <= 450 * len(skipped)
+
+
 def test_proven_absence_skips_the_whole_solve(monkeypatch):
     # no enumeration, closed-form zero or region is computed for a game
     # whose absence is proven; the unit-stake game at 30/20 is not
@@ -227,9 +246,9 @@ def test_near_boundary_game_is_built_as_stated():
 # equilibrium Newton's iteration from the maximum of Alice's security
 # level does not converge on: the residual climbs so steeply through the
 # fixed point that it still reads 33 to 90 degrees at the seed, 2e-6 to
-# 0.015 degrees away, where its slope is so shallow that the steps run
-# degrees off and are halved through all twelve evaluations, and the
-# nearest double of alpha leaves up to 0.12 degrees.  Bisecting the sign
+# 0.015 degrees away, where its slope is so shallow that a step runs
+# degrees off and does not lower the residual, which stops the
+# iteration, and the nearest double of alpha leaves up to 0.12 degrees.  Bisecting the sign
 # change of the residual uphill closes each.
 STEEP_OFF_BOUNDARY = {745: 133.38664989692762, 1403: 32.52531151451362,
                       3286: 136.26489882209376, 4979: 88.88096426232303,

@@ -232,6 +232,31 @@ def test_swapped_games_report_the_swapped_equilibria():
     assert disagree == []
 
 
+def test_verified_reports_form_a_product_set():
+    # zero-sum equilibria are interchangeable (Osborne and Rubinstein
+    # 1994, Prop. 22.2), so wherever a game reports several verified
+    # equilibria each cross profile (alpha_i, beta_j) of them must pass
+    # the verdict too.  The families with such games: the corpus, k = 4,
+    # and the indifference families, plain and swapped
+    from test_equilibrium import _indifference_game
+
+    plain = _corpus_games() + _heterogeneous_games(4, 1000)
+    for seed in (77, 78):
+        for mirror in (False, True):
+            rng = np.random.default_rng(seed)
+            plain += [_indifference_game(rng, mirror)[1] for _ in range(500)]
+    several, failed = 0, []
+    for params in plain + [_swapped(params) for params in plain]:
+        reports = find_equilibria(params).verified
+        if len(reports) < 2:
+            continue
+        several += 1
+        failed += [(params, a.alpha_star_deg, b.beta_star_deg) for a in reports for b in reports
+                   if not verify_equilibrium(a.alpha_star_deg, b.beta_star_deg, params).verified]
+    assert failed == []
+    assert several == 1054
+
+
 def test_verification_agrees_with_payoff_oracle():
     # the verdict comes from the kernel's harmonics; the oracle shares
     # nothing with it but the payoff formula.  At a report both players'

@@ -774,9 +774,9 @@ def test_climb_closes_a_crossing_but_not_a_wrap(monkeypatch):
 
     monkeypatch.setattr(fixedpoint, "_climb", recorded)
     fixedpoint.fixed_points(STEEPEST)
-    ((alpha, residual, kernel),) = ends
+    ((alpha, residual, angles, kernel),) = ends
     assert fixedpoint._certificate(kernel) == fixedpoint.BOUNDARY
-    end, closed = climb(alpha, residual, kernel)
+    end, closed = climb(alpha, residual, angles, kernel)
     assert closed and abs(end - STEEPEST_ALPHA) <= 1e-6
     # in draw 0 of the Bob-indifferent family Newton's iteration cannot
     # move from its seed, where the residual is +44.6 degrees; the sign
@@ -789,7 +789,8 @@ def test_climb_closes_a_crossing_but_not_a_wrap(monkeypatch):
     residual = fixedpoint._step(start, kernel)[0]
     assert 44.6 < residual < 44.7
     assert -47.6 < fixedpoint._step(x0 + 1e-7, kernel)[0] < -47.5
-    end, closed = climb(start, residual, kernel)
+    angles = fixedpoint.circle_angles(fixedpoint.polynomial(kernel.alice, kernel.bob))
+    end, closed = climb(start, residual, angles, kernel)
     assert not closed
     assert 3.4e-7 < end - start < 3.5e-7 and abs(end - x0) <= 1e-7
 
