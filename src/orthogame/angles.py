@@ -25,16 +25,13 @@ def wrap_input(angle_deg):
     else as a float array or NumPy scalar.
 
     The reduction is exact, so a huge angle plays as its remainder and an
-    angle in [0, 180) keeps every bit; a scalar skips numpy, which on one
-    angle costs more than the arithmetic, and an array already in [0, 180)
-    skips the remainder, which costs several times its min and max.
+    angle in [0, 180) keeps every bit, except that -0.0 becomes 0.0.  A
+    scalar skips numpy, which on one angle costs more than the arithmetic
+    and is what the solver passes; an array always takes the remainder.
     """
     if isinstance(angle_deg, (float, int)):
         return wrap_half_turn(float(angle_deg))
-    angles = np.asarray(angle_deg, dtype=float)
-    if angles.size and 0.0 <= angles.min() and angles.max() < HALF_TURN:
-        return angles
-    return wrap_half_turn(angles)
+    return wrap_half_turn(np.asarray(angle_deg, dtype=float))
 
 
 def signed_delta(a_deg: float, b_deg: float) -> float:

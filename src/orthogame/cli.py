@@ -68,6 +68,20 @@ def _emit(payload: dict) -> None:
     click.echo(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _profile(report) -> dict:
+    """The fields of one strategy profile that quantum solve prints for each
+    equilibrium and quantum payoff for its one pair: the angles, the value,
+    its two diagonal terms and both players' squared amplitudes."""
+    return {
+        "alpha_deg": report.alpha_star_deg,
+        "beta_deg": report.beta_star_deg,
+        "value": report.value,
+        "terms": list(report.terms),
+        "p": list(report.amplitudes_a.as_tuple()),
+        "q": list(report.amplitudes_b.as_tuple()),
+    }
+
+
 def _csv_num(v: float) -> str:
     return "NaN" if math.isnan(v) else format(v, ".10g")
 
@@ -152,12 +166,7 @@ def quantum_solve(stakes, theta_a, theta_b, scan_step, refine_tol):
         "refine_tol_deg": refine_tol,
         "equilibria": [
             {
-                "alpha_deg": e.alpha_star_deg,
-                "beta_deg": e.beta_star_deg,
-                "value": e.value,
-                "terms": list(e.terms),
-                "p": list(e.amplitudes_a.as_tuple()),
-                "q": list(e.amplitudes_b.as_tuple()),
+                **_profile(e),
                 "verified": e.verified,
                 "max_violation": e.max_violation,
                 "residual_deg": e.residual_deg,
@@ -184,12 +193,7 @@ def quantum_payoff(stakes, theta_a, theta_b, alpha, beta):
         "stakes": list(stakes),
         "theta_a_deg": theta_a,
         "theta_b_deg": theta_b,
-        "alpha_deg": report.alpha_star_deg,
-        "beta_deg": report.beta_star_deg,
-        "value": report.value,
-        "terms": list(report.terms),
-        "p": list(report.amplitudes_a.as_tuple()),
-        "q": list(report.amplitudes_b.as_tuple()),
+        **_profile(report),
     })
 
 

@@ -179,6 +179,9 @@ def verify_equilibrium(alpha_star_deg: float, beta_star_deg: float, params: Game
     when it is at most tol.  A profile with a non-finite angle is not
     verified, and its max_violation is NaN.
 
+    This is the one verdict: each report of find_equilibria gets it from
+    this function, with the search's tol and the default n_probe.
+
     n_probe no longer affects the result: the gains are exact, so no
     grid of deviations is probed.  It is still accepted, so that existing
     callers keep working, and still validated as an integer of at least
@@ -188,21 +191,19 @@ def verify_equilibrium(alpha_star_deg: float, beta_star_deg: float, params: Game
     stake but is absolute and the same for both players: a player whose
     stakes are far below the largest one gains little from any
     deviation, so that player is checked loosely, and a profile a
-    fraction of a degree from a fixed point can pass.
+    fraction of a degree from a fixed point can pass.  Nor is a verdict
+    in doubles a proof at any tolerance: the certificate tests' game
+    NEAR_BOUNDARY, whose |d| is 1 - 1e-14, has no pure equilibrium, yet
+    its one report leaves gains of 0 and 2.2e-15 at stakes up to 15, a
+    rounding-level epsilon-equilibrium that no verdict in doubles can
+    reject.
     """
     _check_probe_count(n_probe)
-    return _verdict(alpha_star_deg, beta_star_deg, params, tol)
-
-
-def _verdict(alpha_deg: float, beta_deg: float, params: GameParams,
-             tol: Optional[float]) -> VerificationResult:
-    """The verdict of verify_equilibrium without its n_probe check, which
-    find_equilibria makes once per call rather than once per report."""
-    if not (math.isfinite(alpha_deg) and math.isfinite(beta_deg)):
+    if not (math.isfinite(alpha_star_deg) and math.isfinite(beta_star_deg)):
         return VerificationResult(verified=False, max_violation=math.nan)
     if tol is None:
         tol = 1e-6 * params.kernel.scale
-    worst = max(fixedpoint.gains(alpha_deg, beta_deg, params))
+    worst = max(fixedpoint.gains(alpha_star_deg, beta_star_deg, params))
     return VerificationResult(verified=bool(worst <= tol), max_violation=worst)
 
 
@@ -232,13 +233,12 @@ def _report(alpha_deg: float, beta_deg: float, params: GameParams,
             tol: Optional[float] = None, residual_deg: float = math.nan) -> EquilibriumReport:
     """The report of the profile (alpha, beta), each angle reduced to
     [0, 180): both players' squared amplitudes, the two diagonal terms,
-    value as their sum, and the verdict of verify_equilibrium with tol
-    (_verdict)."""
+    value as their sum, and the verdict of verify_equilibrium with tol."""
     alpha, beta = QuantumStrategy(alpha_deg), QuantumStrategy(beta_deg)
     amplitudes_a = amplitudes(alpha, params.rep_a)
     amplitudes_b = amplitudes(beta, params.rep_b)
     terms = _diagonal_terms(amplitudes_a, amplitudes_b, *params.stakes)
-    verdict = _verdict(alpha.angle_deg, beta.angle_deg, params, tol)
+    verdict = verify_equilibrium(alpha.angle_deg, beta.angle_deg, params, tol=tol)
     return EquilibriumReport(
         alpha_star_deg=alpha.angle_deg,
         beta_star_deg=beta.angle_deg,

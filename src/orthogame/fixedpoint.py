@@ -46,8 +46,9 @@ half-angle substitution z = (1 + it)/(1 - it), t = tan(phi/2), makes
 (1 + t^2)^4 T(phi) a real polynomial in t whose real roots are the roots
 on the circle, so one real eigenvalue problem, that of its companion
 matrix, finds them all, and the zeros of K_B besides.  g is evaluated
-at every eigenvalue's angle, real or not: rounding can push those of a
-clustered root a hundredth off the real line.  g has two local maxima
+at every distinct eigenvalue angle, real or not: rounding can push those
+of a clustered root a hundredth off the real line, and a conjugate pair,
+whose two angles agree to the bit, is one seed.  g has two local maxima
 in most games, so no local ascent from an arbitrary start replaces the
 roots.
 
@@ -165,9 +166,6 @@ _HALF_ANGLE = np.array([[(1, 1j, -1, -1j)[j % 4]
 _PHASES = [(math.cos(x), math.sin(x)) for x in (2.0 * math.pi * j / 9.0 for j in range(9))]
 _SAMPLES_TO_Q = np.array([[sum(h * complex(*e) ** (4 - k) for k, h in enumerate(row)).real / 9.0
                            for e in _PHASES] for row in _HALF_ANGLE.tolist()])
-# the companion matrices' subdiagonals of ones, for up to eight roots: a
-# copy of a slice costs less than half what np.eye does
-_SHIFT = np.eye(8, k=-1)
 
 
 class HarmonicKernel(NamedTuple):
@@ -226,7 +224,8 @@ def _coefficients(p, q, r, s, own, opp) -> tuple[complex, complex, complex]:
 def phase(angle_deg):
     """e = exp(2ix) of an angle x in degrees, or of each angle of an array,
     with x reduced first (wrap_input).  A scalar gives a Python complex
-    from cmath, which agrees with numpy bit for bit."""
+    from cmath, which agrees with numpy bit for bit and, on the one angle
+    at a time that the solver and its verdict pass, costs less."""
     x = wrap_input(angle_deg)
     if isinstance(x, float):
         return cmath.exp(2j * math.radians(x))
@@ -409,23 +408,29 @@ def circle_angles(q) -> list[float]:
     """Angle phi of each root of T(phi), a polynomial of degree 4 in
     cos phi and sin phi, given the coefficients q of t^8 ... t^0 of Q(t)
     = (1 + t^2)^4 T(phi), t = tan(phi/2), as polynomial returns them: a
-    list of floats, one per root t of Q, where a real t is a root on the
-    circle and a complex one a root off it.
+    list of distinct floats, one per root t of Q whose angle no earlier
+    root has, where a real t is a root on the circle and a complex one a
+    root off it.
 
     The roots t = x + iy of Q are the eigenvalues of its companion
     matrix, whose first row is -q[k]/q_lead and whose subdiagonal is ones.
     A root's angle is arg z = atan2(x, 1 - y) + atan2(x, 1 + y), z =
-    exp(i phi) = (1 + it)/(1 - it), finite for every t and the same for
-    both roots of a conjugate pair; each vanishing leading coefficient of
-    Q is a root at t = infinity, phi = pi.  The angles are unfinished:
-    fixed_points finishes them on the unsquared residual.  A multiple
-    root keeps one angle per eigenvalue, all close together.  A
-    polynomial that vanishes identically (K_A parallel to e for every
-    phi) has no isolated roots and yields none.
+    exp(i phi) = (1 + it)/(1 - it), finite for every t and the same to
+    the bit for both roots of a conjugate pair; each vanishing leading
+    coefficient of Q is a root at t = infinity, phi = pi.  Such exact
+    repeats are listed once, so each distinct angle seeds the search once
+    and no cell between consecutive angles has zero width (_climb).  The
+    angles are unfinished: fixed_points finishes them on the unsquared
+    residual.  A multiple root keeps one angle per eigenvalue that
+    rounding splits from the others, all close together.  A polynomial
+    that vanishes identically (K_A parallel to e for every phi) has no
+    isolated roots and yields none.
 
     The eigenvalues come from LAPACK's geev through numpy's gufunc, the
     call np.linalg.eigvals makes, bit for bit as that wrapper returns
-    them (cast to complex), without its cost.  The wrapper's two
+    them (cast to complex), without its cost: the direct call raised the
+    sweep benchmark's operations per second by about a fifth, well past
+    its run-to-run spread.  The wrapper's two
     guarantees are kept by hand: a companion row that is not finite, as
     where the leading coefficient is subnormal next to the others,
     raises np.linalg.LinAlgError before the call, and so does an
@@ -442,14 +447,14 @@ def circle_angles(q) -> list[float]:
         row = [-x / q[lead] for x in q[lead + 1:]]
         if not all(map(math.isfinite, row)):
             raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-        companion = _SHIFT[:len(row), :len(row)].copy()
+        companion = np.eye(len(row), k=-1)
         companion[0] = row
         roots = [math.atan2(t.real, 1.0 - t.imag) + math.atan2(t.real, 1.0 + t.imag)
                  for t in _eigvals(companion, signature="d->D").tolist()]
         if math.isnan(sum(roots)):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         angles += roots
-    return angles
+    return list(dict.fromkeys(angles))
 
 
 def _certificate(kernel: HarmonicKernel) -> str:
@@ -572,8 +577,10 @@ def fixed_points(params, indifferent: bool = False) -> list[tuple[float, float, 
     whichever seed yields a row yields that one.  Off the boundary the
     disk certificate proves that it exists.  Where indifferent is true
     only the first seed runs: the equilibria lie among the indifference
-    rows, and each later seed would cost a climb that yields nothing.  The
-    first still runs, since an indifference row can be an
+    rows, and each later seed would cost a climb that yields nothing;
+    trying every seed until one yields a row changes no report of the
+    test families but multiplies their _step calls about sixteenfold.
+    The first still runs, since an indifference row can be an
     epsilon-equilibrium beside an exact fixed point, as in draw 677 of the
     k = 4 heterogeneous-stake family.  Each seed costs at most one Newton
     iteration, which ends since |residual| falls strictly at every step,
@@ -708,7 +715,10 @@ def solve(params, step_deg: float) -> tuple[list[tuple[float, float, float]],
     region, as it would with the certificate bypassed, and only a
     BOUNDARY game, where equilibria can form a discrete set, gets the
     indifference rows and the regions as well; the rows come before
-    fixed_points runs, since they decide how many seeds it tries.
+    fixed_points runs, since they decide how many seeds it tries.  The
+    OFF_BOUNDARY skip is kept for its cost: indifference_points alone is
+    about an eighth of an off-boundary find_equilibria, and more than half
+    of the sweep benchmark's games are off the boundary, the rest absent.
     """
     kernel = params.kernel
     shape = _certificate(kernel)

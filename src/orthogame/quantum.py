@@ -194,8 +194,9 @@ def payoff_grid(alpha_deg, beta_deg, a, b, c, d, theta_a_deg, theta_b_deg):
     sin^2(be - tB), cos^2(be - tB)), and F on a mesh has rank at most 4.
     A 2-D column (n, 1) against a 2-D row (1, m), either way round, is
     one (n, 4) @ (4, m) matrix product: no mesh-sized temporary, and
-    last-bit differences from the sum.  Every other shape takes the sum
-    above, term by term in that order.
+    last-bit differences from the sum.  The surface benchmark's meshes
+    take the product both ways round, so both branches stay.  Every other
+    shape takes the sum above, term by term in that order.
 
     Each angle is reduced first (wrap_input), so a huge angle plays as
     its remainder; the inputs are reduced, never the mesh.

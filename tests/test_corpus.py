@@ -113,6 +113,7 @@ def _heterogeneous_games(k: int, count: int) -> list[GameParams]:
             for _ in range(count)]
 
 
+@pytest.mark.kernel_sensitive
 def test_heterogeneous_stake_roots_are_found():
     # draws in which Alice's or Bob's harmonic nearly vanishes at the fixed
     # point, so the residual sweeps about 90 degrees within 0.001 degrees
@@ -181,6 +182,7 @@ SWAP_MISSES = [pytest.param(621, 55.775521, 121.983203, id="k4-draw-621"),
                pytest.param(909, 0.771154, 88.256946, id="k4-draw-909")]
 
 
+@pytest.mark.kernel_sensitive
 @pytest.mark.parametrize("draw, alpha, beta", SWAP_MISSES)
 def test_swapped_profile_is_an_equilibrium(draw, alpha, beta):
     # the game's report, swapped, is an equilibrium of the swapped game by
@@ -195,6 +197,7 @@ def test_swapped_profile_is_an_equilibrium(draw, alpha, beta):
     assert verify_equilibrium(*profile, swapped).verified
 
 
+@pytest.mark.kernel_sensitive
 @pytest.mark.parametrize("draw, alpha, beta", SWAP_MISSES)
 def test_swapped_game_reports_the_swapped_equilibrium(draw, alpha, beta):
     reports = find_equilibria(_swapped(_heterogeneous_games(4, 1000)[draw])).verified
@@ -215,6 +218,7 @@ def _swap_oracle_games() -> list[GameParams]:
     return games
 
 
+@pytest.mark.kernel_sensitive
 def test_swapped_games_report_the_swapped_equilibria():
     # solving the swapped game runs the whole search from Bob's side, with
     # another polynomial, seed and Newton run, so it is an oracle for the
@@ -232,6 +236,7 @@ def test_swapped_games_report_the_swapped_equilibria():
     assert disagree == []
 
 
+@pytest.mark.kernel_sensitive
 def test_verified_reports_form_a_product_set():
     # zero-sum equilibria are interchangeable (Osborne and Rubinstein
     # 1994, Prop. 22.2), so wherever a game reports several verified

@@ -280,6 +280,7 @@ def _on_circle_angles(coeffs):
     return np.angle(z[np.abs(np.abs(z) - 1.0) <= 1e-3])
 
 
+@pytest.mark.kernel_sensitive
 def test_circle_angles_match_companion_matrix():
     rng = np.random.default_rng(808)
     matched = 0
@@ -318,6 +319,7 @@ def _close_roots(split, multiplicity):
 CLOSE_ROOTS = {"0.0": (0.0, 2), "1e-09": (1e-9, 2), "0.001": (1e-3, 2), "triple": (0.0, 3)}
 
 
+@pytest.mark.kernel_sensitive
 @pytest.mark.parametrize("split, multiplicity",
                          [pytest.param(*case, id=name) for name, case in CLOSE_ROOTS.items()])
 def test_circle_angles_double_and_close_roots(split, multiplicity):
@@ -346,6 +348,7 @@ def _half_angle_edge(factor):
     return [0j] * pad + coeffs + [0j] * pad
 
 
+@pytest.mark.kernel_sensitive
 @pytest.mark.parametrize("factor, roots", [
     # a simple root at phi = pi is a vanishing leading coefficient of the
     # half-angle polynomial Q(t), and one at phi = 0 its root t = 0
@@ -366,6 +369,7 @@ def test_circle_angles_at_half_angle_edges(factor, roots):
         assert np.min(_circular_gap(found, phi)) <= 1e-6, (phi, found)
 
 
+@pytest.mark.kernel_sensitive
 def test_circle_angles_of_vanishing_polynomial():
     assert len(fixedpoint.circle_angles([0j] * 9)) == 0
 
@@ -394,6 +398,7 @@ def _public_eigvals(companion, signature):
     return np.linalg.eigvals(companion).astype(complex)
 
 
+@pytest.mark.kernel_sensitive
 def test_direct_eigenvalue_call_is_the_public_wrapper_bit_for_bit(monkeypatch):
     # repr tells -0.0 from 0.0, which == does not
     calls, direct = [], fixedpoint._eigvals
@@ -421,6 +426,7 @@ def _never_called(companion, signature):
     raise AssertionError("eigenvalues of a companion matrix that is not finite")
 
 
+@pytest.mark.kernel_sensitive
 def test_non_finite_companion_raises_before_the_eigenvalue_call(monkeypatch):
     # T(pi), the leading coefficient of the half-angle polynomial, 1e-323
     # next to coefficients of 9 overflows the companion's first row to
@@ -441,6 +447,7 @@ def test_non_finite_companion_raises_before_the_eigenvalue_call(monkeypatch):
                 fixedpoint.circle_angles(q)
 
 
+@pytest.mark.kernel_sensitive
 def test_eigenvalues_that_did_not_converge_raise(monkeypatch):
     # geev that does not converge leaves NaN eigenvalues; one is enough
     # to raise rather than seed the search with a NaN angle, and the CLI
@@ -559,6 +566,7 @@ def test_crossing_between_neighbouring_doubles_is_kept(refine_tol):
     assert 1e-3 < report.residual_deg < 5e-3
 
 
+@pytest.mark.kernel_sensitive
 @pytest.mark.parametrize("params, alpha, refine_tol", [
     pytest.param(NEAR_TIE_K4, NEAR_TIE_K4_ALPHA, 0.005, id="k4-draw-599-0.005"),
     pytest.param(NEAR_TIE_K4, NEAR_TIE_K4_ALPHA, 0.001, id="k4-draw-599-0.001"),
@@ -575,6 +583,7 @@ def test_near_tie_equilibrium_is_found(params, alpha, refine_tol):
     assert abs(report.alpha_star_deg - alpha) <= 1e-6
 
 
+@pytest.mark.kernel_sensitive
 @pytest.mark.parametrize("params, alpha, refine_tol", [
     pytest.param(CONVERGED_K3, CONVERGED_K3_ALPHA, 5e-5, id="k3-draw-2177-5e-5"),
     pytest.param(CONVERGED_SWEEP, CONVERGED_SWEEP_ALPHA, 1e-9, id="sweep-draw-164-1e-9"),
@@ -712,6 +721,7 @@ def test_one_newton_run_per_game(monkeypatch):
     assert climbs == []
 
 
+@pytest.mark.kernel_sensitive
 def test_seed_order_decides_nothing_without_an_indifference_row(monkeypatch):
     # without an indifference row a game's equilibria are fixed points of
     # the composed map at the maximum of Alice's security level, off the
@@ -758,6 +768,7 @@ def test_residual_underflow_is_not_an_error():
     assert (report.alpha_star_deg, report.beta_star_deg) == (0.0, 0.0)
 
 
+@pytest.mark.kernel_sensitive
 def test_climb_closes_a_crossing_but_not_a_wrap(monkeypatch):
     # STEEPEST is a boundary game whose Newton iteration stops short of
     # its crossing: the bisection uphill of its seed closes the crossing
