@@ -12,8 +12,10 @@ item, 2 input error, 3 output I/O error.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -86,7 +88,22 @@ def _csv_num(v: float) -> str:
     return "NaN" if math.isnan(v) else format(v, ".10g")
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group: an I/O error in any command's output exits 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except OSError as exc:
+            click.echo(f"error: cannot write output: {exc}", err=True)
+            # what stdout could not take must not fail again in the exit-time
+            # flush, which would turn exit 3 into 120
+            with contextlib.suppress(OSError):
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            ctx.exit(3)
+
+
+@click.group(cls=_Main)
 def main():
     """Corner-guessing game on a square, classical and quantized.
 
@@ -216,28 +233,24 @@ def quantum_curves(stakes, theta_a, theta_b, step, out_dir):
         raise click.UsageError(str(exc))
 
     base = Path(out_dir)
-    try:
-        base.mkdir(parents=True, exist_ok=True)
-        for curve, name in ((curve_a, "alice"), (curve_b, "bob")):
-            lines = [CSV_HEADER]
-            lines += [f"{_csv_num(s.input_deg)},{_csv_num(s.best_response_deg)},"
-                      f"{_csv_num(s.payoff)}" for s in curve.samples]
-            (base / f"{name}.csv").write_text("\n".join(lines) + "\n")
-        sidecar = {
-            "stakes": list(stakes),
-            "theta_a_deg": theta_a,
-            "theta_b_deg": theta_b,
-            "step_deg": step,
-            "degenerate_inputs": {
-                "alice": list(curve_a.degenerate_inputs),
-                "bob": list(curve_b.degenerate_inputs),
-            },
-        }
-        (base / "degeneracies.json").write_text(
-            json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        click.echo(f"error: cannot write to {out_dir!r}: {exc}", err=True)
-        sys.exit(3)
+    base.mkdir(parents=True, exist_ok=True)
+    for curve, name in ((curve_a, "alice"), (curve_b, "bob")):
+        lines = [CSV_HEADER]
+        lines += [f"{_csv_num(s.input_deg)},{_csv_num(s.best_response_deg)},"
+                  f"{_csv_num(s.payoff)}" for s in curve.samples]
+        (base / f"{name}.csv").write_text("\n".join(lines) + "\n")
+    sidecar = {
+        "stakes": list(stakes),
+        "theta_a_deg": theta_a,
+        "theta_b_deg": theta_b,
+        "step_deg": step,
+        "degenerate_inputs": {
+            "alice": list(curve_a.degenerate_inputs),
+            "bob": list(curve_b.degenerate_inputs),
+        },
+    }
+    (base / "degeneracies.json").write_text(
+        json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     for name in ("alice.csv", "bob.csv", "degeneracies.json"):
         click.echo(f"wrote {base / name}")
 

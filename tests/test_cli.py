@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
+import orthogame
 from orthogame import golden
 from orthogame.cli import main
 from orthogame.equilibrium import GameParams, find_equilibria
@@ -231,6 +235,36 @@ def test_curves_io_error(runner, tmp_path):
                                   "--out", str(blocker)])
     assert result.exit_code == 3
     assert "cannot write" in result.stderr
+
+
+_STDOUT_COMMANDS = [
+    ["classical", "solve", "-p", "3,3,5,1"],
+    ["quantum", "solve", "-p", "3,3,5,1", "--theta-a", "30", "--theta-b", "20"],
+    ["quantum", "payoff", "-p", "3,3,5,1", "--theta-a", "30", "--theta-b", "20",
+     "--alpha", "10", "--beta", "20"],
+    ["quantum", "curves", "-p", "3,3,5,1", "--theta-a", "30", "--theta-b", "20"],
+    ["lattice", "audit"],
+    ["reproduce", "1"],
+    ["reproduce", "2", "--json"],
+]
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("args", _STDOUT_COMMANDS, ids=" ".join)
+def test_unwritable_stdout_exits_3_without_traceback(tmp_path, args):
+    if args[1] == "curves":
+        args = [*args, "--out", str(tmp_path)]
+    # a real process with buffered stdout: a failed write must not fail
+    # again in the interpreter's exit-time flush, which exits 120
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(orthogame.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "orthogame.cli", *args], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "error: cannot write" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_curves_step_validation(runner, tmp_path):

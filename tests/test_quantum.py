@@ -326,6 +326,25 @@ def test_dual_path_equality_random():
         assert via_operator == pytest.approx(via_closed, abs=1e-12)
 
 
+def test_payoff_operator_for_any_payoff_matrix():
+    rng = np.random.default_rng(71)
+    for _ in range(300):
+        h = PayoffMatrix(rng.uniform(-1.0, 1.0, (4, 4)) * 10.0 ** rng.uniform(-3.0, 3.0))
+        rep_a = LogicRepresentation(_random_theta(rng))
+        rep_b = LogicRepresentation(_random_theta(rng))
+        tol = 1e-13 * np.max(np.abs(h.h))
+        op = payoff_operator(rep_a, rep_b, h)
+        fam_a, fam_b = build_family(rep_a).as_tuple(), build_family(rep_b).as_tuple()
+        reference = sum(h.h[j, k] * np.kron(fam_a[j], fam_b[k])
+                        for j in range(4) for k in range(4))
+        assert np.max(np.abs(op.matrix - reference)) <= tol
+        alpha = QuantumStrategy(rng.uniform(0.0, 180.0))
+        beta = QuantumStrategy(rng.uniform(0.0, 180.0))
+        p = np.array(amplitudes(alpha, rep_a).as_tuple())
+        q = np.array(amplitudes(beta, rep_b).as_tuple())
+        assert abs(expectation(alpha, beta, op) - p @ h.h @ q) <= tol
+
+
 def test_compare_with_classical_at_3351_equilibrium():
     x, y, value = solve_closed_form(3, 3, 5, 1)
     result = compare_with_classical(x, y, 3, 3, 5, 1)
