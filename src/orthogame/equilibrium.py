@@ -16,13 +16,14 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import fixedpoint
 from .angles import wrapped_distance
-from .fixedpoint import ALICE, BOB, DEGENERACY_SQ, best_responses
+from .fixedpoint import ALICE, BOB, DEGENERACY_SQ, best_responses, phase
 from .quantum import (AmplitudeSquares, LogicRepresentation, QuantumStrategy,
                       _diagonal_terms, amplitudes, payoff_grid)
 
@@ -109,7 +110,7 @@ def best_response_alice(beta_deg: float, params: GameParams) -> BestResponse:
     one arbitrarily.  An array of betas gives arrays of angles and
     flags.
     """
-    return _response(best_responses(beta_deg, params, ALICE))
+    return _response(best_responses(phase(beta_deg), params.kernel, ALICE))
 
 
 def best_response_bob(alpha_deg: float, params: GameParams) -> BestResponse:
@@ -118,7 +119,7 @@ def best_response_bob(alpha_deg: float, params: GameParams) -> BestResponse:
     Same harmonic reduction as for Alice, with the minimum a quarter
     turn away from the peak of the 2b harmonic; broadcasts likewise.
     """
-    return _response(best_responses(alpha_deg, params, BOB))
+    return _response(best_responses(phase(alpha_deg), params.kernel, BOB))
 
 
 class CurveSample(NamedTuple):
@@ -136,25 +137,43 @@ class ReactionCurve:
     degenerate_inputs: tuple[float, ...]
 
 
-def reaction_curves(params: GameParams, step_deg: float) -> tuple[ReactionCurve, ReactionCurve]:
-    """Sample both best-response maps over [0, 180) at the given step.
+def _curve_inputs(step_deg: float) -> np.ndarray:
+    """The inputs 0, step, 2 step, ... below 180 of a reaction curve.
 
-    Degenerate inputs get NaN entries and are listed separately.
+    np.arange gives ceil(180/step) inputs, so where 180/step rounds just
+    above an integer n and n * step rounds to 180, its last input is
+    exactly 180, the same point of the half turn as 0.
     """
     if not (0.0 < step_deg <= 5.0):
         raise ValueError(f"step must be in (0, 5] degrees, got {step_deg!r}")
     inputs = np.arange(0.0, 180.0, step_deg)
+    return inputs[inputs < 180.0]
+
+
+def reaction_curves(params: GameParams, step_deg: float) -> tuple[ReactionCurve, ReactionCurve]:
+    """Sample both best-response maps over [0, 180) at the given step.
+
+    Each sample's response is the array best response at the input's phase,
+    which both players share, and its payoff is the payoff at that reply in
+    closed form (fixedpoint.best_values): K0 + Re(kappa0_opp conj(e)) +-
+    |K_own|, the one formula that also gives Alice's security level.
+    Degenerate inputs, where the response is NaN, get NaN entries and are
+    listed separately.
+    """
+    inputs = _curve_inputs(step_deg)
+    e = phase(inputs)
+    points = inputs.tolist()
 
     curves = []
     for owner in (ALICE, BOB):
-        responses = best_responses(inputs, params, owner)
-        if owner == ALICE:
-            pay = params.payoff(responses, inputs)
-        else:
-            pay = params.payoff(inputs, responses)
-        samples = tuple(map(CurveSample, inputs.tolist(), responses.tolist(), pay.tolist()))
-        degenerate = tuple(inputs[np.isnan(responses)].tolist())
-        curves.append(ReactionCurve(owner, samples, degenerate))
+        responses = best_responses(e, params.kernel, owner)
+        flat = np.isnan(responses)
+        pay = np.where(flat, np.nan, fixedpoint.best_values(e, params, owner))
+        # tuple.__new__ builds each sample in C, not through the
+        # NamedTuple's Python-level __new__
+        samples = tuple(map(tuple.__new__, repeat(CurveSample, len(points)),
+                            zip(points, responses.tolist(), pay.tolist())))
+        curves.append(ReactionCurve(owner, samples, tuple(inputs[flat].tolist())))
     return curves[0], curves[1]
 
 

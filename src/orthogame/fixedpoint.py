@@ -92,10 +92,13 @@ iteration and the bisection, and the finished row, whose residual and
 Bob's harmonic come from one more evaluation of the same step (_step,
 the one implementation of the residual), and the indifference rows
 below.  A scalar best reply (_reply) gives the row's beta and each
-indifference row's reply; best_responses is its array form, which
-reaction curves and the public best-response functions evaluate on
-grids.  Every angle a caller gives enters the trigonometry through
-phase, which reduces it modulo 180 first.
+indifference row's reply; best_responses is its array form on opponent
+phases, which the public best-response functions evaluate on angle
+arrays, and reaction curves on one phase grid that both players share,
+together with the payoff at each reply in closed form (best_values), by
+the formula that also gives Alice's security level (_best_value).  Every
+angle a caller gives enters the trigonometry through phase, which
+reduces it modulo 180 first.
 
 polynomial samples T at the nine phases exp(2 pi i j/9) straight from
 the harmonics, and one constant 9x9 matrix takes the samples to the
@@ -246,16 +249,54 @@ def _answer(peak, player: str):
     return wrap_half_turn(peak * (90.0 / math.pi) + (0.0 if player == ALICE else 90.0))
 
 
-def best_responses(opponent_deg, params, player: str):
+def best_responses(e, kernel: HarmonicKernel, player: str):
     """A player's best-response angles in [0, 180) against each opponent
-    angle, NaN where the harmonic is flat; broadcasts over angle arrays.
+    phase e = exp(2ix) (phase), NaN where the harmonic is flat;
+    broadcasts over arrays.
 
     The harmonic K1 cos 2t + K2 sin 2t = Re(K conj(exp(2it))) peaks at
     2t = arg K.
     """
-    kernel = params.kernel
-    k = _harmonic(phase(opponent_deg), *(kernel.alice if player == ALICE else kernel.bob))
+    k = _harmonic(e, *(kernel.alice if player == ALICE else kernel.bob))
     return _answer(np.where(abs(k) <= kernel.radius, np.nan, np.arctan2(k.imag, k.real)), player)
+
+
+def _best_value(e, own, kappa0_opp: complex, player: str):
+    """A player's payoff at the best reply to the opponent phase e, less the
+    payoff's constant K0 = (a + b + c + d)/4: Re(kappa0_opp conj(e)) +
+    |K_own(e)| for Alice, who maximises, and Re(kappa0_opp conj(e)) -
+    |K_own(e)| for Bob, who minimises, where own is the player's harmonic
+    (kappa0, m_1, m_2) and kappa0_opp the opponent's kappa0.  For Bob it
+    is Alice's security level g (_security).  Broadcasts over arrays.
+
+    The payoff is K0 + Re(kappa0_A conj(e(alpha))) + Re(kappa0_B
+    conj(e(beta))) + p.Mq (_certificate), and the player's own angle
+    enters only through Re(K_own conj(e(t))), whose extreme is +-|K_own|.
+    """
+    base = (kappa0_opp * e.conjugate()).real
+    size = abs(_harmonic(e, *own))
+    return base + size if player == ALICE else base - size
+
+
+def best_values(e, params, player: str):
+    """The player's payoff at the best reply to each opponent phase e, in
+    closed form (_best_value); broadcasts over arrays.
+
+    It is evaluated in units of 2^k, the power of two with max|stake| in
+    [2^(k-1), 2^k), each coefficient's real and imaginary part and each
+    stake scaled exactly by ldexp, and the value scaled back the same way:
+    so no harmonic overflows at stakes near the largest double, and no
+    reciprocal of the scale does at subnormal ones.
+    """
+    kernel = params.kernel
+    exponent = math.frexp(kernel.scale)[1]
+
+    def unit(z: complex) -> complex:
+        return complex(math.ldexp(z.real, -exponent), math.ldexp(z.imag, -exponent))
+
+    own, opp = (kernel.alice, kernel.bob) if player == ALICE else (kernel.bob, kernel.alice)
+    k0 = sum(math.ldexp(float(stake), -exponent) for stake in params.stakes) / 4.0
+    return np.ldexp(k0 + _best_value(e, [unit(c) for c in own], unit(opp[0]), player), exponent)
 
 
 def _reply(k: complex, player: str, kernel: HarmonicKernel) -> float:
@@ -541,10 +582,10 @@ def _certificate(kernel: HarmonicKernel) -> str:
 
 def _security(phi: float, kernel: HarmonicKernel) -> float:
     """Alice's security level g at the phase angle phi = 2 alpha, in
-    radians, less the payoff's constant: against Bob's best reply Alice's
-    payoff is Re(kappa0_A conj(e)) - |K_B(e)| with e = exp(i phi)."""
-    e = cmath.rect(1.0, phi)
-    return (kernel.alice[0] * e.conjugate()).real - abs(_harmonic(e, *kernel.bob))
+    radians, less the payoff's constant K0: Bob's payoff at his best reply
+    to e = exp(i phi), Re(kappa0_A conj(e)) - |K_B(e)|, the one formula
+    of _best_value, which reaction curves evaluate for both players."""
+    return _best_value(cmath.rect(1.0, phi), kernel.bob, kernel.alice[0], BOB)
 
 
 def fixed_points(params, indifferent: bool = False) -> list[tuple[float, float, float]]:

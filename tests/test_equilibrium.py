@@ -566,3 +566,113 @@ def test_reaction_curves_match_scalar_loop():
                 assert s.payoff == pytest.approx(float(pay), abs=1e-12)
             assert curve.degenerate_inputs == tuple(degenerate)
             assert len(curve.samples) == 360
+
+
+@pytest.mark.parametrize("n", [227, 229])
+def test_reaction_curves_never_sample_180(n):
+    # np.arange(0, 180, 180/n) ends on exactly 180.0 for these n, a second
+    # copy of input 0 on the half turn
+    for curve in reaction_curves(EX1, 180.0 / n):
+        inputs = [s.input_deg for s in curve.samples]
+        assert len(inputs) == n and inputs[0] == 0.0 and inputs[-1] < 180.0
+
+
+def test_curve_inputs_stay_below_180_and_drop_no_sample():
+    for n in range(36, 5001):
+        inputs = equilibrium._curve_inputs(180.0 / n)
+        assert len(inputs) >= n and inputs[-1] < 180.0, n
+
+
+def _decade_games(rng, count):
+    """Games with mixed-sign stakes from 1e-300 to 1e300: half with one
+    decade for all four stakes, half with a decade for each."""
+    games = []
+    for i in range(count):
+        decades = rng.integers(-300, 301, size=1 if i % 2 else 4)
+        stakes = rng.choice([-1.0, 1.0], 4) * rng.uniform(0.1, 10.0, 4) * 10.0 ** decades
+        games.append(GameParams(*stakes.tolist(), *rng.uniform(1.0, 179.0, 2).tolist()))
+    return games
+
+
+def _curve_arrays(params, step):
+    """Each curve's (inputs, responses, payoffs) as arrays."""
+    return [np.array(curve.samples).T for curve in reaction_curves(params, step)]
+
+
+def test_reaction_curve_payoffs_match_the_payoff_at_the_reply():
+    # the closed form K0 + Re(kappa0_opp conj(e)) +- |K_own| against the
+    # trigonometric payoff at the sampled reply
+    for params in _decade_games(np.random.default_rng(34), 1000):
+        (inputs, alpha, pay_a), (_, beta, pay_b) = _curve_arrays(params, 1.0)
+        scale = max(map(abs, params.stakes))
+        for pay, expected in ((pay_a, params.payoff(alpha, inputs)),
+                              (pay_b, params.payoff(inputs, beta))):
+            defined = ~np.isnan(expected)
+            assert np.array_equal(np.isnan(pay), ~defined), params
+            assert np.all(np.abs(pay - expected)[defined] <= 1e-13 * scale), params
+
+
+def test_reaction_curve_payoffs_bound_every_grid_reply():
+    # an independent oracle: no angle of a 720-angle grid does better
+    # against an input than the best reply's closed-form payoff
+    grid = np.arange(720) * 0.25
+    for params in _decade_games(np.random.default_rng(35), 200):
+        (inputs, _, pay_a), (_, _, pay_b) = _curve_arrays(params, 1.0)
+        margin = 1e-13 * max(map(abs, params.stakes))
+        best_a = params.payoff(grid[:, None], inputs[None, :]).max(axis=0)
+        best_b = params.payoff(inputs[:, None], grid[None, :]).min(axis=1)
+        # NaN, the payoff at a flat input, compares false
+        assert not np.any(pay_a < best_a - margin) and not np.any(pay_b > best_b + margin)
+
+
+def test_reaction_curve_payoff_is_nan_exactly_at_flat_inputs():
+    rng = np.random.default_rng(36)
+    games = [GameParams(0, 0, 0, 0, 30.0, 60.0), GameParams(1, 0, 1, 0, 45.0, 45.0), EX2]
+    # Bob indifferent against alpha = x0, or, mirrored, Alice against
+    # beta = x0, at inputs on the grid
+    for x0 in (30.0, 60.0, 120.0):
+        theta_a, theta_b = rng.uniform(1.0, 179.0, 2)
+        c, d = rng.uniform(0.1, 10.0, 2)
+        for shift, power in ((theta_a, 1), (theta_b, -1)):
+            t, u = math.tan(math.radians(x0)) ** 2, math.tan(math.radians(x0 - shift)) ** 2
+            games.append(GameParams(c * t ** power, d * u ** power, c, d, theta_a, theta_b))
+    for params in games:
+        curves = _curve_arrays(params, 1.0)
+        flat_inputs = []
+        for respond, (inputs, _, pay) in zip((best_response_alice, best_response_bob), curves):
+            flat = respond(inputs, params).degenerate
+            assert np.array_equal(np.isnan(pay), flat), params
+            flat_inputs += inputs[flat].tolist()
+        # EX2 has no flat input, every other game one or more
+        assert bool(flat_inputs) == (params != EX2), params
+
+
+@pytest.mark.parametrize("family", ["huge", "subnormal"])
+def test_reaction_curve_payoff_is_finite_where_the_payoff_is(family):
+    # at stakes near the largest double the harmonics overflow unless
+    # scaled, and at subnormal ones the reciprocal of the scale does
+    rng = np.random.default_rng(37)
+    for _ in range(200):
+        signs = rng.choice([-1.0, 1.0], 4)
+        if family == "huge":
+            stakes = signs * 1.7e308 * np.where(rng.random(4) < 0.5, 1.0, rng.random(4))
+        else:
+            stakes = signs * 5e-324 * rng.integers(0, 2 ** 20, 4)
+        params = GameParams(*stakes.tolist(), *rng.uniform(1.0, 179.0, 2).tolist())
+        with np.errstate(over="ignore", invalid="ignore"):
+            (inputs, alpha, pay_a), (_, beta, pay_b) = _curve_arrays(params, 1.0)
+            expected_a, expected_b = params.payoff(alpha, inputs), params.payoff(inputs, beta)
+        assert np.all(np.isfinite(pay_a[np.isfinite(expected_a)])), params
+        assert np.all(np.isfinite(pay_b[np.isfinite(expected_b)])), params
+
+
+def test_reaction_curves_are_the_array_best_responses_to_the_bit():
+    for params in [EX1, GameParams(1, 0, 1, 0, 45.0, 45.0)] + _decade_games(
+            np.random.default_rng(38), 50):
+        for respond, curve in zip((best_response_alice, best_response_bob),
+                                  reaction_curves(params, 0.5)):
+            assert all(type(s) is equilibrium.CurveSample for s in curve.samples)
+            inputs, responses, _ = np.array(curve.samples).T
+            expected = respond(inputs, params)
+            assert np.array_equal(responses, expected.angle_deg, equal_nan=True)
+            assert curve.degenerate_inputs == tuple(inputs[expected.degenerate].tolist())

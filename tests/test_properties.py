@@ -15,8 +15,7 @@ from orthogame.angles import signed_delta, wrapped_distance
 from orthogame.classical import PayoffMatrix
 from orthogame.equilibrium import (DEGENERACY_SQ, GameParams, best_response_alice,
                                    best_response_bob, find_equilibria, verify_equilibrium)
-from orthogame.fixedpoint import (ALICE, BOB, _harmonic, _reply, _step, best_responses,
-                                  circle_angles, phase)
+from orthogame.fixedpoint import BOB, _harmonic, _reply, _step, circle_angles, phase
 from orthogame.quantum import (LogicRepresentation, QuantumStrategy,
                                expectation, payoff_closed_form, payoff_operator)
 from test_enumeration import _laurent_polynomial, _q
@@ -124,8 +123,8 @@ def test_step_matches_angle_form_composition(s, exponent, theta_a, theta_b):
     steps = [_step(alpha, kernel) for alpha in alphas.tolist()]
     beta = np.array([_reply(k_b, BOB, kernel) for _, _, k_b in steps])
     residual = np.array([r for r, _, _ in steps])
-    expected_beta = best_responses(alphas, params, BOB)
-    expected = signed_delta(best_responses(expected_beta, params, ALICE), alphas)
+    expected_beta = best_response_bob(alphas, params).angle_deg
+    expected = signed_delta(best_response_alice(expected_beta, params).angle_deg, alphas)
     assert np.array_equal(np.isnan(beta), np.isnan(expected_beta))
     assert np.array_equal(np.isnan(residual), np.isnan(expected))
     defined, composed = ~np.isnan(beta), ~np.isnan(expected)
