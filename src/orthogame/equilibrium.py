@@ -13,7 +13,6 @@ verified=False rather than dropped.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -22,10 +21,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import fixedpoint
-from .angles import wrapped_distance
+from .angles import wrap_half_turn, wrapped_distance
 from .fixedpoint import ALICE, BOB, DEGENERACY_SQ, best_responses, phase
-from .quantum import (AmplitudeSquares, LogicRepresentation, QuantumStrategy,
-                      _diagonal_terms, amplitudes, payoff_grid)
+from .quantum import (AmplitudeSquares, LogicRepresentation, _amplitude_squares,
+                      _diagonal_terms, payoff_grid)
 
 __all__ = [
     "DEGENERACY_SQ",
@@ -138,16 +137,22 @@ class ReactionCurve:
 
 
 def _curve_inputs(step_deg: float) -> np.ndarray:
-    """The inputs 0, step, 2 step, ... below 180 of a reaction curve.
+    """The inputs 0, step, 2 step, ... of a reaction curve: each multiple
+    k * step (as np.arange rounds it) that lies below 180 by more than
+    180 * 2^-52, about 4e-14.
 
-    np.arange gives ceil(180/step) inputs, so where 180/step rounds just
-    above an integer n and n * step rounds to 180, its last input is
-    exactly 180, the same point of the half turn as 0.
+    That bound is the rounding of k * step at k = n when the step is
+    180/n rounded to a double: n * step then rounds to within it of 180,
+    on either side, and is the point 0 of the half turn again.
+    np.arange(0, 180, step) can end on such an input, 179.99999999999997
+    for n = 161 and exactly 180 for n = 227.  With it dropped every step
+    180/n gives exactly n inputs, and a step that does not divide 180
+    keeps each multiple below 180.
     """
     if not (0.0 < step_deg <= 5.0):
         raise ValueError(f"step must be in (0, 5] degrees, got {step_deg!r}")
     inputs = np.arange(0.0, 180.0, step_deg)
-    return inputs[inputs < 180.0]
+    return inputs[180.0 - inputs > math.ldexp(180.0, -52)]
 
 
 def reaction_curves(params: GameParams, step_deg: float) -> tuple[ReactionCurve, ReactionCurve]:
@@ -183,7 +188,13 @@ class VerificationResult(NamedTuple):
 
 
 def _check_probe_count(n_probe) -> None:
-    if not isinstance(n_probe, numbers.Integral):
+    """Reject an n_probe that is not an int, a bool or a NumPy integer, or
+    that is below 360.  It runs once per find_equilibria and once per
+    report's verdict, so it tests the concrete types rather than
+    numbers.Integral, whose abstract-class check costs several times as
+    much; the two accept the same values, and both reject floats,
+    Fractions and 0-d arrays."""
+    if not isinstance(n_probe, (int, np.integer)):
         raise ValueError(f"n_probe must be an integer, got {n_probe!r}")
     if n_probe < 360:
         raise ValueError(f"n_probe must be at least 360, got {n_probe!r}")
@@ -252,15 +263,26 @@ def _report(alpha_deg: float, beta_deg: float, params: GameParams,
             tol: Optional[float] = None, residual_deg: float = math.nan) -> EquilibriumReport:
     """The report of the profile (alpha, beta), each angle reduced to
     [0, 180): both players' squared amplitudes, the two diagonal terms,
-    value as their sum, and the verdict of verify_equilibrium with tol."""
-    alpha, beta = QuantumStrategy(alpha_deg), QuantumStrategy(beta_deg)
-    amplitudes_a = amplitudes(alpha, params.rep_a)
-    amplitudes_b = amplitudes(beta, params.rep_b)
-    terms = _diagonal_terms(amplitudes_a, amplitudes_b, *params.stakes)
-    verdict = verify_equilibrium(alpha.angle_deg, beta.angle_deg, params, tol=tol)
+    value as their sum, and the verdict of verify_equilibrium with tol,
+    the one verdict path.
+
+    The angles are checked and reduced as QuantumStrategy does it, with
+    its ValueError for a non-finite one, and the reduced angles go to
+    the amplitudes' formula (quantum._amplitude_squares) and the verdict
+    directly: the report holds what amplitudes and payoff_terms give for
+    QuantumStrategy(alpha), bit for bit, without building one.
+    """
+    if not (math.isfinite(alpha_deg) and math.isfinite(beta_deg)):
+        angle = beta_deg if math.isfinite(alpha_deg) else alpha_deg
+        raise ValueError(f"angle must be finite, got {angle!r}")
+    alpha, beta = wrap_half_turn(alpha_deg), wrap_half_turn(beta_deg)
+    amplitudes_a = _amplitude_squares(alpha, params.theta_a_deg)
+    amplitudes_b = _amplitude_squares(beta, params.theta_b_deg)
+    terms = _diagonal_terms(amplitudes_a, amplitudes_b, params.a, params.b, params.c, params.d)
+    verdict = verify_equilibrium(alpha, beta, params, tol=tol)
     return EquilibriumReport(
-        alpha_star_deg=alpha.angle_deg,
-        beta_star_deg=beta.angle_deg,
+        alpha_star_deg=alpha,
+        beta_star_deg=beta,
         value=float(terms[0] + terms[1]),
         terms=terms,
         amplitudes_a=amplitudes_a,

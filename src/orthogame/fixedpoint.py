@@ -430,11 +430,14 @@ def polynomial(alice, bob) -> list[float]:
     exp(2 pi i j/9) determine it: Q is the constant matrix _SAMPLES_TO_Q
     times those values.
     """
-    scale = max(map(abs, (*alice, *bob)))
+    (k0, m1, m2), (b0, b1, b2) = alice, bob
+    scale = max(abs(k0), abs(m1), abs(m2), abs(b0), abs(b1), abs(b2))
     if scale == 0.0:
         return [0.0] * 9
-    k0r, k0i, m1r, m1i, m2r, m2i, b0r, b0i, b1r, b1i, b2r, b2i = (
-        x / scale for c in (*alice, *bob) for x in (c.real, c.imag))
+    k0r, k0i, m1r, m1i, m2r, m2i = (k0.real / scale, k0.imag / scale, m1.real / scale,
+                                    m1.imag / scale, m2.real / scale, m2.imag / scale)
+    b0r, b0i, b1r, b1i, b2r, b2i = (b0.real / scale, b0.imag / scale, b1.real / scale,
+                                    b1.imag / scale, b2.real / scale, b2.imag / scale)
     samples = []
     for c, s in _PHASES:
         # K_B = kr + i ki, Im(kappa0_A conj(e)) and Im(L conj(e)) at e = c + is

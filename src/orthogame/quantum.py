@@ -171,15 +171,18 @@ def amplitudes(s: QuantumStrategy, rep: LogicRepresentation) -> AmplitudeSquares
     Closed trigonometric form: p1 = cos^2 t, p3 = sin^2 t against the
     axis pair and p2 = cos^2(t - theta), p4 = sin^2(t - theta) against
     the rotated pair.  Identical to the quadratic forms <P_k v, v>.
+    The formula is _amplitude_squares, which find_equilibria's reports
+    call on their reduced angles directly.
     """
-    t = math.radians(s.angle_deg)
-    u = t - math.radians(wrap_half_turn(rep.theta_deg))
-    return AmplitudeSquares(
-        p1=math.cos(t) ** 2,
-        p2=math.cos(u) ** 2,
-        p3=math.sin(t) ** 2,
-        p4=math.sin(u) ** 2,
-    )
+    return _amplitude_squares(s.angle_deg, rep.theta_deg)
+
+
+def _amplitude_squares(angle_deg: float, theta_deg: float) -> AmplitudeSquares:
+    """amplitudes of the strategy at angle_deg, already reduced to [0, 180),
+    under the mixing angle theta_deg, which is reduced here."""
+    t = math.radians(angle_deg)
+    u = t - math.radians(wrap_half_turn(theta_deg))
+    return AmplitudeSquares(math.cos(t) ** 2, math.cos(u) ** 2, math.sin(t) ** 2, math.sin(u) ** 2)
 
 
 def payoff_grid(alpha_deg, beta_deg, a, b, c, d, theta_a_deg, theta_b_deg):

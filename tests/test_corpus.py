@@ -17,7 +17,9 @@ Regenerate the corpus, after a change meant to alter the answers, with
 
 The corpus reports, with those of a heterogeneous-stake family and of
 more sweep-recipe games, also feed the verification oracle, which
-judges each report from GameParams.payoff alone.
+judges each report from GameParams.payoff alone.  The report oracle
+checks every report's amplitudes, terms, value and verdict against the
+public functions, bit for bit.
 
 tests/data/heterogeneous_roots.json holds heterogeneous-stake games
 whose fixed points are hard to finish, each with the alpha of one fixed
@@ -44,6 +46,7 @@ import pytest
 
 from orthogame.angles import wrapped_distance
 from orthogame.equilibrium import GameParams, find_equilibria, verify_equilibrium
+from orthogame.quantum import QuantumStrategy, amplitudes, payoff_terms
 
 CORPUS = Path(__file__).resolve().parent / "data" / "solve_corpus.json"
 HETEROGENEOUS_ROOTS = CORPUS.with_name("heterogeneous_roots.json")
@@ -287,6 +290,38 @@ def test_verification_agrees_with_payoff_oracle():
             verdict = verify_equilibrium(*moved, params)
             assert abs(verdict.max_violation - gain) <= 1e-12 * scale, (params, moved)
             assert verdict.verified == (gain <= 1e-6 * scale), (params, moved)
+
+
+def _report_oracle_games() -> list[GameParams]:
+    """The sweep games of seed 1, the corpus games, and 200 games with
+    stakes U(0.1, 10) times 1e-300, 1e-200, 1e200 and 1e300 in turn and
+    angles U(1, 179), from default_rng(35)."""
+    games = _sweep_games(1, 1000) + _corpus_games()
+    rng = np.random.default_rng(35)
+    for index in range(200):
+        stakes = rng.uniform(0.1, 10.0, 4) * (1e-300, 1e-200, 1e200, 1e300)[index % 4]
+        games.append(GameParams(*stakes.tolist(), *rng.uniform(1.0, 179.0, 2).tolist()))
+    return games
+
+
+def test_reports_equal_the_public_functions_bit_for_bit():
+    # a report reduces its angles and evaluates the amplitudes' formula
+    # on them without building a QuantumStrategy; it must hold exactly
+    # what the public functions give at that profile, and the verdict of
+    # verify_equilibrium, the one verdict path
+    checked = 0
+    for params in _report_oracle_games():
+        for e in find_equilibria(params):
+            alpha, beta = QuantumStrategy(e.alpha_star_deg), QuantumStrategy(e.beta_star_deg)
+            assert (alpha.angle_deg, beta.angle_deg) == (e.alpha_star_deg, e.beta_star_deg)
+            assert e.amplitudes_a == amplitudes(alpha, params.rep_a), (params, e)
+            assert e.amplitudes_b == amplitudes(beta, params.rep_b), (params, e)
+            terms = payoff_terms(alpha, beta, params.rep_a, params.rep_b, *params.stakes)
+            assert e.terms == terms and e.value == terms[0] + terms[1], (params, e)
+            verdict = verify_equilibrium(e.alpha_star_deg, e.beta_star_deg, params)
+            assert verdict == (e.verified, e.max_violation), (params, e)
+            checked += 1
+    assert checked == 833
 
 
 if __name__ == "__main__":

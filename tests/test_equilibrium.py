@@ -2,6 +2,8 @@
 
 import math
 import pickle
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -189,6 +191,30 @@ def test_probe_count_accepts_numpy_integers():
     assert len(find_equilibria(EX1, n_probe=np.int32(720)).verified) == 1
 
 
+@pytest.mark.parametrize("n_probe, message", [
+    (None, "n_probe must be an integer"),
+    (np.float64(720.0), "n_probe must be an integer"),
+    (Fraction(720), "n_probe must be an integer"),
+    (np.array(720), "n_probe must be an integer"),
+    (True, "n_probe must be at least 360"),
+    (np.int8(100), "n_probe must be at least 360"),
+])
+def test_probe_count_accepts_ints_bools_and_numpy_integers_only(n_probe, message):
+    # the concrete types int and np.integer (bool is an int), as
+    # numbers.Integral accepts them: a 0-d integer array is not an integer
+    with pytest.raises(ValueError, match=message):
+        verify_equilibrium(EX1_STAR[0], EX1_STAR[1], EX1, n_probe=n_probe)
+    with pytest.raises(ValueError, match=message):
+        find_equilibria(EX1, n_probe=n_probe)
+
+
+def test_probe_count_accepts_unsigned_numpy_integers():
+    n_probe = np.uint16(720)
+    want = verify_equilibrium(EX1_STAR[0], EX1_STAR[1], EX1)
+    assert verify_equilibrium(EX1_STAR[0], EX1_STAR[1], EX1, n_probe=n_probe) == want
+    assert repr(find_equilibria(EX1, n_probe=n_probe)) == repr(find_equilibria(EX1))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("position", [0, 1])
 def test_verify_equilibrium_non_finite_angle_is_not_verified(bad, position):
@@ -200,6 +226,19 @@ def test_verify_equilibrium_non_finite_angle_is_not_verified(bad, position):
         verified, violation = verify_equilibrium(*profile, EX1, n_probe=n_probe)
         assert verified is False
         assert math.isnan(violation)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", [0, 1])
+def test_report_rejects_a_non_finite_angle_as_a_strategy_does(bad, position):
+    # a report reduces its angles without building a QuantumStrategy, so
+    # its finiteness check must raise what the strategy raises
+    profile = [EX1_STAR[0], EX1_STAR[1]]
+    profile[position] = bad
+    with pytest.raises(ValueError) as raised:
+        quantum.QuantumStrategy(bad)
+    with pytest.raises(ValueError, match=re.escape(str(raised.value))):
+        equilibrium._report(*profile, EX1)
 
 
 def test_verification_evaluates_no_payoff_and_no_best_response(monkeypatch):
@@ -568,10 +607,11 @@ def test_reaction_curves_match_scalar_loop():
             assert len(curve.samples) == 360
 
 
-@pytest.mark.parametrize("n", [227, 229])
+@pytest.mark.parametrize("n", [161, 227, 229])
 def test_reaction_curves_never_sample_180(n):
-    # np.arange(0, 180, 180/n) ends on exactly 180.0 for these n, a second
-    # copy of input 0 on the half turn
+    # np.arange(0, 180, 180/n) ends on 179.99999999999997 for n = 161 and
+    # on exactly 180.0 for 227 and 229, a second copy of input 0 on the
+    # half turn
     for curve in reaction_curves(EX1, 180.0 / n):
         inputs = [s.input_deg for s in curve.samples]
         assert len(inputs) == n and inputs[0] == 0.0 and inputs[-1] < 180.0
@@ -580,7 +620,16 @@ def test_reaction_curves_never_sample_180(n):
 def test_curve_inputs_stay_below_180_and_drop_no_sample():
     for n in range(36, 5001):
         inputs = equilibrium._curve_inputs(180.0 / n)
-        assert len(inputs) >= n and inputs[-1] < 180.0, n
+        assert len(inputs) == n and inputs[-1] < 180.0, n
+
+
+@pytest.mark.parametrize("step", [0.7, 1e-3])
+def test_curve_inputs_keep_every_multiple_below_180(step):
+    # a step that does not divide 180 keeps one input k * step for each
+    # k with k * step below 180, counted exactly on the step's double
+    count = math.ceil(Fraction(180) / Fraction(step))
+    inputs = equilibrium._curve_inputs(step)
+    assert np.array_equal(inputs, np.arange(count) * step) and inputs[-1] < 180.0
 
 
 def _decade_games(rng, count):
