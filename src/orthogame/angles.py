@@ -26,8 +26,7 @@ def wrap_input(angle_deg):
 
     The reduction is exact, so a huge angle plays as its remainder and an
     angle in [0, 180) keeps every bit, except that -0.0 becomes 0.0.  A
-    scalar skips numpy, which on one angle costs more than the arithmetic
-    and is what the solver passes; an array always takes the remainder.
+    scalar skips numpy, which on one angle costs more than the arithmetic.
     """
     if isinstance(angle_deg, (float, int)):
         return wrap_half_turn(float(angle_deg))

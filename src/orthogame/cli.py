@@ -206,6 +206,9 @@ def quantum_solve(stakes, theta_a, theta_b, scan_step, refine_tol):
 def quantum_payoff(stakes, theta_a, theta_b, alpha, beta):
     """Payoff, term split, and squared amplitudes at one strategy pair."""
     report = _report(alpha, beta, GameParams(*stakes, theta_a, theta_b))
+    if not all(map(math.isfinite, (report.value, *report.terms))):
+        # JSON has no Infinity: finite terms can still overflow in their sum
+        raise click.UsageError(f"the payoff overflows: terms {report.terms}, value {report.value}")
     _emit({
         "stakes": list(stakes),
         "theta_a_deg": theta_a,

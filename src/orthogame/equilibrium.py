@@ -2,12 +2,10 @@
 surface: games, best responses, reaction curves, verification and
 find_equilibria's reports.
 
-The search itself, from the disk certificate to the closed-form
-indifference rows and degeneracy regions, is fixedpoint.solve, and the
-closed-form deviation gains are fixedpoint.gains; this module validates
-input, deduplicates candidates, builds the reports and gives each its
-verdict.  Candidates that fail verification are reported with
-verified=False rather than dropped.
+The search itself is fixedpoint.solve and the closed-form deviation gains
+are fixedpoint.gains; this module validates input, deduplicates
+candidates, builds the reports and gives each its verdict.  Candidates
+that fail verification are reported with verified=False, not dropped.
 """
 
 from __future__ import annotations
@@ -103,11 +101,10 @@ def _response(angle) -> BestResponse:
 def best_response_alice(beta_deg: float, params: GameParams) -> BestResponse:
     """Alice's payoff-maximizing angle against beta.
 
-    The harmonic K1 cos 2a + K2 sin 2a peaks at 2a = atan2(K2, K1).
-    When it is flat relative to the stakes every angle is optimal and
-    the response is reported degenerate (angle NaN) instead of picking
-    one arbitrarily.  An array of betas gives arrays of angles and
-    flags.
+    Her harmonic K1 cos 2a + K2 sin 2a peaks at 2a = atan2(K2, K1).  When
+    it is flat relative to the stakes every angle is optimal, and the
+    response is reported degenerate (angle NaN) rather than picked
+    arbitrarily.  An array of betas gives arrays of angles and flags.
     """
     return _response(best_responses(phase(beta_deg), params.kernel, ALICE))
 
@@ -139,15 +136,14 @@ class ReactionCurve:
 def _curve_inputs(step_deg: float) -> np.ndarray:
     """The inputs 0, step, 2 step, ... of a reaction curve: each multiple
     k * step (as np.arange rounds it) that lies below 180 by more than
-    180 * 2^-52, about 4e-14.
+    180 * 2^-52.
 
-    That bound is the rounding of k * step at k = n when the step is
-    180/n rounded to a double: n * step then rounds to within it of 180,
-    on either side, and is the point 0 of the half turn again.
-    np.arange(0, 180, step) can end on such an input, 179.99999999999997
-    for n = 161 and exactly 180 for n = 227.  With it dropped every step
-    180/n gives exactly n inputs, and a step that does not divide 180
-    keeps each multiple below 180.
+    That bound is the rounding of k * step at k = n when the step is 180/n
+    rounded to a double: n * step then rounds to within it of 180, on
+    either side, and is the point 0 of the half turn again, on which
+    np.arange(0, 180, step) can end (test_reaction_curves_never_sample_180).
+    With it dropped every step 180/n gives exactly n inputs, and a step
+    that does not divide 180 keeps each multiple below 180.
     """
     if not (0.0 < step_deg <= 5.0):
         raise ValueError(f"step must be in (0, 5] degrees, got {step_deg!r}")
@@ -156,14 +152,13 @@ def _curve_inputs(step_deg: float) -> np.ndarray:
 
 
 def reaction_curves(params: GameParams, step_deg: float) -> tuple[ReactionCurve, ReactionCurve]:
-    """Sample both best-response maps over [0, 180) at the given step.
+    """Sample both best-response maps over [0, 180) at the given step
+    (_curve_inputs).
 
-    Each sample's response is the array best response at the input's phase,
-    which both players share, and its payoff is the payoff at that reply in
-    closed form (fixedpoint.best_values): K0 + Re(kappa0_opp conj(e)) +-
-    |K_own|, the one formula that also gives Alice's security level.
-    Degenerate inputs, where the response is NaN, get NaN entries and are
-    listed separately.
+    Each sample's response is the array best response at the input's
+    phase, which both players share, and its payoff is the payoff at that
+    reply in closed form (fixedpoint.best_values).  Degenerate inputs,
+    where the response is NaN, get NaN entries and are listed separately.
     """
     inputs = _curve_inputs(step_deg)
     e = phase(inputs)
@@ -188,12 +183,8 @@ class VerificationResult(NamedTuple):
 
 
 def _check_probe_count(n_probe) -> None:
-    """Reject an n_probe that is not an int, a bool or a NumPy integer, or
-    that is below 360.  It runs once per find_equilibria and once per
-    report's verdict, so it tests the concrete types rather than
-    numbers.Integral, whose abstract-class check costs several times as
-    much; the two accept the same values, and both reject floats,
-    Fractions and 0-d arrays."""
+    """Reject an n_probe that is not an int, a bool or a NumPy integer,
+    such as a float, a Fraction or a 0-d array, or that is below 360."""
     if not isinstance(n_probe, (int, np.integer)):
         raise ValueError(f"n_probe must be an integer, got {n_probe!r}")
     if n_probe < 360:
@@ -202,31 +193,23 @@ def _check_probe_count(n_probe) -> None:
 
 def verify_equilibrium(alpha_star_deg: float, beta_star_deg: float, params: GameParams,
                        n_probe: int = 720, tol: Optional[float] = None) -> VerificationResult:
-    """Two-sided deviation check of a candidate profile, in closed form.
-
+    """Two-sided deviation check of a candidate profile, in closed form:
     max_violation is the larger of the two players' largest gains from a
     unilateral deviation (fixedpoint.gains), and the profile is verified
-    when it is at most tol.  A profile with a non-finite angle is not
-    verified, and its max_violation is NaN.
+    when it is at most tol, by default 1e-6 * max|stake|; every report of
+    find_equilibria gets its verdict here.  A profile with a non-finite
+    angle is not verified, and its max_violation is NaN.  n_probe no
+    longer affects the result, since the gains are exact, but is still
+    accepted and validated as an integer of at least 360.
 
-    This is the one verdict: each report of find_equilibria gets it from
-    this function, with the search's tol and the default n_probe.
-
-    n_probe no longer affects the result: the gains are exact, so no
-    grid of deviations is probed.  It is still accepted, so that existing
-    callers keep working, and still validated as an integer of at least
-    360.
-
-    The default tolerance, 1e-6 * max|stake|, scales with the largest
-    stake but is absolute and the same for both players: a player whose
-    stakes are far below the largest one gains little from any
-    deviation, so that player is checked loosely, and a profile a
-    fraction of a degree from a fixed point can pass.  Nor is a verdict
-    in doubles a proof at any tolerance: the certificate tests' game
-    NEAR_BOUNDARY, whose |d| is 1 - 1e-14, has no pure equilibrium, yet
-    its one report leaves gains of 0 and 2.2e-15 at stakes up to 15, a
-    rounding-level epsilon-equilibrium that no verdict in doubles can
-    reject.
+    The tolerance is absolute and the same for both players: a player
+    whose stakes are far below the largest one gains little from any
+    deviation and is checked loosely, so a profile a fraction of a degree
+    from a fixed point can pass.  Nor is a verdict in doubles a proof at
+    any tolerance: the certificate tests' game NEAR_BOUNDARY has no pure
+    equilibrium, yet its one report is verified
+    (test_near_boundary_game_is_built_as_stated), a rounding-level
+    epsilon-equilibrium that no verdict in doubles can reject.
     """
     _check_probe_count(n_probe)
     if not (math.isfinite(alpha_star_deg) and math.isfinite(beta_star_deg)):
@@ -243,9 +226,8 @@ class EquilibriumReport:
 
     residual_deg is the residual of the composed map at alpha_star_deg as
     double precision evaluates it, not a bound on the error of alpha*:
-    where the harmonics cancel, at stake ratios near 5e5, rounding in the
-    map itself can leave alpha* off by about 1e-9 degrees while the
-    residual reads about 1e-15.
+    where the harmonics cancel, rounding in the map itself can leave
+    alpha* off by far more than the residual reads.
     """
 
     alpha_star_deg: float
@@ -262,15 +244,12 @@ class EquilibriumReport:
 def _report(alpha_deg: float, beta_deg: float, params: GameParams,
             tol: Optional[float] = None, residual_deg: float = math.nan) -> EquilibriumReport:
     """The report of the profile (alpha, beta), each angle reduced to
-    [0, 180): both players' squared amplitudes, the two diagonal terms,
-    value as their sum, and the verdict of verify_equilibrium with tol,
-    the one verdict path.
-
-    The angles are checked and reduced as QuantumStrategy does it, with
-    its ValueError for a non-finite one, and the reduced angles go to
-    the amplitudes' formula (quantum._amplitude_squares) and the verdict
-    directly: the report holds what amplitudes and payoff_terms give for
-    QuantumStrategy(alpha), bit for bit, without building one.
+    [0, 180) as QuantumStrategy reduces it, with its ValueError for a
+    non-finite one: both players' squared amplitudes
+    (quantum._amplitude_squares), the two diagonal terms, value as their
+    sum, and the verdict of verify_equilibrium with tol.  It holds what
+    amplitudes and payoff_terms give for QuantumStrategy(alpha), bit for
+    bit, without building one.
     """
     if not (math.isfinite(alpha_deg) and math.isfinite(beta_deg)):
         angle = beta_deg if math.isfinite(alpha_deg) else alpha_deg
@@ -295,9 +274,8 @@ def _report(alpha_deg: float, beta_deg: float, params: GameParams,
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Equilibrium candidates plus the degeneracy regions: the cells of
-    width scan_step_deg that hold an alpha at which a best response
-    along the composed map is non-unique.  Iterates over the reports."""
+    """The reports and degeneracy regions of find_equilibria, which
+    defines both.  Iterates over the reports."""
 
     equilibria: tuple[EquilibriumReport, ...]
     degeneracy_regions: tuple[tuple[float, float], ...]
@@ -321,26 +299,16 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
                     tol: Optional[float] = None) -> SearchResult:
     """Locate and verify all equilibria of the game (fixedpoint.solve).
 
-    Candidates come from the exact enumeration of fixedpoint, each kept
-    for what it is, whatever its residual; refine_tol_deg is only the
-    radius within which they count as one.  Of candidate (alpha, beta)
-    pairs within refine_tol_deg of each other modulo 180 the one with
-    the least |residual| is kept, and those kept are reported in sorted
-    order, each verified by verify_equilibrium with tol (n_probe is
-    validated and no longer affects the verdict).  A report's value is
-    the sum of its two diagonal terms.  The degeneracy regions are the
-    cells of width scan_step_deg that hold an alpha at which a
-    best response along the composed map is non-unique, neighbouring cells
-    merged, and the whole half turn when a player's harmonic is flat at
-    every angle.  A game whose absence of pure equilibria the disk
-    certificate proves reports nothing and no region; one that it places
-    off the boundary reports its one equilibrium, at the maximum of
-    Alice's security level, and no region.
-
-    The game is zero-sum, so its equilibria are interchangeable: they
-    form a product of Alice's equilibrium angles and Bob's.  A best
-    reply is unique unless the player's harmonic is flat, so more than
-    one equilibrium needs an indifference.
+    Each candidate is kept for what it is, whatever its residual;
+    refine_tol_deg is only the radius within which two count as one: of
+    candidate (alpha, beta) pairs within it of each other modulo 180 the
+    one with the least |residual| is kept, ties to the first in sorted
+    order.  The reports come in sorted order, each with the verdict of
+    verify_equilibrium with tol (n_probe is validated and no longer
+    affects it).  The degeneracy regions are the cells of width
+    scan_step_deg that hold an alpha at which a best response along the
+    composed map is non-unique, neighbouring cells merged, and the whole
+    half turn when a player's harmonic is flat at every angle.
     """
     if not (0.0 < scan_step_deg <= 1.0):
         raise ValueError(f"region cell width must be in (0, 1] degrees, got {scan_step_deg!r}")
@@ -350,8 +318,6 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
 
     candidates, regions = fixedpoint.solve(params, scan_step_deg)
 
-    # deduplicate (alpha, beta) pairs modulo 180, keeping the least
-    # |residual| of each cluster (ties in sorted order), in sorted order
     unique: list[tuple[float, float, float]] = []
     for cand in sorted(candidates, key=lambda c: (abs(c[2]), c)):
         if any(wrapped_distance(cand[0], u[0]) <= refine_tol_deg

@@ -1,133 +1,50 @@
 """Best responses, the fixed points of their composition, and the one
 search that equilibrium.find_equilibria calls (solve).
 
-For a fixed opponent angle x a player's payoff is a single harmonic in
-twice the player's own angle, K0 + K1 cos 2t + K2 sin 2t, and (K1, K2) is
-an affine function of (cos 2x, sin 2x): each best response has a closed
-form, and one array kernel evaluates either player's.  The kernel keeps
-the harmonic as one complex amplitude K = K1 + i K2 = kappa0 + mu e +
-nu conj(e) of the opponent's phase e = exp(2ix); the payoff peaks where
-exp(2it) points along K.  So the composed map needs no angle between the
-two best responses: Bob's answer to Alice's phase e is the unit vector
-w = -K_B/|K_B|, Alice's harmonic against it is K_A = kappa0_A + mu_A w +
-nu_A conj(w), and the fixed-point residual is arg(K_A conj(e))/2.
+For a fixed opponent angle x a player's payoff is K0 + Re(K conj(exp(2it)))
+in the player's own angle t: a single harmonic whose complex amplitude K =
+K1 + i K2 = kappa0 + mu e + nu conj(e) is affine in the opponent's phase e
+= exp(2ix) (harmonic_kernel builds both players' once per game).  The
+payoff peaks where exp(2it) points along K, so each best response has a
+closed form, and the composed map needs no angle between the two: Bob's
+answer to Alice's phase e is the unit vector w = -K_B/|K_B|, Alice's
+harmonic against it is K_A = kappa0_A + mu_A w + nu_A conj(w), and the
+fixed-point residual is arg(K_A conj(e))/2.
 
-Each game has one harmonic kernel (HarmonicKernel), built on first use
-and cached on the game as params.kernel: both players' harmonics as
-complex coefficients, the largest stake and the flatness radius.  Every
-stage of a solve reads it, so no stage rebuilds a harmonic or rescans
-the stakes.
-
-solve first sorts the game by the disk certificate (_certificate), two
-2x2 solves from the kernel: the mixed game is bilinear on two unit disks,
-and c = M^-1 a and d = M^-T b of its coefficients place its saddle.  An
-absent game, both inside the disk by a rounding margin, has no pure
-equilibrium, and nothing more is computed.  An off-boundary game, both
-off the circle by the margin, has no indifference anywhere on it and
-exactly one pure equilibrium, whose alpha is the unique maximum on the
-circle of Alice's security level g(alpha) = K0 + Re(kappa0_A conj(e)) -
-|K_B(e)|, Alice's payoff against Bob's best reply.  Every other game is
-on the boundary, the only place where equilibria can form a discrete
-set.
+solve first sorts the game by the disk certificate (_certificate): an
+absent game has no pure equilibrium, an off-boundary game exactly one, at
+the unique maximum on the circle of Alice's security level g(alpha) = K0 +
+Re(kappa0_A conj(e)) - |K_B(e)|, her payoff against Bob's best reply, and
+only a boundary game can have a discrete set of equilibria.
 
 The maximum of g is a critical point, and the critical points are
-enumerated exactly.  Write z = e = exp(i phi), phi = 2a, for Alice's
-angle a.  g' has the sign of h = Im(K_A conj(e)), with K_A Alice's
-harmonic against Bob's answer w, so g is critical where K_A is parallel
-to e: a fixed point of the composed map, where K_A points along e
+enumerated exactly.  Write z = e = exp(i phi), phi = 2a, for Alice's angle
+a.  g' has the sign of h = Im(K_A conj(e)), so g is critical where K_A is
+parallel to e: a fixed point of the composed map, where K_A points along e
 (Re(K_A conj(e)) > 0), or a root of the other square-root branch, where
-Alice answers -w.  Multiplied by |K_B| the condition Im(K_A conj(e)) =
-0 reads Im(kappa0_A conj(e)) |K_B| = Im(L conj(e)), L = mu_A K_B + nu_A
-conj(K_B).  Squared, it is T(phi) = 0, where T is a trigonometric
-polynomial of degree 4 in phi, since K_B is one of degree 1 (spectral
-rootfinding for Fourier series: J. P. Boyd, J. Eng. Math. 56 (2006)
-203-219).  So T's values at nine phases determine it (polynomial).  The
-half-angle substitution z = (1 + it)/(1 - it), t = tan(phi/2), makes
-(1 + t^2)^4 T(phi) a real polynomial in t whose real roots are the roots
-on the circle, so one real eigenvalue problem, that of its companion
-matrix, finds them all, and the zeros of K_B besides.  g is evaluated
-at every distinct eigenvalue angle, real or not: rounding can push those
-of a clustered root a hundredth off the real line, and a conjugate pair,
-whose two angles agree to the bit, is one seed.  g has two local maxima
-in most games, so no local ascent from an arbitrary start replaces the
-roots.
+Alice answers -w.  Multiplied by |K_B| the condition h = 0 reads
+Im(kappa0_A conj(e)) |K_B| = Im(L conj(e)), L = mu_A K_B + nu_A conj(K_B).
+Squared, it is T(phi) = 0, where T is a trigonometric polynomial of degree
+4 in phi, since K_B is one of degree 1 (spectral rootfinding for Fourier
+series: J. P. Boyd, J. Eng. Math. 56 (2006) 203-219).  The half-angle
+substitution z = (1 + it)/(1 - it), t = tan(phi/2), makes Q(t) = (1 +
+t^2)^4 T(phi) a real polynomial in t whose real roots are the roots
+on the circle (polynomial), so one real eigenvalue problem, that of its
+companion matrix, finds them all, and the zeros of K_B besides
+(circle_angles).  g can have two local maxima, so no local ascent from an
+arbitrary start replaces the roots.
 
-The angles seed Newton's iteration on the unsquared residual, whose
-slope has a closed form in the same harmonics, in descending order of g,
-the next wherever a seed yields no row, except in a game with an
-indifference row, which tries only the first (fixed_points).  The
-iteration takes a step only where it strictly lowers |residual|, and
-stops, unconverged, at the first step that does not: |residual| falls
-strictly at every step taken, so the iteration ends.  Where K_A or K_B
-nearly vanishes the residual sweeps most of a quarter turn within a
-small fraction of a degree, and a full step from an eigenvalue's angle
-can overshoot it, so the iteration stops short.  Where the iteration
-does not converge, the first sign change of the residual uphill of the
-seed, where g rises, is bisected down to neighbouring doubles, in every
-class of game; where the iteration stopped plays no part.  The roots
-bracket that change (_climb): every sign change of h is a root of T, so
-between consecutive roots the residual keeps its sign, and the climb
-samples it once at the midpoint of each pair of consecutive root angles,
-walking uphill from the seed, until a sample's sign differs from the
-last one's.  That is at most one sample per root angle, and each seed
-gets one bisection, of that one cell.  Where the eigenvalue angles
-separate the true roots, so that no cell between consecutive midpoints
-holds two of them, the cell holds exactly the first sign change uphill.
-That change need not be a crossing.  Off the boundary the residual's
-sign is that of h, which is continuous there, but h also changes sign
-where K_A points against e, and there the residual wraps from +90 to -90
-degrees; on the boundary the change can also be the edge of a flat
-harmonic.  The bisection tells a wrap or an edge from a crossing by the
-jump between its ends, and keeps no row, so where it lands on one that
-seed yields none.  On the boundary the closed-form indifference rows
-below join the row.  A row is kept for what it is, never for the size of
-its residual, so no tolerance enters the search: the caller's refine
-tolerance only merges duplicates.  No residual is scanned: a scan of it
-is the tests' oracle for the enumeration.
-
-Everything after the eigenvalue call is scalar arithmetic, one angle at
-a time in plain Python floats and complex numbers, which on a handful
-of angles costs less than numpy calls do: the values of g, the Newton
-iteration and the bisection, and the finished row, whose residual and
-Bob's harmonic come from one more evaluation of the same step (_step,
-the one implementation of the residual), and the indifference rows
-below.  A scalar best reply (_reply) gives the row's beta and each
-indifference row's reply; best_responses is its array form on opponent
-phases, which the public best-response functions evaluate on angle
-arrays, and reaction curves on one phase grid that both players share,
-together with the payoff at each reply in closed form (best_values), by
-the formula that also gives Alice's security level (_best_value).  Every
-angle a caller gives enters the trigonometry through phase, which
-reduces it modulo 180 first.
-
-polynomial samples T at the nine phases exp(2 pi i j/9) straight from
-the harmonics, and one constant 9x9 matrix takes the samples to the
-coefficients of (1 + t^2)^4 T.  Where g has two maxima within a few
-parts in 1e9 of each other, the last bits of those coefficients and of
-the eigenvalues decide which root is the first seed.  That decides
-nothing in a game without an indifference row, in whichever class the
-certificate puts it, since a seed that yields no row is followed by the
-next: such a game's equilibria are fixed points of the composed map at
-the maximum of g.  A game with an indifference row tries only the first
-seed, whose row can still hang on those bits: its equilibria lie among
-the indifference rows, which have closed forms, and every later seed
-would cost a climb that yields nothing.  The eigenvalues come from
-LAPACK's geev through numpy's gufunc (numpy.linalg._umath_linalg.eigvals),
-which np.linalg.eigvals wraps; circle_angles keeps the wrapper's two
-guarantees by hand, and the tests hold its eigenvalues to the wrapper's
-bit for bit.  Those bits depend on the OpenBLAS core type
-(OPENBLAS_CORETYPE): on the sweep recipe's first 1,000 games and 4,000
-heterogeneous-stake draws, Prescott's kernel changes the angles of
-3,732 games and the reports of 1,135, alpha by at most 9e-12 degrees,
-and no verified count.
-
-Where a player's harmonic vanishes that player is indifferent and the
-composed map is undefined.  Such a zero, and the opponent angles that
-it pairs with in an equilibrium, each solve one linear equation in
-(cos 2y, sin 2y), so they have closed forms too, and the alphas at
-which the map is undefined mark the degeneracy regions by cell index.
-A candidate's verification needs each player's largest gain from a
-deviation, which is closed-form in the same harmonics (gains).
+The root angles seed Newton's iteration on the unsquared residual in
+descending order of g (fixed_points); where it does not converge a
+bisection between consecutive roots finishes the seed (_climb).  A row is
+kept for what it is, never for the size of its residual, so the caller's
+refine tolerance only merges duplicates; a scan of the residual is the
+tests' oracle.  Where a player's harmonic vanishes the composed map is
+undefined; such zeros and their partner angles have closed forms
+(indifference_points) and mark the degeneracy regions.  Each player's
+largest gain from a deviation is closed-form too (gains).  After the
+eigenvalue call everything is scalar arithmetic in Python floats and
+complex numbers, which on a handful of angles costs less than numpy calls.
 """
 
 from __future__ import annotations
@@ -149,12 +66,11 @@ ALICE, BOB = "alice", "bob"
 # relative size below which the polynomial counts as identically zero
 _ZERO_POLYNOMIAL = 1e-12
 # the last step is applied before the iteration stops, since Bob's best
-# response can be thousands of times steeper than the residual
+# response can be far steeper than the residual
 _NEWTON_TOL_DEG = 1e-12
 # first-order rounding bound of _certificate, in units of the largest
 # stake: 256 unit roundoffs
 _ROUNDING = 2.0 ** -45
-# the classes of _certificate
 ABSENT, OFF_BOUNDARY, BOUNDARY = "absent", "off-boundary", "boundary"
 # column k holds the coefficients of t^8 ... t^0 of (1 + it)^k (1 - it)^(8 - k),
 # which is (1 + t^2)^4 z^(k - 4) at z = (1 + it)/(1 - it)
@@ -172,14 +88,11 @@ _SAMPLES_TO_Q = np.array([[sum(h * complex(*e) ** (4 - k) for k, h in enumerate(
 
 
 class HarmonicKernel(NamedTuple):
-    """One game's harmonics, built once per game.
-
-    alice and bob are the players' harmonics (kappa0, m_1, m_2), as
+    """One game's harmonics (kappa0, m_1, m_2) per player, as
     harmonic_kernel builds them; scale is the largest |stake| and radius,
     sqrt(DEGENERACY_SQ) * scale, the largest |K| that is flat.  Flatness
     is tested as |K| <= radius rather than on K1^2 + K2^2, so that no
-    square overflows or underflows at extreme stakes.
-    """
+    square overflows or underflows at extreme stakes."""
 
     alice: tuple[complex, complex, complex]
     bob: tuple[complex, complex, complex]
@@ -199,19 +112,15 @@ def harmonic_kernel(params) -> HarmonicKernel:
     r sin^2(x - t_opp) - s cos^2(x - t_opp) = (r - s)/2 - (r + s)/2 (Re o
     cos 2x + Im o sin 2x).  Alice meets (a, c) and (b, d), Bob (c, a) and
     (d, b), and each mixing angle's phase is n for its owner and o for
-    the opponent, so one formula gives both (_coefficients).
-
-    Its numbers are Python complex and float whatever the stakes' type:
-    each stake enters as a Python float, so np.float64 and int stakes
-    solve bit for bit as float ones do.  The one formula is written out,
-    one Python operation at a time in the order of the formulas above.
+    the opponent, so one formula gives both (_coefficients).  Each stake
+    enters as a Python float, so np.float64 and int stakes solve bit for
+    bit as float ones do.
     """
     a, b, c, d = params.stakes
     scale = float(max(abs(a), abs(b), abs(c), abs(d)))
     # quarter each stake before adding, exactly, so that no sum of two
     # finite stakes overflows
     a, b, c, d = float(a) / 4.0, float(b) / 4.0, float(c) / 4.0, float(d) / 4.0
-    # a mixing angle matters modulo 180; phase reduces it first
     n_a, n_b = phase(params.theta_a_deg), phase(params.theta_b_deg)
     return HarmonicKernel(_coefficients(a, c, b, d, n_a, n_b), _coefficients(c, a, d, b, n_b, n_a),
                           scale, math.sqrt(DEGENERACY_SQ) * scale)
@@ -227,8 +136,7 @@ def _coefficients(p, q, r, s, own, opp) -> tuple[complex, complex, complex]:
 def phase(angle_deg):
     """e = exp(2ix) of an angle x in degrees, or of each angle of an array,
     with x reduced first (wrap_input).  A scalar gives a Python complex
-    from cmath, which agrees with numpy bit for bit and, on the one angle
-    at a time that the solver and its verdict pass, costs less."""
+    from cmath, which agrees with numpy bit for bit."""
     x = wrap_input(angle_deg)
     if isinstance(x, float):
         return cmath.exp(2j * math.radians(x))
@@ -238,8 +146,7 @@ def phase(angle_deg):
 def _harmonic(e, kappa0, m_1, m_2):
     """K = kappa0 + m_1 Re e + m_2 Im e against each opponent phase
     e = exp(2ix), which is kappa0 + mu e + nu conj(e) with
-    mu = (m_1 - i m_2)/2 and nu = (m_1 + i m_2)/2; broadcasts over arrays.
-    """
+    mu = (m_1 - i m_2)/2 and nu = (m_1 + i m_2)/2; broadcasts over arrays."""
     return kappa0 + m_1 * e.real + m_2 * e.imag
 
 
@@ -252,22 +159,17 @@ def _answer(peak, player: str):
 def best_responses(e, kernel: HarmonicKernel, player: str):
     """A player's best-response angles in [0, 180) against each opponent
     phase e = exp(2ix) (phase), NaN where the harmonic is flat;
-    broadcasts over arrays.
-
-    The harmonic K1 cos 2t + K2 sin 2t = Re(K conj(exp(2it))) peaks at
-    2t = arg K.
-    """
+    broadcasts over arrays."""
     k = _harmonic(e, *(kernel.alice if player == ALICE else kernel.bob))
     return _answer(np.where(abs(k) <= kernel.radius, np.nan, np.arctan2(k.imag, k.real)), player)
 
 
 def _best_value(e, own, kappa0_opp: complex, player: str):
     """A player's payoff at the best reply to the opponent phase e, less the
-    payoff's constant K0 = (a + b + c + d)/4: Re(kappa0_opp conj(e)) +
-    |K_own(e)| for Alice, who maximises, and Re(kappa0_opp conj(e)) -
-    |K_own(e)| for Bob, who minimises, where own is the player's harmonic
-    (kappa0, m_1, m_2) and kappa0_opp the opponent's kappa0.  For Bob it
-    is Alice's security level g (_security).  Broadcasts over arrays.
+    payoff's constant K0 = (a + b + c + d)/4: Re(kappa0_opp conj(e)) +-
+    |K_own(e)|, + for Alice, who maximises, - for Bob, who minimises, where
+    own is the player's harmonic and kappa0_opp the opponent's kappa0; for
+    Bob it is Alice's security level g.  Broadcasts over arrays.
 
     The payoff is K0 + Re(kappa0_A conj(e(alpha))) + Re(kappa0_B
     conj(e(beta))) + p.Mq (_certificate), and the player's own angle
@@ -311,10 +213,9 @@ def gains(alpha: float, beta: float, params) -> tuple[float, float]:
     """Alice's and Bob's largest gains from a unilateral deviation at the
     profile (alpha, beta), in closed form.
 
-    Against beta Alice's payoff is K0 + Re(K_A conj(e(t))) in her own angle
-    t, where e(t) = exp(2it), so her largest gain is |K_A| -
-    Re(K_A conj(e(alpha))); Bob minimises, and his is Re(K_B conj(e(beta)))
-    + |K_B|.  Neither needs K0 or a payoff value.
+    Alice's payoff in her own angle t is K0 + Re(K_A conj(e(t))), so her
+    largest gain is |K_A| - Re(K_A conj(e(alpha))); Bob minimises, and his
+    is Re(K_B conj(e(beta))) + |K_B|.  Neither needs K0 or a payoff value.
     """
     kernel = params.kernel
     e_a, e_b = phase(alpha), phase(beta)
@@ -332,9 +233,7 @@ def _step(alpha: float, kernel: HarmonicKernel) -> tuple[float, float, complex]:
     m_1 Im e) from Bob's harmonic, Bob's answer w = -K_B/|K_B| turns by
     dw = i w Im(dK_B/K_B), Alice's harmonic against it moves by dK_A =
     m_1 Re dw + m_2 Im dw from hers, and r = arg(K_A conj(e))/2 has the
-    slope r' = Im(dK_A/K_A)/2 - 1 in degrees per degree.  Plain Python
-    complex arithmetic: one angle at a time, numpy would cost more than
-    the arithmetic.
+    slope r' = Im(dK_A/K_A)/2 - 1 in degrees per degree.
     """
     (_, m1_a, m2_a), (_, m1_b, m2_b) = kernel.alice, kernel.bob
     e = cmath.exp(1j * math.radians(2.0 * alpha))
@@ -359,11 +258,11 @@ def _newton(alpha: float, residual: float, step: float,
     and the first step there from _step: the angle it ends at, not
     wrapped, and whether it converged.
 
-    The iteration converges once a step of at most _NEWTON_TOL_DEG is due,
-    which it applies unevaluated.  A larger step is taken only where it
-    strictly lowers |residual|, and the iteration stops short at the first
-    step that does not, or where the step is undefined.  So |residual|
-    falls strictly at every step taken, and the iteration ends.
+    It converges once a step of at most _NEWTON_TOL_DEG is due, which it
+    applies unevaluated.  A larger step is taken only where it strictly
+    lowers |residual|; at the first that does not, or an undefined step,
+    it stops short.  So |residual| falls strictly at every step taken, and
+    the iteration ends.
     """
     while abs(step) > _NEWTON_TOL_DEG:
         trial, trial_step, _ = _step(alpha - step, kernel)
@@ -377,28 +276,25 @@ def _climb(alpha: float, residual: float, angles: list[float],
            kernel: HarmonicKernel) -> tuple[float, bool]:
     """The first sign change of the residual uphill of alpha, given the
     residual there and the angles phi of circle_angles, bisected down to
-    neighbouring doubles: the end with the smaller |residual|, and
-    whether the ends' residuals differ by less than 90 degrees, which
-    makes the change a crossing of the composed map rather than a wrap or
-    the edge of a flat harmonic, where the residual is NaN; (NaN, False)
-    if no sample within the half turn changes sign.
+    neighbouring doubles: the end with the smaller |residual|, and whether
+    the ends' residuals differ by less than 90 degrees, which makes the
+    change a crossing of the composed map rather than a wrap or the edge
+    of a flat harmonic, where the residual is NaN; (NaN, False) if no
+    sample within the half turn changes sign.
 
-    Uphill is the direction in which Alice's security level g rises: the
-    residual has the sign of h = Im(K_A conj(e)), which has the sign of g',
-    wherever both harmonics are far from flat, so a change from + to - is
-    a maximum of g, and off the boundary (_certificate) no harmonic comes
-    near flat anywhere on the circle.  Even there the change need not be a
-    crossing: h also changes sign where K_A points against e, and there
-    the residual wraps from +90 to -90 degrees.  Every sign change of h is
-    a root of T, so the residual keeps its sign between consecutive roots.
-    The walk samples it once at the midpoint of each pair of consecutive
-    root angles, alpha = phi/2 on the half turn, in order uphill from
-    alpha, until a sample's sign differs from the last one's, and bisects
-    that one cell: at most one sample per root angle and one bisection.
-    Where the angles separate the true roots, so that no cell between
-    consecutive midpoints holds two of them, that cell holds exactly the
-    first sign change uphill.  fixed_points starts the walk at a seed,
-    itself a root angle, so that the first cell holds the seed's own root.
+    Uphill is where Alice's security level g rises: wherever both
+    harmonics are far from flat, as on the whole circle off the boundary
+    (_certificate), the residual has the sign of h = Im(K_A conj(e)) and
+    so of g'.  A sign change of h need not be a crossing: where K_A points
+    against e the residual wraps from +90 to -90 degrees.  Every sign
+    change of h is a root of T, so the residual keeps its sign between
+    consecutive roots.  The walk samples it once at the midpoint of each
+    pair of consecutive root angles, alpha = phi/2, uphill from alpha,
+    until a sample's sign differs from the last one's, and bisects that
+    one cell: at most one sample per root angle and one bisection.  Where
+    the angles separate the true roots, so that no cell holds two, that
+    cell holds exactly the first sign change uphill; fixed_points starts
+    at a seed, itself a root angle, so the first cell holds its own root.
     """
     roots = sorted(wrap_half_turn(0.5 * math.degrees(phi)) for phi in angles)
     lo, r_lo, uphill = alpha, residual, math.copysign(1.0, residual)
@@ -420,9 +316,8 @@ def _climb(alpha: float, residual: float, angles: list[float],
 
 def polynomial(alice, bob) -> list[float]:
     """Coefficients of t^8 ... t^0 of Q(t) = (1 + t^2)^4 T(phi), t =
-    tan(phi/2), where T(phi) = Im(kappa0_A conj(e))^2 |K_B|^2 - Im(L
-    conj(e))^2 at e = exp(i phi) and L = m_1 Re K_B + m_2 Im K_B, which is
-    mu_A K_B + nu_A conj(K_B).
+    tan(phi/2), T(phi) = Im(kappa0_A conj(e))^2 |K_B|^2 - Im(L conj(e))^2
+    at e = exp(i phi), with L = m_1 Re K_B + m_2 Im K_B.
 
     alice and bob are the harmonics (kappa0, m_1, m_2) of harmonic_kernel,
     scaled first so that the largest |coefficient| of the two is 1.  T is
@@ -449,39 +344,32 @@ def polynomial(alice, bob) -> list[float]:
 
 
 def circle_angles(q) -> list[float]:
-    """Angle phi of each root of T(phi), a polynomial of degree 4 in
-    cos phi and sin phi, given the coefficients q of t^8 ... t^0 of Q(t)
-    = (1 + t^2)^4 T(phi), t = tan(phi/2), as polynomial returns them: a
-    list of distinct floats, one per root t of Q whose angle no earlier
-    root has, where a real t is a root on the circle and a complex one a
-    root off it.
-
-    The roots t = x + iy of Q are the eigenvalues of its companion
-    matrix, whose first row is -q[k]/q_lead and whose subdiagonal is ones.
-    A root's angle is arg z = atan2(x, 1 - y) + atan2(x, 1 + y), z =
-    exp(i phi) = (1 + it)/(1 - it), finite for every t and the same to
-    the bit for both roots of a conjugate pair; each vanishing leading
-    coefficient of Q is a root at t = infinity, phi = pi.  Such exact
-    repeats are listed once, so each distinct angle seeds the search once
-    and no cell between consecutive angles has zero width (_climb).  The
-    angles are unfinished: fixed_points finishes them on the unsquared
-    residual.  A multiple root keeps one angle per eigenvalue that
-    rounding splits from the others, all close together.  A polynomial
-    that vanishes identically (K_A parallel to e for every phi) has no
+    """Angle phi of each root of T(phi), given the coefficients q of t^8
+    ... t^0 of Q(t) = (1 + t^2)^4 T(phi), t = tan(phi/2), as polynomial
+    returns them: distinct floats, one per root t of Q whose angle no
+    earlier root has.  A real t is a root on the circle, and complex ones
+    are kept, since rounding can push a clustered root off the real line.
+    A Q that vanishes identically (K_A parallel to e for every phi) has no
     isolated roots and yields none.
 
-    The eigenvalues come from LAPACK's geev through numpy's gufunc, the
-    call np.linalg.eigvals makes, bit for bit as that wrapper returns
-    them (cast to complex), without its cost: the direct call raised the
-    sweep benchmark's operations per second by about a fifth, well past
-    its run-to-run spread.  The wrapper's two
-    guarantees are kept by hand: a companion row that is not finite, as
-    where the leading coefficient is subnormal next to the others,
-    raises np.linalg.LinAlgError before the call, and so does an
-    eigenvalue that is NaN, as where geev did not converge, rather than
-    seed the search.  A geev that does not converge also sets the
-    floating-point invalid flag, so numpy warns before the raise.  The
-    bits depend on the OpenBLAS core type (module docstring).
+    The roots are t = infinity, phi = pi, once per vanishing leading
+    coefficient, and the eigenvalues of Q's companion matrix.  The angle
+    of t = x + iy is arg z = atan2(x, 1 - y) + atan2(x, 1 + y), z = exp(i
+    phi) = (1 + it)/(1 - it), finite for every t.  For a conjugate pair x
+    +- iy the two terms trade places, and a sum of two doubles does not
+    depend on their order, so the pair gives one angle to the bit.  Such
+    exact repeats are listed once, so each distinct angle seeds the search
+    once and no cell between consecutive angles has zero width (_climb).
+
+    The eigenvalues are np.linalg.eigvals's, cast to complex, bit for bit:
+    the same LAPACK geev gufunc, called directly, with the wrapper's two
+    guarantees kept by hand.  A companion row that is not finite, as where
+    the leading coefficient is subnormal next to the others, raises
+    np.linalg.LinAlgError before the call, and so does a NaN eigenvalue,
+    where geev did not converge, rather than seed the search; geev's
+    invalid flag then makes numpy warn first.  The last bits depend on the
+    OpenBLAS core type (OPENBLAS_CORETYPE); the tests marked
+    kernel_sensitive rerun under a second one.
     """
     if max(map(abs, q)) <= _ZERO_POLYNOMIAL:
         return []
@@ -505,39 +393,37 @@ def _certificate(kernel: HarmonicKernel) -> str:
     """The game's class under the disk certificate: ABSENT where it proves
     that there is no pure equilibrium, OFF_BOUNDARY where it proves that
     there is exactly one and that neither player is ever indifferent, and
-    BOUNDARY otherwise.
+    BOUNDARY otherwise, as for the all-zero game and a coefficient that is
+    not finite.
 
     With p = e(alpha) and q = e(beta) as vectors, the payoff is f0 + a.p +
     b.q + p.Mq, where M = [[Re m_1, Re m_2], [Im m_1, Im m_2]] and a =
-    (Re kappa0, Im kappa0) come from Alice's harmonic, which is the vector
-    a + Mq, and b from Bob's, which is b + M^T p.  A mixed strategy acts
-    only through its mean of p or q, a point of the unit disk, so the
-    mixed game is bilinear on two disks and has a saddle point (von
-    Neumann 1928; Sion, Pacific J. Math. 8 (1958) 171-176), and a pure
-    equilibrium is one of its saddles, since a payoff linear in a
-    player's own mean peaks on the circle.  Zero-sum saddles are
-    interchangeable (Osborne and Rubinstein 1994, Prop. 22.2).
+    (Re kappa0, Im kappa0) come from Alice's harmonic, the vector a + Mq,
+    and b from Bob's, b + M^T p.  A mixed strategy acts only through its
+    mean of p or q, a point of the unit disk, so the mixed game is
+    bilinear on two disks and has a saddle point (von Neumann 1928; Sion,
+    Pacific J. Math. 8 (1958) 171-176), and a pure equilibrium is one of
+    its saddles, since a payoff linear in a player's own mean peaks on the
+    circle.  Zero-sum saddles are interchangeable (Osborne and Rubinstein
+    1994, Prop. 22.2).
 
     As adj(M)(a + Mq) = adj(M) a + det(M) q and |adj(M)|_2 = |M|_2 <=
-    |M|_F, Alice's harmonic obeys |a + Mq| |M|_F >= ||adj(M) a| - |det M||
-    at every unit q, whatever M, and Bob's likewise with adj(M)^T b.  The
-    test compares both gaps ||adj(M) a| - |det M|| and ||adj(M)^T b| -
-    |det M|| with the margin |M|_F (r + rho), where r = sqrt(DEGENERACY_SQ)
-    and everything is divided by kernel.scale S first, much as polynomial
-    scales its coefficients, so that no product overflows or underflows.
-    Where both gaps exceed it, no harmonic of the game comes within the
-    flatness radius anywhere on the circle, by rho to spare for rounding:
-    neither player is ever indifferent, so there is no indifference row
-    and no degeneracy region, and there is at most one pure equilibrium.
-    For invertible M, with c = M^-1 a and d = M^-T b, the gaps are
-    |det M| ||c| - 1| and |det M| ||d| - 1|.
+    |M|_F, |a + Mq| |M|_F >= ||adj(M) a| - |det M|| at every unit q, and
+    |b + M^T p| |M|_F >= ||adj(M)^T b| - |det M||.  Where both gaps exceed
+    the margin |M|_F (r + rho), r = sqrt(DEGENERACY_SQ), all divided by
+    kernel.scale S first so that no product overflows or underflows, no
+    harmonic comes within the flatness radius anywhere on the circle, by
+    rho to spare for rounding: neither player is ever indifferent, and
+    there is at most one pure equilibrium.  For invertible M, with c =
+    M^-1 a and d = M^-T b, the gaps are |det M| ||c| - 1| and |det M| ||d|
+    - 1|.
 
     ABSENT: both gaps exceed the margin with |c| < 1 and |d| < 1, and
     (-d, -c) is an interior saddle, at which each player's harmonic
     vanishes.  A pure equilibrium (p, q) would make (p, -c) a saddle too,
     at which Bob minimises over the disk at the interior point -c: b +
-    M^T p = 0, so p = -d, which is not on the circle.  There is no pure
-    equilibrium.
+    M^T p = 0, so p = -d, which is not on the circle.  Singular M (det 0)
+    is never ABSENT.
 
     OFF_BOUNDARY: both gaps exceed the margin, and one of |adj(M) a| and
     |adj(M)^T b| exceeds |det M|, say Alice's.  Then Alice's harmonic
@@ -548,20 +434,17 @@ def _certificate(kernel: HarmonicKernel) -> str:
     unique global maximum on the circle of Alice's security level
     g(alpha), the least payoff over beta.
 
-    The all-zero game and a coefficient that is not finite are BOUNDARY,
-    and singular M (det 0) is never ABSENT.
-
-    rho bounds rounding to first order, in units of S, with u = 2^-53.
-    Each coefficient of harmonic_kernel is within 21u of its exact value:
-    the phases n and o carry at most 14u, mostly from 2t in radians, each
-    multiplies at most 1/2, and the quartered sums, products and the
-    division by S add a few u.  So |a| <= 1, |M|_F <= 1.12 and |b| <= 1,
-    and each harmonic on the circle moves by at most (1 + sqrt 2) 21u,
-    twice that for Bob's, whose block is taken as Alice's M^T.  Computing
-    a gap G costs at most u(|M|_F^2 + 3 |M|_F max(|a|, |b|) + G), and as
-    G <= |M|_F^2/2 + |M|_F max(|a|, |b|), at most 6u once divided by
-    |M|_F; the solver's own evaluation of a harmonic costs at most 25u.
-    These sum to under 140u; rho is 256u.
+    rho = 256u bounds rounding to first order, in units of S, with u =
+    2^-53.  Each coefficient of harmonic_kernel is within 21u of its exact
+    value: the phases n and o carry at most 14u, mostly from 2t in
+    radians, each multiplies at most 1/2, and the quartered sums, products
+    and the division by S add a few u.  So |a| <= 1, |M|_F <= 1.12 and |b|
+    <= 1, and each harmonic on the circle moves by at most (1 + sqrt 2)
+    21u, twice that for Bob's, whose block is taken as Alice's M^T.
+    Computing a gap G costs at most u(|M|_F^2 + 3 |M|_F max(|a|, |b|) +
+    G), and as G <= |M|_F^2/2 + |M|_F max(|a|, |b|), at most 6u once
+    divided by |M|_F; the solver's own evaluation of a harmonic costs at
+    most 25u.  These sum to under 140u.
     """
     scale = kernel.scale
     if scale == 0.0:
@@ -585,9 +468,8 @@ def _certificate(kernel: HarmonicKernel) -> str:
 
 def _security(phi: float, kernel: HarmonicKernel) -> float:
     """Alice's security level g at the phase angle phi = 2 alpha, in
-    radians, less the payoff's constant K0: Bob's payoff at his best reply
-    to e = exp(i phi), Re(kappa0_A conj(e)) - |K_B(e)|, the one formula
-    of _best_value, which reaction curves evaluate for both players."""
+    radians, less the payoff's constant K0: Re(kappa0_A conj(e)) - |K_B(e)|
+    at e = exp(i phi), Bob's payoff at his best reply (_best_value)."""
     return _best_value(cmath.rect(1.0, phi), kernel.bob, kernel.alice[0], BOB)
 
 
@@ -597,41 +479,29 @@ def fixed_points(params, indifferent: bool = False) -> list[tuple[float, float, 
     indifferent is whether the game has an indifference row
     (indifference_points), as solve tells it.
 
-    The angles of circle_angles, roots of the polynomial of the game's
-    kernel on the unit circle or off it, are seeds in descending order of
-    g (_security).  A seed's residual and first step start Newton's
-    iteration (_newton), whose end is the row where it converges.  Where
-    it does not and the seed has a residual, the first sign change of the
-    residual uphill of the seed, not of where the iteration stopped, is
-    bracketed between the midpoints of the seeds' own angles and bisected
-    (_climb), and a crossing it closes between neighbouring doubles is the
-    row.  Neither row is held to a tolerance: at a crossing steeper than
-    about 1e11 degrees per degree the nearest double can leave a residual
-    of 1e-3 degrees.  The residual wraps where K_A points against e, and
-    where the bisection closes such a wrap the seed yields no row.
+    The angles of circle_angles are seeds in descending order of g
+    (_security).  The row is where Newton's iteration (_newton) from a
+    seed converges, or else, where the seed's residual is a number, a
+    crossing that _climb closes uphill of the seed, not of where the
+    iteration stopped; beta is Bob's _reply at its alpha.  Neither row is
+    held to a tolerance: at a steep crossing the nearest double can leave
+    a residual above the refine tolerance
+    (test_crossing_between_neighbouring_doubles_is_kept).
 
-    The seeds are tried in that order until one yields a row, so the
-    answer does not hang on which of two near-equal maxima of g the
-    rounding of the roots puts first.  A converged end or a closed
-    crossing is a fixed point of the composed map, where each player plays
-    the one best reply to the other: an equilibrium, up to rounding.  In a
-    game without an indifference row no equilibrium has a flat harmonic,
-    so there is at most one, since equilibria are interchangeable
-    (_certificate) and a unique best reply admits no second partner;
-    whichever seed yields a row yields that one.  Off the boundary the
-    disk certificate proves that it exists.  Where indifferent is true
-    only the first seed runs: the equilibria lie among the indifference
-    rows, and each later seed would cost a climb that yields nothing;
-    trying every seed until one yields a row changes no report of the
-    test families but multiplies their _step calls about sixteenfold.
-    The first still runs, since an indifference row can be an
-    epsilon-equilibrium beside an exact fixed point, as in draw 677 of the
-    k = 4 heterogeneous-stake family.  Each seed costs at most one Newton
-    iteration, which ends since |residual| falls strictly at every step,
-    and one climb, at most one sample per root angle and one bisection.
-    Only a row that is kept costs one more _step, at its angle, for its
-    residual and Bob's harmonic, and beta is Bob's _reply to that
-    harmonic.
+    Either row is a fixed point of the composed map, where each player
+    plays the one best reply to the other: an equilibrium, up to rounding.
+    Without an indifference row no equilibrium has a flat harmonic, so
+    there is at most one, since equilibria are interchangeable
+    (_certificate) and a unique best reply admits no second partner, and
+    whichever seed yields a row yields it.  So the seeds are tried until
+    one does, and the last bits of the polynomial and its eigenvalues,
+    which order near-tied maxima of g, decide nothing
+    (test_seed_order_decides_nothing_without_an_indifference_row).  With
+    an indifference row the equilibria lie among the indifference rows,
+    which have closed forms, and a later seed would cost a climb that
+    yields nothing, so only the first runs.  It still runs, since an
+    indifference row can be an epsilon-equilibrium beside an exact fixed
+    point (test_first_seed_runs_beside_an_indifference_row).
     """
     kernel = params.kernel
     seeds = sorted(circle_angles(polynomial(kernel.alice, kernel.bob)),
@@ -666,19 +536,17 @@ def indifference_points(params) -> tuple[list[tuple[float, float, float]], list[
 
     A player's harmonic K = kappa0 + m_1 cos 2x + m_2 sin 2x vanishes only
     where its real or imaginary part does, at one of at most two
-    closed-form opponent angles x0, taken from the part whose m-terms
-    are larger and kept where the flatness test of _reply holds there.
-    The player's partner angles y are those against which the
-    opponent's harmonic K' is parallel to e(x0): Im(conj(K') e(x0)) = 0
-    is one linear equation in (cos 2y, sin 2y).  At one sign of K' the
-    opponent's best reply (_reply) is x0, at the other x0 + 90.  The
-    residual is the opponent's best-reply defect from x0, 0 where that
-    reply is flat too, so up to rounding its size is 0 or 90 degrees, and
-    the rows below 45 are kept.  The alphas of the rows kept where Alice
-    is indifferent are the alphas Bob answers with x0, but not those
-    where Bob's reply is flat: such an alpha is one of Bob's own zeros,
-    listed already, with other rounding, and listing it twice would split
-    one indifference into two cells of a narrow enough width.
+    closed-form opponent angles x0, taken from the part whose m-terms are
+    larger and kept where the flatness test of _reply holds there.  The
+    player's partner angles y are those against which the opponent's
+    harmonic K' is parallel to e(x0): Im(conj(K') e(x0)) = 0, one linear
+    equation in (cos 2y, sin 2y).  The opponent's best reply is then x0 or
+    x0 + 90, so the residual, its defect from x0 (0 where that reply is
+    flat too), is 0 or 90 degrees up to rounding; rows below 45 are kept.
+    Where Alice is indifferent, the alphas Bob answers with x0 are
+    undefined, but not those where Bob's reply is flat: each is one of
+    Bob's own zeros, listed already with other rounding, and listing it
+    twice would split one indifference into two cells of a narrow width.
     """
     kernel = params.kernel
     rows, undefined = [], []
@@ -745,24 +613,16 @@ def solve(params, step_deg: float) -> tuple[list[tuple[float, float, float]],
     which the composed map is undefined (_degeneracy_regions).
 
     The disk certificate (_certificate) decides what is computed, not
-    what is found: nothing it skips could find anything, and the seeds
-    fixed_points tries depend only on whether the game has an
-    indifference row.  An ABSENT game returns ([], ())
-    at once, with no candidate, not even an unverified near fixed point.
-    In an ABSENT or OFF_BOUNDARY game |K| stays above kernel.radius, by
-    the certificate's rounding margin, at every angle of the circle for
-    both players.  indifference_points keeps only the zeros x0 at which a
-    harmonic is flat, so it would find no row and no undefined alpha; and
-    the whole-half-turn test of _degeneracy_regions, |kappa0| + |mu| + |nu|
-    <= radius, cannot hold either, since that sum is at least every |K| on
-    the circle.  So an OFF_BOUNDARY game gets fixed_points' one row and no
-    region, as it would with the certificate bypassed, and only a
-    BOUNDARY game, where equilibria can form a discrete set, gets the
-    indifference rows and the regions as well; the rows come before
-    fixed_points runs, since they decide how many seeds it tries.  The
-    OFF_BOUNDARY skip is kept for its cost: indifference_points alone is
-    about an eighth of an off-boundary find_equilibria, and more than half
-    of the sweep benchmark's games are off the boundary, the rest absent.
+    what is found.  An ABSENT game returns ([], ()) at once, with no
+    candidate, not even an unverified near fixed point.  Off the boundary
+    every |K| stays above kernel.radius on the whole circle, by the
+    certificate's rounding margin, so indifference_points, which keeps
+    only zeros x0 at which a harmonic is flat, would find nothing, and nor
+    would the whole-half-turn test of _degeneracy_regions, whose bound is
+    at least every |K| on the circle.  So an OFF_BOUNDARY game gets
+    fixed_points' one row and no region, as with the certificate bypassed,
+    and only a BOUNDARY game computes the indifference rows, first, since
+    they decide how many seeds fixed_points tries, and the regions.
     """
     kernel = params.kernel
     shape = _certificate(kernel)

@@ -170,9 +170,8 @@ def amplitudes(s: QuantumStrategy, rep: LogicRepresentation) -> AmplitudeSquares
 
     Closed trigonometric form: p1 = cos^2 t, p3 = sin^2 t against the
     axis pair and p2 = cos^2(t - theta), p4 = sin^2(t - theta) against
-    the rotated pair.  Identical to the quadratic forms <P_k v, v>.
-    The formula is _amplitude_squares, which find_equilibria's reports
-    call on their reduced angles directly.
+    the rotated pair, identical to the quadratic forms <P_k v, v>
+    (_amplitude_squares, which find_equilibria's reports also call).
     """
     return _amplitude_squares(s.angle_deg, rep.theta_deg)
 
@@ -196,11 +195,8 @@ def payoff_grid(alpha_deg, beta_deg, a, b, c, d, theta_a_deg, theta_b_deg):
     b cos^2(al - tA), d sin^2(al - tA)) and v = (sin^2 be, cos^2 be,
     sin^2(be - tB), cos^2(be - tB)), and F on a mesh has rank at most 4.
     An alpha column (n, 1) against a beta row (1, m) is one (n, 4) @ (4, m)
-    matrix product: no mesh-sized temporary, and last-bit differences
-    from the sum.  The surface benchmark's timed mesh takes alpha as the
-    column; only its untimed check builds the transposed mesh.  Every
-    other shape, that one included, takes the sum above, term by term in
-    that order.
+    matrix product, with no mesh-sized temporary and last-bit differences
+    from the sum; every other shape takes the sum, term by term in order.
 
     Each angle is reduced first (wrap_input), so a huge angle plays as
     its remainder; the inputs are reduced, never the mesh.

@@ -182,6 +182,36 @@ def test_quantum_payoff_wraps_angles(runner):
     assert payload["beta_deg"] == 59.5
 
 
+def _strict_json(text):
+    """The JSON document in text, rejecting the Infinity and NaN that
+    Python's json module reads but JSON (RFC 8259) does not have."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+_PAYOFF_AT = ["--theta-a", "1", "--theta-b", "1", "--alpha", "0", "--beta", "90"]
+
+
+@pytest.mark.parametrize("args, value", [
+    (["quantum", "payoff", "-p", "1e307,1e307,1e307,1e307", *_PAYOFF_AT], 1.9994e307),
+    (["quantum", "payoff", "-p", "1e308,1e308,1e308,1e308", *_PAYOFF_AT], None),
+    (["classical", "solve", "-p", "1e308,1e308,1e308,1e308"], 2.5e307),
+    (["classical", "solve", "-p", "1e-308,1e-308,1e-308,1e-308"], None)])
+def test_output_near_the_float_limit_is_strict_json_or_exit_2(runner, args, value):
+    # at stakes 1e308 the payoff's terms, 1e308 and 9.99e307, are finite
+    # but their sum is not, and 1/a + 1/b + 1/c + 1/d overflows at stakes
+    # 1e-308: each is an input error, not a payload with Infinity in it
+    result = runner.invoke(main, args)
+    if value is None:
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "Error:" in result.output and "Infinity" not in result.output
+    else:
+        assert result.exit_code == 0, result.output
+        assert _strict_json(result.output)["value"] == pytest.approx(value, rel=1e-4)
+
+
 def test_curves_export(runner, tmp_path):
     out = tmp_path / "curves"
     result = runner.invoke(main, ["quantum", "curves", "-p", "1,1,1,1",

@@ -758,6 +758,22 @@ def test_seed_order_decides_nothing_without_an_indifference_row(monkeypatch):
     assert len(boundary) == 362 and verified >= 7000
 
 
+@pytest.mark.kernel_sensitive
+def test_first_seed_runs_beside_an_indifference_row():
+    # draw 677 of the k = 4 family has two indifference rows, each an
+    # epsilon-equilibrium that passes the verdict, and an exact fixed
+    # point at its first seed, which the search must still report
+    from test_corpus import _heterogeneous_games
+
+    params = _heterogeneous_games(4, 1000)[677]
+    assert fixedpoint.indifference_points(params)[0]
+    ((alpha, beta, _),) = fixedpoint.fixed_points(params, indifferent=True)
+    assert abs(alpha - 90.229785) <= 1e-6 and abs(beta - 0.048946) <= 1e-6
+    exact = [e for e in find_equilibria(params)
+             if e.max_violation <= 1e-12 * params.kernel.scale]
+    assert [round(e.alpha_star_deg, 6) for e in exact] == [90.229785]
+
+
 def test_residual_underflow_is_not_an_error():
     # Alice's harmonic against Bob's answer points along e so nearly that
     # the atan2 of the residual underflows to 0, where cmath.phase raised
@@ -804,6 +820,26 @@ def test_climb_closes_a_crossing_but_not_a_wrap(monkeypatch):
     end, closed = climb(start, residual, angles, kernel)
     assert not closed
     assert 3.4e-7 < end - start < 3.5e-7 and abs(end - x0) <= 1e-7
+
+
+def test_climb_without_a_sign_change_closes_nothing(monkeypatch):
+    # a residual of one sign on the whole half turn changes sign in no
+    # cell: the walk samples each midpoint once and returns no end, and no
+    # seed yields a row, where a walk that fell through to the bisection
+    # would report a crossing at its last sample
+    kernel = EX3.kernel
+    angles = fixedpoint.circle_angles(fixedpoint.polynomial(kernel.alice, kernel.bob))
+    samples = []
+
+    def one_sign(alpha, kernel):
+        samples.append(alpha)
+        return 45.0, 1.0, kernel.bob[0]
+
+    monkeypatch.setattr(fixedpoint, "_step", one_sign)
+    end, closed = fixedpoint._climb(10.0, 45.0, angles, kernel)
+    assert math.isnan(end) and not closed
+    assert len(samples) == len(angles) > 1
+    assert fixedpoint.fixed_points(EX3) == []
 
 
 def _grid_regions(undefined, step_deg, kernel):
