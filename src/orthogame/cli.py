@@ -227,13 +227,14 @@ def quantum_payoff(stakes, theta_a, theta_b, alpha, beta):
               help="directory for alice.csv, bob.csv and degeneracies.json")
 def quantum_curves(stakes, theta_a, theta_b, step, out_dir):
     """Export both reaction curves as CSV plus a degeneracy sidecar."""
-    a, b, c, d = stakes
     try:
-        params = GameParams(a, b, c, d, theta_a, theta_b)
-        curve_a, curve_b = reaction_curves(params, step)
+        curve_a, curve_b = reaction_curves(GameParams(*stakes, theta_a, theta_b), step)
     except (ValueError, MemoryError) as exc:
         # a step so small that the curves do not fit in memory is bad input
         raise click.UsageError(str(exc))
+    if any(math.isinf(s.payoff) for curve in (curve_a, curve_b) for s in curve.samples):
+        # a NaN payoff marks a flat input; an infinite one is an overflow
+        raise click.UsageError("a best-reply payoff overflows at these stakes")
 
     base = Path(out_dir)
     base.mkdir(parents=True, exist_ok=True)

@@ -59,7 +59,7 @@ from numpy.linalg._umath_linalg import eigvals as _eigvals
 from .angles import signed_delta, wrap_half_turn, wrap_input
 
 # a harmonic whose squared amplitude is at most this times the square of
-# the largest stake is treated as flat
+# the largest stake, both in stake units, is treated as flat
 DEGENERACY_SQ = 1e-18
 
 ALICE, BOB = "alice", "bob"
@@ -68,8 +68,8 @@ _ZERO_POLYNOMIAL = 1e-12
 # the last step is applied before the iteration stops, since Bob's best
 # response can be far steeper than the residual
 _NEWTON_TOL_DEG = 1e-12
-# first-order rounding bound of _certificate, in units of the largest
-# stake: 256 unit roundoffs
+# first-order rounding bound of _certificate, in the kernel's units of
+# 2^k (harmonic_kernel): 256 unit roundoffs
 _ROUNDING = 2.0 ** -45
 ABSENT, OFF_BOUNDARY, BOUNDARY = "absent", "off-boundary", "boundary"
 # column k holds the coefficients of t^8 ... t^0 of (1 + it)^k (1 - it)^(8 - k),
@@ -88,15 +88,14 @@ _SAMPLES_TO_Q = np.array([[sum(h * complex(*e) ** (4 - k) for k, h in enumerate(
 
 
 class HarmonicKernel(NamedTuple):
-    """One game's harmonics (kappa0, m_1, m_2) per player, as
-    harmonic_kernel builds them; scale is the largest |stake| and radius,
-    sqrt(DEGENERACY_SQ) * scale, the largest |K| that is flat.  Flatness
-    is tested as |K| <= radius rather than on K1^2 + K2^2, so that no
-    square overflows or underflows at extreme stakes."""
+    """One game's harmonics (kappa0, m_1, m_2) per player, in units of
+    2^exponent (harmonic_kernel); scale is the largest |stake| and radius
+    the largest |K| that is flat, sqrt(DEGENERACY_SQ) * scale in those units."""
 
     alice: tuple[complex, complex, complex]
     bob: tuple[complex, complex, complex]
     scale: float
+    exponent: int
     radius: float
 
 
@@ -115,21 +114,24 @@ def harmonic_kernel(params) -> HarmonicKernel:
     the opponent, so one formula gives both (_coefficients).  Each stake
     enters as a Python float, so np.float64 and int stakes solve bit for
     bit as float ones do.
+
+    It alone chooses the unit 2^k, where frexp(max|stake|) = (max|stake| /
+    2^k, k), and scales each stake by 2^(-2-k) exactly with ldexp, one at
+    a time, as that one factor overflows at subnormal stakes.  Every coefficient is a
+    few units at most, and scaling normal stakes by 2^j changes none.
     """
-    a, b, c, d = params.stakes
-    scale = float(max(abs(a), abs(b), abs(c), abs(d)))
-    # quarter each stake before adding, exactly, so that no sum of two
-    # finite stakes overflows
-    a, b, c, d = float(a) / 4.0, float(b) / 4.0, float(c) / 4.0, float(d) / 4.0
+    scale = float(max(map(abs, params.stakes)))
+    mantissa, exponent = math.frexp(scale)
+    a, b, c, d = map(math.ldexp, params.stakes, [-2 - exponent] * 4)
     n_a, n_b = phase(params.theta_a_deg), phase(params.theta_b_deg)
     return HarmonicKernel(_coefficients(a, c, b, d, n_a, n_b), _coefficients(c, a, d, b, n_b, n_a),
-                          scale, math.sqrt(DEGENERACY_SQ) * scale)
+                          scale, exponent, math.sqrt(DEGENERACY_SQ) * mantissa)
 
 
 def _coefficients(p, q, r, s, own, opp) -> tuple[complex, complex, complex]:
-    """A player's (kappa0, m_1, m_2) from the quartered stakes (p, q) on
-    the axis diagonal and (r, s) on the rotated one, and the phases own
-    and opp of the player's and the opponent's mixing angles."""
+    """A player's (kappa0, m_1, m_2) from the scaled stakes (p, q) on the
+    axis diagonal and (r, s) on the rotated one, and the phases own and
+    opp of the player's and the opponent's mixing angles."""
     return p - q + (r - s) * own, -(p + q) - (r + s) * opp.real * own, -(r + s) * opp.imag * own
 
 
@@ -182,23 +184,14 @@ def _best_value(e, own, kappa0_opp: complex, player: str):
 
 def best_values(e, params, player: str):
     """The player's payoff at the best reply to each opponent phase e, in
-    closed form (_best_value); broadcasts over arrays.
-
-    It is evaluated in units of 2^k, the power of two with max|stake| in
-    [2^(k-1), 2^k), each coefficient's real and imaginary part and each
-    stake scaled exactly by ldexp, and the value scaled back the same way:
-    so no harmonic overflows at stakes near the largest double, and no
-    reciprocal of the scale does at subnormal ones.
-    """
+    closed form (_best_value), computed in the kernel's units and scaled
+    back to stake units exactly, infinite, with no warning, where it
+    overflows there; broadcasts over arrays."""
     kernel = params.kernel
-    exponent = math.frexp(kernel.scale)[1]
-
-    def unit(z: complex) -> complex:
-        return complex(math.ldexp(z.real, -exponent), math.ldexp(z.imag, -exponent))
-
     own, opp = (kernel.alice, kernel.bob) if player == ALICE else (kernel.bob, kernel.alice)
-    k0 = sum(math.ldexp(float(stake), -exponent) for stake in params.stakes) / 4.0
-    return np.ldexp(k0 + _best_value(e, [unit(c) for c in own], unit(opp[0]), player), exponent)
+    k0 = sum(math.ldexp(float(stake), -2 - kernel.exponent) for stake in params.stakes)
+    with np.errstate(over="ignore"):
+        return np.ldexp(k0 + _best_value(e, own, opp[0], player), kernel.exponent)
 
 
 def _reply(k: complex, player: str, kernel: HarmonicKernel) -> float:
@@ -216,11 +209,19 @@ def gains(alpha: float, beta: float, params) -> tuple[float, float]:
     Alice's payoff in her own angle t is K0 + Re(K_A conj(e(t))), so her
     largest gain is |K_A| - Re(K_A conj(e(alpha))); Bob minimises, and his
     is Re(K_B conj(e(beta))) + |K_B|.  Neither needs K0 or a payoff value.
+    Both are scaled back from the kernel's units exactly (_in_stakes).
     """
     kernel = params.kernel
     e_a, e_b = phase(alpha), phase(beta)
     k_a, k_b = _harmonic(e_b, *kernel.alice), _harmonic(e_a, *kernel.bob)
-    return abs(k_a) - (k_a * e_a.conjugate()).real, (k_b * e_b.conjugate()).real + abs(k_b)
+    return (_in_stakes(abs(k_a) - (k_a * e_a.conjugate()).real, kernel.exponent),
+            _in_stakes((k_b * e_b.conjugate()).real + abs(k_b), kernel.exponent))
+
+
+def _in_stakes(x: float, exponent: int) -> float:
+    """x times 2^exponent exactly, or +-inf where math.ldexp would raise."""
+    overflows = math.frexp(x)[1] + exponent > 1024
+    return math.copysign(math.inf, x) if overflows else math.ldexp(x, exponent)
 
 
 def _step(alpha: float, kernel: HarmonicKernel) -> tuple[float, float, complex]:
@@ -410,13 +411,13 @@ def _certificate(kernel: HarmonicKernel) -> str:
     As adj(M)(a + Mq) = adj(M) a + det(M) q and |adj(M)|_2 = |M|_2 <=
     |M|_F, |a + Mq| |M|_F >= ||adj(M) a| - |det M|| at every unit q, and
     |b + M^T p| |M|_F >= ||adj(M)^T b| - |det M||.  Where both gaps exceed
-    the margin |M|_F (r + rho), r = sqrt(DEGENERACY_SQ), all divided by
-    kernel.scale S first so that no product overflows or underflows, no
-    harmonic comes within the flatness radius anywhere on the circle, by
-    rho to spare for rounding: neither player is ever indifferent, and
-    there is at most one pure equilibrium.  For invertible M, with c =
-    M^-1 a and d = M^-T b, the gaps are |det M| ||c| - 1| and |det M| ||d|
-    - 1|.
+    the margin |M|_F (r + rho), r = kernel.radius, all in the kernel's
+    units of 2^k (harmonic_kernel), in which no product overflows or
+    underflows, no harmonic comes within the flatness radius anywhere on
+    the circle, by rho to spare for rounding: neither player is ever
+    indifferent, and there is at most one pure equilibrium.  For
+    invertible M, with c = M^-1 a and d = M^-T b, the gaps are |det M|
+    ||c| - 1| and |det M| ||d| - 1|.
 
     ABSENT: both gaps exceed the margin with |c| < 1 and |d| < 1, and
     (-d, -c) is an interior saddle, at which each player's harmonic
@@ -434,29 +435,27 @@ def _certificate(kernel: HarmonicKernel) -> str:
     unique global maximum on the circle of Alice's security level
     g(alpha), the least payoff over beta.
 
-    rho = 256u bounds rounding to first order, in units of S, with u =
-    2^-53.  Each coefficient of harmonic_kernel is within 21u of its exact
-    value: the phases n and o carry at most 14u, mostly from 2t in
-    radians, each multiplies at most 1/2, and the quartered sums, products
-    and the division by S add a few u.  So |a| <= 1, |M|_F <= 1.12 and |b|
-    <= 1, and each harmonic on the circle moves by at most (1 + sqrt 2)
-    21u, twice that for Bob's, whose block is taken as Alice's M^T.
+    rho = 256u bounds rounding to first order, with u = 2^-53, in units of
+    S = max|stake| and so in the kernel's units of 2^k >= S, in which |a|,
+    |M|_F and |b| only shrink.  Each coefficient of harmonic_kernel is
+    within 21u of its exact value: the phases n and o carry at most 14u,
+    mostly from 2t in radians, each multiplies at most 1/2, and the sums
+    and products of the scaled stakes add a few u, the scaling itself
+    none.  So |a| <= 1, |M|_F <= 1.12 and |b| <= 1, and each harmonic on
+    the circle moves by at most (1 + sqrt 2) 21u, twice that for Bob's,
+    whose block is taken as Alice's M^T.
     Computing a gap G costs at most u(|M|_F^2 + 3 |M|_F max(|a|, |b|) +
     G), and as G <= |M|_F^2/2 + |M|_F max(|a|, |b|), at most 6u once
     divided by |M|_F; the solver's own evaluation of a harmonic costs at
     most 25u.  These sum to under 140u.
     """
-    scale = kernel.scale
-    if scale == 0.0:
-        return BOUNDARY
-    (a, m_1, m_2), b = [x / scale for x in kernel.alice], kernel.bob[0] / scale
+    (a, m_1, m_2), b = kernel.alice, kernel.bob[0]
     det = abs(m_1.real * m_2.imag - m_2.real * m_1.imag)
     adj_a = math.hypot(m_2.imag * a.real - m_2.real * a.imag,
                        m_1.real * a.imag - m_1.imag * a.real)
     adj_b = math.hypot(m_2.imag * b.real - m_1.imag * b.imag,
                        m_1.real * b.imag - m_2.real * b.real)
-    margin = math.hypot(m_1.real, m_1.imag, m_2.real, m_2.imag) * (
-        math.sqrt(DEGENERACY_SQ) + _ROUNDING)
+    margin = math.hypot(m_1.real, m_1.imag, m_2.real, m_2.imag) * (kernel.radius + _ROUNDING)
     if not math.isfinite(det + adj_a + adj_b + margin):
         return BOUNDARY
     if adj_a < det - margin and adj_b < det - margin:

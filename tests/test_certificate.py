@@ -258,7 +258,7 @@ def test_non_finite_coefficients_never_pass(bad, position):
     # hand-built kernel reaches the case.  As given, M is the identity and
     # |c|, |d| are 0.22 and 0.14, so the certificate holds.
     def kernel(a, m_1, m_2, b):
-        return fixedpoint.HarmonicKernel((a, m_1, m_2), (b, 0j, 0j), 1.0, 1e-9)
+        return fixedpoint.HarmonicKernel((a, m_1, m_2), (b, 0j, 0j), 1.0, 1, 1e-9)
 
     coefficients = [0.1 + 0.2j, 1.0 + 0.0j, 1.0j, 0.1 - 0.1j]
     assert fixedpoint._certificate(kernel(*coefficients)) == ABSENT

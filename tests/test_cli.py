@@ -257,6 +257,32 @@ def test_curves_chart_jump_in_export(runner, tmp_path):
     assert max(abs(b - a) for a, b in zip(values, values[1:])) > 45.0
 
 
+@pytest.mark.parametrize("stakes, theta_a, theta_b, flat", [
+    ("1e308,1e308,1e308,1e308", "30", "20", None),
+    ("1e307,1e307,1e307,1e307", "30", "20", []),
+    # 2^1000 times the game of test_curves_degenerate_rows
+    ("1.0715086071862673e301,1.0715086071862673e301,1.0715086071862673e301,"
+     "3.214525821558802e301", "20", "-15", ["45"])])
+def test_curves_payoff_overflow_exits_2_before_writing(runner, tmp_path, stakes, theta_a,
+                                                       theta_b, flat):
+    # at stakes 1e308 some best-reply payoffs overflow and would be written
+    # as inf: an input error, raised before any file is written and with no
+    # warning, which this suite turns into an error.  A NaN payoff marks a
+    # flat input, not an overflow, and stays
+    out = tmp_path / "curves"
+    result = runner.invoke(main, ["quantum", "curves", "-p", stakes, "--theta-a", theta_a,
+                                  "--theta-b", theta_b, "--step", "1", "--out", str(out)])
+    if flat is None:
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "overflows" in result.stderr and not out.exists()
+        return
+    assert result.exit_code == 0, result.output
+    rows = [line.split(",") for line in (out / "alice.csv").read_text().splitlines()[1:]]
+    assert all(row[2] != "inf" for row in rows)
+    assert [row[0] for row in rows if row[2] == "NaN"] == flat
+
+
 def test_curves_io_error(runner, tmp_path):
     blocker = tmp_path / "taken"
     blocker.write_text("a plain file where the directory should go\n")

@@ -193,16 +193,20 @@ def _laurent_polynomial(alice, bob) -> list[complex]:
 
 def _generator_kernel(params) -> fixedpoint.HarmonicKernel:
     """fixedpoint.harmonic_kernel as one generator over both players,
-    computed in the stakes' own type and converted to complex at the end:
-    the reference it reproduces bit for bit."""
-    a, b, c, d = (x / 4.0 for x in params.stakes)
+    computed in the stakes' own type, each stake times the one factor
+    2^(-2-k) with k = frexp(max|stake|)[1], finite for the stakes here,
+    and converted to complex at the end: the reference it reproduces bit
+    for bit."""
+    scale = float(max(map(abs, params.stakes)))
+    exponent = math.frexp(scale)[1]
+    a, b, c, d = (x * 2.0 ** (-2 - exponent) for x in params.stakes)
     n_a, n_b = fixedpoint.phase(params.theta_a_deg), fixedpoint.phase(params.theta_b_deg)
     alice, bob = (tuple(map(complex, (p - q + (r - s) * n, -(p + q) - (r + s) * o.real * n,
                                       -(r + s) * o.imag * n)))
                   for p, q, r, s, n, o in ((a, c, b, d, n_a, n_b), (c, a, d, b, n_b, n_a)))
-    scale = float(max(map(abs, params.stakes)))
-    return fixedpoint.HarmonicKernel(alice, bob, scale,
-                                     math.sqrt(fixedpoint.DEGENERACY_SQ) * scale)
+    return fixedpoint.HarmonicKernel(alice, bob, scale, exponent,
+                                     math.sqrt(fixedpoint.DEGENERACY_SQ)
+                                     * (scale * 2.0 ** -exponent))
 
 
 def _bit_identity_games() -> list[GameParams]:

@@ -54,6 +54,30 @@ def test_stake_scaling_keeps_equilibrium_angles(s, theta_a, theta_b, exponent):
     assert base.degeneracy_regions == scaled.degeneracy_regions
 
 
+# a game whose stakes, near 5.5e303, once overflowed the Newton slope, so
+# the search stopped at once and reported one unverified point
+_LARGE = (5.55423676648651e+303, 1.1744664142033376e+299, 4.962261638258984e+303,
+          1.8056864150678775e+298)
+
+
+@deterministic
+@given(stakes, mixing_angle, mixing_angle, st.integers(-1000, 1020))
+@example(tuple(math.ldexp(x, -1000) for x in _LARGE), 8.534295027956205, 64.53218093940967, 1000)
+def test_power_of_two_scaling_is_exact(s, theta_a, theta_b, power):
+    # every stake stays normal, so the kernel, in units of a power of two,
+    # is the same to the bit: so are the angles, verdicts and regions, and
+    # value, terms and gains scale exactly
+    factor = 2.0 ** power
+    base = find_equilibria(GameParams(*s, theta_a, theta_b))
+    scaled = find_equilibria(GameParams(*(x * factor for x in s), theta_a, theta_b))
+    assert scaled.degeneracy_regions == base.degeneracy_regions
+    assert ([(e.alpha_star_deg, e.beta_star_deg, e.verified, e.residual_deg) for e in scaled]
+            == [(e.alpha_star_deg, e.beta_star_deg, e.verified, e.residual_deg) for e in base])
+    assert ([(e.value, e.terms, e.max_violation) for e in scaled]
+            == [(e.value * factor, (e.terms[0] * factor, e.terms[1] * factor),
+                 e.max_violation * factor) for e in base])
+
+
 @deterministic
 @given(stakes, mixing_angle, mixing_angle, st.sampled_from([(180.0, 0.0), (-180.0, 0.0),
                                                             (0.0, 180.0), (0.0, -180.0)]))
@@ -83,8 +107,10 @@ def test_grid_gain_within_discretisation_of_analytic_gain(s, exponent, theta_a, 
                                                           alpha, beta, n_probe):
     # a player's payoff is K0 + |K| cos(2t - 2t*) in their own angle t; the
     # grid's nearest point is at most pi / n_probe away in 2t, so the grid
-    # reaches the analytic best response's gain up to |K| (pi / n_probe)^2 / 2
+    # reaches the analytic best response's gain up to |K| (pi / n_probe)^2 / 2,
+    # |K| in stake units
     params = GameParams(*(x * 10.0 ** exponent for x in s), theta_a, theta_b)
+    unit = 2.0 ** params.kernel.exponent
     rounding = 1e-12 * max(params.stakes)
     response_a, response_b = best_response_alice(beta, params), best_response_bob(alpha, params)
     assume(not (response_a.degenerate or response_b.degenerate))
@@ -93,10 +119,10 @@ def test_grid_gain_within_discretisation_of_analytic_gain(s, exponent, theta_a, 
     gains = [
         (float(np.max(params.payoff(grid, beta))) - value,
          float(params.payoff(response_a.angle_deg, beta)) - value,
-         abs(_harmonic(phase(beta), *params.kernel.alice))),
+         abs(_harmonic(phase(beta), *params.kernel.alice)) * unit),
         (value - float(np.min(params.payoff(alpha, grid))),
          value - float(params.payoff(alpha, response_b.angle_deg)),
-         abs(_harmonic(phase(alpha), *params.kernel.bob))),
+         abs(_harmonic(phase(alpha), *params.kernel.bob)) * unit),
     ]
     for grid_gain, analytic_gain, amplitude in gains:
         assert grid_gain <= analytic_gain + rounding
@@ -139,18 +165,21 @@ def test_step_matches_angle_form_composition(s, exponent, theta_a, theta_b):
 @example((3.0, 1.0, 1.0, 1.0), 0, 15.0, 70.0, 60.0)
 def test_kernel_harmonic_matches_payoff(s, exponent, theta_a, theta_b, x):
     # the payoff is F0 + K1 cos 2t + K2 sin 2t in a player's own angle t, so
-    # the payoff at t = 0, 45 and 90 gives K = K1 + i K2 without the kernel
+    # the payoff at t = 0, 45 and 90 gives K = K1 + i K2 without the kernel;
+    # the kernel holds K in units of 2^exponent
     params = GameParams(*(v * 10.0 ** exponent for v in s), theta_a, theta_b)
     kernel = params.kernel
     assert params.kernel is kernel
+    unit = 2.0 ** kernel.exponent
     own = np.array([0.0, 45.0, 90.0])
     for harmonic, (f0, f45, f90) in ((kernel.alice, params.payoff(own, x)),
                                      (kernel.bob, params.payoff(x, own))):
         expected = (f0 - f90) / 2.0 + 1j * (f45 - (f0 + f90) / 2.0)
-        assert abs(_harmonic(phase(x), *harmonic) - expected) <= 1e-12 * max(params.stakes)
+        assert abs(_harmonic(phase(x), *harmonic) * unit - expected) <= 1e-12 * max(params.stakes)
     scale = max(map(abs, params.stakes))
     assert kernel.scale == scale
-    assert kernel.radius == math.sqrt(DEGENERACY_SQ) * scale
+    assert kernel.exponent == math.frexp(scale)[1]
+    assert kernel.radius * unit == math.sqrt(DEGENERACY_SQ) * scale
 
 
 @deterministic
