@@ -213,11 +213,11 @@ def verify_equilibrium(alpha_star_deg: float, beta_star_deg: float, params: Game
     """
     _check_probe_count(n_probe)
     if not (math.isfinite(alpha_star_deg) and math.isfinite(beta_star_deg)):
-        return VerificationResult(verified=False, max_violation=math.nan)
+        return VerificationResult(False, math.nan)
     if tol is None:
         tol = 1e-6 * params.kernel.scale
     worst = max(fixedpoint.gains(alpha_star_deg, beta_star_deg, params))
-    return VerificationResult(verified=bool(worst <= tol), max_violation=worst)
+    return VerificationResult(bool(worst <= tol), worst)
 
 
 @dataclass(frozen=True)
@@ -259,17 +259,8 @@ def _report(alpha_deg: float, beta_deg: float, params: GameParams,
     amplitudes_b = _amplitude_squares(beta, params.theta_b_deg)
     terms = _diagonal_terms(amplitudes_a, amplitudes_b, params.a, params.b, params.c, params.d)
     verdict = verify_equilibrium(alpha, beta, params, tol=tol)
-    return EquilibriumReport(
-        alpha_star_deg=alpha,
-        beta_star_deg=beta,
-        value=float(terms[0] + terms[1]),
-        terms=terms,
-        amplitudes_a=amplitudes_a,
-        amplitudes_b=amplitudes_b,
-        verified=verdict.verified,
-        max_violation=verdict.max_violation,
-        residual_deg=residual_deg,
-    )
+    return EquilibriumReport(alpha, beta, float(terms[0] + terms[1]), terms, amplitudes_a,
+                             amplitudes_b, verdict.verified, verdict.max_violation, residual_deg)
 
 
 @dataclass(frozen=True)
@@ -327,4 +318,4 @@ def find_equilibria(params: GameParams, scan_step_deg: float = 0.25,
 
     reports = [_report(alpha_star, beta_star, params, tol, abs(residual))
                for alpha_star, beta_star, residual in sorted(unique)]
-    return SearchResult(equilibria=tuple(reports), degeneracy_regions=regions)
+    return SearchResult(tuple(reports), regions)

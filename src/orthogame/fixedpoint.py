@@ -44,7 +44,16 @@ undefined; such zeros and their partner angles have closed forms
 (indifference_points) and mark the degeneracy regions.  Each player's
 largest gain from a deviation is closed-form too (gains).  After the
 eigenvalue call everything is scalar arithmetic in Python floats and
-complex numbers, which on a handful of angles costs less than numpy calls.
+complex numbers.
+
+_harmonic and _best_value are the one form of their formulas, for a
+scalar phase and for arrays alike.  On the search's hot path two
+functions spell them out instead, with the same operations in the same
+order, so as to pay for the arithmetic and not for the calls: _step
+writes K_B and K_A, and _security Alice's security level g.
+test_scalar_spellings_are_the_array_forms_bit_for_bit pins each spelling
+to its form, bit for bit.  polynomial evaluates K_B as well, scaled and
+in real arithmetic, and is held to no bits of _harmonic's.
 """
 
 from __future__ import annotations
@@ -85,6 +94,8 @@ _HALF_ANGLE = np.array([[(1, 1j, -1, -1j)[j % 4]
 _PHASES = [(math.cos(x), math.sin(x)) for x in (2.0 * math.pi * j / 9.0 for j in range(9))]
 _SAMPLES_TO_Q = np.array([[sum(h * complex(*e) ** (4 - k) for k, h in enumerate(row)).real / 9.0
                            for e in _PHASES] for row in _HALF_ANGLE.tolist()])
+# the companion matrix's subdiagonal of ones at each size n, copied per call
+_SHIFTS = [np.eye(n, k=-1) for n in range(9)]
 
 
 class HarmonicKernel(NamedTuple):
@@ -120,9 +131,10 @@ def harmonic_kernel(params) -> HarmonicKernel:
     a time, as that one factor overflows at subnormal stakes.  Every coefficient is a
     few units at most, and scaling normal stakes by 2^j changes none.
     """
-    scale = float(max(map(abs, params.stakes)))
+    stakes = params.stakes
+    scale = float(max(map(abs, stakes)))
     mantissa, exponent = math.frexp(scale)
-    a, b, c, d = map(math.ldexp, params.stakes, [-2 - exponent] * 4)
+    a, b, c, d = map(math.ldexp, stakes, [-2 - exponent] * 4)
     n_a, n_b = phase(params.theta_a_deg), phase(params.theta_b_deg)
     return HarmonicKernel(_coefficients(a, c, b, d, n_a, n_b), _coefficients(c, a, d, b, n_b, n_a),
                           scale, exponent, math.sqrt(DEGENERACY_SQ) * mantissa)
@@ -234,16 +246,17 @@ def _step(alpha: float, kernel: HarmonicKernel) -> tuple[float, float, complex]:
     m_1 Im e) from Bob's harmonic, Bob's answer w = -K_B/|K_B| turns by
     dw = i w Im(dK_B/K_B), Alice's harmonic against it moves by dK_A =
     m_1 Re dw + m_2 Im dw from hers, and r = arg(K_A conj(e))/2 has the
-    slope r' = Im(dK_A/K_A)/2 - 1 in degrees per degree.
+    slope r' = Im(dK_A/K_A)/2 - 1 in degrees per degree.  K_B and K_A are
+    spelled out as _harmonic computes them.
     """
-    (_, m1_a, m2_a), (_, m1_b, m2_b) = kernel.alice, kernel.bob
+    (k0_a, m1_a, m2_a), (k0_b, m1_b, m2_b) = kernel.alice, kernel.bob
     e = cmath.exp(1j * math.radians(2.0 * alpha))
-    k_b = _harmonic(e, *kernel.bob)
+    k_b = k0_b + m1_b * e.real + m2_b * e.imag
     size_b = abs(k_b)
     if size_b <= kernel.radius:
         return math.nan, math.nan, k_b
     w = -k_b / size_b
-    k_a = _harmonic(w, *kernel.alice)
+    k_a = k0_a + m1_a * w.real + m2_a * w.imag
     if abs(k_a) <= kernel.radius:
         return math.nan, math.nan, k_b
     dw = 1j * w * (2.0 * (m2_b * e.real - m1_b * e.imag) / k_b).imag
@@ -380,7 +393,7 @@ def circle_angles(q) -> list[float]:
         row = [-x / q[lead] for x in q[lead + 1:]]
         if not all(map(math.isfinite, row)):
             raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-        companion = np.eye(len(row), k=-1)
+        companion = _SHIFTS[len(row)].copy()
         companion[0] = row
         roots = [math.atan2(t.real, 1.0 - t.imag) + math.atan2(t.real, 1.0 + t.imag)
                  for t in _eigvals(companion, signature="d->D").tolist()]
@@ -468,8 +481,11 @@ def _certificate(kernel: HarmonicKernel) -> str:
 def _security(phi: float, kernel: HarmonicKernel) -> float:
     """Alice's security level g at the phase angle phi = 2 alpha, in
     radians, less the payoff's constant K0: Re(kappa0_A conj(e)) - |K_B(e)|
-    at e = exp(i phi), Bob's payoff at his best reply (_best_value)."""
-    return _best_value(cmath.rect(1.0, phi), kernel.bob, kernel.alice[0], BOB)
+    at e = exp(i phi), Bob's payoff at his best reply, spelled out as
+    _best_value(e, kernel.bob, kappa0_A, BOB) computes it."""
+    (k0_b, m1_b, m2_b), k0_a = kernel.bob, kernel.alice[0]
+    e = cmath.rect(1.0, phi)
+    return (k0_a * e.conjugate()).real - abs(k0_b + m1_b * e.real + m2_b * e.imag)
 
 
 def fixed_points(params, indifferent: bool = False) -> list[tuple[float, float, float]]:

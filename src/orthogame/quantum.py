@@ -230,9 +230,11 @@ def payoff_terms(alpha: QuantumStrategy, beta: QuantumStrategy,
 
 def _diagonal_terms(p: AmplitudeSquares, q: AmplitudeSquares,
                     a: float, b: float, c: float, d: float) -> tuple[float, float]:
-    """payoff_terms from Alice's squared amplitudes p and Bob's q."""
-    t13 = a * p.p1 * q.p3 + c * p.p3 * q.p1
-    t24 = b * p.p2 * q.p4 + d * p.p4 * q.p2
+    """payoff_terms from Alice's squared amplitudes p and Bob's q, with
+    each stake taken as a Python float, so that stakes of any real type
+    give the terms of the same game with float stakes, bit for bit."""
+    t13 = float(a) * p.p1 * q.p3 + float(c) * p.p3 * q.p1
+    t24 = float(b) * p.p2 * q.p4 + float(d) * p.p4 * q.p2
     return (t13, t24)
 
 

@@ -7,6 +7,7 @@ the public best responses, whose sign changes are narrowed to a
 billionth of the scan step: exact enumeration against scan.
 """
 
+import cmath
 import math
 import warnings
 
@@ -22,7 +23,7 @@ from orthogame.cli import main
 from orthogame.equilibrium import (GameParams, best_response_alice,
                                    best_response_bob, find_equilibria,
                                    verify_equilibrium)
-from test_corpus import _swapped
+from test_corpus import _corpus_games, _heterogeneous_games, _swapped, _sweep_games
 
 EX1 = GameParams(3, 3, 5, 1, 10.0, 70.0)
 EX2 = GameParams(1, 1, 1, 1, 45.0, 45.0)
@@ -261,6 +262,34 @@ def test_harmonic_kernel_is_the_generator_form_bit_for_bit(stake_type):
                             params.theta_b_deg) for params in _bit_identity_games()[::7]]
     for params in games:
         assert repr(fixedpoint.harmonic_kernel(params)) == repr(_generator_kernel(params)), params
+
+
+def test_scalar_spellings_are_the_array_forms_bit_for_bit():
+    # _step spells K_B and K_A out, and _security Alice's security level
+    # g, on the search's hot path; each must round as _harmonic and
+    # _best_value, the one array form of each formula, do.  K_A is read
+    # through the residual, its argument against e
+    grid = (np.arange(36) * 5.0 + 1.25).tolist()
+    for params in _sweep_games(1, 1000) + _corpus_games() + _heterogeneous_games(4, 1000):
+        kernel = params.kernel
+        seeds = fixedpoint.circle_angles(fixedpoint.polynomial(kernel.alice, kernel.bob))
+        for phi in seeds + [math.radians(2.0 * alpha) for alpha in grid]:
+            expected = fixedpoint._best_value(cmath.rect(1.0, phi), kernel.bob, kernel.alice[0],
+                                              fixedpoint.BOB)
+            assert repr(fixedpoint._security(phi, kernel)) == repr(expected), (params, phi)
+        for alpha in grid + [0.5 * math.degrees(phi) for phi in seeds]:
+            residual, _, k_b = fixedpoint._step(alpha, kernel)
+            e = cmath.exp(1j * math.radians(2.0 * alpha))
+            expected_b = fixedpoint._harmonic(e, *kernel.bob)
+            assert repr(k_b) == repr(expected_b), (params, alpha)
+            if abs(expected_b) <= kernel.radius:
+                assert math.isnan(residual), (params, alpha)
+                continue
+            k_a = fixedpoint._harmonic(-expected_b / abs(expected_b), *kernel.alice)
+            along = k_a * e.conjugate()
+            expected = (math.nan if abs(k_a) <= kernel.radius
+                        else math.degrees(math.atan2(along.imag, along.real)) / 2.0)
+            assert repr(residual) == repr(expected), (params, alpha)
 
 
 def _reference_angles(coeffs):

@@ -275,6 +275,21 @@ def test_report_numbers_are_python_floats_for_numpy_stakes():
     assert type(verdict.max_violation) is float
 
 
+@pytest.mark.parametrize("stake_type", [np.float32, np.float16, np.int64, int, Fraction])
+def test_report_terms_are_those_of_float_stakes(stake_type):
+    # the terms are computed in Python floats, not in the stakes' own
+    # precision, in which float32 stakes give the value 2.7065460681915283
+    # and float16 ones 2.70703125
+    stakes = (3, 3, 5, 1)
+    (want,) = find_equilibria(GameParams(*map(float, stakes), 30.0, 20.0))
+    (got,) = find_equilibria(GameParams(*map(stake_type, stakes), 30.0, 20.0))
+    assert got == want and want.value == 2.706545984923567
+    assert all(type(x) is float for x in (got.value, *got.terms))
+    profile = (quantum.QuantumStrategy(got.alpha_star_deg), quantum.QuantumStrategy(got.beta_star_deg),
+               quantum.LogicRepresentation(30.0), quantum.LogicRepresentation(20.0))
+    assert quantum.payoff_terms(*profile, *map(stake_type, stakes)) == want.terms
+
+
 def test_find_equilibria_parameter_validation():
     with pytest.raises(ValueError):
         find_equilibria(EX1, scan_step_deg=2.0)
