@@ -132,12 +132,16 @@ class NashVerdict:
 
 
 def verify_nash(x: MixedStrategy, y: MixedStrategy, matrix: PayoffMatrix,
-                tol: float = 1e-12) -> NashVerdict:
-    """Check (x, y) for equilibrium by pure deviations only.
+                tol: Optional[float] = None) -> NashVerdict:
+    """Check (x, y) for equilibrium by pure deviations only: it passes
+    when neither player gains more than tol, by default 1e-12 * max|h|.
 
     The payoff is bilinear, so no mixed deviation can beat the best pure
-    one; checking the eight pure deviations is exact.
+    one; checking the eight pure deviations is exact.  The rounding of
+    x'Hy grows with the stakes, so the default tolerance scales with
+    them, and the exact closed-form equilibrium passes at every scale.
     """
+    tol = 1e-12 * float(np.max(np.abs(matrix.h))) if tol is None else tol
     value = payoff(x, y, matrix)
     row_gain = float(np.max(matrix.h @ y.weights)) - value
     col_gain = value - float(np.min(x.weights @ matrix.h))

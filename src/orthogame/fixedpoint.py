@@ -35,11 +35,12 @@ companion matrix, finds them all, and the zeros of K_B besides
 arbitrary start replaces the roots.
 
 The root angles seed Newton's iteration on the unsquared residual in
-descending order of g (fixed_points); where it does not converge a
-bisection between consecutive roots finishes the seed (_climb).  A row is
-kept for what it is, never for the size of its residual, so the caller's
-refine tolerance only merges duplicates; a scan of the residual is the
-tests' oracle.  Where a player's harmonic vanishes the composed map is
+descending order of g until one yields a row, and the top seed ends the
+search where it is flat (fixed_points); where the iteration does not
+converge a bisection between consecutive roots finishes the seed
+(_climb).  A row is kept for what it is, never for the size of its
+residual, so the caller's refine tolerance only merges duplicates; a
+scan of the residual is the tests' oracle.  Where a player's harmonic vanishes the composed map is
 undefined; such zeros and their partner angles have closed forms
 (indifference_points) and mark the degeneracy regions.  Each player's
 largest gain from a deviation is closed-form too (gains).  After the
@@ -276,7 +277,8 @@ def _newton(alpha: float, residual: float, step: float,
     applies unevaluated.  A larger step is taken only where it strictly
     lowers |residual|; at the first that does not, or an undefined step,
     it stops short.  So |residual| falls strictly at every step taken, and
-    the iteration ends.
+    the iteration ends.  From a residual that is NaN, where a harmonic is
+    flat, it stops short at once, and fixed_points reads the seed as flat.
     """
     while abs(step) > _NEWTON_TOL_DEG:
         trial, trial_step, _ = _step(alpha - step, kernel)
@@ -291,10 +293,11 @@ def _climb(alpha: float, residual: float, angles: list[float],
     """The first sign change of the residual uphill of alpha, given the
     residual there and the angles phi of circle_angles, bisected down to
     neighbouring doubles: the end with the smaller |residual|, and whether
-    the ends' residuals differ by less than 90 degrees, which makes the
-    change a crossing of the composed map rather than a wrap or the edge
-    of a flat harmonic, where the residual is NaN; (NaN, False) if no
-    sample within the half turn changes sign.
+    it closes a crossing of the composed map.  That is True where the
+    ends' residuals differ by less than 90 degrees, False where they
+    differ by more, a wrap, and None where the far end's residual is NaN,
+    the edge of a flat harmonic, whose near end is returned; (NaN, None)
+    if no sample within the half turn changes sign, nothing to close.
 
     Uphill is where Alice's security level g rises: wherever both
     harmonics are far from flat, as on the whole circle off the boundary
@@ -318,14 +321,15 @@ def _climb(alpha: float, residual: float, angles: list[float],
             break
         lo, r_lo = hi, r_hi
     else:
-        return math.nan, False
+        return math.nan, None
     while lo != (mid := (lo + hi) / 2.0) != hi:
         r_mid = _step(mid, kernel)[0]
         if r_mid * r_lo > 0.0:
             lo, r_lo = mid, r_mid
         else:
             hi, r_hi = mid, r_mid
-    return hi if abs(r_hi) < abs(r_lo) else lo, abs(r_hi - r_lo) < 90.0
+    closed = None if math.isnan(r_hi) else abs(r_hi - r_lo) < 90.0
+    return hi if abs(r_hi) < abs(r_lo) else lo, closed
 
 
 def polynomial(alice, bob) -> list[float]:
@@ -488,11 +492,9 @@ def _security(phi: float, kernel: HarmonicKernel) -> float:
     return (k0_a * e.conjugate()).real - abs(k0_b + m1_b * e.real + m2_b * e.imag)
 
 
-def fixed_points(params, indifferent: bool = False) -> list[tuple[float, float, float]]:
+def fixed_points(params) -> list[tuple[float, float, float]]:
     """The (alpha, beta, residual) row of the fixed point at the maximum
-    of Alice's security level g, as a list of at most one row;
-    indifferent is whether the game has an indifference row
-    (indifference_points), as solve tells it.
+    of Alice's security level g, as a list of at most one row.
 
     The angles of circle_angles are seeds in descending order of g
     (_security).  The row is where Newton's iteration (_newton) from a
@@ -505,23 +507,41 @@ def fixed_points(params, indifferent: bool = False) -> list[tuple[float, float, 
 
     Either row is a fixed point of the composed map, where each player
     plays the one best reply to the other: an equilibrium, up to rounding.
-    Without an indifference row no equilibrium has a flat harmonic, so
-    there is at most one, since equilibria are interchangeable
-    (_certificate) and a unique best reply admits no second partner, and
-    whichever seed yields a row yields it.  So the seeds are tried until
-    one does, and the last bits of the polynomial and its eigenvalues,
-    which order near-tied maxima of g, decide nothing
-    (test_seed_order_decides_nothing_without_an_indifference_row).  With
-    an indifference row the equilibria lie among the indifference rows,
-    which have closed forms, and a later seed would cost a climb that
-    yields nothing, so only the first runs.  It still runs, since an
-    indifference row can be an epsilon-equilibrium beside an exact fixed
-    point (test_first_seed_runs_beside_an_indifference_row).
+    The seeds are tried until one yields a row, and the search ends after
+    the top seed where that seed is flat: its residual is NaN, or its
+    climb ends at the edge of a flat harmonic or finds no sign change.
+
+    Every critical point and kink of g is a root of T, so the top seed is
+    the maximum of g up to the seeds' rounding.  If a harmonic is flat
+    there, or g rises from it to a flat point, the maximum of g sits where
+    a player is indifferent.  A pure equilibrium's alpha* is a maximiser
+    of g too: g(alpha*) is the payoff at the equilibrium, which no alpha
+    improves on against beta*, and so no g(alpha) exceeds it (maximin,
+    _certificate).  So every maximiser of g is a maximin strategy, and
+    paired with beta* it is an equilibrium as well, since equilibria are
+    interchangeable.  At a fixed-point row each player has a unique best
+    reply, so were it an equilibrium, every maximiser of g would be its
+    alpha*, where neither player is indifferent.  So where the top seed is
+    flat no fixed-point row is an equilibrium, the equilibria are the
+    indifference rows, which have closed forms (indifference_points), and
+    a later seed would cost a climb that yields nothing.  Elsewhere the
+    maximum of g has no flat harmonic, so no equilibrium has one either,
+    by the same exchange; there is at most one, and whichever seed yields
+    a row yields it.  So the last bits of the polynomial and its
+    eigenvalues, which order near-tied maxima of g, decide nothing after
+    the top seed
+    (test_seed_order_decides_nothing_without_an_indifference_row).  Off
+    the boundary no harmonic is ever flat (_certificate), no seed is flat,
+    and the seeds run until the one row.  The caveat is the seeds'
+    rounding: a crossing that ties a flat maximum within it is an
+    epsilon-row that the stop may skip.  The top seed runs in every game,
+    as an indifference row can be an epsilon-equilibrium beside an exact
+    fixed point (test_first_seed_runs_beside_an_indifference_row).
     """
     kernel = params.kernel
     seeds = sorted(circle_angles(polynomial(kernel.alice, kernel.bob)),
                    key=lambda phi: _security(phi, kernel), reverse=True)
-    for phi in seeds[:1] if indifferent else seeds:
+    for phi in seeds:
         seed = wrap_half_turn(0.5 * math.degrees(phi))
         residual, step, _ = _step(seed, kernel)
         end, found = _newton(seed, residual, step, kernel)
@@ -531,6 +551,8 @@ def fixed_points(params, indifferent: bool = False) -> list[tuple[float, float, 
             alpha = wrap_half_turn(end)
             residual, _, k_b = _step(alpha, kernel)
             return [(alpha, _reply(k_b, BOB, kernel), residual)]
+        if phi == seeds[0] and (found is None or math.isnan(residual)):
+            return []
     return []
 
 
@@ -636,8 +658,8 @@ def solve(params, step_deg: float) -> tuple[list[tuple[float, float, float]],
     would the whole-half-turn test of _degeneracy_regions, whose bound is
     at least every |K| on the circle.  So an OFF_BOUNDARY game gets
     fixed_points' one row and no region, as with the certificate bypassed,
-    and only a BOUNDARY game computes the indifference rows, first, since
-    they decide how many seeds fixed_points tries, and the regions.
+    and only a BOUNDARY game computes the indifference rows and the
+    regions.
     """
     kernel = params.kernel
     shape = _certificate(kernel)
@@ -646,5 +668,4 @@ def solve(params, step_deg: float) -> tuple[list[tuple[float, float, float]],
     if shape == OFF_BOUNDARY:
         return fixed_points(params), ()
     indifferent, undefined = indifference_points(params)
-    return (fixed_points(params, bool(indifferent)) + indifferent,
-            _degeneracy_regions(undefined, step_deg, kernel))
+    return fixed_points(params) + indifferent, _degeneracy_regions(undefined, step_deg, kernel)

@@ -112,6 +112,29 @@ def test_verify_nash_accepts_solution_and_rejects_pure():
     assert bad.max_violation == pytest.approx(5.0)
 
 
+def test_verify_nash_scales_with_the_stakes():
+    # the rounding of x'Hy grows with the stakes, so the default tolerance
+    # is 1e-12 * max|h|: at every decade the exact solution passes, as at
+    # (3, 3, 5, 1) x 10^k for k = 5, 7, 9, 10, 12 and 13, where it rounds
+    # above 1e-12, and the pure corner profile fails, below 10^-12 too
+    for k in (5, 7, 9, 10, 12, 13):
+        stakes = [s * 10.0 ** k for s in (3, 3, 5, 1)]
+        verdict = verify_nash(*solve_closed_form(*stakes)[:2], PayoffMatrix.diagonal_game(*stakes))
+        assert verdict.passed, (k, verdict)
+    rng = np.random.default_rng(0)
+    for k in range(-300, 301, 3):
+        for _ in range(20):
+            stakes = [float(s) for s in rng.uniform(0.1, 10.0, 4) * 10.0 ** k]
+            h = PayoffMatrix.diagonal_game(*stakes)
+            verdict = verify_nash(*solve_closed_form(*stakes)[:2], h)
+            assert verdict.passed and verdict.max_violation <= 1e-15 * max(stakes), (stakes, verdict)
+            assert not verify_nash(MixedStrategy.pure(1), MixedStrategy.pure(1), h).passed, stakes
+    # an explicit tolerance keeps its absolute meaning
+    stakes = (3e5, 3e5, 5e5, 1e5)
+    assert not verify_nash(*solve_closed_form(*stakes)[:2], PayoffMatrix.diagonal_game(*stakes),
+                           tol=1e-12).passed
+
+
 def test_no_pure_saddle_in_diagonal_games():
     rng = np.random.default_rng(13)
     for _ in range(50):

@@ -54,6 +54,15 @@ def test_classical_solve_payload(runner):
     assert payload["max_violation"] <= 1e-12
 
 
+def test_classical_solve_verifies_at_large_stakes(runner):
+    # x'Hy rounds to 1.46e-11 here, above 1e-12 but well within the
+    # default tolerance of 1e-12 * max|h|
+    payload = _run_json(runner, ["classical", "solve", "-p", "3e5,3e5,5e5,1e5"])
+    _check_schema(payload, "classical_solve")
+    assert payload["nash_verified"] is True
+    assert 0.0 < payload["max_violation"] <= 1e-12 * 5e5
+
+
 @pytest.mark.parametrize("stakes", ["0,1,1,1", "-1,1,1,1", "1,2,3", "a,b,c,d", "1,2,3,4,5",
                                     # 1/a + 1/b + 1/c + 1/d overflows
                                     "1e-320,1,1,1", "5e-324,5e-324,5e-324,5e-324",

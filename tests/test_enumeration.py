@@ -74,9 +74,9 @@ STEEPEST_ALPHA = 69.558563
 # that the nearest double leaves more than 0.001 degrees or stops short
 # of it, where the bisection closes it, and either end is kept.  Draw 855
 # of _heterogeneous_games(4, 1000), with the players exchanged, is
-# another off-boundary near tie, whose first seed yields no row.  In a
-# game without an indifference row a seed that yields no row is followed
-# by the next.
+# another off-boundary near tie, whose first seed climbs to a wrap: that
+# seed is not flat, so the search goes on to the next, which yields the
+# row.
 NEAR_TIE_K4 = GameParams(17.31152997818888, 0.00010325729679629929, 2704.1184164102415,
                          0.0002346079959924686, 2.0385989601416767, 68.31163993536565)
 NEAR_TIE_K4_ALPHA = 175.425352
@@ -608,9 +608,8 @@ def test_crossing_between_neighbouring_doubles_is_kept(refine_tol):
                  id="k4-draw-855-swapped-0.005")])
 def test_near_tie_equilibrium_is_found(params, alpha, refine_tol):
     # where two maxima of g nearly tie, the rounding of the polynomial and
-    # of the eigenvalues can put either root first; in a game without an
-    # indifference row the search tries the next seed where one yields no
-    # row
+    # of the eigenvalues can put either root first; a seed that yields no
+    # row and is not flat, as a climb to a wrap, is followed by the next
     (report,) = find_equilibria(params, refine_tol_deg=refine_tol).equilibria
     assert report.verified
     assert abs(report.alpha_star_deg - alpha) <= 1e-6
@@ -697,7 +696,7 @@ def test_duplicates_keep_the_least_residual(monkeypatch):
     residual, _, k_b = fixedpoint._step(alpha, kernel)
     poorer = (alpha, fixedpoint._reply(k_b, fixedpoint.BOB, kernel), residual)
     assert abs(good[2]) < abs(poorer[2]) <= 0.005 and wrapped_distance(good[1], poorer[1]) <= 0.005
-    monkeypatch.setattr(fixedpoint, "fixed_points", lambda params, indifferent=False: [poorer, good])
+    monkeypatch.setattr(fixedpoint, "fixed_points", lambda params: [poorer, good])
     (report,) = find_equilibria(EX3).equilibria
     assert (report.alpha_star_deg, report.beta_star_deg) == (good[0], good[1])
     assert report.residual_deg == abs(good[2])
@@ -715,16 +714,34 @@ def test_no_polish_without_a_root(monkeypatch):
         find_equilibria(EX3)
 
 
+def _indifference_families(count: int) -> list[GameParams]:
+    """The first count draws of each indifference family: seeds 77 and
+    78, plain and mirrored (test_equilibrium._indifference_game)."""
+    from test_equilibrium import _indifference_game
+
+    games = []
+    for seed in (77, 78):
+        for mirror in (False, True):
+            rng = np.random.default_rng(seed)
+            games += [_indifference_game(rng, mirror)[1] for _ in range(count)]
+    return games
+
+
 def test_one_newton_run_per_game(monkeypatch):
     # Newton's iteration starts from the root at which Alice's security
-    # level is largest: one start in a game with an indifference row, and
-    # more elsewhere only after a seed that yields no row, which no game
-    # here needs.  Where it does not converge the climb starts from that
-    # root too, not from where the iteration stopped; on the sweep
-    # recipe's games it converges every time, so the benchmark's sweep
-    # traffic never reaches the bisection
+    # level is largest, and a later seed runs only where that top seed
+    # yields no row and is not flat, which no game here needs.  In the
+    # indifference families, plain and swapped, most games have an
+    # indifference row, and their top seed yields a row or is flat, which
+    # ends the search.  Where the iteration does not converge the climb
+    # starts from that root too, not from where the iteration stopped; on
+    # the sweep recipe's games it converges every time, so the benchmark's
+    # sweep traffic never reaches the bisection, and off the disk
+    # certificate's boundary no seed is flat
     from test_corpus import _corpus_games, _heterogeneous_games, _sweep_games
 
+    indifference = _indifference_families(1000)
+    indifference += [_swapped(params) for params in indifference]
     starts, climbs = [], []
     newton, climb = fixedpoint._newton, fixedpoint._climb
 
@@ -739,7 +756,7 @@ def test_one_newton_run_per_game(monkeypatch):
     monkeypatch.setattr(fixedpoint, "_newton", counted)
     monkeypatch.setattr(fixedpoint, "_climb", counted_climb)
     polished = climbed = 0
-    for params in _corpus_games() + _heterogeneous_games(4, 200):
+    for params in _corpus_games() + _heterogeneous_games(4, 200) + indifference:
         starts.clear()
         climbs.clear()
         find_equilibria(params)
@@ -748,46 +765,52 @@ def test_one_newton_run_per_game(monkeypatch):
         polished += len(starts)
         climbed += len(climbs)
     assert polished >= 300 and climbed >= 10
+    assert sum(bool(fixedpoint.indifference_points(params)[0]) for params in indifference) == 4754
     climbs.clear()
     for params in _sweep_games(1, 1000):
         find_equilibria(params)
+        kernel = params.kernel
+        if fixedpoint._certificate(kernel) == fixedpoint.OFF_BOUNDARY:
+            for phi in fixedpoint.circle_angles(fixedpoint.polynomial(kernel.alice, kernel.bob)):
+                alpha = fixedpoint.wrap_half_turn(0.5 * math.degrees(phi))
+                assert not math.isnan(fixedpoint._step(alpha, kernel)[0]), params
     assert climbs == []
 
 
 @pytest.mark.kernel_sensitive
 def test_seed_order_decides_nothing_without_an_indifference_row(monkeypatch):
-    # without an indifference row a game's equilibria are fixed points of
-    # the composed map at the maximum of Alice's security level, off the
-    # disk certificate's boundary or on it, and the seeds are tried until
-    # one yields a row; so the seeds tried from the least security level
-    # up, the worst order, give the reports of the seeds tried from the
-    # greatest down, plain and with the players exchanged.  Swapped draws
-    # 238 and 909 of the k = 4 family are boundary games among them
+    # the top seed, at the maximum of Alice's security level, ends the
+    # search where it is flat, and there every equilibrium is an
+    # indifference row; elsewhere the game's equilibria are fixed points
+    # of the composed map at that maximum, on the disk certificate's
+    # boundary or off it, and the seeds are tried until one yields a row.
+    # So with the top seed first and the rest tried from the least
+    # security level up, the worst order, every game of the families,
+    # plain and with the players exchanged, solves as with the seeds
+    # tried from the greatest down.  Swapped draws 238 and 909 of the k =
+    # 4 family are among the boundary games without an indifference row
     from test_corpus import _heterogeneous_games, _sweep_games
-    from test_equilibrium import _indifference_game
 
     k4 = _heterogeneous_games(4, 1000)
-    plain = _sweep_games(1, 1000) + _heterogeneous_games(3, 2000) + k4
-    for seed in (77, 78):
-        for mirror in (False, True):
-            rng = np.random.default_rng(seed)
-            plain += [_indifference_game(rng, mirror)[1] for _ in range(100)]
-    games = [params for params in plain + [_swapped(params) for params in plain]
-             if not fixedpoint.indifference_points(params)[0]]
+    plain = (_sweep_games(1, 1000) + _heterogeneous_games(3, 2000) + k4
+             + _indifference_families(100))
+    games = plain + [_swapped(params) for params in plain]
     boundary = [params for params in games
-                if fixedpoint._certificate(params.kernel) == fixedpoint.BOUNDARY]
+                if fixedpoint._certificate(params.kernel) == fixedpoint.BOUNDARY
+                and not fixedpoint.indifference_points(params)[0]]
     assert _swapped(k4[238]) in boundary and _swapped(k4[909]) in boundary
-    expected = [find_equilibria(params).verified for params in games]
+    expected = [find_equilibria(params) for params in games]
     security = fixedpoint._security
-    monkeypatch.setattr(fixedpoint, "_security", lambda phi, kernel: -security(phi, kernel))
-    verified = 0
-    for params, reports in zip(games, expected):
-        found = find_equilibria(params).verified
-        assert len(found) == len(reports), (params, found, reports)
-        for e, want in zip(found, reports):
-            assert wrapped_distance(e.alpha_star_deg, want.alpha_star_deg) <= 1e-6, params
-            assert wrapped_distance(e.beta_star_deg, want.beta_star_deg) <= 1e-6, params
-        verified += len(found)
+
+    def top_then_least(phi, kernel):
+        seeds = fixedpoint.circle_angles(fixedpoint.polynomial(kernel.alice, kernel.bob))
+        top = max(seeds, key=lambda seed: security(seed, kernel))
+        return math.inf if phi == top else -security(phi, kernel)
+
+    monkeypatch.setattr(fixedpoint, "_security", top_then_least)
+    for params, result in zip(games, expected):
+        assert find_equilibria(params) == result, params
+    verified = sum(len(result.verified) for result in expected)
     assert len(boundary) == 362 and verified >= 7000
 
 
@@ -800,7 +823,7 @@ def test_first_seed_runs_beside_an_indifference_row():
 
     params = _heterogeneous_games(4, 1000)[677]
     assert fixedpoint.indifference_points(params)[0]
-    ((alpha, beta, _),) = fixedpoint.fixed_points(params, indifferent=True)
+    ((alpha, beta, _),) = fixedpoint.fixed_points(params)
     assert abs(alpha - 90.229785) <= 1e-6 and abs(beta - 0.048946) <= 1e-6
     exact = [e for e in find_equilibria(params)
              if e.max_violation <= 1e-12 * params.kernel.scale]
@@ -840,9 +863,10 @@ def test_climb_closes_a_crossing_but_not_a_wrap(monkeypatch):
     assert closed and abs(end - STEEPEST_ALPHA) <= 1e-6
     # in draw 0 of the Bob-indifferent family Newton's iteration cannot
     # move from its seed, where the residual is +44.6 degrees; the sign
-    # change 3.4e-7 degrees uphill is a wrap at x0, where Bob is
-    # indifferent, and the residual jumps from +44.6 to -47.5 degrees
-    # across the flat band there
+    # change 3.4e-7 degrees uphill is the flat band at x0, where Bob is
+    # indifferent, across which the residual jumps from +44.6 to -47.5
+    # degrees: the bisection ends at its edge, where the residual is NaN,
+    # and reports nothing to close
     x0, params = _indifference_game(np.random.default_rng(77), False)
     kernel = params.kernel
     start = 141.46781514565333
@@ -851,8 +875,17 @@ def test_climb_closes_a_crossing_but_not_a_wrap(monkeypatch):
     assert -47.6 < fixedpoint._step(x0 + 1e-7, kernel)[0] < -47.5
     angles = fixedpoint.circle_angles(fixedpoint.polynomial(kernel.alice, kernel.bob))
     end, closed = climb(start, residual, angles, kernel)
-    assert not closed
+    assert closed is None
     assert 3.4e-7 < end - start < 3.5e-7 and abs(end - x0) <= 1e-7
+    # the top seed of NEAR_TIE_K4_SWAPPED, an off-boundary game, climbs to
+    # a wrap at 86.93550, where the residual jumps by about 180 degrees:
+    # not flat, so its next seed runs and closes the crossing at alpha*
+    ends.clear()
+    ((alpha, _, _),) = fixedpoint.fixed_points(NEAR_TIE_K4_SWAPPED)
+    assert abs(alpha - NEAR_TIE_K4_SWAPPED_ALPHA) <= 1e-6
+    (start, residual, angles, kernel), _ = ends
+    end, closed = climb(start, residual, angles, kernel)
+    assert closed is False and abs(end - 86.93550) <= 1e-5
 
 
 def test_climb_without_a_sign_change_closes_nothing(monkeypatch):
