@@ -9,10 +9,13 @@ equilibrium in which each call is played inversely to its stake.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from .lattice import _corner_index
 
 __all__ = [
     "PROB_ATOL",
@@ -42,6 +45,15 @@ def _frozen_array(values, shape, name: str) -> np.ndarray:
     return arr
 
 
+def _check_stakes(stakes) -> None:
+    """Reject stakes a, b, c, d that are not all finite and positive,
+    naming them: an infinite or NaN stake has no closed-form game."""
+    if not all(map(math.isfinite, stakes)):
+        raise ValueError(f"stakes must be finite, got {stakes}")
+    if min(stakes) <= 0:
+        raise ValueError(f"stakes must be positive, got {stakes}")
+
+
 @dataclass(frozen=True)
 class PayoffMatrix:
     """Row player's winnings h[j, k] for row call j+1 against column vertex k+1."""
@@ -58,9 +70,7 @@ class PayoffMatrix:
         Call k wins only against the vertex opposite k, so the stakes land
         on the anti-diagonal pattern h[0,2], h[1,3], h[2,0], h[3,1].
         """
-        stakes = (a, b, c, d)
-        if min(stakes) <= 0:
-            raise ValueError(f"stakes must be positive, got {stakes}")
+        _check_stakes((a, b, c, d))
         h = np.zeros((4, 4))
         h[0, 2], h[1, 3], h[2, 0], h[3, 1] = a, b, c, d
         return cls(h)
@@ -82,10 +92,9 @@ class MixedStrategy:
 
     @classmethod
     def pure(cls, k: int) -> "MixedStrategy":
-        if k not in (1, 2, 3, 4):
-            raise ValueError(f"corner must be in 1..4, got {k!r}")
+        """The pure strategy on corner k (lattice._corner_index)."""
         w = np.zeros(4)
-        w[k - 1] = 1.0
+        w[_corner_index(k, "corner") - 1] = 1.0
         return cls(w)
 
     @classmethod
@@ -105,13 +114,12 @@ def solve_closed_form(a: float, b: float, c: float, d: float):
     inversely proportional to the stake that threatens it: the row mixes
     mu * (1/a, 1/b, 1/c, 1/d) and the column mixes the same weights
     shifted to the opposite corners, with mu the harmonic normaliser.
-    The value of the game is mu = 1 / (1/a + 1/b + 1/c + 1/d); a sum
-    that overflows, as a stake below about 5.6e-309 makes it, raises
-    ValueError.
+    The value of the game is mu = 1 / (1/a + 1/b + 1/c + 1/d).  A stake
+    that is not finite and positive raises ValueError, and so does a sum
+    that overflows, as a stake below about 5.6e-309 makes it.
     """
     stakes = (a, b, c, d)
-    if min(stakes) <= 0:
-        raise ValueError(f"stakes must be positive, got {stakes}")
+    _check_stakes(stakes)
     inv = np.array([1.0 / a, 1.0 / b, 1.0 / c, 1.0 / d])
     with np.errstate(over="ignore"):
         mu = 1.0 / inv.sum()
@@ -189,10 +197,10 @@ def decompose_conditional(x: MixedStrategy, y: MixedStrategy,
 
     The overall payoff is recovered as the mixture E13 * P13 + E24 * P24;
     a diagonal that one of the players never touches is reported with
-    None conditionals and contributes nothing.
+    None conditionals and contributes nothing.  The stakes must be
+    finite and positive.
     """
-    if min(a, b, c, d) <= 0:
-        raise ValueError("stakes must be positive")
+    _check_stakes((a, b, c, d))
     x1, x2, x3, x4 = (float(v) for v in x.weights)
     y1, y2, y3, y4 = (float(v) for v in y.weights)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple, Optional
 
@@ -41,6 +40,22 @@ __all__ = [
 ]
 
 
+class _LazyKernel:
+    """GameParams.kernel: both players' harmonics and the flatness scale
+    (fixedpoint.harmonic_kernel), built on the first read and kept in the
+    instance dict, which this non-data descriptor then gives way to, so
+    that each later read is a plain attribute lookup.  It takes no lock,
+    as functools.cached_property does before Python 3.12: two threads
+    that read a new game's kernel at once may each build it, and they
+    build equal kernels."""
+
+    def __get__(self, params, owner=None):
+        if params is None:
+            return self
+        kernel = params.__dict__["kernel"] = fixedpoint.harmonic_kernel(params)
+        return kernel
+
+
 @dataclass(frozen=True)
 class GameParams:
     """Stakes and mixing angles of one quantized guessing game.
@@ -61,20 +76,10 @@ class GameParams:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"stake {name} must be finite")
         # building the representations validates the angles
-        self.rep_a, self.rep_b
+        self.__dict__.update(rep_a=LogicRepresentation(self.theta_a_deg),
+                             rep_b=LogicRepresentation(self.theta_b_deg))
 
-    @cached_property
-    def rep_a(self) -> LogicRepresentation:
-        return LogicRepresentation(self.theta_a_deg)
-
-    @cached_property
-    def rep_b(self) -> LogicRepresentation:
-        return LogicRepresentation(self.theta_b_deg)
-
-    @cached_property
-    def kernel(self) -> fixedpoint.HarmonicKernel:
-        """Both players' harmonics and the flatness scale, built once."""
-        return fixedpoint.harmonic_kernel(self)
+    kernel = _LazyKernel()
 
     @property
     def stakes(self) -> tuple[float, float, float, float]:
@@ -212,15 +217,17 @@ def verify_equilibrium(alpha_star_deg: float, beta_star_deg: float, params: Game
     epsilon-equilibrium that no verdict in doubles can reject.
     """
     _check_probe_count(n_probe)
+    # tuple.__new__ builds the result in C, as reaction_curves builds its
+    # samples
     if not (math.isfinite(alpha_star_deg) and math.isfinite(beta_star_deg)):
-        return VerificationResult(False, math.nan)
+        return tuple.__new__(VerificationResult, (False, math.nan))
     if tol is None:
         tol = 1e-6 * params.kernel.scale
     worst = max(fixedpoint.gains(alpha_star_deg, beta_star_deg, params))
-    return VerificationResult(bool(worst <= tol), worst)
+    return tuple.__new__(VerificationResult, (bool(worst <= tol), worst))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EquilibriumReport:
     """A located fixed point of the best-response maps, with its verdict.
 
@@ -239,6 +246,17 @@ class EquilibriumReport:
     verified: bool
     max_violation: float
     residual_deg: float
+
+    def __init__(self, alpha_star_deg: float, beta_star_deg: float, value: float,
+                 terms: tuple[float, float], amplitudes_a: AmplitudeSquares,
+                 amplitudes_b: AmplitudeSquares, verified: bool, max_violation: float,
+                 residual_deg: float) -> None:
+        # the generated __init__'s signature, filling the instance dict in
+        # one write instead of one frozen object.__setattr__ per field
+        self.__dict__.update(alpha_star_deg=alpha_star_deg, beta_star_deg=beta_star_deg,
+                             value=value, terms=terms, amplitudes_a=amplitudes_a,
+                             amplitudes_b=amplitudes_b, verified=verified,
+                             max_violation=max_violation, residual_deg=residual_deg)
 
 
 def _report(alpha_deg: float, beta_deg: float, params: GameParams,
@@ -263,13 +281,18 @@ def _report(alpha_deg: float, beta_deg: float, params: GameParams,
                              amplitudes_b, verdict.verified, verdict.max_violation, residual_deg)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SearchResult:
     """The reports and degeneracy regions of find_equilibria, which
     defines both.  Iterates over the reports."""
 
     equilibria: tuple[EquilibriumReport, ...]
     degeneracy_regions: tuple[tuple[float, float], ...]
+
+    def __init__(self, equilibria: tuple[EquilibriumReport, ...],
+                 degeneracy_regions: tuple[tuple[float, float], ...]) -> None:
+        # as EquilibriumReport.__init__
+        self.__dict__.update(equilibria=equilibria, degeneracy_regions=degeneracy_regions)
 
     def __iter__(self):
         return iter(self.equilibria)

@@ -137,8 +137,11 @@ def harmonic_kernel(params) -> HarmonicKernel:
     mantissa, exponent = math.frexp(scale)
     a, b, c, d = map(math.ldexp, stakes, [-2 - exponent] * 4)
     n_a, n_b = phase(params.theta_a_deg), phase(params.theta_b_deg)
-    return HarmonicKernel(_coefficients(a, c, b, d, n_a, n_b), _coefficients(c, a, d, b, n_b, n_a),
-                          scale, exponent, math.sqrt(DEGENERACY_SQ) * mantissa)
+    # tuple.__new__ builds the kernel in C, not through the NamedTuple's
+    # Python-level __new__
+    return tuple.__new__(HarmonicKernel, (_coefficients(a, c, b, d, n_a, n_b),
+                                          _coefficients(c, a, d, b, n_b, n_a),
+                                          scale, exponent, math.sqrt(DEGENERACY_SQ) * mantissa))
 
 
 def _coefficients(p, q, r, s, own, opp) -> tuple[complex, complex, complex]:
@@ -391,7 +394,10 @@ def circle_angles(q) -> list[float]:
     """
     if max(map(abs, q)) <= _ZERO_POLYNOMIAL:
         return []
-    lead = next((k for k, x in enumerate(q) if x), len(q))
+    # some coefficient is nonzero or NaN, by the test above, and ends the loop
+    lead = 0
+    while not q[lead]:
+        lead += 1
     angles = [math.pi] * lead
     if lead < len(q) - 1:
         row = [-x / q[lead] for x in q[lead + 1:]]

@@ -18,6 +18,8 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 __all__ = [
     "LatticeElement",
     "ELEMENTS",
@@ -44,9 +46,7 @@ class LatticeElement(Enum):
 
     @classmethod
     def atom(cls, k: int) -> "LatticeElement":
-        if k not in (1, 2, 3, 4):
-            raise ValueError(f"atom index must be in 1..4, got {k!r}")
-        return cls[f"ATOM{k}"]
+        return cls[f"ATOM{_corner_index(k, 'atom index')}"]
 
     @property
     def is_atom(self) -> bool:
@@ -67,6 +67,17 @@ ATOMS: tuple[LatticeElement, ...] = tuple(e for e in ELEMENTS if e.is_atom)
 
 # Corners across a diagonal refute each other.
 OPPOSITE = {1: 3, 2: 4, 3: 1, 4: 2}
+
+
+def _corner_index(k, name: str) -> int:
+    """k as a corner 1..4, as an int; the one rule for LatticeElement.atom,
+    valuate and classical.MixedStrategy.pure.  Only integers are corners,
+    NumPy integers included: a float or a bool, even one equal to a
+    corner, such as 1.0 or True, raises ValueError, as does an integer
+    outside 1..4; name heads the message."""
+    if isinstance(k, (int, np.integer)) and not isinstance(k, bool) and 1 <= k <= 4:
+        return int(k)
+    raise ValueError(f"{name} must be an integer in 1..4, got {k!r}")
 
 
 def leq(x: LatticeElement, y: LatticeElement) -> bool:
@@ -107,11 +118,8 @@ def valuate(question: int, vertex: int) -> int:
     The token may stay put or move along an edge, so the answer is 0 only
     when ``vertex`` is the corner opposite ``question``.
     """
-    if question not in (1, 2, 3, 4):
-        raise ValueError(f"question must be a corner in 1..4, got {question!r}")
-    if vertex not in (1, 2, 3, 4):
-        raise ValueError(f"vertex must be a corner in 1..4, got {vertex!r}")
-    return 0 if vertex == OPPOSITE[question] else 1
+    question = _corner_index(question, "question")
+    return 0 if _corner_index(vertex, "vertex") == OPPOSITE[question] else 1
 
 
 @dataclass(frozen=True)

@@ -148,7 +148,7 @@ class QuantumStrategy:
         return np.array([math.cos(t), math.sin(t)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AmplitudeSquares:
     """Squared amplitudes of a strategy against the four corner projectors.
 
@@ -160,6 +160,11 @@ class AmplitudeSquares:
     p2: float
     p3: float
     p4: float
+
+    def __init__(self, p1: float, p2: float, p3: float, p4: float) -> None:
+        # the generated __init__'s signature, filling the instance dict in
+        # one write instead of one frozen object.__setattr__ per field
+        self.__dict__.update(p1=p1, p2=p2, p3=p3, p4=p4)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p1, self.p2, self.p3, self.p4)

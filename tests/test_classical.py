@@ -71,6 +71,24 @@ def test_closed_form_rejects_nonpositive():
         solve_closed_form(1, 0, 1, 1)
 
 
+_NON_FINITE = [(position, value) for position in range(4)
+               for value in (np.inf, -np.inf, np.nan)]
+
+
+@pytest.mark.parametrize("position,value", _NON_FINITE)
+def test_non_finite_stakes_are_rejected(position, value):
+    # an infinite stake once gave solve_closed_form(inf, 1, 1, 1) a value of
+    # 1/3 and weights (0, 1/3, 1/3, 1/3), and decompose_conditional an E13
+    # of NaN; a NaN stake failed as "weights entries must be finite"
+    stakes = [3.0, 3.0, 5.0, 1.0]
+    stakes[position] = value
+    u = MixedStrategy.uniform()
+    for build in (solve_closed_form, PayoffMatrix.diagonal_game,
+                  lambda *s: decompose_conditional(u, u, *s)):
+        with pytest.raises(ValueError, match=r"stakes must be finite, got \("):
+            build(*stakes)
+
+
 def test_closed_form_scaling_property():
     rng = np.random.default_rng(7)
     for _ in range(50):

@@ -66,7 +66,9 @@ def test_classical_solve_verifies_at_large_stakes(runner):
 @pytest.mark.parametrize("stakes", ["0,1,1,1", "-1,1,1,1", "1,2,3", "a,b,c,d", "1,2,3,4,5",
                                     # 1/a + 1/b + 1/c + 1/d overflows
                                     "1e-320,1,1,1", "5e-324,5e-324,5e-324,5e-324",
-                                    "1e-308,1e-308,1e-308,1e-308"])
+                                    "1e-308,1e-308,1e-308,1e-308",
+                                    # the closed form has no game at a non-finite stake
+                                    "inf,1,1,1", "1,-inf,1,1", "1,1,nan,1", "1,1,1,inf"])
 def test_classical_solve_rejects_bad_stakes(runner, stakes):
     result = runner.invoke(main, ["classical", "solve", "-p", stakes])
     assert result.exit_code == 2

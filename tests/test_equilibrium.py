@@ -1,5 +1,8 @@
 """Best responses, reaction curves, and the fixed-point equilibrium search."""
 
+import copy
+import dataclasses
+import inspect
 import math
 import pickle
 import re
@@ -8,11 +11,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orthogame import equilibrium, quantum
+from orthogame import equilibrium, fixedpoint, quantum
 from orthogame.angles import wrap_half_turn, wrapped_distance
-from orthogame.equilibrium import (GameParams, best_response_alice,
+from orthogame.equilibrium import (EquilibriumReport, GameParams, SearchResult,
+                                   VerificationResult, best_response_alice,
                                    best_response_bob, find_equilibria,
                                    reaction_curves, verify_equilibrium)
+from orthogame.quantum import AmplitudeSquares, LogicRepresentation
 
 EX1 = GameParams(3, 3, 5, 1, 10.0, 70.0)
 EX2 = GameParams(1, 1, 1, 1, 45.0, 45.0)
@@ -432,6 +437,121 @@ def test_solved_game_keeps_equality_hash_repr_and_pickles():
     assert (hash(restored), repr(restored)) == (hash(params), repr(params))
     assert restored.kernel == params.kernel
     assert find_equilibria(restored) == find_equilibria(fresh) == result
+
+
+def test_kernel_is_built_lazily_and_once(monkeypatch):
+    # building a game never builds its kernel: the sweep benchmark times
+    # the solve of a game built before it, so a kernel built at
+    # construction would leave the timing, not the work
+    calls = []
+    build = fixedpoint.harmonic_kernel
+
+    def counted(params):
+        calls.append(params)
+        return build(params)
+
+    monkeypatch.setattr(fixedpoint, "harmonic_kernel", counted)
+    params = GameParams(3, 3, 5, 1, 30.0, 20.0)
+    assert calls == []
+    assert (params.rep_a, params.rep_b) == (LogicRepresentation(30.0), LogicRepresentation(20.0))
+    assert find_equilibria(params) == find_equilibria(params)
+    assert calls == [params]
+    assert params.kernel is params.kernel and len(calls) == 1
+
+    replaced = dataclasses.replace(params)
+    assert replaced == params and len(calls) == 1
+    assert replaced.kernel is not params.kernel and replaced.kernel == params.kernel
+    assert len(calls) == 2
+    moved = dataclasses.replace(params, a=4.0)
+    assert moved.kernel != params.kernel and len(calls) == 3
+
+    copied = copy.copy(params)
+    restored = pickle.loads(pickle.dumps(params))
+    unread = pickle.loads(pickle.dumps(GameParams(3, 3, 5, 1, 30.0, 20.0)))
+    assert copied == restored == unread == params and len(calls) == 3
+    assert copied.kernel == restored.kernel == params.kernel and len(calls) == 3
+    assert unread.kernel == params.kernel and len(calls) == 4
+
+    for thetas in ((90.0, 20.0), (30.0, -90.0)):
+        with pytest.raises(ValueError, match="multiple of 90"):
+            GameParams(3, 3, 5, 1, *thetas)
+    assert len(calls) == 4
+
+
+_REPORT_TYPES = (EquilibriumReport, AmplitudeSquares, SearchResult)
+
+
+@pytest.mark.parametrize("cls", _REPORT_TYPES, ids=lambda cls: cls.__name__)
+def test_report_constructor_is_the_dataclass_signature(cls):
+    # each report type writes its own __init__; it takes the fields in
+    # order, as the generated one would, positional or keyword, with no
+    # default and the field's annotation
+    parameters = inspect.signature(cls).parameters.values()
+    assert [(p.name, p.kind, p.default, p.annotation) for p in parameters] == [
+        (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty, f.type)
+        for f in dataclasses.fields(cls)]
+    assert cls.__dataclass_params__.frozen and cls.__dataclass_params__.eq
+
+
+def _by_field(obj):
+    """obj rebuilt as the generated frozen __init__ builds it: one
+    object.__setattr__ per field, in order."""
+    twin = object.__new__(type(obj))
+    for f in dataclasses.fields(obj):
+        object.__setattr__(twin, f.name, getattr(obj, f.name))
+    return twin
+
+
+def _report_instances():
+    result = find_equilibria(EX3)
+    (report,) = result
+    return {EquilibriumReport: report, AmplitudeSquares: report.amplitudes_b, SearchResult: result}
+
+
+@pytest.mark.parametrize("cls", _REPORT_TYPES, ids=lambda cls: cls.__name__)
+def test_report_types_keep_their_dataclass_contract(cls):
+    obj = _report_instances()[cls]
+    names = [f.name for f in dataclasses.fields(obj)]
+    twin = _by_field(obj)
+    assert vars(obj) == vars(twin) and list(vars(obj)) == names
+    rebuilt = [cls(*(getattr(obj, n) for n in names)),
+               cls(**{n: getattr(obj, n) for n in names}),
+               dataclasses.replace(obj), pickle.loads(pickle.dumps(obj))]
+    for other in rebuilt:
+        assert type(other) is cls and vars(other) == vars(twin)
+        assert other == twin and hash(other) == hash(twin) and repr(other) == repr(twin)
+        assert dataclasses.asdict(other) == dataclasses.asdict(twin)
+    assert repr(obj).startswith(f"{cls.__name__}({names[0]}=")
+
+    changed = dataclasses.replace(obj, **{names[-1]: ("changed",)})
+    assert changed != obj and getattr(changed, names[-1]) == ("changed",)
+    assert [getattr(changed, n) for n in names[:-1]] == [getattr(obj, n) for n in names[:-1]]
+    for n in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, n, 0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, n)
+    assert vars(obj) == vars(twin)
+
+
+def test_solve_builds_its_named_tuples_exactly():
+    # the kernel and the verdicts are built with tuple.__new__: they must
+    # still be instances of exactly their NamedTuple types
+    params = GameParams(3, 3, 5, 1, 30.0, 20.0)
+    kernel = params.kernel
+    assert type(kernel) is fixedpoint.HarmonicKernel
+    assert kernel._fields == ("alice", "bob", "scale", "exponent", "radius")
+    assert kernel == fixedpoint.HarmonicKernel(*kernel)
+    assert isinstance(kernel.exponent, int) and kernel.scale == 5.0
+
+    (report,) = find_equilibria(params)
+    for alpha, beta in ((report.alpha_star_deg, report.beta_star_deg), (math.nan, 0.0)):
+        verdict = verify_equilibrium(alpha, beta, params)
+        assert type(verdict) is VerificationResult
+        assert VerificationResult._fields == ("verified", "max_violation")
+        assert type(verdict.verified) is bool
+        assert repr(verdict) == repr(VerificationResult(*verdict))
+    assert verdict.verified is False and math.isnan(verdict.max_violation)
 
 
 def test_find_equilibria_where_both_players_are_indifferent():

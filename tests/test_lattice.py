@@ -2,8 +2,10 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
+from orthogame.classical import MixedStrategy
 from orthogame.lattice import (ATOMS, ELEMENTS, OPPOSITE, LatticeElement,
                                audit_laws, join, leq, meet, ortho, valuate)
 
@@ -149,3 +151,31 @@ def test_input_validation():
         valuate(0, 1)
     with pytest.raises(ValueError):
         valuate(1, 5)
+
+
+# one rule for a corner index: an integer in 1..4, NumPy integers included;
+# a float or a bool is no corner, even where it equals one
+_CORNER_USES = {
+    "atom": LatticeElement.atom,
+    "pure": MixedStrategy.pure,
+    "valuate_question": lambda k: valuate(k, 1),
+    "valuate_vertex": lambda k: valuate(1, k),
+}
+
+
+@pytest.mark.parametrize("use", sorted(_CORNER_USES))
+@pytest.mark.parametrize("k", [1.0, 2.0, np.float64(3.0), True, False, np.bool_(True), 0, 5,
+                               -1, np.int64(0), "1", None, 1 + 0j],
+                         ids=repr)
+def test_corner_index_must_be_an_integer_in_1_to_4(use, k):
+    with pytest.raises(ValueError, match=r"must be an integer in 1\.\.4"):
+        _CORNER_USES[use](k)
+
+
+@pytest.mark.parametrize("use", sorted(_CORNER_USES))
+@pytest.mark.parametrize("k", [np.int64(2), np.int8(4), np.uint32(3)], ids=repr)
+def test_numpy_integer_corner_is_the_int_corner(use, k):
+    left, right = _CORNER_USES[use](k), _CORNER_USES[use](int(k))
+    if use == "pure":
+        left, right = left.weights.tolist(), right.weights.tolist()
+    assert left == right
